@@ -15,12 +15,10 @@
 //! and sampling without replacement.
 
 use rand::Rng;
-use skewsearch_core::{
-    ChosenPathScheme, IndexOptions, LsfIndex, Match, QueryStats, SetSimilaritySearch,
-};
+use skewsearch_core::persist::{kind, Reader, Writer};
+use skewsearch_core::{ChosenPathScheme, IndexOptions, LsfIndex, LsfWrapper, PersistError};
 use skewsearch_datagen::{BernoulliProfile, Dataset};
 use skewsearch_rho::rho_chosen_path;
-use skewsearch_sets::SparseVec;
 
 /// Parameters for [`ChosenPathIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +71,8 @@ impl ChosenPathParams {
     }
 }
 
-/// Chosen Path index: the non-adaptive LSF baseline.
+/// Chosen Path index: the non-adaptive LSF baseline — an [`LsfIndex`] under
+/// the [`ChosenPathScheme`], which it dereferences to.
 pub struct ChosenPathIndex {
     inner: LsfIndex<ChosenPathScheme>,
     b2: f64,
@@ -112,174 +111,47 @@ impl ChosenPathIndex {
     pub fn k(&self) -> usize {
         self.inner.scheme().k()
     }
+}
 
-    /// Search with probing statistics.
-    pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
-        self.inner.search_with_stats(q)
-    }
+impl std::ops::Deref for ChosenPathIndex {
+    type Target = LsfIndex<ChosenPathScheme>;
 
-    /// Distinct candidates examined for `q`.
-    pub fn distinct_candidates(&self, q: &SparseVec) -> (Vec<u32>, QueryStats) {
-        self.inner.distinct_candidates(q)
-    }
-
-    /// [`SetSimilaritySearch::search_batch`] with an explicit worker count
-    /// (`0` = one per available core).
-    pub fn search_batch_threads(&self, queries: &[SparseVec], threads: usize) -> Vec<Vec<Match>> {
-        self.inner.search_batch_threads(queries, threads)
-    }
-
-    /// [`ChosenPathIndex::distinct_candidates`] over a query batch on
-    /// `threads` workers (`0` = one per available core).
-    pub fn distinct_candidates_batch(
-        &self,
-        queries: &[SparseVec],
-        threads: usize,
-    ) -> Vec<(Vec<u32>, QueryStats)> {
-        self.inner.distinct_candidates_batch(queries, threads)
-    }
-
-    /// Build statistics.
-    pub fn build_stats(&self) -> &skewsearch_core::BuildStats {
-        self.inner.build_stats()
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 
-impl SetSimilaritySearch for ChosenPathIndex {
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.inner.search(q)
-    }
-    /// Delegates to the shared LSF engine, inheriting its dedup-before-verify
-    /// first-discovery ordering contract.
-    fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.inner.search_all(q)
-    }
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<skewsearch_core::TaggedMatch> {
-        self.inner.search_all_tagged(q)
-    }
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<skewsearch_core::TaggedMatch> {
-        self.inner.search_first_tagged(q)
-    }
-    fn plan_query(&self, q: &SparseVec) -> skewsearch_core::QueryPlan {
-        self.inner.plan_query(q)
-    }
-    fn probe_plan_tagged(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Vec<skewsearch_core::TaggedMatch> {
-        SetSimilaritySearch::probe_plan_tagged(&self.inner, plan)
-    }
-    fn probe_plan_first_tagged(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Option<skewsearch_core::TaggedMatch> {
-        self.inner.probe_plan_first_tagged(plan)
-    }
-    /// Delegates so the inner LSF engine's per-repetition deadline polling
-    /// is kept (the trait default would only poll once up front).
-    fn probe_plan_tagged_deadline(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-        expired: &(dyn Fn() -> bool + Sync),
-    ) -> Result<Vec<skewsearch_core::TaggedMatch>, skewsearch_core::DeadlineExceeded> {
-        self.inner.probe_plan_tagged_deadline(plan, expired)
-    }
-    fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        self.inner.search_batch(queries)
-    }
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.inner.search_batch_best(queries)
-    }
-    /// Mutable: Chosen Path rides on the shared LSF engine, so it inherits
-    /// the log-structured insert/remove for free (the paper's frozen-index
-    /// baselines that do *not* — brute force, prefix filtering, MinHash —
-    /// keep the read-only default).
-    fn insert(
-        &mut self,
-        set: SparseVec,
-    ) -> Result<skewsearch_core::SetId, skewsearch_core::MutationError> {
-        self.inner.insert(set)
-    }
-    fn remove(
-        &mut self,
-        id: skewsearch_core::SetId,
-    ) -> Result<bool, skewsearch_core::MutationError> {
-        self.inner.remove(id)
-    }
-    fn supports_mutation(&self) -> bool {
-        true
-    }
-    fn memory_stats(&self) -> skewsearch_core::MemoryStats {
-        self.inner.memory_stats()
-    }
-    fn threshold(&self) -> f64 {
-        self.inner.threshold()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
+impl std::ops::DerefMut for ChosenPathIndex {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.inner
     }
 }
 
-impl skewsearch_core::Shardable for ChosenPathIndex {
-    fn passes(&self) -> usize {
-        self.inner.repetition_count()
-    }
-    fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self {
-        Self {
-            inner: self.inner.shard_of_passes(range),
-            b2: self.b2,
-        }
-    }
-    fn shard_of_ids(&self, ids: &[u32]) -> Self {
-        Self {
-            inner: self.inner.shard_of_ids(ids),
-            b2: self.b2,
-        }
-    }
-    fn partition_key(&self, id: u32) -> u64 {
-        skewsearch_core::set_partition_key(&self.inner.vectors()[id as usize])
-    }
-    fn slot_count(&self) -> usize {
-        self.inner.slot_count()
-    }
-}
+/// Chosen Path rides on the shared LSF engine, so it inherits the
+/// log-structured insert/remove (the paper's frozen-index baselines that do
+/// *not* — brute force, prefix filtering, MinHash — stay read-only).
+impl LsfWrapper for ChosenPathIndex {
+    type Scheme = ChosenPathScheme;
+    const KIND: u32 = kind::CHOSEN_PATH;
 
-impl skewsearch_core::Persist for ChosenPathIndex {
-    /// Kind-4 container: the background threshold `b₂` (the only state the
-    /// wrapper adds) followed by the embedded LSF payload — see
-    /// `docs/PERSISTENCE.md` §5.
-    fn save(&self, path: &std::path::Path) -> Result<(), skewsearch_core::PersistError> {
-        let version = skewsearch_core::persist::effective_write_version();
-        let mut w = skewsearch_core::persist::Writer::new();
+    fn rewrap(&self, inner: LsfIndex<ChosenPathScheme>) -> Self {
+        Self { inner, b2: self.b2 }
+    }
+
+    /// The background threshold `b₂`, the only state the wrapper adds.
+    fn encode_fields(&self, w: &mut Writer) {
         w.put_f64(self.b2);
-        self.inner.write_payload(&mut w, version);
-        skewsearch_core::persist::write_container_versioned(
-            path,
-            skewsearch_core::persist::kind::CHOSEN_PATH,
-            &w.into_payload(),
-            version,
-        )
     }
 
-    fn load(path: &std::path::Path) -> Result<Self, skewsearch_core::PersistError> {
-        let (payload, version) = skewsearch_core::persist::read_container_versioned(
-            path,
-            skewsearch_core::persist::kind::CHOSEN_PATH,
-        )?;
-        let mut r = skewsearch_core::persist::Reader::new(&payload);
+    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
         let b2 = r.get_f64()?;
         if !(b2 > 0.0 && b2 < 1.0) {
-            return Err(skewsearch_core::PersistError::Malformed(
-                "b2 must lie in (0, 1)",
-            ));
+            return Err(PersistError::Malformed("b2 must lie in (0, 1)"));
         }
-        let inner = LsfIndex::read_payload(&mut r, version)?;
-        if !r.is_empty() {
-            return Err(skewsearch_core::PersistError::Malformed(
-                "trailing bytes after index payload",
-            ));
-        }
-        Ok(Self { inner, b2 })
+        Ok(Self {
+            inner: LsfIndex::read_payload(r, version)?,
+            b2,
+        })
     }
 }
 
@@ -287,7 +159,7 @@ impl skewsearch_core::Persist for ChosenPathIndex {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use skewsearch_core::Repetitions;
+    use skewsearch_core::{Repetitions, SetSimilaritySearch};
     use skewsearch_datagen::correlated_query;
 
     fn opts(reps: usize) -> IndexOptions {

@@ -14,9 +14,11 @@
 //! vectors.
 
 use rand::{Rng, SeedableRng};
-use skewsearch_core::{Match, SetSimilaritySearch};
+use skewsearch_core::{
+    DeadlineExceeded, Match, PassSource, ProbeControl, QueryPlan, SetSimilaritySearch, TaggedMatch,
+};
 use skewsearch_datagen::Dataset;
-use skewsearch_hashing::{FxHashMap, PairwiseU64};
+use skewsearch_hashing::{FxHashMap, FxHashSet, PairwiseU64};
 use skewsearch_rho::rho_minhash;
 use skewsearch_sets::{similarity, SparseVec};
 
@@ -96,30 +98,6 @@ impl Band {
     }
 }
 
-/// The probe stage for one band, shared by the fused and the planned query
-/// paths: looks `keys` (the band signature — at most one) up in the band's
-/// bucket table, feeds each globally unseen candidate to `visit`, and
-/// returns `false` iff `visit` stopped the probe. The single bucket-walk
-/// loop keeps both paths byte-identical by construction.
-fn probe_band_keys(
-    band: &Band,
-    pass: u32,
-    keys: &[u64],
-    seen: &mut skewsearch_hashing::FxHashSet<u32>,
-    visit: &mut impl FnMut(u32, u32) -> bool,
-) -> bool {
-    for key in keys {
-        if let Some(bucket) = band.buckets.get(key) {
-            for &id in bucket {
-                if seen.insert(id) && !visit(pass, id) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// MinHash LSH index.
 pub struct MinHashLsh {
     vectors: Vec<SparseVec>,
@@ -167,24 +145,60 @@ impl MinHashLsh {
         rho_minhash(j1, j2)
     }
 
-    /// Feeds every distinct candidate to `visit`; stops on `false`.
-    pub fn probe(&self, q: &SparseVec, mut visit: impl FnMut(u32) -> bool) {
-        self.probe_tagged(q, |_, id| visit(id))
-    }
-
-    /// [`MinHashLsh::probe`] with discovery coordinates: `visit` receives
-    /// `(band, id)`. Each band probes exactly one bucket (the query's
-    /// signature), and ids ascend within it, so `(band, 0, id)` totally
-    /// orders candidate discovery — the tag contract the sharding layer's
-    /// merge protocol needs.
-    pub fn probe_tagged(&self, q: &SparseVec, mut visit: impl FnMut(u32, u32) -> bool) {
-        let mut seen = skewsearch_hashing::FxHashSet::default();
+    /// The band walk every query surface runs: per band, the query's
+    /// signature — from `source`'s plan, or hashed just before the band —
+    /// and its bucket, feeding each *distinct* candidate to `visit` with its
+    /// discovery coordinate `(band, id)`. Each band probes exactly one
+    /// bucket and ids ascend within it, so `(band, 0, id)` totally orders
+    /// candidate discovery — the tag contract the sharding layer's merge
+    /// protocol needs.
+    ///
+    /// `visit` returns whether the candidate is a match; under
+    /// [`ProbeControl::first_only`] the walk stops after the first one. The
+    /// deadline in `ctl` is polled before the first band and between bands.
+    ///
+    /// # Panics
+    /// Panics if a planned plan's pass count differs from the band count.
+    pub fn walk(
+        &self,
+        source: PassSource<'_>,
+        ctl: ProbeControl<'_>,
+        mut visit: impl FnMut(u32, u32) -> bool,
+    ) -> Result<(), DeadlineExceeded> {
+        let planned = source.planned_passes();
+        if let Some(passes) = planned {
+            assert_eq!(
+                passes.len(),
+                self.bands.len(),
+                "QueryPlan pass count does not match this index's bands"
+            );
+        }
+        let mut seen = FxHashSet::default();
+        ctl.poll()?;
         for (pass, band) in self.bands.iter().enumerate() {
-            let Some(sig) = band.signature(q) else { return };
-            if !probe_band_keys(band, pass as u32, &[sig], &mut seen, &mut visit) {
-                break;
+            if pass > 0 {
+                ctl.poll()?;
+            }
+            let signature;
+            let keys = match planned {
+                Some(passes) => &passes[pass][..],
+                None => {
+                    signature = band.signature(source.query());
+                    signature.as_slice()
+                }
+            };
+            for key in keys {
+                let Some(bucket) = band.buckets.get(key) else {
+                    continue;
+                };
+                for &id in bucket {
+                    if seen.insert(id) && visit(pass as u32, id) && ctl.first_only {
+                        return Ok(());
+                    }
+                }
             }
         }
+        Ok(())
     }
 
     /// Stage 1 of the enumerate→probe→verify pipeline for MinHash: the
@@ -197,47 +211,19 @@ impl MinHashLsh {
     /// dataset shard (shards keep the band hash functions), and, via
     /// [`QueryPlan::slice_passes`](skewsearch_core::QueryPlan::slice_passes),
     /// for band-slice shards.
-    pub fn plan_query(&self, q: &SparseVec) -> skewsearch_core::QueryPlan {
+    pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
         let passes = self
             .bands
             .iter()
             .map(|band| band.signature(q).map_or_else(Vec::new, |sig| vec![sig]))
             .collect();
-        skewsearch_core::QueryPlan::from_passes(q.clone(), passes)
-    }
-
-    /// [`MinHashLsh::probe_tagged`] driven by a precomputed plan: only the
-    /// band bucket tables are touched for a planned plan (no signature
-    /// hashing); unplanned plans fall back to the fused probe. Byte-identical
-    /// visit sequence — both paths share one bucket-walk loop.
-    ///
-    /// # Panics
-    /// Panics if a planned plan's pass count differs from the band count.
-    pub fn probe_plan_tagged_with(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-        mut visit: impl FnMut(u32, u32) -> bool,
-    ) {
-        let Some(passes) = plan.passes() else {
-            return self.probe_tagged(plan.query(), visit);
-        };
-        assert_eq!(
-            passes.len(),
-            self.bands.len(),
-            "QueryPlan pass count does not match this index's bands"
-        );
-        let mut seen = skewsearch_hashing::FxHashSet::default();
-        for ((pass, band), keys) in self.bands.iter().enumerate().zip(passes) {
-            if !probe_band_keys(band, pass as u32, keys, &mut seen, &mut visit) {
-                break;
-            }
-        }
+        QueryPlan::from_passes(q.clone(), passes)
     }
 
     /// Distinct candidate count for a query (cost proxy for experiments).
     pub fn candidate_count(&self, q: &SparseVec) -> usize {
         let mut count = 0usize;
-        self.probe(q, |_| {
+        let _ = self.walk(PassSource::Query(q), ProbeControl::ALL, |_, _| {
             count += 1;
             true
         });
@@ -264,17 +250,10 @@ impl MinHashLsh {
 }
 
 impl SetSimilaritySearch for MinHashLsh {
-    /// The early-exiting first hit — the tag projection of
-    /// `search_first_tagged`, sharing its verify loop.
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.search_first_tagged(q).map(|t| t.hit)
-    }
-
-    /// Same candidate-handling contract as the LSF indexes: `probe`
+    /// Same candidate-handling contract as the LSF indexes: the walk
     /// deduplicates ids across bands before verification and matches appear
     /// in first-discovery order (bands in build order, then bucket insertion
-    /// order). Exactly the tag projection of `search_all_tagged` — one
-    /// verify loop, not two to keep in lockstep.
+    /// order).
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
         self.search_all_tagged(q)
             .into_iter()
@@ -282,70 +261,28 @@ impl SetSimilaritySearch for MinHashLsh {
             .collect()
     }
 
-    /// Genuine `(band, bucket)` discovery coordinates from
-    /// [`MinHashLsh::probe_tagged`] (one bucket per band, so `step` is 0).
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<skewsearch_core::TaggedMatch> {
-        let mut out = Vec::new();
-        self.probe_tagged(q, |pass, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(skewsearch_core::TaggedMatch { pass, step: 0, hit });
-            }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting: the probe stops at the first verified hit, exactly
-    /// like `search`.
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<skewsearch_core::TaggedMatch> {
-        let mut first = None;
-        self.probe_tagged(q, |pass, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| skewsearch_core::TaggedMatch { pass, step: 0, hit });
-            first.is_none()
-        });
-        first
-    }
-
     /// Stage 1: one signature per band — see [`MinHashLsh::plan_query`].
-    fn plan_query(&self, q: &SparseVec) -> skewsearch_core::QueryPlan {
+    fn plan_query(&self, q: &SparseVec) -> QueryPlan {
         MinHashLsh::plan_query(self, q)
     }
 
-    /// Stages 2+3 from a precomputed plan: band bucket lookups via
-    /// [`MinHashLsh::probe_plan_tagged_with`], byte-identical to
-    /// `search_all_tagged(plan.query())`.
-    fn probe_plan_tagged(
+    /// [`MinHashLsh::walk`] with the shared verify site as its visitor:
+    /// genuine `(band, bucket)` tags (one bucket per band, so `step` is 0).
+    fn probe_passes(
         &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Vec<skewsearch_core::TaggedMatch> {
-        let q = plan.query();
+        source: PassSource<'_>,
+        ctl: ProbeControl<'_>,
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        let q = source.query();
         let mut out = Vec::new();
-        self.probe_plan_tagged_with(plan, |pass, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(skewsearch_core::TaggedMatch { pass, step: 0, hit });
+        self.walk(source, ctl, |pass, id| match self.verified(q, id) {
+            Some(hit) => {
+                out.push(TaggedMatch { pass, step: 0, hit });
+                true
             }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting planned probe: stops at the first verified hit without
-    /// re-hashing signatures when the plan is planned.
-    fn probe_plan_first_tagged(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Option<skewsearch_core::TaggedMatch> {
-        let q = plan.query();
-        let mut first = None;
-        self.probe_plan_tagged_with(plan, |pass, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| skewsearch_core::TaggedMatch { pass, step: 0, hit });
-            first.is_none()
-        });
-        first
+            None => false,
+        })?;
+        Ok(out)
     }
 
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
@@ -648,8 +585,8 @@ mod tests {
                 index.search_all_tagged(&q)
             );
             assert_eq!(
-                index.probe_plan_first_tagged(&plan),
-                index.search_first_tagged(&q)
+                index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
+                index.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
             );
         }
         // Empty query: no signatures, so every planned pass is empty.

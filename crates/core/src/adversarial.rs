@@ -7,9 +7,10 @@
 //! difficulty of the query*: skewed queries are cheap, worst-case queries
 //! match the Chosen Path bound.
 
-use crate::index::{IndexOptions, LsfIndex, QueryStats};
+use crate::index::{IndexOptions, LsfIndex};
+use crate::persist::{PersistError, Reader, Writer};
 use crate::scheme::AdversarialScheme;
-use crate::traits::{Match, SetSimilaritySearch};
+use crate::wrapper::LsfWrapper;
 use rand::Rng;
 use skewsearch_datagen::{BernoulliProfile, Dataset};
 use skewsearch_rho::rho_adversarial_query;
@@ -44,7 +45,8 @@ impl AdversarialParams {
 }
 
 /// The paper's §5 data structure: skew-adaptive LSF with thresholds
-/// `s(x, j, i) = 1/(b₁|x| − j)` and the product stopping rule.
+/// `s(x, j, i) = 1/(b₁|x| − j)` and the product stopping rule — an
+/// [`LsfIndex`] under the [`AdversarialScheme`], which it dereferences to.
 pub struct AdversarialIndex {
     inner: LsfIndex<AdversarialScheme>,
 }
@@ -78,152 +80,38 @@ impl AdversarialIndex {
         let ps: Vec<f64> = q.iter().map(|i| self.inner.profile().p(i)).collect();
         rho_adversarial_query(&ps, self.inner.scheme().b1())
     }
+}
 
-    /// Search with probing statistics.
-    pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
-        self.inner.search_with_stats(q)
-    }
+impl std::ops::Deref for AdversarialIndex {
+    type Target = LsfIndex<AdversarialScheme>;
 
-    /// Distinct candidates the structure examines for `q` (the `n^{ρ(q)}`
-    /// quantity).
-    pub fn distinct_candidates(&self, q: &SparseVec) -> (Vec<u32>, QueryStats) {
-        self.inner.distinct_candidates(q)
-    }
-
-    /// [`SetSimilaritySearch::search_batch`] with an explicit worker count
-    /// (`0` = one per available core).
-    pub fn search_batch_threads(&self, queries: &[SparseVec], threads: usize) -> Vec<Vec<Match>> {
-        self.inner.search_batch_threads(queries, threads)
-    }
-
-    /// [`AdversarialIndex::distinct_candidates`] over a query batch on
-    /// `threads` workers (`0` = one per available core).
-    pub fn distinct_candidates_batch(
-        &self,
-        queries: &[SparseVec],
-        threads: usize,
-    ) -> Vec<(Vec<u32>, QueryStats)> {
-        self.inner.distinct_candidates_batch(queries, threads)
-    }
-
-    /// Build statistics.
-    pub fn build_stats(&self) -> &crate::index::BuildStats {
-        self.inner.build_stats()
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 
-impl SetSimilaritySearch for AdversarialIndex {
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.inner.search(q)
-    }
-    /// Delegates to [`LsfIndex::search_all`](crate::LsfIndex), inheriting its
-    /// dedup-before-verify, first-discovery ordering contract.
-    fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.inner.search_all(q)
-    }
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<crate::TaggedMatch> {
-        self.inner.search_all_tagged(q)
-    }
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<crate::TaggedMatch> {
-        self.inner.search_first_tagged(q)
-    }
-    fn plan_query(&self, q: &SparseVec) -> crate::QueryPlan {
-        self.inner.plan_query(q)
-    }
-    fn probe_plan_tagged(&self, plan: &crate::QueryPlan) -> Vec<crate::TaggedMatch> {
-        SetSimilaritySearch::probe_plan_tagged(&self.inner, plan)
-    }
-    fn probe_plan_first_tagged(&self, plan: &crate::QueryPlan) -> Option<crate::TaggedMatch> {
-        self.inner.probe_plan_first_tagged(plan)
-    }
-    /// Delegates so the inner LSF engine's per-repetition deadline polling
-    /// is kept (the trait default would only poll once up front).
-    fn probe_plan_tagged_deadline(
-        &self,
-        plan: &crate::QueryPlan,
-        expired: &(dyn Fn() -> bool + Sync),
-    ) -> Result<Vec<crate::TaggedMatch>, crate::traits::DeadlineExceeded> {
-        self.inner.probe_plan_tagged_deadline(plan, expired)
-    }
-    fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        self.inner.search_batch(queries)
-    }
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.inner.search_batch_best(queries)
-    }
-    /// Mutable: delegates to the inner LSF index's log-structured insert.
-    fn insert(
-        &mut self,
-        set: SparseVec,
-    ) -> Result<crate::traits::SetId, crate::traits::MutationError> {
-        self.inner.insert(set)
-    }
-    fn remove(&mut self, id: crate::traits::SetId) -> Result<bool, crate::traits::MutationError> {
-        self.inner.remove(id)
-    }
-    fn supports_mutation(&self) -> bool {
-        true
-    }
-    fn memory_stats(&self) -> crate::traits::MemoryStats {
-        self.inner.memory_stats()
-    }
-    fn threshold(&self) -> f64 {
-        self.inner.threshold()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
+impl std::ops::DerefMut for AdversarialIndex {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.inner
     }
 }
 
-impl crate::shard::Shardable for AdversarialIndex {
-    fn passes(&self) -> usize {
-        self.inner.repetition_count()
-    }
-    fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self {
-        Self {
-            inner: self.inner.shard_of_passes(range),
-        }
-    }
-    fn shard_of_ids(&self, ids: &[u32]) -> Self {
-        Self {
-            inner: self.inner.shard_of_ids(ids),
-        }
-    }
-    fn partition_key(&self, id: u32) -> u64 {
-        crate::shard::set_partition_key(&self.inner.vectors()[id as usize])
-    }
-    fn slot_count(&self) -> usize {
-        self.inner.slot_count()
-    }
-}
+impl LsfWrapper for AdversarialIndex {
+    type Scheme = AdversarialScheme;
+    const KIND: u32 = crate::persist::kind::ADVERSARIAL;
 
-impl crate::persist::Persist for AdversarialIndex {
-    /// Kind-3 container: the wrapper adds no state of its own, so the
-    /// payload is the embedded LSF payload verbatim — only the container
-    /// kind distinguishes the file (see `docs/PERSISTENCE.md` §5).
-    fn save(&self, path: &std::path::Path) -> Result<(), crate::persist::PersistError> {
-        let version = crate::persist::effective_write_version();
-        let mut w = crate::persist::Writer::new();
-        self.inner.write_payload(&mut w, version);
-        crate::persist::write_container_versioned(
-            path,
-            crate::persist::kind::ADVERSARIAL,
-            &w.into_payload(),
-            version,
-        )
+    fn rewrap(&self, inner: LsfIndex<AdversarialScheme>) -> Self {
+        Self { inner }
     }
 
-    fn load(path: &std::path::Path) -> Result<Self, crate::persist::PersistError> {
-        let (payload, version) =
-            crate::persist::read_container_versioned(path, crate::persist::kind::ADVERSARIAL)?;
-        let mut r = crate::persist::Reader::new(&payload);
-        let inner = LsfIndex::read_payload(&mut r, version)?;
-        if !r.is_empty() {
-            return Err(crate::persist::PersistError::Malformed(
-                "trailing bytes after index payload",
-            ));
-        }
-        Ok(Self { inner })
+    /// Nothing: the wrapper adds no state of its own, so only the container
+    /// kind distinguishes its file from a bare LSF index.
+    fn encode_fields(&self, _: &mut Writer) {}
+
+    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
+        Ok(Self {
+            inner: LsfIndex::read_payload(r, version)?,
+        })
     }
 }
 
@@ -231,6 +119,7 @@ impl crate::persist::Persist for AdversarialIndex {
 mod tests {
     use super::*;
     use crate::index::Repetitions;
+    use crate::traits::SetSimilaritySearch;
     use rand::{rngs::StdRng, SeedableRng};
     use skewsearch_sets::similarity;
 

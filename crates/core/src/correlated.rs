@@ -7,13 +7,13 @@
 //! independent pairs at `≤ α/1.5` w.h.p.). Expected query cost is
 //! `O(d · n^{ρ+ε})` with `Σ p^{1+ρ}/p̂ = Σ p`.
 
-use crate::index::{IndexOptions, LsfIndex, QueryStats};
+use crate::index::{IndexOptions, LsfIndex};
+use crate::persist::{PersistError, Reader, Writer};
 use crate::scheme::CorrelatedScheme;
-use crate::traits::{Match, SetSimilaritySearch};
+use crate::wrapper::LsfWrapper;
 use rand::Rng;
 use skewsearch_datagen::{BernoulliProfile, Dataset};
 use skewsearch_rho::rho_correlated;
-use skewsearch_sets::SparseVec;
 
 /// Lemma 10's verification threshold: correlated pairs have similarity
 /// `≥ α/1.3` w.h.p.
@@ -60,7 +60,8 @@ pub struct ModelDiagnostics {
     pub warnings: Vec<String>,
 }
 
-/// The paper's §6 data structure for α-correlated queries (Theorem 1).
+/// The paper's §6 data structure for α-correlated queries (Theorem 1): an
+/// [`LsfIndex`] under the [`CorrelatedScheme`], which it dereferences to.
 pub struct CorrelatedIndex {
     inner: LsfIndex<CorrelatedScheme>,
     alpha: f64,
@@ -127,155 +128,45 @@ impl CorrelatedIndex {
     pub fn predicted_rho(&self) -> f64 {
         rho_correlated(self.inner.profile(), self.alpha)
     }
+}
 
-    /// Search with probing statistics.
-    pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
-        self.inner.search_with_stats(q)
-    }
+impl std::ops::Deref for CorrelatedIndex {
+    type Target = LsfIndex<CorrelatedScheme>;
 
-    /// Distinct candidates examined for `q` (the `n^ρ` quantity of
-    /// Theorem 1).
-    pub fn distinct_candidates(&self, q: &SparseVec) -> (Vec<u32>, QueryStats) {
-        self.inner.distinct_candidates(q)
-    }
-
-    /// [`SetSimilaritySearch::search_batch`] with an explicit worker count
-    /// (`0` = one per available core).
-    pub fn search_batch_threads(&self, queries: &[SparseVec], threads: usize) -> Vec<Vec<Match>> {
-        self.inner.search_batch_threads(queries, threads)
-    }
-
-    /// [`CorrelatedIndex::distinct_candidates`] over a query batch on
-    /// `threads` workers (`0` = one per available core).
-    pub fn distinct_candidates_batch(
-        &self,
-        queries: &[SparseVec],
-        threads: usize,
-    ) -> Vec<(Vec<u32>, QueryStats)> {
-        self.inner.distinct_candidates_batch(queries, threads)
-    }
-
-    /// Build statistics.
-    pub fn build_stats(&self) -> &crate::index::BuildStats {
-        self.inner.build_stats()
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 
-impl SetSimilaritySearch for CorrelatedIndex {
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.inner.search(q)
-    }
-    /// Delegates to [`LsfIndex::search_all`](crate::LsfIndex), inheriting its
-    /// dedup-before-verify, first-discovery ordering contract.
-    fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.inner.search_all(q)
-    }
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<crate::TaggedMatch> {
-        self.inner.search_all_tagged(q)
-    }
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<crate::TaggedMatch> {
-        self.inner.search_first_tagged(q)
-    }
-    fn plan_query(&self, q: &SparseVec) -> crate::QueryPlan {
-        self.inner.plan_query(q)
-    }
-    fn probe_plan_tagged(&self, plan: &crate::QueryPlan) -> Vec<crate::TaggedMatch> {
-        SetSimilaritySearch::probe_plan_tagged(&self.inner, plan)
-    }
-    fn probe_plan_first_tagged(&self, plan: &crate::QueryPlan) -> Option<crate::TaggedMatch> {
-        self.inner.probe_plan_first_tagged(plan)
-    }
-    /// Delegates so the inner LSF engine's per-repetition deadline polling
-    /// is kept (the trait default would only poll once up front).
-    fn probe_plan_tagged_deadline(
-        &self,
-        plan: &crate::QueryPlan,
-        expired: &(dyn Fn() -> bool + Sync),
-    ) -> Result<Vec<crate::TaggedMatch>, crate::traits::DeadlineExceeded> {
-        self.inner.probe_plan_tagged_deadline(plan, expired)
-    }
-    fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        self.inner.search_batch(queries)
-    }
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.inner.search_batch_best(queries)
-    }
-    /// Mutable: delegates to the inner LSF index's log-structured insert.
-    fn insert(
-        &mut self,
-        set: SparseVec,
-    ) -> Result<crate::traits::SetId, crate::traits::MutationError> {
-        self.inner.insert(set)
-    }
-    fn remove(&mut self, id: crate::traits::SetId) -> Result<bool, crate::traits::MutationError> {
-        self.inner.remove(id)
-    }
-    fn supports_mutation(&self) -> bool {
-        true
-    }
-    fn memory_stats(&self) -> crate::traits::MemoryStats {
-        self.inner.memory_stats()
-    }
-    fn threshold(&self) -> f64 {
-        self.inner.threshold()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
+impl std::ops::DerefMut for CorrelatedIndex {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.inner
     }
 }
 
-impl crate::shard::Shardable for CorrelatedIndex {
-    fn passes(&self) -> usize {
-        self.inner.repetition_count()
-    }
-    fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self {
+impl LsfWrapper for CorrelatedIndex {
+    type Scheme = CorrelatedScheme;
+    const KIND: u32 = crate::persist::kind::CORRELATED;
+
+    fn rewrap(&self, inner: LsfIndex<CorrelatedScheme>) -> Self {
         Self {
-            inner: self.inner.shard_of_passes(range),
+            inner,
             alpha: self.alpha,
             diagnostics: self.diagnostics.clone(),
         }
     }
-    fn shard_of_ids(&self, ids: &[u32]) -> Self {
-        Self {
-            inner: self.inner.shard_of_ids(ids),
-            alpha: self.alpha,
-            diagnostics: self.diagnostics.clone(),
-        }
-    }
-    fn partition_key(&self, id: u32) -> u64 {
-        crate::shard::set_partition_key(&self.inner.vectors()[id as usize])
-    }
-    fn slot_count(&self) -> usize {
-        self.inner.slot_count()
-    }
-}
 
-impl crate::persist::Persist for CorrelatedIndex {
-    /// Kind-2 container: `α`, the model diagnostics (`C` + warnings), then
-    /// the embedded LSF payload — see `docs/PERSISTENCE.md` §5.
-    fn save(&self, path: &std::path::Path) -> Result<(), crate::persist::PersistError> {
-        let version = crate::persist::effective_write_version();
-        let mut w = crate::persist::Writer::new();
+    /// `α`, then the model diagnostics (`C` + warnings).
+    fn encode_fields(&self, w: &mut Writer) {
         w.put_f64(self.alpha);
         w.put_f64(self.diagnostics.c);
         w.put_u64(self.diagnostics.warnings.len() as u64);
         for warning in &self.diagnostics.warnings {
             w.put_str(warning);
         }
-        self.inner.write_payload(&mut w, version);
-        crate::persist::write_container_versioned(
-            path,
-            crate::persist::kind::CORRELATED,
-            &w.into_payload(),
-            version,
-        )
     }
 
-    fn load(path: &std::path::Path) -> Result<Self, crate::persist::PersistError> {
-        use crate::persist::PersistError;
-        let (payload, version) =
-            crate::persist::read_container_versioned(path, crate::persist::kind::CORRELATED)?;
-        let mut r = crate::persist::Reader::new(&payload);
+    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
         let alpha = r.get_f64()?;
         if !(alpha > 0.0 && alpha <= 1.0) {
             return Err(PersistError::Malformed("correlated alpha out of (0,1]"));
@@ -286,14 +177,8 @@ impl crate::persist::Persist for CorrelatedIndex {
         for _ in 0..warning_count {
             warnings.push(r.get_string()?);
         }
-        let inner = LsfIndex::read_payload(&mut r, version)?;
-        if !r.is_empty() {
-            return Err(PersistError::Malformed(
-                "trailing bytes after index payload",
-            ));
-        }
         Ok(Self {
-            inner,
+            inner: LsfIndex::read_payload(r, version)?,
             alpha,
             diagnostics: ModelDiagnostics { c, warnings },
         })
@@ -304,6 +189,7 @@ impl crate::persist::Persist for CorrelatedIndex {
 mod tests {
     use super::*;
     use crate::index::Repetitions;
+    use crate::traits::SetSimilaritySearch;
     use rand::{rngs::StdRng, SeedableRng};
     use skewsearch_datagen::correlated_query;
 

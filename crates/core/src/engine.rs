@@ -78,7 +78,7 @@ pub struct EnumStats {
 /// scheme — **not** on the repetition's hash stack — so a query builds this
 /// context once and reuses it across all `R = Θ(log n)` repetitions instead
 /// of re-deriving `F(q)`'s inputs per repetition (the hot-path hoist the
-/// ROADMAP called for). [`LsfIndex::probe`](crate::LsfIndex::probe) does
+/// ROADMAP called for). [`LsfIndex::walk`](crate::LsfIndex::walk) does
 /// exactly that; [`enumerate_filters`] builds a throwaway context for
 /// single-shot callers.
 pub struct EnumContext<'a> {

@@ -22,14 +22,17 @@
 use crate::batch::batch_map;
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
-    compress_bucket_map, effective_write_version, kind, read_bucket_map, read_container_versioned,
-    read_postings, write_bucket_map, write_container_versioned, write_postings,
-    write_postings_as_bucket_map, Persist, PersistError, PersistScheme, Reader, Writer,
+    compress_bucket_map, kind, load_container, read_bucket_map, read_postings, write_bucket_map,
+    write_container, write_postings, write_postings_as_bucket_map, Persist, PersistError,
+    PersistScheme, Reader, Writer, FORMAT_VERSION,
 };
 use crate::plan::QueryPlan;
 use crate::postings::{CompressedPostings, PostingsEncoder};
 use crate::scheme::ThresholdScheme;
-use crate::traits::{Match, MemoryStats, SetSimilaritySearch};
+use crate::traits::{
+    DeadlineExceeded, Match, MemoryStats, PassSource, ProbeControl, SetSimilaritySearch,
+    TaggedMatch,
+};
 use rand::{Rng, SeedableRng};
 use skewsearch_datagen::BernoulliProfile;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, TabulationU128};
@@ -166,15 +169,10 @@ struct Repetition {
     delta: FxHashMap<u64, Vec<u32>>,
 }
 
-/// The probe stage for one pass, shared by the fused and the planned query
-/// paths: looks `keys` up in the repetition's bucket table in order, feeds
-/// each *globally unseen* candidate to `visit` with its discovery coordinate
-/// `(pass, step, id)`, and returns `false` iff `visit` stopped the probe.
-///
-/// Both front ends — lazy per-repetition enumeration
-/// ([`LsfIndex::probe_tagged`]) and a precomputed [`QueryPlan`]
-/// ([`LsfIndex::probe_plan_tagged`]) — funnel through this one loop, which is
-/// what keeps their answers byte-identical by construction.
+/// The bucket walk of one pass of [`LsfIndex::walk`]: looks `keys` up in
+/// the repetition's bucket table in order, feeds each *globally unseen*
+/// candidate to `visit` with its discovery coordinate `(pass, step, id)`,
+/// and returns `false` iff `visit` stopped the probe.
 fn probe_pass_keys(
     rep: &Repetition,
     pass: u32,
@@ -214,6 +212,14 @@ fn probe_pass_keys(
         }
     }
     true
+}
+
+/// Where [`LsfIndex::walk`] gets each repetition's bucket keys.
+enum PassKeys<'a> {
+    /// A planned plan's precomputed keys.
+    Planned(&'a [Vec<u64>]),
+    /// `F(q)` enumerated lazily, one repetition at a time.
+    Lazy(EnumContext<'a>),
 }
 
 /// Per-chunk enumeration result (`pairs` in ascending id order, keys already
@@ -457,53 +463,97 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         &self.profile
     }
 
-    /// Core probing loop. Enumerates the query's filters repetition by
-    /// repetition and feeds each *distinct* candidate to `visit` in
-    /// first-discovery order; stops when `visit` returns `false`. Returns
-    /// query statistics.
+    /// The probe walk every query surface runs: per repetition, the
+    /// query's bucket keys — from `source`'s plan, or enumerated lazily just
+    /// before the pass — then the bucket walk, feeding each *distinct*
+    /// candidate to `visit` in first-discovery order with its discovery
+    /// coordinate `(pass, step, id)`: `pass` is the repetition, `step` the
+    /// position of the discovering filter in the enumeration order.
     ///
-    /// The enumeration inputs (scheme thresholds, dimension masses) are
-    /// hoisted into one [`EnumContext`] built up front and shared by every
-    /// repetition — only the hash-stack acceptance decisions differ per
-    /// repetition.
-    pub fn probe(&self, q: &SparseVec, mut visit: impl FnMut(u32) -> bool) -> QueryStats {
-        self.probe_tagged(q, |_, _, id| visit(id))
-    }
-
-    /// [`LsfIndex::probe`] with discovery coordinates: `visit` receives
-    /// `(pass, step, id)` where `pass` is the repetition index and `step` the
-    /// position of the discovering filter in the query's enumeration order.
+    /// `visit` returns whether the candidate is a match; under
+    /// [`ProbeControl::first_only`] the walk stops after the first one, so
+    /// a query source never enumerates the repetitions it skips. The
+    /// deadline in `ctl` is polled before the first repetition and between
+    /// repetitions. Returns the query statistics.
     ///
     /// Within one `(pass, step)` bucket, ids ascend (buckets are filled in id
     /// order at build time), so `(pass, step, id)` totally orders candidate
     /// discovery — the invariant the sharding layer's merge protocol
-    /// ([`crate::shard::ShardedIndex`]) rests on.
-    pub fn probe_tagged(
+    /// ([`crate::shard::ShardedIndex`]) rests on. The enumeration inputs
+    /// (scheme thresholds, dimension masses) are hoisted into one
+    /// [`EnumContext`] shared by every repetition.
+    ///
+    /// # Panics
+    /// Panics if a planned plan's pass count differs from this index's
+    /// repetition count (a plan from a foreign index — probing it silently
+    /// would corrupt answers).
+    pub fn walk(
         &self,
-        q: &SparseVec,
+        source: PassSource<'_>,
+        ctl: ProbeControl<'_>,
         mut visit: impl FnMut(u32, u32, u32) -> bool,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
+    ) -> Result<QueryStats, DeadlineExceeded> {
+        let pass_keys = match source.planned_passes() {
+            Some(passes) => {
+                assert_eq!(
+                    passes.len(),
+                    self.reps.len(),
+                    "QueryPlan pass count does not match this index's repetitions"
+                );
+                PassKeys::Planned(passes)
+            }
+            None => PassKeys::Lazy(self.enum_context(source.query())),
+        };
+        // Go on unless `visit` reported the match a first-only probe wants.
+        let mut visit = |pass, step, id| !(visit(pass, step, id) && ctl.first_only);
         let mut filters = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        let context = EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound());
+        let mut enumerated: Vec<u64> = Vec::new();
+        let mut seen: FxHashSet<u32> = FxHashSet::default();
+        let mut stats = QueryStats::default();
+        ctl.poll()?;
         for (pass, rep) in self.reps.iter().enumerate() {
-            filters.clear();
-            enumerate_filters_with(
-                &context,
-                &self.scheme,
-                &rep.hashers,
-                self.node_budget,
-                &mut filters,
-            );
-            keys.clear();
-            keys.extend(filters.iter().map(|k| rep.interner.hash(k.raw())));
-            if !probe_pass_keys(rep, pass as u32, &keys, &mut seen, &mut stats, &mut visit) {
+            if pass > 0 {
+                ctl.poll()?;
+            }
+            let keys: &[u64] = match &pass_keys {
+                PassKeys::Planned(passes) => &passes[pass],
+                PassKeys::Lazy(context) => {
+                    self.enumerate_pass(context, rep, &mut filters, &mut enumerated);
+                    &enumerated
+                }
+            };
+            if !probe_pass_keys(rep, pass as u32, keys, &mut seen, &mut stats, &mut visit) {
                 break;
             }
         }
-        stats
+        Ok(stats)
+    }
+
+    /// The enumeration inputs of `q`, hoisted once per query.
+    fn enum_context<'q>(&self, q: &'q SparseVec) -> EnumContext<'q> {
+        EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound())
+    }
+
+    /// Stage 1 for one repetition: enumerates `F(q)` under `rep`'s hash
+    /// stack into `filters` and replaces `keys` with the interned bucket
+    /// keys, in enumeration order.
+    fn enumerate_pass(
+        &self,
+        context: &EnumContext<'_>,
+        rep: &Repetition,
+        filters: &mut Vec<skewsearch_hashing::PathKey>,
+        keys: &mut Vec<u64>,
+    ) {
+        filters.clear();
+        enumerate_filters_with(
+            context,
+            &self.scheme,
+            &rep.hashers,
+            self.node_budget,
+            filters,
+        );
+        keys.clear();
+        keys.extend(filters.iter().map(|k| rep.interner.hash(k.raw())));
     }
 
     /// Stage 1 of the pipeline: enumerates `F(q)` under every repetition's
@@ -547,58 +597,18 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// assert_eq!(index.probe_plan(&plan), index.search_all(data.vector(0)));
     /// ```
     pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
+        let context = self.enum_context(q);
         let mut filters = Vec::new();
-        let context = EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound());
         let passes = self
             .reps
             .iter()
             .map(|rep| {
-                filters.clear();
-                enumerate_filters_with(
-                    &context,
-                    &self.scheme,
-                    &rep.hashers,
-                    self.node_budget,
-                    &mut filters,
-                );
-                filters.iter().map(|k| rep.interner.hash(k.raw())).collect()
+                let mut keys = Vec::new();
+                self.enumerate_pass(&context, rep, &mut filters, &mut keys);
+                keys
             })
             .collect();
         QueryPlan::from_passes(q.clone(), passes)
-    }
-
-    /// [`LsfIndex::probe_tagged`] driven by a precomputed [`QueryPlan`]
-    /// instead of live enumeration: only the inverted index is touched for a
-    /// planned plan. Unplanned plans fall back to the fused probe.
-    ///
-    /// Byte-identical visit sequence to the fused probe of `plan.query()` —
-    /// both paths share one bucket-walk loop.
-    ///
-    /// # Panics
-    /// Panics if a planned plan's pass count differs from this index's
-    /// repetition count (a plan from a foreign index — probing it silently
-    /// would corrupt answers).
-    pub fn probe_plan_tagged(
-        &self,
-        plan: &QueryPlan,
-        mut visit: impl FnMut(u32, u32, u32) -> bool,
-    ) -> QueryStats {
-        let Some(passes) = plan.passes() else {
-            return self.probe_tagged(plan.query(), visit);
-        };
-        assert_eq!(
-            passes.len(),
-            self.reps.len(),
-            "QueryPlan pass count does not match this index's repetitions"
-        );
-        let mut stats = QueryStats::default();
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        for ((pass, rep), keys) in self.reps.iter().enumerate().zip(passes) {
-            if !probe_pass_keys(rep, pass as u32, keys, &mut seen, &mut stats, &mut visit) {
-                break;
-            }
-        }
-        stats
     }
 
     /// Verifies candidate `id` against `q`: its [`Match`] iff the slot is
@@ -621,22 +631,22 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// [`SetSimilaritySearch::search`] with statistics.
     pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
         let mut hit = None;
-        let stats = self.probe(q, |id| {
+        let stats = self.walk(PassSource::Query(q), ProbeControl::FIRST, |_, _, id| {
             hit = self.verified(q, id);
-            hit.is_none()
+            hit.is_some()
         });
-        (hit, stats)
+        (hit, stats.unwrap_or_default())
     }
 
     /// Distinct candidate ids the index would verify for `q` (no similarity
     /// filtering) — the quantity the paper's `n^ρ` bounds govern.
     pub fn distinct_candidates(&self, q: &SparseVec) -> (Vec<u32>, QueryStats) {
         let mut ids = Vec::new();
-        let stats = self.probe(q, |id| {
+        let stats = self.walk(PassSource::Query(q), ProbeControl::ALL, |_, _, id| {
             ids.push(id);
             true
         });
-        (ids, stats)
+        (ids, stats.unwrap_or_default())
     }
 
     /// [`SetSimilaritySearch::search_batch`] with an explicit worker count
@@ -730,8 +740,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     pub fn insert_set(&mut self, set: SparseVec) -> usize {
         let id = self.vectors.len();
         let mut filters: Vec<skewsearch_hashing::PathKey> = Vec::new();
-        let context =
-            EnumContext::new(&set, &self.profile, &self.scheme, self.scheme.depth_bound());
+        let context = self.enum_context(&set);
         for rep in &mut self.reps {
             filters.clear();
             enumerate_filters_with(
@@ -1031,53 +1040,14 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 }
 
 impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
-    /// The early-exiting first hit — the tag projection of
-    /// `search_first_tagged`, sharing its verify loop
-    /// ([`LsfIndex::search_with_stats`] keeps its own for stats-bearing
-    /// callers).
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.search_first_tagged(q).map(|t| t.hit)
-    }
-
-    /// Implements the trait's dedup-then-verify contract: [`LsfIndex::probe`]
+    /// Implements the trait's dedup-then-verify contract: [`LsfIndex::walk`]
     /// deduplicates candidate ids across repetitions *before* the similarity
     /// computation, and matches are pushed in first-discovery probe order.
-    ///
-    /// Exactly the tag projection of
-    /// [`LsfIndex::search_all_tagged`](SetSimilaritySearch::search_all_tagged)
-    /// — one verify loop, not two to keep in lockstep.
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
         self.search_all_tagged(q)
             .into_iter()
             .map(|t| t.hit)
             .collect()
-    }
-
-    /// Genuine `(repetition, filter)` discovery coordinates from
-    /// [`LsfIndex::probe_tagged`] — the tags the sharded merge protocol
-    /// requires.
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<crate::traits::TaggedMatch> {
-        let mut out = Vec::new();
-        self.probe_tagged(q, |pass, step, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(crate::traits::TaggedMatch { pass, step, hit });
-            }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting: the probe stops at the first verified hit, exactly
-    /// like [`LsfIndex::search`].
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<crate::traits::TaggedMatch> {
-        let mut first = None;
-        self.probe_tagged(q, |pass, step, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| crate::traits::TaggedMatch { pass, step, hit });
-            first.is_none()
-        });
-        first
     }
 
     /// Stage 1: full enumeration + interning, one key list per repetition —
@@ -1086,84 +1056,23 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
         LsfIndex::plan_query(self, q)
     }
 
-    /// Stages 2+3 from a precomputed plan: bucket lookups via
-    /// [`LsfIndex::probe_plan_tagged`], verification via the shared verify
-    /// site — byte-identical to `search_all_tagged(plan.query())`.
-    fn probe_plan_tagged(&self, plan: &QueryPlan) -> Vec<crate::traits::TaggedMatch> {
-        let q = plan.query();
-        let mut out = Vec::new();
-        LsfIndex::probe_plan_tagged(self, plan, |pass, step, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(crate::traits::TaggedMatch { pass, step, hit });
-            }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting planned probe: stops at the first verified hit, exactly
-    /// like `search_first_tagged(plan.query())` — but without enumeration
-    /// when the plan is planned.
-    fn probe_plan_first_tagged(&self, plan: &QueryPlan) -> Option<crate::traits::TaggedMatch> {
-        let q = plan.query();
-        let mut first = None;
-        LsfIndex::probe_plan_tagged(self, plan, |pass, step, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| crate::traits::TaggedMatch { pass, step, hit });
-            first.is_none()
-        });
-        first
-    }
-
-    /// Deadline-aware planned probe at per-repetition granularity: the
-    /// expiry check is re-polled before every pass (the natural cancellation
-    /// point of the pipeline — each pass is one bucket-walk over one
-    /// repetition), so a firing deadline abandons the probe within one
-    /// repetition's worth of work. Unplanned plans poll once and fall back
-    /// to the fused path.
-    ///
-    /// Shares the private `probe_pass_keys` walk with every other probe
-    /// entry point, so a never-firing check yields exactly
-    /// [`SetSimilaritySearch::probe_plan_tagged`].
-    fn probe_plan_tagged_deadline(
+    /// [`LsfIndex::walk`] with the shared verify site as its visitor: genuine
+    /// `(repetition, filter)` tags, the deadline polled once per repetition,
+    /// and every source answering byte-identically by construction.
+    fn probe_passes(
         &self,
-        plan: &QueryPlan,
-        expired: &(dyn Fn() -> bool + Sync),
-    ) -> Result<Vec<crate::traits::TaggedMatch>, crate::traits::DeadlineExceeded> {
-        if expired() {
-            return Err(crate::traits::DeadlineExceeded);
-        }
-        let Some(passes) = plan.passes() else {
-            return Ok(SetSimilaritySearch::probe_plan_tagged(self, plan));
-        };
-        assert_eq!(
-            passes.len(),
-            self.reps.len(),
-            "QueryPlan pass count does not match this index's repetitions"
-        );
-        let q = plan.query();
+        source: PassSource<'_>,
+        ctl: ProbeControl<'_>,
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        let q = source.query();
         let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        for ((pass, rep), keys) in self.reps.iter().enumerate().zip(passes) {
-            if pass > 0 && expired() {
-                return Err(crate::traits::DeadlineExceeded);
+        self.walk(source, ctl, |pass, step, id| match self.verified(q, id) {
+            Some(hit) => {
+                out.push(TaggedMatch { pass, step, hit });
+                true
             }
-            probe_pass_keys(
-                rep,
-                pass as u32,
-                keys,
-                &mut seen,
-                &mut stats,
-                &mut |pass, step, id| {
-                    if let Some(hit) = self.verified(q, id) {
-                        out.push(crate::traits::TaggedMatch { pass, step, hit });
-                    }
-                    true
-                },
-            );
-        }
+            None => false,
+        })?;
         Ok(out)
     }
 
@@ -1407,24 +1316,13 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
 
 impl<S: ThresholdScheme + PersistScheme> Persist for LsfIndex<S> {
     fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
-        // Resolve the write version once: the payload encoding and the
-        // container header must agree.
-        let version = effective_write_version();
         let mut w = Writer::new();
-        self.write_payload(&mut w, version);
-        write_container_versioned(path, kind::LSF, &w.into_payload(), version)
+        self.write_payload(&mut w, FORMAT_VERSION);
+        write_container(path, kind::LSF, &w.into_payload())
     }
 
     fn load(path: &std::path::Path) -> Result<Self, PersistError> {
-        let (payload, version) = read_container_versioned(path, kind::LSF)?;
-        let mut r = Reader::new(&payload);
-        let index = Self::read_payload(&mut r, version)?;
-        if !r.is_empty() {
-            return Err(PersistError::Malformed(
-                "trailing bytes after index payload",
-            ));
-        }
-        Ok(index)
+        load_container(path, kind::LSF, Self::read_payload)
     }
 }
 
@@ -1641,8 +1539,8 @@ mod tests {
             );
             assert_eq!(index.probe_plan(&plan), index.search_all(&q));
             assert_eq!(
-                index.probe_plan_first_tagged(&plan),
-                index.search_first_tagged(&q)
+                index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
+                index.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
             );
         }
         // Degenerate: the empty query plans to empty key lists and finds

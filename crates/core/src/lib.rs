@@ -34,7 +34,10 @@
 //! sequential loop. Queries run an explicit enumerate→probe→verify pipeline:
 //! [`SetSimilaritySearch::plan_query`] derives a reusable [`QueryPlan`]
 //! ([`plan`]) that [`SetSimilaritySearch::probe_plan`] consumes with bucket
-//! lookups only — byte-identical to the fused search. Any structure can
+//! lookups only — byte-identical to the fused search. Every query method is
+//! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`],
+//! and the paper's indexes are thin [`LsfWrapper`]s around [`LsfIndex`]
+//! ([`wrapper`]). Any structure can
 //! additionally be partitioned across shards by [`ShardedIndex`] ([`shard`])
 //! — by repetition slice or by hash-partitioned dataset, where one plan per
 //! query broadcasts to all shards — with answers byte-identical to the
@@ -78,6 +81,7 @@ pub mod scheme;
 pub mod shard;
 pub mod split;
 pub mod traits;
+pub mod wrapper;
 
 pub use adversarial::{AdversarialIndex, AdversarialParams};
 pub use batch::{
@@ -98,5 +102,7 @@ pub use split::{
     balance_split, balance_split_normalized, balanced_exponents, SplitIndex, SplitParams,
 };
 pub use traits::{
-    DeadlineExceeded, Match, MemoryStats, MutationError, SetId, SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, MemoryStats, MutationError, PassSource, ProbeControl, SetId,
+    SetSimilaritySearch, TaggedMatch,
 };
+pub use wrapper::LsfWrapper;

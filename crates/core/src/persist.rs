@@ -63,19 +63,8 @@ pub const MAGIC: [u8; 8] = *b"SKSWIDX1";
 /// Version history: **1** — uncompressed bucket maps everywhere; **2** —
 /// LSF base segments persist as compressed postings (sorted keys + byte
 /// offsets + delta/varint arena, `docs/PERSISTENCE.md` §format-v2). Readers
-/// accept `1..=FORMAT_VERSION`; writers emit [`FORMAT_VERSION`] unless the
-/// `SKEWSEARCH_FORCE_V1` environment toggle pins the legacy layout.
+/// accept `1..=FORMAT_VERSION`; writers always emit [`FORMAT_VERSION`].
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The version new containers are written at: [`FORMAT_VERSION`], unless
-/// the environment variable `SKEWSEARCH_FORCE_V1=1` forces the legacy v1
-/// layout (used by CI to keep the v1 write/read fallback exercised).
-pub fn effective_write_version() -> u32 {
-    match std::env::var("SKEWSEARCH_FORCE_V1") {
-        Ok(v) if v == "1" => 1,
-        _ => FORMAT_VERSION,
-    }
-}
 
 /// Container kinds: what structure a `.skx` file holds. A reader checks the
 /// kind before touching the payload, so loading a file as the wrong type
@@ -613,9 +602,9 @@ pub fn read_postings(
 }
 
 /// Writes a [`crate::postings::CompressedPostings`] in the **v1**
-/// bucket-map layout (sorted keys, id-count offsets, flat id array) so a
-/// current index can still produce files legacy readers accept — the
-/// `SKEWSEARCH_FORCE_V1` write path.
+/// bucket-map layout (sorted keys, id-count offsets, flat id array) — the
+/// v1 encoding of [`crate::LsfIndex::write_payload`], which the v1-reader
+/// test uses to handcraft legacy files.
 pub fn write_postings_as_bucket_map(w: &mut Writer, p: &crate::postings::CompressedPostings) {
     let mut keys: Vec<u64> = Vec::with_capacity(p.bucket_count());
     let mut offsets: Vec<u64> = Vec::with_capacity(p.bucket_count() + 1);
@@ -655,17 +644,14 @@ pub fn compress_bucket_map(map: &FxHashMap<u64, Vec<u32>>) -> crate::postings::C
 /// and is renamed into place, so a crash mid-write never leaves a
 /// half-written file at `path`.
 ///
-/// Stamps [`effective_write_version`] — callers producing version-dependent
-/// payloads (the LSF family) must encode for that same version; see
-/// [`write_container_versioned`].
+/// Stamps [`FORMAT_VERSION`] — callers producing version-dependent payloads
+/// (the LSF family) encode for that same version.
 pub fn write_container(path: &Path, kind: u32, payload: &[u8]) -> Result<(), PersistError> {
-    write_container_versioned(path, kind, payload, effective_write_version())
+    write_container_versioned(path, kind, payload, FORMAT_VERSION)
 }
 
-/// [`write_container`] with an explicit header version — the LSF save path
-/// resolves [`effective_write_version`] once, encodes its payload for that
-/// version, and stamps the same number here so header and payload can never
-/// disagree.
+/// [`write_container`] with an explicit header version, for writing a
+/// payload encoded for an older format (how tests handcraft v1 files).
 pub fn write_container_versioned(
     path: &Path,
     kind: u32,
@@ -739,6 +725,25 @@ pub fn read_container_versioned(
         return Err(PersistError::ChecksumMismatch);
     }
     Ok((payload.to_vec(), version))
+}
+
+/// Reads a container of kind `expected_kind` and decodes its payload with
+/// `decode`, which receives the file's format version and must consume the
+/// payload exactly: leftover bytes are [`PersistError::Malformed`].
+pub fn load_container<T>(
+    path: &Path,
+    expected_kind: u32,
+    decode: impl FnOnce(&mut Reader<'_>, u32) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
+    let (payload, version) = read_container_versioned(path, expected_kind)?;
+    let mut r = Reader::new(&payload);
+    let value = decode(&mut r, version)?;
+    if !r.is_empty() {
+        return Err(PersistError::Malformed(
+            "trailing bytes after index payload",
+        ));
+    }
+    Ok(value)
 }
 
 /// A structure that can round-trip through one `.skx` container file.
@@ -842,7 +847,6 @@ pub struct ShardManifestEntry {
 ///     threshold: 0.6,
 ///     len: 3,
 ///     next_id: 3,
-///     plan_broadcast: true,
 ///     owner: vec![(0, 0), (1, 0), (0, 1)],
 ///     shards: vec![
 ///         ShardManifestEntry {
@@ -873,8 +877,6 @@ pub struct ShardManifest {
     /// The next global [`crate::SetId`] to assign (the mutation-log
     /// watermark of the wrapper itself).
     pub next_id: usize,
-    /// Whether the enumerate-once plan broadcast is enabled.
-    pub plan_broadcast: bool,
     /// Global id → `(shard, local id)` under `ByDataset`; empty under
     /// `ByRepetition`.
     pub owner: Vec<(u32, u32)>,
@@ -893,7 +895,8 @@ impl ShardManifest {
         w.put_f64(self.threshold);
         w.put_u64(self.len as u64);
         w.put_u64(self.next_id as u64);
-        w.put_u32(self.plan_broadcast as u32);
+        // The retired plan-broadcast flag: always on, still on disk.
+        w.put_u32(1);
         w.put_u64(self.owner.len() as u64);
         for &(shard, local) in &self.owner {
             w.buf.extend_from_slice(&shard.to_le_bytes());
@@ -925,11 +928,10 @@ impl ShardManifest {
         let threshold = r.get_f64()?;
         let len = r.get_u64()? as usize;
         let next_id = r.get_u64()? as usize;
-        let plan_broadcast = match r.get_u32()? {
-            0 => false,
-            1 => true,
-            _ => return Err(PersistError::Malformed("plan_broadcast flag not 0/1")),
-        };
+        // The retired plan-broadcast flag: validated, then ignored.
+        if r.get_u32()? > 1 {
+            return Err(PersistError::Malformed("plan_broadcast flag not 0/1"));
+        }
         let owners = r.get_len(8)?;
         let mut owner = Vec::with_capacity(owners);
         for _ in 0..owners {
@@ -960,7 +962,6 @@ impl ShardManifest {
             threshold,
             len,
             next_id,
-            plan_broadcast,
             owner,
             shards,
         })
@@ -1121,7 +1122,6 @@ mod tests {
             threshold: 0.42,
             len: 10,
             next_id: 12,
-            plan_broadcast: false,
             owner: vec![],
             shards: vec![ShardManifestEntry {
                 file: "shard-0000.skx".into(),

@@ -28,7 +28,7 @@
 //! then filter/bucket — with ids ascending inside one coordinate (bucket
 //! insertion order). So the unsharded output order is exactly "sort
 //! candidates by `(pass, step, id)` of their first discovery". Shards report
-//! that coordinate per match ([`SetSimilaritySearch::search_all_tagged`]);
+//! that coordinate per match ([`SetSimilaritySearch::probe_passes`]);
 //! the merge offsets passes (`ByRepetition`), remaps local ids to global
 //! (`ByDataset`), sorts by `(pass, step, id)`, and drops all but the first
 //! occurrence of each id. Dedup-before-verify holds *within* each shard
@@ -47,21 +47,17 @@
 //! ## The plan broadcast (enumerate once, probe everywhere)
 //!
 //! `ByDataset` shards share the parent's hash stacks and key interners, so a
-//! query's filter set `F(q)` — and hence its [`QueryPlan`] — is
+//! query's filter set `F(q)` — and hence its [`QueryPlan`](crate::QueryPlan) — is
 //! **shard-invariant**. The wrapper therefore runs the pipeline's stage 1
 //! exactly once per query ([`SetSimilaritySearch::plan_query`] on one shard)
-//! and broadcasts the resulting plan to every shard's
-//! [`SetSimilaritySearch::probe_plan_tagged`], which only touches the
-//! shard's inverted index. This removes the former `N×` enumeration tax the
-//! fused path paid (each shard re-deriving `F(q)`), and, because a plan is
-//! plain owned data, it is exactly what a cross-machine fan-out would
-//! serialize and ship. `ByRepetition` shards own *disjoint* pass slices, so
-//! each shard plans its own slice — total enumeration is the unsharded `1×`
-//! either way. [`ShardedIndex::with_plan_broadcast`] can disable the
-//! broadcast (fused per-shard probing) for measurement; answers are
-//! byte-identical in both modes, and `tests/enumeration_count.rs` pins the
-//! exactly-one-enumeration claim with the counting hook
-//! [`crate::engine::enumeration_count`].
+//! and broadcasts the resulting plan to every shard's probe, which only
+//! touches the shard's inverted index: one enumeration per query at any
+//! shard count and, because a plan is plain owned data, exactly what a
+//! cross-machine fan-out would serialize and ship. `ByRepetition` shards own
+//! *disjoint* pass slices, so each shard enumerates its own slice lazily —
+//! total enumeration is the unsharded `1×` either way.
+//! `tests/enumeration_count.rs` pins the exactly-one-enumeration claim with
+//! the counting hook [`crate::engine::enumeration_count`].
 //!
 //! ## Trade-offs (documented, not hidden)
 //!
@@ -75,10 +71,10 @@
 
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::index::LsfIndex;
-use crate::plan::QueryPlan;
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
-    DeadlineExceeded, Match, MutationError, SetId, SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, MutationError, PassSource, ProbeControl, SetId, SetSimilaritySearch,
+    TaggedMatch,
 };
 use skewsearch_hashing::{mix, FxHashSet};
 use skewsearch_sets::SparseVec;
@@ -99,13 +95,13 @@ pub enum ShardStrategy {
 /// sharded wrapper is generic over this trait.
 ///
 /// Implementations must uphold the tag contract of
-/// [`SetSimilaritySearch::search_all_tagged`] with *genuine* probe
+/// [`SetSimilaritySearch::probe_passes`] with *genuine* probe
 /// coordinates — the byte-identical merge guarantee of [`ShardedIndex`]
 /// holds only then — and the **plan-invariance contract**: dataset shards
 /// keep the parent's probe-plan structure, i.e.
 /// `self.shard_of_ids(ids).plan_query(q) == self.plan_query(q)` for every
 /// query. The wrapper's enumerate-once broadcast plans on one shard and
-/// probes the same [`QueryPlan`] on all of them; a shard that redrew hash
+/// probes the same [`crate::QueryPlan`] on all of them; a shard that redrew hash
 /// stacks would silently probe the wrong buckets.
 pub trait Shardable: SetSimilaritySearch + Sized {
     /// Number of probe passes (repetitions / bands) this index runs.
@@ -240,11 +236,6 @@ pub struct ShardedIndex<S> {
     fanout_threads: usize,
     /// Workers for `search_batch` across queries (`0` = one per core).
     query_threads: usize,
-    /// Route probes through the query-plan pipeline (stage 1 once per query,
-    /// stage 2 per shard) instead of fused per-shard enumerate-and-probe.
-    /// Answers are byte-identical either way; this is the `N×`→`1×`
-    /// enumeration win under `ByDataset`.
-    plan_broadcast: bool,
 }
 
 impl<S: Shardable + Send + Sync> ShardedIndex<S> {
@@ -305,7 +296,6 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
             owner,
             fanout_threads: 0,
             query_threads: 0,
-            plan_broadcast: true,
         }
     }
 
@@ -325,23 +315,6 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         self
     }
 
-    /// Enables or disables the query-plan broadcast (default: enabled).
-    ///
-    /// Enabled, every probe runs the three-stage pipeline: stage 1
-    /// ([`SetSimilaritySearch::plan_query`]) once per query — on one shard
-    /// under `ByDataset` (plans are shard-invariant there), per pass-slice
-    /// under `ByRepetition` — and stage 2
-    /// ([`SetSimilaritySearch::probe_plan_tagged`]) per shard. Disabled,
-    /// shards run their fused enumerate-and-probe path, re-paying the
-    /// enumeration once per `ByDataset` shard (the pre-pipeline behaviour,
-    /// kept for measurement — `benches/sharded_query.rs` reports both).
-    ///
-    /// Purely a cost knob: answers are **byte-identical** in both modes.
-    pub fn with_plan_broadcast(mut self, enabled: bool) -> Self {
-        self.plan_broadcast = enabled;
-        self
-    }
-
     /// The decomposition strategy.
     pub fn strategy(&self) -> ShardStrategy {
         self.strategy
@@ -358,80 +331,52 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         self.shards.iter().map(|s| s.index.len()).collect()
     }
 
-    /// Stage 1 for a `ByDataset` broadcast: plan the query once, on the
-    /// first shard. Plans are shard-invariant under dataset partitioning
-    /// (the [`Shardable`] plan-invariance contract: every shard keeps the
-    /// parent's hash stacks and interners), so any shard — even one owning
-    /// zero vectors — derives the exact plan the parent index would.
-    fn broadcast_plan(&self, q: &SparseVec) -> QueryPlan {
-        self.shards[0].index.plan_query(q)
-    }
-
-    /// Fans the query across shards (`threads` workers, claim chunk 1, so
-    /// each shard probe can take its own worker), globalizes tags and ids,
-    /// and merges back into the unsharded discovery order: sort by
-    /// `(pass, step, id)`, then keep only the first occurrence of each id.
+    /// The one fan-out behind every query surface: probes every shard under
+    /// `ctl` (`threads` workers, claim chunk 1, so each shard probe can take
+    /// its own worker), globalizes tags and ids, and merges back into the
+    /// unsharded discovery order: sort by `(pass, step, id)`, then keep only
+    /// the first occurrence of each id — under `first_only`, only the first
+    /// match overall, the `(pass, step, id)`-minimum of the shards' own
+    /// first hits.
     ///
-    /// With the plan broadcast (default), the fan-out runs the pipeline:
-    /// under `ByDataset` one [`QueryPlan`] is derived up front and every
-    /// shard probe consumes `&plan` — exactly one `F(q)` enumeration per
-    /// query, no matter the shard count; under `ByRepetition` each shard
-    /// plans its own (disjoint) pass slice, which is the same `1×` total.
-    fn merged_tagged(&self, q: &SparseVec, threads: usize) -> Vec<TaggedMatch> {
-        let per_shard: Vec<Vec<TaggedMatch>> = match (self.plan_broadcast, self.strategy) {
-            (true, ShardStrategy::ByDataset) => {
-                let plan = self.broadcast_plan(q);
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.probe_plan_tagged(&plan)
-                })
-            }
-            (true, ShardStrategy::ByRepetition) => {
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.probe_plan_tagged(&shard.index.plan_query(q))
-                })
-            }
-            (false, _) => batch_map_chunked(&self.shards, threads, 1, |shard| {
-                shard.index.search_all_tagged(q)
-            }),
+    /// Under `ByDataset` the query is planned once, on the first shard —
+    /// plans are shard-invariant there (the [`Shardable`] plan-invariance
+    /// contract), so even a shard owning zero vectors derives the parent's
+    /// plan — and every shard probes that one plan: exactly one `F(q)`
+    /// enumeration per query, no matter the shard count. `ByRepetition`
+    /// shards own disjoint pass slices and enumerate their own lazily, so a
+    /// `first_only` probe stops enumerating at the shard's first hit.
+    ///
+    /// The deadline is polled before planning, then by every shard at its
+    /// own pass boundaries; if *any* shard reports [`DeadlineExceeded`] the
+    /// whole query does — a merge over a partial shard set would silently
+    /// drop matches.
+    fn fan_out(
+        &self,
+        q: &SparseVec,
+        ctl: ProbeControl<'_>,
+        threads: usize,
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        ctl.poll()?;
+        let plan = match self.strategy {
+            ShardStrategy::ByDataset => Some(self.shards[0].index.plan_query(q)),
+            ShardStrategy::ByRepetition => None,
         };
-        let mut all: Vec<TaggedMatch> = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
+        let source = plan.as_ref().map_or(PassSource::Query(q), PassSource::Plan);
+        let per_shard = batch_map_chunked(&self.shards, threads, 1, |shard| {
+            shard.index.probe_passes(source, ctl)
+        });
+        let mut all: Vec<TaggedMatch> = Vec::new();
         for (shard, tagged) in self.shards.iter().zip(per_shard) {
-            all.extend(tagged.into_iter().map(|t| shard.globalize(t)));
+            all.extend(tagged?.into_iter().map(|t| shard.globalize(t)));
         }
         all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
         let mut seen: FxHashSet<usize> = FxHashSet::default();
         all.retain(|t| seen.insert(t.hit.id));
-        all
-    }
-
-    /// `search`'s merge: every shard early-exits at its own first verified
-    /// hit; the shard minima are globalized and the `(pass, step, id)`-
-    /// minimum among them is the global first discovery — no shard ever
-    /// materializes its full match list.
-    ///
-    /// Under the `ByDataset` broadcast the shards early-exit their *probes*
-    /// against one shared plan (stage 1 runs in full once — cheaper than
-    /// `N` lazy re-enumerations from the first repetition on).
-    /// `ByRepetition` keeps the fused lazy path: its shards own disjoint
-    /// pass slices, so planning a slice in full would do strictly more
-    /// enumeration than the early-exiting probe needs.
-    fn merged_first(&self, q: &SparseVec, threads: usize) -> Option<TaggedMatch> {
-        let per_shard: Vec<Option<TaggedMatch>> =
-            if self.plan_broadcast && self.strategy == ShardStrategy::ByDataset {
-                let plan = self.broadcast_plan(q);
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.probe_plan_first_tagged(&plan)
-                })
-            } else {
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.search_first_tagged(q)
-                })
-            };
-        self.shards
-            .iter()
-            .zip(per_shard)
-            .filter_map(|(shard, first)| first.map(|t| shard.globalize(t)))
-            .min_by_key(|t| (t.pass, t.step, t.hit.id))
+        if ctl.first_only {
+            all.truncate(1);
+        }
+        Ok(all)
     }
 }
 
@@ -495,7 +440,6 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
             threshold: self.threshold,
             len: self.len,
             next_id: self.next_id,
-            plan_broadcast: self.plan_broadcast,
             owner: self.owner.clone(),
             shards: entries,
         };
@@ -545,92 +489,29 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
             owner: manifest.owner,
             fanout_threads: 0,
             query_threads: 0,
-            plan_broadcast: manifest.plan_broadcast,
         })
     }
 }
 
 impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
-    /// Exactly the hit the unsharded index's early-exiting `search` returns,
-    /// found without running any shard past its own first verified hit.
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.merged_first(q, self.fanout_threads).map(|t| t.hit)
-    }
-
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.merged_tagged(q, self.fanout_threads)
+        self.search_all_tagged(q)
             .into_iter()
             .map(|t| t.hit)
             .collect()
     }
 
-    /// Merged tags are already the *unsharded* index's global `(pass, step)`
-    /// coordinates, so downstream consumers see coordinates indistinguishable
-    /// from the unsharded index's.
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<TaggedMatch> {
-        self.merged_tagged(q, self.fanout_threads)
-    }
-
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<TaggedMatch> {
-        self.merged_first(q, self.fanout_threads)
-    }
-
-    /// Deadline-aware fan-out under the same merge protocol as
-    /// [`ShardedIndex::search_all_tagged`]: the shared expiry check is
-    /// threaded through to every shard's own
-    /// [`SetSimilaritySearch::probe_plan_tagged_deadline`] (per-repetition
-    /// granularity for LSF shards), so each shard cancels independently; if
-    /// *any* shard reports [`DeadlineExceeded`] the whole query does — a
-    /// merge over a partial shard set would silently drop matches.
-    ///
-    /// With a never-firing check the merged `Ok` value is byte-identical to
-    /// the undeadlined fan-out (same plan broadcast, same
-    /// `(pass, step, id)` sort-and-dedup).
-    fn probe_plan_tagged_deadline(
+    /// The shard fan-out (see [`ShardedIndex`]'s merge protocol): the merged
+    /// tags are the *unsharded* index's global `(pass, step)` coordinates,
+    /// and a first-only probe runs no shard past its own first verified hit.
+    /// Shards re-derive their keys from the source's query — a plan from
+    /// one shard is not a plan for the whole deployment.
+    fn probe_passes(
         &self,
-        plan: &QueryPlan,
-        expired: &(dyn Fn() -> bool + Sync),
+        source: PassSource<'_>,
+        ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        if expired() {
-            return Err(DeadlineExceeded);
-        }
-        let q = plan.query();
-        let threads = self.fanout_threads;
-        let per_shard: Vec<Result<Vec<TaggedMatch>, DeadlineExceeded>> =
-            match (self.plan_broadcast, self.strategy) {
-                (true, ShardStrategy::ByDataset) => {
-                    let plan = self.broadcast_plan(q);
-                    // Stage boundary: enumeration just ran in full once.
-                    if expired() {
-                        return Err(DeadlineExceeded);
-                    }
-                    batch_map_chunked(&self.shards, threads, 1, |shard| {
-                        shard.index.probe_plan_tagged_deadline(&plan, expired)
-                    })
-                }
-                (true, ShardStrategy::ByRepetition) => {
-                    batch_map_chunked(&self.shards, threads, 1, |shard| {
-                        shard
-                            .index
-                            .probe_plan_tagged_deadline(&shard.index.plan_query(q), expired)
-                    })
-                }
-                (false, _) => batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    if expired() {
-                        Err(DeadlineExceeded)
-                    } else {
-                        Ok(shard.index.search_all_tagged(q))
-                    }
-                }),
-            };
-        let mut all: Vec<TaggedMatch> = Vec::new();
-        for (shard, tagged) in self.shards.iter().zip(per_shard) {
-            all.extend(tagged?.into_iter().map(|t| shard.globalize(t)));
-        }
-        all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        all.retain(|t| seen.insert(t.hit.id));
-        Ok(all)
+        self.fan_out(source.query(), ctl, self.fanout_threads)
     }
 
     /// Parallelizes across *queries* (the shard fan-out inside each query
@@ -638,17 +519,15 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     /// `queries.iter().map(|q| self.search_all(q))` regardless.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         batch_map(queries, self.query_threads, |q| {
-            self.merged_tagged(q, 1)
-                .into_iter()
-                .map(|t| t.hit)
-                .collect()
+            let all = self.fan_out(q, ProbeControl::ALL, 1).unwrap_or_default();
+            all.into_iter().map(|t| t.hit).collect()
         })
     }
 
     fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
         batch_map(queries, self.query_threads, |q| {
-            self.merged_tagged(q, 1)
-                .into_iter()
+            let all = self.fan_out(q, ProbeControl::ALL, 1).unwrap_or_default();
+            all.into_iter()
                 .map(|t| t.hit)
                 .max_by(|a, b| a.similarity.total_cmp(&b.similarity))
         })
@@ -863,33 +742,6 @@ mod tests {
             assert_eq!(sharded.search_batch(&queries), expect, "threads={threads}");
             for q in queries.iter().take(5) {
                 assert_eq!(sharded.search_all(q), reference.search_all(q));
-            }
-        }
-    }
-
-    #[test]
-    fn plan_broadcast_modes_are_byte_identical() {
-        let (index, queries) = fixture(6);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            for shards in [1, 3, 8] {
-                let planned = ShardedIndex::build(&index, strategy, shards);
-                let fused =
-                    ShardedIndex::build(&index, strategy, shards).with_plan_broadcast(false);
-                for q in &queries {
-                    let reference = index.search_all_tagged(q);
-                    assert_eq!(
-                        planned.search_all_tagged(q),
-                        reference,
-                        "{strategy:?} shards={shards} planned"
-                    );
-                    assert_eq!(
-                        fused.search_all_tagged(q),
-                        reference,
-                        "{strategy:?} shards={shards} fused"
-                    );
-                    assert_eq!(planned.search(q), fused.search(q));
-                    assert_eq!(planned.search_first_tagged(q), index.search_first_tagged(q));
-                }
             }
         }
     }

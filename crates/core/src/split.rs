@@ -19,7 +19,7 @@
 
 use crate::index::{IndexOptions, LsfIndex};
 use crate::scheme::AdversarialScheme;
-use crate::traits::{Match, SetSimilaritySearch};
+use crate::traits::{Match, PassSource, ProbeControl, SetSimilaritySearch};
 use rand::Rng;
 use skewsearch_datagen::{BernoulliProfile, Dataset};
 use skewsearch_sets::{similarity, SparseVec};
@@ -226,17 +226,15 @@ impl SetSimilaritySearch for SplitIndex {
         let (qf, qr) = self.project(q);
         let mut hit = None;
         for (index, sub_q) in [(&self.freq, &qf), (&self.rare, &qr)] {
-            index.probe(sub_q, |id| {
+            let _ = index.walk(PassSource::Query(sub_q), ProbeControl::FIRST, |_, _, id| {
                 let sim = similarity::braun_blanquet(&self.vectors[id as usize], q);
                 if sim >= self.i1 {
                     hit = Some(Match {
                         id: id as usize,
                         similarity: sim,
                     });
-                    false
-                } else {
-                    true
                 }
+                hit.is_some()
             });
             if hit.is_some() {
                 break;
@@ -250,7 +248,7 @@ impl SetSimilaritySearch for SplitIndex {
         let mut seen = skewsearch_hashing::FxHashSet::default();
         let mut out = Vec::new();
         for (index, sub_q) in [(&self.freq, &qf), (&self.rare, &qr)] {
-            index.probe(sub_q, |id| {
+            let _ = index.walk(PassSource::Query(sub_q), ProbeControl::ALL, |_, _, id| {
                 if seen.insert(id) {
                     let sim = similarity::braun_blanquet(&self.vectors[id as usize], q);
                     if sim >= self.i1 {

@@ -36,7 +36,8 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// Returned by [`SetSimilaritySearch::probe_plan_tagged_deadline`] when the
+/// Returned by [`SetSimilaritySearch::probe_passes`] (and so by
+/// [`SetSimilaritySearch::probe_plan_tagged_deadline`]) when the
 /// caller-supplied expiry check fired before the probe ran to completion.
 ///
 /// The type is deliberately empty: a deadline carries no partial answer. A
@@ -134,9 +135,90 @@ pub struct TaggedMatch {
     pub hit: Match,
 }
 
+/// Where a probe's passes come from (see [`SetSimilaritySearch::probe_passes`]).
+#[derive(Clone, Copy, Debug)]
+pub enum PassSource<'a> {
+    /// The query itself: its filters are enumerated pass by pass, so a probe
+    /// that stops early never enumerates the passes it skips.
+    Query(&'a SparseVec),
+    /// A precomputed [`QueryPlan`]: a planned plan's keys are probed without
+    /// any enumeration; an unplanned plan is probed like its query.
+    Plan(&'a QueryPlan),
+}
+
+impl<'a> PassSource<'a> {
+    /// The query being answered (verification always needs it).
+    pub fn query(&self) -> &'a SparseVec {
+        match self {
+            PassSource::Query(q) => q,
+            PassSource::Plan(plan) => plan.query(),
+        }
+    }
+
+    /// The precomputed per-pass keys, if the source is a planned plan.
+    pub fn planned_passes(&self) -> Option<&'a [Vec<u64>]> {
+        match self {
+            PassSource::Query(_) => None,
+            PassSource::Plan(plan) => plan.passes(),
+        }
+    }
+}
+
+/// How a probe runs (see [`SetSimilaritySearch::probe_passes`]): whether it
+/// stops at the first verified match, and the caller's deadline.
+#[derive(Clone, Copy)]
+pub struct ProbeControl<'a> {
+    /// Stop at the first verified match — the paper's query procedure: "If
+    /// we find a sufficiently close x we return it".
+    pub first_only: bool,
+    /// Caller-supplied expiry check, polled at the probe's pass boundaries.
+    /// It is an opaque closure (typically comparing `Instant::now()` against
+    /// an absolute deadline on the *caller's* side), which keeps this crate
+    /// wall-clock-free: it can only decide *whether* the probe finishes,
+    /// never which candidates surface or in what order.
+    pub expired: Option<&'a (dyn Fn() -> bool + Sync)>,
+}
+
+impl<'a> ProbeControl<'a> {
+    /// Every match, no deadline.
+    pub const ALL: Self = Self {
+        first_only: false,
+        expired: None,
+    };
+
+    /// The first match only, no deadline.
+    pub const FIRST: Self = Self {
+        first_only: true,
+        expired: None,
+    };
+
+    /// Every match, abandoning the probe once `expired` fires.
+    pub fn deadline(expired: &'a (dyn Fn() -> bool + Sync)) -> Self {
+        Self {
+            first_only: false,
+            expired: Some(expired),
+        }
+    }
+
+    /// Polls the deadline: `Err` iff it has fired.
+    pub fn poll(&self) -> Result<(), DeadlineExceeded> {
+        match self.expired {
+            Some(expired) if expired() => Err(DeadlineExceeded),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Common interface for set-similarity-search structures (the paper's
 /// indexes and every baseline implement this, so experiments and joins are
 /// generic over the structure).
+///
+/// Every query method is provided in terms of two: the required
+/// [`SetSimilaritySearch::search_all`], and
+/// [`SetSimilaritySearch::probe_passes`], the one probe primitive. Index
+/// structures with a bucketed probe override `probe_passes` with their own
+/// walk; other structures keep its default, a single pass over
+/// `search_all`.
 ///
 /// All structures verify candidates exactly, so a returned [`Match`] always
 /// satisfies `similarity ≥ threshold()`; randomized structures may *miss*
@@ -170,8 +252,13 @@ pub trait SetSimilaritySearch {
     /// [`SetSimilaritySearch::threshold`] to `q`, if the structure finds one.
     ///
     /// Stops at the first verified hit (the paper's query procedure: "If we
-    /// find a sufficiently close x we return it").
-    fn search(&self, q: &SparseVec) -> Option<Match>;
+    /// find a sufficiently close x we return it"): the first element of
+    /// [`SetSimilaritySearch::search_all`], found by a probe that stops
+    /// there.
+    fn search(&self, q: &SparseVec) -> Option<Match> {
+        let first = self.probe_passes(PassSource::Query(q), ProbeControl::FIRST);
+        first.unwrap_or_default().first().map(|t| t.hit)
+    }
 
     /// Returns the *highest-similarity* verified candidate at or above the
     /// threshold (useful when several vectors pass).
@@ -199,35 +286,15 @@ pub trait SetSimilaritySearch {
     /// coordinates of its candidate's first discovery (see [`TaggedMatch`]).
     ///
     /// The projection `search_all_tagged(q)[i].hit == search_all(q)[i]` must
-    /// hold for every implementation. The default implementation tags the
-    /// whole structure as a single pass with one match per step — order-
-    /// preserving, but carrying no real probe structure. Index structures
-    /// override it with genuine `(repetition, filter)` / `(band, bucket)`
-    /// coordinates; the sharding layer's exact-merge guarantee
+    /// hold for every implementation. The tags are only as genuine as
+    /// [`SetSimilaritySearch::probe_passes`]: its default tags the whole
+    /// structure as a single pass with one match per step, while index
+    /// structures report real `(repetition, filter)` / `(band, bucket)`
+    /// coordinates — and the sharding layer's exact-merge guarantee
     /// ([`crate::shard::ShardedIndex`]) only holds for such genuine tags.
     fn search_all_tagged(&self, q: &SparseVec) -> Vec<TaggedMatch> {
-        self.search_all(q)
-            .into_iter()
-            .enumerate()
-            .map(|(step, hit)| TaggedMatch {
-                pass: 0,
-                step: step as u32,
-                hit,
-            })
-            .collect()
-    }
-
-    /// The tagged analogue of [`SetSimilaritySearch::search`]: the first
-    /// element of [`SetSimilaritySearch::search_all_tagged`], i.e. the
-    /// verified match whose discovery coordinate `(pass, step, id)` is
-    /// minimal.
-    ///
-    /// The default implementation materializes the full tagged list; index
-    /// structures override it with a genuinely early-exiting probe (stop at
-    /// the first verified hit), which is what lets the sharding layer answer
-    /// `search` without running every shard to completion.
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<TaggedMatch> {
-        self.search_all_tagged(q).into_iter().next()
+        let all = self.probe_passes(PassSource::Query(q), ProbeControl::ALL);
+        all.unwrap_or_default()
     }
 
     /// Stage 1 of the enumerate→probe→verify pipeline: derives a reusable
@@ -244,11 +311,11 @@ pub trait SetSimilaritySearch {
     /// the sharding layer enumerates once and ships the same plan to every
     /// dataset shard instead of re-enumerating per shard.
     ///
-    /// The default implementation returns an *unplanned* plan (query only);
-    /// the default probe stages then fall back to the fused path, so
-    /// structures without a bucketed probe (brute force, prefix filtering)
-    /// satisfy the contract with no override. Index structures override this
-    /// together with [`SetSimilaritySearch::probe_plan_tagged`].
+    /// The default implementation returns an *unplanned* plan (query only),
+    /// which every probe answers like its query, so structures without a
+    /// bucketed probe (brute force, prefix filtering) satisfy the contract
+    /// with no override. Index structures override this together with
+    /// [`SetSimilaritySearch::probe_passes`].
     ///
     /// # Examples
     ///
@@ -279,11 +346,8 @@ pub trait SetSimilaritySearch {
     /// Stages 2+3 of the pipeline: probes the inverted index with a
     /// precomputed [`QueryPlan`] and verifies the surfaced candidates —
     /// exactly `search_all(plan.query())`, without re-enumerating the
-    /// query's filters when the plan is planned.
-    ///
-    /// Provided in terms of [`SetSimilaritySearch::probe_plan_tagged`]
-    /// (the tag projection), so implementations override only the tagged
-    /// variant.
+    /// query's filters when the plan is planned. The tag projection of
+    /// [`SetSimilaritySearch::probe_plan_tagged`].
     fn probe_plan(&self, plan: &QueryPlan) -> Vec<Match> {
         self.probe_plan_tagged(plan)
             .into_iter()
@@ -292,56 +356,69 @@ pub trait SetSimilaritySearch {
     }
 
     /// The tagged probe stage: consumes a [`QueryPlan`] and returns exactly
-    /// `search_all_tagged(plan.query())`. For a planned plan, overriding
-    /// implementations touch only the inverted index (bucket lookups +
-    /// verification) — never the enumeration engine; for an unplanned plan
-    /// they fall back to the fused path. The default implementation is that
-    /// fallback.
+    /// `search_all_tagged(plan.query())`. For a planned plan, index
+    /// structures touch only the inverted index (bucket lookups +
+    /// verification) — never the enumeration engine.
     fn probe_plan_tagged(&self, plan: &QueryPlan) -> Vec<TaggedMatch> {
-        self.search_all_tagged(plan.query())
-    }
-
-    /// The early-exiting probe stage: exactly
-    /// `search_first_tagged(plan.query())`, stopping at the first verified
-    /// hit without re-enumerating when the plan is planned.
-    fn probe_plan_first_tagged(&self, plan: &QueryPlan) -> Option<TaggedMatch> {
-        self.probe_plan_tagged(plan).into_iter().next()
+        let all = self.probe_passes(PassSource::Plan(plan), ProbeControl::ALL);
+        all.unwrap_or_default()
     }
 
     /// Deadline-aware [`SetSimilaritySearch::probe_plan_tagged`]: polls the
-    /// caller-supplied `expired` check at the structure's natural
-    /// cancellation points and abandons the probe with
-    /// [`DeadlineExceeded`] as soon as it fires.
+    /// caller-supplied `expired` check at the structure's pass boundaries
+    /// and abandons the probe with [`DeadlineExceeded`] as soon as it fires
+    /// — the core hook behind the query service's per-request deadlines.
     ///
-    /// This is the core hook behind the query service's per-request
-    /// deadlines. The check is an opaque closure (typically comparing
-    /// `Instant::now()` against an absolute deadline on the *caller's*
-    /// side), which keeps this crate itself wall-clock-free: no ambient
-    /// time source is read on the query path, and the check can only decide
-    /// *whether* the probe finishes — never which candidates surface or in
-    /// what order.
-    ///
-    /// **Contract** (pinned by `tests/service_equivalence.rs` and the core
-    /// unit tests): with a check that never fires, the `Ok` value is
+    /// **Contract**: with a check that never fires, the `Ok` value is
     /// byte-identical to [`SetSimilaritySearch::probe_plan_tagged`]; with a
     /// check that has already fired, the structure returns `Err` without
-    /// probing. There is no partial-result mode.
-    ///
-    /// The default polls once up front and then runs the full probe —
-    /// correct for every structure, coarse for long probes. [`crate::LsfIndex`]
-    /// overrides it to re-poll between repetitions (the pass boundary of the
-    /// enumerate→probe→verify pipeline), and [`crate::shard::ShardedIndex`]
-    /// threads the same check through its shard fan-out so each shard
-    /// cancels independently.
+    /// probing. There is no partial-result mode. `tests/plan_equivalence.rs`
+    /// pins both with a counting check, including that the LSF indexes,
+    /// alone or sharded, poll it at least once per repetition.
     fn probe_plan_tagged_deadline(
         &self,
         plan: &QueryPlan,
         expired: &(dyn Fn() -> bool + Sync),
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        if expired() {
-            return Err(DeadlineExceeded);
+        self.probe_passes(PassSource::Plan(plan), ProbeControl::deadline(expired))
+    }
+
+    /// The one probe primitive behind every query method: probes the passes
+    /// `source` yields, verifies the surfaced candidates, and returns the
+    /// matches in first-discovery order with their `(pass, step)` tags — all
+    /// of them, or under [`ProbeControl::first_only`] just the first. The
+    /// deadline in `ctl` is polled before the first pass and between
+    /// passes; once it fires the probe returns [`DeadlineExceeded`] and no
+    /// partial list.
+    ///
+    /// Both sources answer byte-identically: a planned plan only skips the
+    /// enumeration a query source does lazily, pass by pass (which is what
+    /// lets `search` stop enumerating at its first hit).
+    ///
+    /// The default polls the deadline once and tags
+    /// [`SetSimilaritySearch::search_all`] as a single pass with one match
+    /// per step — correct for every structure, coarse for long probes.
+    /// [`crate::LsfIndex`] (and through it the paper's indexes), MinHash,
+    /// and [`crate::shard::ShardedIndex`] override it with their own walk.
+    fn probe_passes(
+        &self,
+        source: PassSource<'_>,
+        ctl: ProbeControl<'_>,
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        ctl.poll()?;
+        let mut all = self.search_all(source.query());
+        if ctl.first_only {
+            all.truncate(1);
         }
-        Ok(self.probe_plan_tagged(plan))
+        Ok(all
+            .into_iter()
+            .enumerate()
+            .map(|(step, hit)| TaggedMatch {
+                pass: 0,
+                step: step as u32,
+                hit,
+            })
+            .collect())
     }
 
     /// Answers a batch of queries: element `i` of the result is exactly
@@ -547,7 +624,10 @@ mod tests {
             assert_eq!(plan.query(), &q);
             assert_eq!(s.probe_plan(&plan), s.search_all(&q));
             assert_eq!(s.probe_plan_tagged(&plan), s.search_all_tagged(&q));
-            assert_eq!(s.probe_plan_first_tagged(&plan), s.search_first_tagged(&q));
+            assert_eq!(
+                s.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
+                s.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
+            );
         }
     }
 

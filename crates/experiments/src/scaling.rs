@@ -17,7 +17,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use skewsearch_baselines::{
     ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
 };
-use skewsearch_core::{CorrelatedIndex, CorrelatedParams, IndexOptions, Repetitions};
+use skewsearch_core::{
+    CorrelatedIndex, CorrelatedParams, IndexOptions, PassSource, ProbeControl, Repetitions,
+};
 use skewsearch_datagen::{correlated_query, skew::least_squares_slope, BernoulliProfile, Dataset};
 
 /// Sweep configuration.
@@ -176,7 +178,7 @@ pub fn run(config: &ScalingConfig) -> Scaling {
             // minhash
             let mut got = false;
             let mut c = 0usize;
-            mh.probe(q, |id| {
+            let _ = mh.walk(PassSource::Query(q), ProbeControl::ALL, |_, id| {
                 c += 1;
                 got |= id == target as u32;
                 true

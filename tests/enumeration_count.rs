@@ -1,8 +1,7 @@
 //! The acceptance criterion of the plan pipeline, asserted with the counting
 //! hook `skewsearch::core::enumeration_count`: a `ByDataset`-sharded index
 //! performs **exactly one** `F(q)` enumeration per query — `R` calls into the
-//! enumeration engine, one per repetition — regardless of shard count, while
-//! the legacy fused mode (`with_plan_broadcast(false)`) pays `shards × R`.
+//! enumeration engine, one per repetition — regardless of shard count.
 //! The join layer's distinct-query dedup is counted the same way.
 //!
 //! The counter is process-global, so everything here lives in **one** test
@@ -78,21 +77,6 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
             let (got, delta) = enumerations_during(|| by_rep.search_all(q));
             assert_eq!(&got, expect, "ByRepetition shards={shards}");
             assert_eq!(delta, REPS as u64, "ByRepetition shards={shards}");
-        }
-
-        // The legacy fused mode re-pays the enumeration per dataset shard —
-        // the documented N× tax the pipeline removes (and the proof the
-        // counting hook actually detects it).
-        let legacy = ShardedIndex::build(&index, ShardStrategy::ByDataset, shards)
-            .with_plan_broadcast(false);
-        for (q, expect) in queries.iter().zip(&expected).take(2) {
-            let (got, delta) = enumerations_during(|| legacy.search_all(q));
-            assert_eq!(&got, expect, "legacy shards={shards}");
-            assert_eq!(
-                delta,
-                (shards * REPS) as u64,
-                "fused mode pays shards×R, shards={shards}"
-            );
         }
     }
 

@@ -14,10 +14,11 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::core::persist::{kind, Writer};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, Persist, PersistError, Repetitions, SetSimilaritySearch, ShardStrategy,
-    ShardedIndex,
+    AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CorrelatedIndex,
+    CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Persist, PersistError,
+    PersistScheme, Repetitions, SetSimilaritySearch, ShardStrategy, ShardedIndex, ThresholdScheme,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::join::similarity_join;
@@ -265,13 +266,12 @@ fn mutated_then_compacted_index_round_trips_as_format_v2() {
 
     let path = scratch("compacted_v2");
     index.save(&path).unwrap();
-    // The file header carries the active write version — 2, unless the CI
-    // rollback drill forced v1 via SKEWSEARCH_FORCE_V1.
+    // The file header carries the current format version.
     let bytes = std::fs::read(&path).unwrap();
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     assert_eq!(
         version,
-        skewsearch::core::persist::effective_write_version(),
+        skewsearch::core::persist::FORMAT_VERSION,
         "compacted index saves at the active write version"
     );
     let reloaded = LsfIndex::<CorrelatedScheme>::load(&path).unwrap();
@@ -292,9 +292,7 @@ fn legacy_v1_files_still_load() {
     // The v1 fallback: a file written in the uncompressed bucket-map layout
     // (version 1 in the header) must load into the compressed substrate and
     // answer byte-identically. The file is handcrafted through the public
-    // versioned writer — no environment toggle, so this stays race-free
-    // under parallel test threads (CI exercises `SKEWSEARCH_FORCE_V1=1`
-    // cross-process instead).
+    // versioned writer, with the v1 payload encoder as the reference.
     use skewsearch::core::persist::{kind, write_container_versioned, Writer};
     let (ds, profile, queries) = fixture(200, SEED ^ 22);
     let mut rng = StdRng::seed_from_u64(SEED ^ 23);
@@ -326,16 +324,16 @@ fn legacy_v1_files_still_load() {
     let _ = std::fs::remove_file(&path);
     assert_same_answers(&index, &reloaded, &queries, "legacy v1");
 
-    // And a v1 file round-trips onward at the active write version
-    // (normally an upgrade to v2): saving the reloaded index re-encodes the
-    // layout without changing an answer.
+    // And a v1 file round-trips onward at the current format version (an
+    // upgrade to v2): saving the reloaded index re-encodes the layout
+    // without changing an answer.
     let path2 = scratch("legacy_v1_upgraded");
     reloaded.save(&path2).unwrap();
     let bytes = std::fs::read(&path2).unwrap();
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     assert_eq!(
         version,
-        skewsearch::core::persist::effective_write_version(),
+        skewsearch::core::persist::FORMAT_VERSION,
         "re-save writes the active version"
     );
     let upgraded = LsfIndex::<CorrelatedScheme>::load(&path2).unwrap();
@@ -386,6 +384,120 @@ fn sharded_minhash_round_trips() {
     let reloaded = ShardedIndex::<MinHashLsh>::load(&dir).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert_same_answers(&sharded, &reloaded, &queries, "ShardedIndex<MinHashLsh>");
+}
+
+/// Saves `index` and splits the file into its container kind (header bytes
+/// 12..16) and its payload (everything after the 32-byte header).
+fn saved_kind_and_payload<I: Persist>(index: &I, label: &str) -> (u32, Vec<u8>) {
+    let path = scratch(label);
+    index.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let kind = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    (kind, bytes[32..].to_vec())
+}
+
+/// A wrapper file is its own container kind, and its payload is the
+/// wrapper's own fields followed by the kind-1 payload of a twin `LsfIndex`
+/// built over `ds` from the wrapper's build seed, scheme, and threshold.
+fn assert_wrapper_layout<W: Persist + SetSimilaritySearch, S>(
+    wrapper: &W,
+    (ds, profile, build_seed): (&Dataset, &BernoulliProfile, u64),
+    scheme: S,
+    own_fields: Writer,
+    expected_kind: u32,
+    label: &str,
+) where
+    S: ThresholdScheme + PersistScheme + Sync,
+{
+    let twin = LsfIndex::build(
+        ds.vectors().to_vec(),
+        profile.clone(),
+        scheme,
+        wrapper.threshold(),
+        opts(4),
+        &mut StdRng::seed_from_u64(build_seed),
+    );
+    let (wrapper_kind, wrapper_payload) = saved_kind_and_payload(wrapper, label);
+    let (twin_kind, twin_payload) = saved_kind_and_payload(&twin, label);
+    assert_eq!(wrapper_kind, expected_kind, "{label} container kind");
+    assert_eq!(twin_kind, kind::LSF, "{label} twin container kind");
+    let expected = [own_fields.into_payload(), twin_payload].concat();
+    assert!(
+        wrapper_payload == expected,
+        "{label} payload is not its own fields + the twin's LSF payload"
+    );
+}
+
+#[test]
+fn wrapper_containers_frame_the_lsf_payload() {
+    // docs/PERSISTENCE.md §5, byte for byte: each wrapper is rebuilt as a
+    // twin `LsfIndex` from the same build seed, scheme, and threshold.
+    let (ds, profile, _) = fixture(150, SEED ^ 30);
+    let build_seed = SEED ^ 31;
+    let n = ds.n();
+    let source = (&ds, &profile, build_seed);
+
+    // Kind 2: α, C, and the warnings, then the LSF payload.
+    let correlated = CorrelatedIndex::build(
+        &ds,
+        &profile,
+        CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4)),
+        &mut StdRng::seed_from_u64(build_seed),
+    );
+    let warnings = &correlated.diagnostics().warnings;
+    assert!(!warnings.is_empty(), "the fixture violates Cα ≥ 15");
+    let mut fields = Writer::new();
+    fields.put_f64(correlated.alpha());
+    fields.put_f64(correlated.diagnostics().c);
+    fields.put_u64(warnings.len() as u64);
+    for warning in warnings {
+        fields.put_str(warning);
+    }
+    assert_wrapper_layout(
+        &correlated,
+        source,
+        CorrelatedScheme::new(ALPHA, n, &profile),
+        fields,
+        kind::CORRELATED,
+        "Correlated",
+    );
+
+    // Kind 3: no fields of its own.
+    let b1 = 0.5;
+    let adversarial = AdversarialIndex::build(
+        &ds,
+        &profile,
+        AdversarialParams::new(b1).unwrap().with_options(opts(4)),
+        &mut StdRng::seed_from_u64(build_seed),
+    );
+    assert_wrapper_layout(
+        &adversarial,
+        source,
+        AdversarialScheme::new(b1, n, &profile),
+        Writer::new(),
+        kind::ADVERSARIAL,
+        "Adversarial",
+    );
+
+    // Kind 4: b₂, then the LSF payload.
+    let b2 = 0.1;
+    let chosen_path = ChosenPathIndex::build(
+        &ds,
+        &profile,
+        ChosenPathParams::new(b1, b2).unwrap().with_options(opts(4)),
+        &mut StdRng::seed_from_u64(build_seed),
+    );
+    let mut fields = Writer::new();
+    fields.put_f64(b2);
+    assert_wrapper_layout(
+        &chosen_path,
+        source,
+        ChosenPathScheme::new(b1, b2, n),
+        fields,
+        kind::CHOSEN_PATH,
+        "ChosenPath",
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 //! Pipeline semantics: for every index type, the split query path —
 //! `plan_query` (stage 1: enumerate + intern) followed by `probe_plan` /
-//! `probe_plan_tagged` / `probe_plan_first_tagged` (stages 2+3: bucket
-//! probing + verification) — must answer **byte-identically** to the legacy
-//! fused `search_all` / `search_all_tagged` / `search_first_tagged` path,
-//! tags included.
+//! `probe_plan_tagged` / a first-only `probe_passes` of the plan (stages
+//! 2+3: bucket probing + verification) — must answer **byte-identically**
+//! to the fused `search_all` / `search_all_tagged` / first-only
+//! `probe_passes` of the query, tags included.
 //!
 //! Deterministic tests pin the 5 index types; a proptest block randomizes
 //! dataset, correlation target, and repetition count. Degenerate cases ride
@@ -12,17 +12,24 @@
 //! consume the plan). A final test drives plans through the sharded
 //! broadcast at the worker counts of `SKEWSEARCH_TEST_THREADS` (CI sets it
 //! to `nproc` on multicore hosts — see `.github/workflows/ci.yml`).
+//!
+//! Both the per-index helper and the sharded test also pin the deadline
+//! granularity of `probe_plan_tagged_deadline` with a counting expiry check:
+//! a check that never fires must leave the answer untouched, the LSF family
+//! must poll it at least once per repetition, and a check that fires
+//! mid-probe must abort the whole probe, never return a partial list.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, QueryPlan, Repetitions, SetSimilaritySearch, ShardStrategy,
-    ShardedIndex,
+    DeadlineExceeded, IndexOptions, LsfIndex, PassSource, ProbeControl, QueryPlan, Repetitions,
+    SetSimilaritySearch, ShardStrategy, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 mod common;
 use common::thread_counts;
@@ -48,13 +55,76 @@ fn opts(reps: usize) -> IndexOptions {
     }
 }
 
+/// An expiry check that counts its polls and fires from poll `fire_at` on
+/// (`u64::MAX`: never). Atomic, so sharded fan-out workers can share it.
+struct CountingDeadline {
+    polls: AtomicU64,
+    fire_at: u64,
+}
+
+impl CountingDeadline {
+    fn new(fire_at: u64) -> Self {
+        Self {
+            polls: AtomicU64::new(0),
+            fire_at,
+        }
+    }
+
+    fn expired(&self) -> bool {
+        self.polls.fetch_add(1, Ordering::Relaxed) + 1 >= self.fire_at
+    }
+
+    fn polls(&self) -> u64 {
+        self.polls.load(Ordering::Relaxed)
+    }
+}
+
+/// The deadline contract at the probe's real granularity: a check that
+/// never fires yields `Ok`, byte-equal to `probe_plan_tagged`, after at
+/// least `min_polls` polls; a check that fires from its k-th poll on yields
+/// `Err(DeadlineExceeded)` for every k up to that poll count.
+fn assert_deadline_granularity<I: SetSimilaritySearch>(
+    index: &I,
+    plan: &QueryPlan,
+    min_polls: u64,
+    ctx: &str,
+) {
+    let never = CountingDeadline::new(u64::MAX);
+    assert_eq!(
+        index.probe_plan_tagged_deadline(plan, &|| never.expired()),
+        Ok(index.probe_plan_tagged(plan)),
+        "{ctx} never-firing deadline"
+    );
+    let polls = never.polls();
+    assert!(
+        polls >= min_polls.max(1),
+        "{ctx}: deadline polled {polls} times, want at least {min_polls}"
+    );
+    for k in 1..=polls {
+        let late = CountingDeadline::new(k);
+        assert_eq!(
+            index.probe_plan_tagged_deadline(plan, &|| late.expired()),
+            Err(DeadlineExceeded),
+            "{ctx}: deadline firing at poll {k} of {polls}"
+        );
+    }
+}
+
 /// The pipeline contract, entry point by entry point: planned probes, fused
-/// searches, and the unplanned fallback all agree byte-for-byte.
-fn assert_plan_equivalent<I: SetSimilaritySearch>(index: &I, queries: &[SparseVec], label: &str) {
+/// searches, and the unplanned fallback all agree byte-for-byte. The
+/// deadline-aware probe polls its check at least `min_polls` times per
+/// query (the repetition count for the LSF family).
+fn assert_plan_equivalent<I: SetSimilaritySearch>(
+    index: &I,
+    queries: &[SparseVec],
+    min_polls: u64,
+    label: &str,
+) {
     for (i, q) in queries.iter().enumerate() {
         let ctx = format!("{label} q={i}");
         let plan = index.plan_query(q);
         assert_eq!(plan.query(), q, "{ctx}");
+        assert_deadline_granularity(index, &plan, min_polls, &ctx);
         assert_eq!(index.probe_plan(&plan), index.search_all(q), "{ctx}");
         assert_eq!(
             index.probe_plan_tagged(&plan),
@@ -62,8 +132,8 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(index: &I, queries: &[SparseVe
             "{ctx}"
         );
         assert_eq!(
-            index.probe_plan_first_tagged(&plan),
-            index.search_first_tagged(q),
+            index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
+            index.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
             "{ctx}"
         );
         // A plan is not consumed by probing: the second probe must agree.
@@ -101,7 +171,7 @@ fn lsf_index_plan_equivalence() {
         opts(6),
         &mut rng,
     );
-    assert_plan_equivalent(&index, &queries, "LsfIndex");
+    assert_plan_equivalent(&index, &queries, 6, "LsfIndex");
 }
 
 #[test]
@@ -110,7 +180,7 @@ fn correlated_index_plan_equivalence() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 2);
     let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(6));
     let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
-    assert_plan_equivalent(&index, &queries, "CorrelatedIndex");
+    assert_plan_equivalent(&index, &queries, 6, "CorrelatedIndex");
 }
 
 #[test]
@@ -121,7 +191,7 @@ fn adversarial_index_plan_equivalence() {
         .unwrap()
         .with_options(opts(6));
     let index = AdversarialIndex::build(&ds, &profile, params, &mut rng);
-    assert_plan_equivalent(&index, &queries, "AdversarialIndex");
+    assert_plan_equivalent(&index, &queries, 6, "AdversarialIndex");
 }
 
 #[test]
@@ -132,7 +202,7 @@ fn chosen_path_index_plan_equivalence() {
         .unwrap()
         .with_options(opts(6));
     let index = ChosenPathIndex::build(&ds, &profile, params, &mut rng);
-    assert_plan_equivalent(&index, &queries, "ChosenPathIndex");
+    assert_plan_equivalent(&index, &queries, 6, "ChosenPathIndex");
 }
 
 #[test]
@@ -141,7 +211,7 @@ fn minhash_plan_equivalence() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 5);
     let params = MinHashParams::new(0.6, 0.3).unwrap();
     let index = MinHashLsh::build(&ds, params, &mut rng);
-    assert_plan_equivalent(&index, &queries, "MinHashLsh");
+    assert_plan_equivalent(&index, &queries, 1, "MinHashLsh");
 }
 
 #[test]
@@ -161,7 +231,10 @@ fn empty_index_plans_and_probes_to_nothing() {
     let plan = index.plan_query(&q);
     assert_eq!(plan.pass_count(), index.repetition_count());
     assert!(index.probe_plan(&plan).is_empty());
-    assert!(index.probe_plan_first_tagged(&plan).is_none());
+    assert_eq!(
+        index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
+        Ok(vec![])
+    );
 }
 
 #[test]
@@ -171,9 +244,17 @@ fn broadcast_probes_match_at_configured_worker_counts() {
     // which CI pins to the real core count).
     let (ds, profile, queries) = fixture(200, SEED ^ 7);
     let mut rng = StdRng::seed_from_u64(SEED ^ 7);
-    let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(5));
+    let reps = 5;
+    let params = CorrelatedParams::new(ALPHA)
+        .unwrap()
+        .with_options(opts(reps));
     let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
     for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
+        // Dataset shards each walk every repetition; pass slices split them.
+        let min_polls = match strategy {
+            ShardStrategy::ByRepetition => reps,
+            ShardStrategy::ByDataset => 4 * reps,
+        };
         for threads in thread_counts() {
             let sharded = ShardedIndex::build(&index, strategy, 4)
                 .with_fanout_threads(threads)
@@ -183,6 +264,13 @@ fn broadcast_probes_match_at_configured_worker_counts() {
                     sharded.search_all_tagged(q),
                     index.search_all_tagged(q),
                     "{strategy:?} threads={threads} q={i}"
+                );
+                // Every shard polls the shared check once per repetition.
+                assert_deadline_granularity(
+                    &sharded,
+                    &sharded.plan_query(q),
+                    min_polls as u64,
+                    &format!("{strategy:?} threads={threads} q={i}"),
                 );
             }
             assert_eq!(
@@ -228,7 +316,7 @@ proptest! {
             opts(reps),
             &mut rng,
         );
-        assert_plan_equivalent(&lsf, queries, "prop LsfIndex");
+        assert_plan_equivalent(&lsf, queries, reps as u64, "prop LsfIndex");
 
         let correlated = CorrelatedIndex::build(
             &ds,
@@ -236,7 +324,7 @@ proptest! {
             CorrelatedParams::new(ALPHA).unwrap().with_options(opts(reps)),
             &mut rng,
         );
-        assert_plan_equivalent(&correlated, queries, "prop CorrelatedIndex");
+        assert_plan_equivalent(&correlated, queries, reps as u64, "prop CorrelatedIndex");
 
         let adversarial = AdversarialIndex::build(
             &ds,
@@ -244,7 +332,7 @@ proptest! {
             AdversarialParams::new(ALPHA / 1.3).unwrap().with_options(opts(reps)),
             &mut rng,
         );
-        assert_plan_equivalent(&adversarial, queries, "prop AdversarialIndex");
+        assert_plan_equivalent(&adversarial, queries, reps as u64, "prop AdversarialIndex");
 
         let chosen_path = ChosenPathIndex::build(
             &ds,
@@ -254,9 +342,9 @@ proptest! {
                 .with_options(opts(reps)),
             &mut rng,
         );
-        assert_plan_equivalent(&chosen_path, queries, "prop ChosenPathIndex");
+        assert_plan_equivalent(&chosen_path, queries, reps as u64, "prop ChosenPathIndex");
 
         let minhash = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
-        assert_plan_equivalent(&minhash, queries, "prop MinHashLsh");
+        assert_plan_equivalent(&minhash, queries, 1, "prop MinHashLsh");
     }
 }

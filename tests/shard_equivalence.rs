@@ -18,8 +18,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch, ShardStrategy, Shardable,
-    ShardedIndex,
+    IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch,
+    ShardStrategy, Shardable, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -62,7 +62,7 @@ fn assert_sharded_identical<I: Shardable + Send + Sync>(
     let first: Vec<_> = queries.iter().map(|q| index.search(q)).collect();
     let first_tagged: Vec<_> = queries
         .iter()
-        .map(|q| index.search_first_tagged(q))
+        .map(|q| index.probe_passes(PassSource::Query(q), ProbeControl::FIRST))
         .collect();
     let best: Vec<_> = queries.iter().map(|q| index.search_best(q)).collect();
     for strategy in STRATEGIES {
@@ -79,7 +79,7 @@ fn assert_sharded_identical<I: Shardable + Send + Sync>(
                     assert_eq!(sharded.search_all_tagged(q), tagged[i], "{ctx} q={i}");
                     assert_eq!(sharded.search(q), first[i], "{ctx} q={i}");
                     assert_eq!(
-                        sharded.search_first_tagged(q),
+                        sharded.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
                         first_tagged[i],
                         "{ctx} q={i}"
                     );
