@@ -143,13 +143,13 @@ impl LsfWrapper for ChosenPathIndex {
         w.put_f64(self.b2);
     }
 
-    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let b2 = r.get_f64()?;
         if !(b2 > 0.0 && b2 < 1.0) {
             return Err(PersistError::Malformed("b2 must lie in (0, 1)"));
         }
         Ok(Self {
-            inner: LsfIndex::read_payload(r, version)?,
+            inner: LsfIndex::read_payload(r)?,
             b2,
         })
     }

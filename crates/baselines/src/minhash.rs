@@ -14,8 +14,12 @@
 //! vectors.
 
 use rand::{Rng, SeedableRng};
+use skewsearch_core::persist::{
+    kind, load_container, read_bucket_map, write_bucket_map, write_container, Writer,
+};
 use skewsearch_core::{
-    DeadlineExceeded, Match, PassSource, ProbeControl, QueryPlan, SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, PassSource, PersistError, ProbeControl, QueryPlan,
+    SetSimilaritySearch, TaggedMatch,
 };
 use skewsearch_datagen::Dataset;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PairwiseU64};
@@ -387,8 +391,8 @@ impl skewsearch_core::Persist for MinHashLsh {
     /// banding parameters, the indexed vectors, and per band its min-wise
     /// hash coefficients plus its signature buckets (the shared sorted
     /// posting-map encoding) — see `docs/PERSISTENCE.md` §6.
-    fn save(&self, path: &std::path::Path) -> Result<(), skewsearch_core::PersistError> {
-        let mut w = skewsearch_core::persist::Writer::new();
+    fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
+        let mut w = Writer::new();
         w.put_f64(self.threshold);
         w.put_u64(self.rows as u64);
         w.put_f64(self.params.b1);
@@ -396,20 +400,7 @@ impl skewsearch_core::Persist for MinHashLsh {
         w.put_f64(self.params.band_factor);
         w.put_u64(self.params.max_bands as u64);
         w.put_u64(self.params.query_threads as u64);
-        w.put_u64(self.vectors.len() as u64);
-        let mut offsets: Vec<u64> = Vec::with_capacity(self.vectors.len() + 1);
-        offsets.push(0);
-        let mut total = 0u64;
-        for v in &self.vectors {
-            total += v.dims().len() as u64;
-            offsets.push(total);
-        }
-        w.put_u64_slice(&offsets);
-        let mut flat: Vec<u32> = Vec::with_capacity(total as usize);
-        for v in &self.vectors {
-            flat.extend_from_slice(v.dims());
-        }
-        w.put_u32_slice(&flat);
+        w.put_sets(&self.vectors);
         w.put_u64(self.bands.len() as u64);
         for band in &self.bands {
             w.put_u64(band.hashes.len() as u64);
@@ -418,99 +409,63 @@ impl skewsearch_core::Persist for MinHashLsh {
                 w.put_u128(a);
                 w.put_u128(b);
             }
-            skewsearch_core::persist::write_bucket_map(&mut w, &band.buckets);
+            write_bucket_map(&mut w, &band.buckets);
         }
-        skewsearch_core::persist::write_container(
-            path,
-            skewsearch_core::persist::kind::MINHASH,
-            &w.into_payload(),
-        )
+        write_container(path, kind::MINHASH, &w.into_payload())
     }
 
-    fn load(path: &std::path::Path) -> Result<Self, skewsearch_core::PersistError> {
-        use skewsearch_core::PersistError;
-        let payload = skewsearch_core::persist::read_container(
-            path,
-            skewsearch_core::persist::kind::MINHASH,
-        )?;
-        let mut r = skewsearch_core::persist::Reader::new(&payload);
-        let threshold = r.get_f64()?;
-        let rows = r.get_u64()? as usize;
-        let b1 = r.get_f64()?;
-        let b2 = r.get_f64()?;
-        let band_factor = r.get_f64()?;
-        let max_bands = r.get_u64()? as usize;
-        let query_threads = r.get_u64()? as usize;
-        if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
-            return Err(PersistError::Malformed(
-                "minhash thresholds violate 0<b2<b1<=1",
-            ));
-        }
-        if !(band_factor.is_finite() && band_factor > 0.0) || rows == 0 {
-            return Err(PersistError::Malformed(
-                "minhash banding parameters out of range",
-            ));
-        }
-        let n = r.get_u64()? as usize;
-        if n > u32::MAX as usize {
-            return Err(PersistError::Malformed("slot count exceeds u32 id space"));
-        }
-        let offsets = r.get_u64_vec()?;
-        let flat = r.get_u32_vec()?;
-        if offsets.len() != n.checked_add(1).ok_or(PersistError::Truncated)?
-            || offsets.first().copied() != Some(0)
-            || offsets.last().copied() != Some(flat.len() as u64)
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(PersistError::Malformed("vector offset table inconsistent"));
-        }
-        let mut vectors: Vec<SparseVec> = Vec::with_capacity(n);
-        for i in 0..n {
-            let dims = flat
-                .get(offsets[i] as usize..offsets[i + 1] as usize)
-                .ok_or(PersistError::Malformed("vector offset table inconsistent"))?;
-            if dims.windows(2).any(|w| w[0] >= w[1]) {
+    fn load(path: &std::path::Path) -> Result<Self, PersistError> {
+        load_container(path, kind::MINHASH, |r| {
+            let threshold = r.get_f64()?;
+            let rows = r.get_u64()? as usize;
+            let b1 = r.get_f64()?;
+            let b2 = r.get_f64()?;
+            let band_factor = r.get_f64()?;
+            let max_bands = r.get_u64()? as usize;
+            let query_threads = r.get_u64()? as usize;
+            if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
                 return Err(PersistError::Malformed(
-                    "vector dimensions not strictly ascending",
+                    "minhash thresholds violate 0<b2<b1<=1",
                 ));
             }
-            vectors.push(SparseVec::from_sorted(dims.to_vec()));
-        }
-        let band_count = r.get_u64()?;
-        let mut bands: Vec<Band> = Vec::new();
-        for _ in 0..band_count {
-            let hash_count = r.get_u64()? as usize;
-            if hash_count != rows {
+            if !(band_factor.is_finite() && band_factor > 0.0) || rows == 0 {
                 return Err(PersistError::Malformed(
-                    "band hash count does not match the row count",
+                    "minhash banding parameters out of range",
                 ));
             }
-            let mut hashes = Vec::with_capacity(rows.min(1024));
-            for _ in 0..hash_count {
-                let a = r.get_u128()?;
-                let b = r.get_u128()?;
-                hashes.push(PairwiseU64::from_coefficients(a, b));
+            let vectors = r.get_sets()?;
+            let n = vectors.len();
+            let band_count = r.get_u64()?;
+            let mut bands: Vec<Band> = Vec::new();
+            for _ in 0..band_count {
+                let hash_count = r.get_u64()? as usize;
+                if hash_count != rows {
+                    return Err(PersistError::Malformed(
+                        "band hash count does not match the row count",
+                    ));
+                }
+                let mut hashes = Vec::with_capacity(rows.min(1024));
+                for _ in 0..hash_count {
+                    let a = r.get_u128()?;
+                    let b = r.get_u128()?;
+                    hashes.push(PairwiseU64::from_coefficients(a, b));
+                }
+                let buckets = read_bucket_map(r, n, 0)?;
+                bands.push(Band { hashes, buckets });
             }
-            let buckets = skewsearch_core::persist::read_bucket_map(&mut r, n, 0)?;
-            bands.push(Band { hashes, buckets });
-        }
-        if !r.is_empty() {
-            return Err(PersistError::Malformed(
-                "trailing bytes after index payload",
-            ));
-        }
-        Ok(Self {
-            vectors,
-            bands,
-            threshold,
-            rows,
-            params: MinHashParams {
-                b1,
-                b2,
-                band_factor,
-                max_bands,
-                query_threads,
-            },
+            Ok(Self {
+                vectors,
+                bands,
+                threshold,
+                rows,
+                params: MinHashParams {
+                    b1,
+                    b2,
+                    band_factor,
+                    max_bands,
+                    query_threads,
+                },
+            })
         })
     }
 }

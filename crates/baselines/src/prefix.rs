@@ -76,7 +76,7 @@ impl PrefixFilterIndex {
     pub fn probe(&self, q: &SparseVec, mut visit: impl FnMut(u32) -> bool) {
         let mut seen = FxHashSet::default();
         'outer: for dim in prefix_dims(q, &self.rank, self.threshold) {
-            for &id in &self.postings[dim as usize] {
+            for &id in self.postings.get(dim as usize).into_iter().flatten() {
                 if seen.insert(id) && !visit(id) {
                     break 'outer;
                 }
@@ -96,7 +96,10 @@ impl PrefixFilterIndex {
 }
 
 /// The prefix of `x` in rarest-first order for threshold `b₁`:
-/// its `|x| − ⌈b₁|x|⌉ + 1` globally rarest set dimensions.
+/// its `|x| − ⌈b₁|x|⌉ + 1` globally rarest set dimensions. Dimensions
+/// outside the indexed universe rank after every known one (in dimension
+/// order) — any fixed total order keeps prefix filtering exact, and they
+/// have no postings.
 fn prefix_dims(x: &SparseVec, rank: &[u32], b1: f64) -> Vec<u32> {
     let w = x.weight();
     if w == 0 {
@@ -105,7 +108,7 @@ fn prefix_dims(x: &SparseVec, rank: &[u32], b1: f64) -> Vec<u32> {
     let t = (b1 * w as f64).ceil() as usize;
     let keep = w - t.min(w) + 1;
     let mut dims: Vec<u32> = x.dims().to_vec();
-    dims.sort_by_key(|&i| rank[i as usize]);
+    dims.sort_by_key(|&i| rank.get(i as usize).map_or(u64::MAX, |&r| r as u64));
     dims.truncate(keep);
     dims
 }

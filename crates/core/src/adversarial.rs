@@ -76,9 +76,22 @@ impl AdversarialIndex {
     /// probabilities of the query's set bits: `Σ_{i∈q} p_i^ρ = b₁|q|`.
     ///
     /// Purely analytical — the search itself never needs it.
+    ///
+    /// A dimension outside the profile has `p_i = 0`: it adds nothing to the
+    /// left side but still counts in `|q|`, so `b₁` scales by
+    /// `|q| / |q ∩ [d]|`. Once that reaches 1 the exponent is 0 (past it, no
+    /// stored set can match at all).
     pub fn predicted_rho(&self, q: &SparseVec) -> f64 {
-        let ps: Vec<f64> = q.iter().map(|i| self.inner.profile().p(i)).collect();
-        rho_adversarial_query(&ps, self.inner.scheme().b1())
+        let ps: Vec<f64> = q
+            .iter()
+            .filter_map(|i| self.inner.profile().ps().get(i as usize).copied())
+            .collect();
+        let b1 = self.inner.scheme().b1() * (q.weight() as f64 / ps.len() as f64);
+        if b1 < 1.0 {
+            rho_adversarial_query(&ps, b1)
+        } else {
+            0.0
+        }
     }
 }
 
@@ -108,9 +121,9 @@ impl LsfWrapper for AdversarialIndex {
     /// kind distinguishes its file from a bare LSF index.
     fn encode_fields(&self, _: &mut Writer) {}
 
-    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Self {
-            inner: LsfIndex::read_payload(r, version)?,
+            inner: LsfIndex::read_payload(r)?,
         })
     }
 }

@@ -166,7 +166,7 @@ impl LsfWrapper for CorrelatedIndex {
         }
     }
 
-    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let alpha = r.get_f64()?;
         if !(alpha > 0.0 && alpha <= 1.0) {
             return Err(PersistError::Malformed("correlated alpha out of (0,1]"));
@@ -178,7 +178,7 @@ impl LsfWrapper for CorrelatedIndex {
             warnings.push(r.get_string()?);
         }
         Ok(Self {
-            inner: LsfIndex::read_payload(r, version)?,
+            inner: LsfIndex::read_payload(r)?,
             alpha,
             diagnostics: ModelDiagnostics { c, warnings },
         })

@@ -95,6 +95,10 @@ impl<'a> EnumContext<'a> {
     /// Evaluates all thresholds and masses for `x` up to `max_depth` (use the
     /// hasher stack's depth, which index builds size to
     /// [`ThresholdScheme::depth_bound`]).
+    ///
+    /// A dimension `≥ profile.d()` has `p_i = 0`: it gets threshold 0, so no
+    /// path ever samples it, while it still counts in `|x|` (the scheme's
+    /// weight, and verification).
     pub fn new<S: ThresholdScheme>(
         x: &'a SparseVec,
         profile: &BernoulliProfile,
@@ -103,14 +107,18 @@ impl<'a> EnumContext<'a> {
     ) -> Self {
         let weight = x.weight();
         let dims = x.dims();
+        let (known, unknown) = dims.split_at(dims.partition_point(|&i| (i as usize) < profile.d()));
         let mut thresholds = Vec::with_capacity(max_depth * dims.len());
         for depth in 0..max_depth {
-            thresholds.extend(dims.iter().map(|&i| scheme.threshold(weight, depth, i)));
+            thresholds.extend(known.iter().map(|&i| scheme.threshold(weight, depth, i)));
+            thresholds.extend(unknown.iter().map(|_| 0.0));
         }
+        let mut masses: Vec<f64> = known.iter().map(|&i| profile.log2_inv_p(i)).collect();
+        masses.resize(dims.len(), 0.0);
         Self {
             x,
             thresholds,
-            masses: dims.iter().map(|&i| profile.log2_inv_p(i)).collect(),
+            masses,
             max_depth,
         }
     }

@@ -22,9 +22,8 @@
 use crate::batch::batch_map;
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
-    compress_bucket_map, kind, load_container, read_bucket_map, read_postings, write_bucket_map,
-    write_container, write_postings, write_postings_as_bucket_map, Persist, PersistError,
-    PersistScheme, Reader, Writer, FORMAT_VERSION,
+    kind, load_container, read_bucket_map, read_postings, write_bucket_map, write_container,
+    write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
 };
 use crate::plan::QueryPlan;
 use crate::postings::{CompressedPostings, PostingsEncoder};
@@ -1129,15 +1128,12 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
 
 impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// Appends this index's complete state to `w` as the kind-1 payload of
-    /// `docs/PERSISTENCE.md` §4, encoded for container format `version`:
-    /// under v2 the base segments persist as compressed postings (sorted
-    /// keys + byte offsets + the delta/varint arena, verbatim); under v1
-    /// they are expanded to the legacy uncompressed bucket-map layout. The
-    /// delta segments use the bucket-map layout in both versions. Public
-    /// because the wrapper indexes in `skewsearch-baselines` embed this
-    /// payload after their own fields; most callers want [`Persist::save`]
-    /// instead.
-    pub fn write_payload(&self, w: &mut Writer, version: u32) {
+    /// `docs/PERSISTENCE.md` §4: base segments as compressed postings
+    /// (sorted keys + byte offsets + the delta/varint arena, verbatim),
+    /// delta segments as bucket maps. Public because the wrapper indexes in
+    /// `skewsearch-baselines` embed this payload after their own fields;
+    /// most callers want [`Persist::save`] instead.
+    pub fn write_payload(&self, w: &mut Writer) {
         w.put_u32(S::SCHEME_TAG);
         self.scheme.encode_scheme(w);
         w.put_f64_slice(self.profile.ps());
@@ -1154,21 +1150,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         w.put_u64(self.build_stats.max_bucket as u64);
         w.put_u64(self.build_stats.truncated_vectors as u64);
         w.put_u64(self.build_stats.depth_capped_vectors as u64);
-        // Vectors: one offset table plus one flat dimension stream.
-        w.put_u64(self.vectors.len() as u64);
-        let mut offsets: Vec<u64> = Vec::with_capacity(self.vectors.len() + 1);
-        offsets.push(0);
-        let mut total = 0u64;
-        for v in &self.vectors {
-            total += v.dims().len() as u64;
-            offsets.push(total);
-        }
-        w.put_u64_slice(&offsets);
-        let mut flat: Vec<u32> = Vec::with_capacity(total as usize);
-        for v in &self.vectors {
-            flat.extend_from_slice(v.dims());
-        }
-        w.put_u32_slice(&flat);
+        w.put_sets(&self.vectors);
         w.put_bitmap(&self.alive);
         w.put_u64(self.reps.len() as u64);
         for rep in &self.reps {
@@ -1181,24 +1163,20 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
                 w.put_u128(b);
             }
             w.put_u64_slice(&rep.interner.to_words());
-            if version >= 2 {
-                write_postings(w, &rep.base);
-            } else {
-                write_postings_as_bucket_map(w, &rep.base);
-            }
+            write_postings(w, &rep.base);
             write_bucket_map(w, &rep.delta);
         }
     }
 
     /// Decodes an index from a payload written by
-    /// [`LsfIndex::write_payload`] for container format `version` (v1 base
-    /// segments are re-encoded to compressed postings on the way in),
-    /// validating every structural invariant the query path relies on
-    /// (offset tables monotone, ids in range and ascending, varint streams
-    /// well-formed, hasher stacks exactly `depth_bound` deep, delta ids
-    /// past the base watermark). Never panics: corrupt bytes yield a
-    /// [`PersistError`]. Most callers want [`Persist::load`] instead.
-    pub fn read_payload(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError> {
+    /// [`LsfIndex::write_payload`], validating every structural invariant
+    /// the query path relies on (offset tables monotone, ids in range and
+    /// ascending, varint streams well-formed, the scheme's per-dimension
+    /// table one entry per profile dimension, hasher stacks exactly
+    /// `depth_bound` deep, delta ids past the base watermark). Never
+    /// panics: corrupt bytes yield a [`PersistError`]. Most callers want
+    /// [`Persist::load`] instead.
+    pub fn read_payload(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let tag = r.get_u32()?;
         if tag != S::SCHEME_TAG {
             return Err(PersistError::Malformed(
@@ -1209,6 +1187,11 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         let ps = r.get_f64_vec()?;
         let profile = BernoulliProfile::new(ps)
             .map_err(|_| PersistError::Malformed("profile probabilities out of range"))?;
+        if scheme.table_len().is_some_and(|len| len != profile.d()) {
+            return Err(PersistError::Malformed(
+                "scheme table length differs from the profile's dimension count",
+            ));
+        }
         let verify_threshold = r.get_f64()?;
         if !(0.0..=1.0).contains(&verify_threshold) {
             return Err(PersistError::Malformed("verify threshold out of [0,1]"));
@@ -1227,31 +1210,8 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
             truncated_vectors: r.get_u64()? as usize,
             depth_capped_vectors: r.get_u64()? as usize,
         };
-        let n = r.get_u64()? as usize;
-        if n > u32::MAX as usize {
-            return Err(PersistError::Malformed("slot count exceeds u32 id space"));
-        }
-        let offsets = r.get_u64_vec()?;
-        let flat = r.get_u32_vec()?;
-        if offsets.len() != n.checked_add(1).ok_or(PersistError::Truncated)?
-            || offsets.first().copied() != Some(0)
-            || offsets.last().copied() != Some(flat.len() as u64)
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(PersistError::Malformed("vector offset table inconsistent"));
-        }
-        let mut vectors: Vec<SparseVec> = Vec::with_capacity(n);
-        for i in 0..n {
-            let dims = flat
-                .get(offsets[i] as usize..offsets[i + 1] as usize)
-                .ok_or(PersistError::Malformed("vector offset table inconsistent"))?;
-            if dims.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(PersistError::Malformed(
-                    "vector dimensions not strictly ascending",
-                ));
-            }
-            vectors.push(SparseVec::from_sorted(dims.to_vec()));
-        }
+        let vectors = r.get_sets()?;
+        let n = vectors.len();
         let alive = r.get_bitmap()?;
         if alive.len() != n {
             return Err(PersistError::Malformed("liveness bitmap length mismatch"));
@@ -1282,11 +1242,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
             let interner = TabulationU128::from_words(&words).ok_or(PersistError::Malformed(
                 "interner table word count mismatch",
             ))?;
-            let base = if version >= 2 {
-                read_postings(r, n, 0)?
-            } else {
-                compress_bucket_map(&read_bucket_map(r, n, 0)?)
-            };
+            let base = read_postings(r, n, 0)?;
             let delta = read_bucket_map(r, n, base_len as u32)?;
             reps.push(Repetition {
                 hashers: PathHasherStack::from_levels(levels),
@@ -1317,7 +1273,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
 impl<S: ThresholdScheme + PersistScheme> Persist for LsfIndex<S> {
     fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
         let mut w = Writer::new();
-        self.write_payload(&mut w, FORMAT_VERSION);
+        self.write_payload(&mut w);
         write_container(path, kind::LSF, &w.into_payload())
     }
 

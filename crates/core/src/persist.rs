@@ -48,9 +48,15 @@
 //!   sharded deployment byte-identically.
 //! * [`Writer`] / [`Reader`] — the little-endian encoding primitives, public
 //!   so sibling crates (baselines) encode their own section types.
+//! * [`write_container`] / [`load_container`] — the one writer and the one
+//!   loader every `.skx` kind goes through. The format version is known
+//!   only here: the loader hands it to decoders inside the [`Reader`], and
+//!   [`read_postings`] is the one decoder whose layout depends on it.
 
+use crate::postings::{CompressedPostings, PostingsEncoder, PostingsError};
 use crate::shard::ShardStrategy;
 use skewsearch_hashing::FxHashMap;
+use skewsearch_sets::SparseVec;
 use std::path::Path;
 
 /// File magic: the first 8 bytes of every container written by this module.
@@ -225,16 +231,6 @@ impl Writer {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True iff nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the payload bytes (always a multiple
     /// of 8 long, given the padding discipline).
     pub fn into_payload(self) -> Vec<u8> {
@@ -328,24 +324,46 @@ impl Writer {
             self.put_u64(word);
         }
     }
+
+    /// Writes a set table: the set count `n`, an `n + 1`-entry offset table,
+    /// and the flat dimension stream — set `i` is
+    /// `dims[offsets[i]..offsets[i + 1]]` (`docs/PERSISTENCE.md` §4).
+    pub fn put_sets(&mut self, sets: &[SparseVec]) {
+        self.put_u64(sets.len() as u64);
+        let mut offsets: Vec<u64> = Vec::with_capacity(sets.len() + 1);
+        offsets.push(0);
+        let mut flat: Vec<u32> = Vec::new();
+        for set in sets {
+            flat.extend_from_slice(set.dims());
+            offsets.push(flat.len() as u64);
+        }
+        self.put_u64_slice(&offsets);
+        self.put_u32_slice(&flat);
+    }
 }
 
 /// Little-endian payload decoder: a cursor over a payload slice. Every read
 /// is bounds-checked and returns [`PersistError::Truncated`] on overrun —
 /// decoding never panics, whatever the bytes.
 ///
+/// The cursor also carries the format version its payload was written at
+/// (the container header's under [`load_container`]), private to this
+/// module: [`read_postings`] is the one decoder whose layout depends on it.
+///
 /// See [`Writer`] for the encoding rules and a round-trip example.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    version: u32,
 }
 
 impl<'a> Reader<'a> {
-    /// A cursor at the start of `payload`.
+    /// A cursor at the start of `payload`, written at [`FORMAT_VERSION`].
     pub fn new(payload: &'a [u8]) -> Self {
         Self {
             buf: payload,
             pos: 0,
+            version: FORMAT_VERSION,
         }
     }
 
@@ -487,6 +505,39 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
+
+    /// Reads a set table written by [`Writer::put_sets`], checking that the
+    /// count fits the `u32` id space, that the offset table covers the
+    /// dimension stream exactly and monotonically, and that every set's
+    /// dimensions strictly ascend.
+    pub fn get_sets(&mut self) -> Result<Vec<SparseVec>, PersistError> {
+        let n = self.get_u64()?;
+        if n > u32::MAX as u64 {
+            return Err(PersistError::Malformed("slot count exceeds u32 id space"));
+        }
+        let offsets = self.get_u64_vec()?;
+        let flat = self.get_u32_vec()?;
+        let inconsistent = || PersistError::Malformed("vector offset table inconsistent");
+        if offsets.len() as u64 != n + 1
+            || offsets.first() != Some(&0)
+            || offsets.last() != Some(&(flat.len() as u64))
+        {
+            return Err(inconsistent());
+        }
+        let mut sets = Vec::with_capacity(n as usize);
+        for w in offsets.windows(2) {
+            let dims = flat
+                .get(w[0] as usize..w[1] as usize)
+                .ok_or_else(inconsistent)?;
+            if dims.windows(2).any(|p| p[0] >= p[1]) {
+                return Err(PersistError::Malformed(
+                    "vector dimensions not strictly ascending",
+                ));
+            }
+            sets.push(SparseVec::from_sorted(dims.to_vec()));
+        }
+        Ok(sets)
+    }
 }
 
 /// Encodes one inverted-index posting map as three aligned arrays: sorted
@@ -523,6 +574,15 @@ pub fn read_bucket_map(
     n_slots: usize,
     min_id: u32,
 ) -> Result<FxHashMap<u64, Vec<u32>>, PersistError> {
+    Ok(read_buckets(r, n_slots, min_id)?.into_iter().collect())
+}
+
+/// The checks of [`read_bucket_map`], yielding its buckets in key order.
+fn read_buckets(
+    r: &mut Reader<'_>,
+    n_slots: usize,
+    min_id: u32,
+) -> Result<Vec<(u64, Vec<u32>)>, PersistError> {
     let keys = r.get_u64_vec()?;
     let offsets = r.get_u64_vec()?;
     let flat = r.get_u32_vec()?;
@@ -531,136 +591,93 @@ pub fn read_bucket_map(
             "bucket keys not strictly ascending",
         ));
     }
+    let inconsistent = || PersistError::Malformed("bucket offset table inconsistent");
     if offsets.len() != keys.len() + 1
-        || offsets.first().copied() != Some(0)
-        || offsets.last().copied() != Some(flat.len() as u64)
-        || offsets.windows(2).any(|w| w[0] > w[1])
+        || offsets.first() != Some(&0)
+        || offsets.last() != Some(&(flat.len() as u64))
     {
-        return Err(PersistError::Malformed("bucket offset table inconsistent"));
+        return Err(inconsistent());
     }
-    let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    map.reserve(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
-        let start = offsets[i] as usize;
-        let end = offsets[i + 1] as usize;
-        let bucket = flat
-            .get(start..end)
-            .ok_or(PersistError::Malformed("bucket offset table inconsistent"))?;
-        if bucket.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(PersistError::Malformed("bucket ids not strictly ascending"));
-        }
-        if bucket
-            .iter()
-            .any(|&id| id < min_id || id as usize >= n_slots)
-        {
-            return Err(PersistError::Malformed("bucket id outside slot range"));
-        }
-        map.insert(key, bucket.to_vec());
-    }
-    Ok(map)
+    keys.iter()
+        .zip(offsets.windows(2))
+        .map(|(&key, w)| {
+            let bucket = flat
+                .get(w[0] as usize..w[1] as usize)
+                .ok_or_else(inconsistent)?;
+            if bucket.windows(2).any(|p| p[0] >= p[1]) {
+                return Err(PersistError::Malformed("bucket ids not strictly ascending"));
+            }
+            if bucket
+                .iter()
+                .any(|&id| id < min_id || id as usize >= n_slots)
+            {
+                return Err(PersistError::Malformed("bucket id outside slot range"));
+            }
+            Ok((key, bucket.to_vec()))
+        })
+        .collect()
 }
 
-/// Writes one [`crate::postings::CompressedPostings`] as three aligned
-/// fields: the sorted key array, the **byte**-offset table
-/// (`keys.len() + 1` entries into the arena), and the delta+varint arena
-/// itself, persisted verbatim — the format-v2 base-segment encoding
-/// (`docs/PERSISTENCE.md` §format-v2). Contrast with [`write_bucket_map`],
-/// whose offsets count *ids*, not bytes.
-pub fn write_postings(w: &mut Writer, p: &crate::postings::CompressedPostings) {
+/// Writes one [`CompressedPostings`] as three aligned fields: the sorted key
+/// array, the **byte**-offset table (`keys.len() + 1` entries into the
+/// arena), and the delta+varint arena itself, persisted verbatim — the
+/// base-segment encoding (`docs/PERSISTENCE.md` §2.2). Contrast with
+/// [`write_bucket_map`], whose offsets count *ids*, not bytes.
+pub fn write_postings(w: &mut Writer, p: &CompressedPostings) {
     // lint:allow(nondeterministic-iter, CompressedPostings::keys is the sorted key array of the compressed encoding — a Vec accessor, not a hash map)
     w.put_u64_slice(p.keys());
     w.put_u64_slice(p.offsets());
     w.put_bytes(p.arena());
 }
 
-/// Decodes a posting map written by [`write_postings`], delegating every
-/// structural check (key order, offset consistency, varint well-formedness,
-/// strictly ascending ids in `min_id..n_slots`) to
-/// [`crate::postings::CompressedPostings::from_parts`]. Corruption maps to
-/// [`PersistError::Malformed`] naming the violated invariant.
+/// Decodes a base segment at the reader's format version — the one layout
+/// in the format that depends on it. Since v2 it is the [`write_postings`]
+/// encoding, every structural check (key order, offset consistency, varint
+/// well-formedness, strictly ascending ids in `min_id..n_slots`) delegated
+/// to [`CompressedPostings::from_parts`]; v1 stored a [`write_bucket_map`]
+/// map, whose checked buckets stream into a [`PostingsEncoder`]. Corruption
+/// maps to [`PersistError::Malformed`] naming the violated invariant.
 pub fn read_postings(
     r: &mut Reader<'_>,
     n_slots: usize,
     min_id: u32,
-) -> Result<crate::postings::CompressedPostings, PersistError> {
-    use crate::postings::PostingsError;
-    let keys = r.get_u64_vec()?;
-    let offsets = r.get_u64_vec()?;
-    let arena = r.get_bytes()?;
-    crate::postings::CompressedPostings::from_parts(keys, offsets, arena, n_slots, min_id).map_err(
-        |e| {
-            PersistError::Malformed(match e {
-                PostingsError::Truncated => "postings varint truncated mid-bucket",
-                PostingsError::Overflow => "postings varint exceeds u32 range",
-                PostingsError::NonMonotone => "postings bucket ids not strictly ascending",
-                PostingsError::KeyOrder => "postings keys not strictly ascending",
-                PostingsError::OffsetTable => "postings offset table inconsistent",
-                PostingsError::IdOutOfRange => "postings id outside slot range",
-            })
-        },
-    )
-}
-
-/// Writes a [`crate::postings::CompressedPostings`] in the **v1**
-/// bucket-map layout (sorted keys, id-count offsets, flat id array) — the
-/// v1 encoding of [`crate::LsfIndex::write_payload`], which the v1-reader
-/// test uses to handcraft legacy files.
-pub fn write_postings_as_bucket_map(w: &mut Writer, p: &crate::postings::CompressedPostings) {
-    let mut keys: Vec<u64> = Vec::with_capacity(p.bucket_count());
-    let mut offsets: Vec<u64> = Vec::with_capacity(p.bucket_count() + 1);
-    offsets.push(0);
-    let mut flat: Vec<u32> = Vec::with_capacity(p.posting_count());
-    for (key, cursor) in p.iter() {
-        keys.push(key);
-        flat.extend(cursor);
-        offsets.push(flat.len() as u64);
-    }
-    w.put_u64_slice(&keys);
-    w.put_u64_slice(&offsets);
-    w.put_u32_slice(&flat);
-}
-
-/// Re-encodes a decoded v1 bucket map as compressed postings — the upgrade
-/// half of the v1 read fallback. Infallible: [`read_bucket_map`] has
-/// already enforced sorted keys and strictly ascending in-range ids, which
-/// is exactly the encoder's input contract.
-pub fn compress_bucket_map(map: &FxHashMap<u64, Vec<u32>>) -> crate::postings::CompressedPostings {
-    // lint:allow(nondeterministic-iter, the keys are collected and sorted before any posting is encoded — the result is independent of the map's iteration order)
-    let mut keys: Vec<u64> = map.keys().copied().collect();
-    keys.sort_unstable();
-    let mut enc = crate::postings::PostingsEncoder::new();
-    for key in keys {
-        if let Some(bucket) = map.get(&key) {
-            for &id in bucket {
-                enc.push(key, id);
+) -> Result<CompressedPostings, PersistError> {
+    match r.version {
+        1 => {
+            let mut enc = PostingsEncoder::new();
+            for (key, ids) in read_buckets(r, n_slots, min_id)? {
+                for id in ids {
+                    enc.push(key, id);
+                }
             }
+            Ok(enc.finish())
+        }
+        _ => {
+            let keys = r.get_u64_vec()?;
+            let offsets = r.get_u64_vec()?;
+            let arena = r.get_bytes()?;
+            CompressedPostings::from_parts(keys, offsets, arena, n_slots, min_id).map_err(|e| {
+                PersistError::Malformed(match e {
+                    PostingsError::Truncated => "postings varint truncated mid-bucket",
+                    PostingsError::Overflow => "postings varint exceeds u32 range",
+                    PostingsError::NonMonotone => "postings bucket ids not strictly ascending",
+                    PostingsError::KeyOrder => "postings keys not strictly ascending",
+                    PostingsError::OffsetTable => "postings offset table inconsistent",
+                    PostingsError::IdOutOfRange => "postings id outside slot range",
+                })
+            })
         }
     }
-    enc.finish()
 }
 
-/// Writes a container file: header (magic, version, `kind`, length,
-/// checksum) followed by `payload`. The write goes to a `.tmp` sibling first
-/// and is renamed into place, so a crash mid-write never leaves a
-/// half-written file at `path`.
-///
-/// Stamps [`FORMAT_VERSION`] — callers producing version-dependent payloads
-/// (the LSF family) encode for that same version.
+/// Writes a container file: header (magic, [`FORMAT_VERSION`], `kind`,
+/// length, checksum) followed by `payload`. The write goes to a `.tmp`
+/// sibling first and is renamed into place, so a crash mid-write never
+/// leaves a half-written file at `path`.
 pub fn write_container(path: &Path, kind: u32, payload: &[u8]) -> Result<(), PersistError> {
-    write_container_versioned(path, kind, payload, FORMAT_VERSION)
-}
-
-/// [`write_container`] with an explicit header version, for writing a
-/// payload encoded for an older format (how tests handcraft v1 files).
-pub fn write_container_versioned(
-    path: &Path,
-    kind: u32,
-    payload: &[u8],
-    version: u32,
-) -> Result<(), PersistError> {
     let mut file = Vec::with_capacity(32 + payload.len());
     file.extend_from_slice(&MAGIC);
-    file.extend_from_slice(&version.to_le_bytes());
+    file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     file.extend_from_slice(&kind.to_le_bytes());
     file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
@@ -671,77 +688,49 @@ pub fn write_container_versioned(
     Ok(())
 }
 
-/// Reads and validates a container file, returning its payload. Checks, in
-/// order: magic, format version, container kind, declared payload length,
-/// and the FNV-1a-64 checksum — each failure maps to its own
-/// [`PersistError`] variant. Version-independent payloads (MinHash,
-/// manifests) use this; version-dependent ones use
-/// [`read_container_versioned`].
-pub fn read_container(path: &Path, expected_kind: u32) -> Result<Vec<u8>, PersistError> {
-    read_container_versioned(path, expected_kind).map(|(payload, _)| payload)
-}
-
-/// [`read_container`] that also returns the file's format version, so the
-/// caller can pick the matching payload decoder. Accepts every version in
-/// `1..=FORMAT_VERSION`; anything else is [`PersistError::UnsupportedVersion`].
-pub fn read_container_versioned(
+/// Reads the container at `path` and decodes its payload with `decode` —
+/// the one way a `.skx` file is opened for reading. Checks, in order:
+/// magic, format version (any of `1..=FORMAT_VERSION`), container kind,
+/// declared payload length, and the FNV-1a-64 checksum, each failure its
+/// own [`PersistError`] variant. `decode` gets a [`Reader`] at the header's
+/// version and must consume the payload exactly: leftover bytes are
+/// [`PersistError::Malformed`].
+pub fn load_container<T>(
     path: &Path,
     expected_kind: u32,
-) -> Result<(Vec<u8>, u32), PersistError> {
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
     let bytes = std::fs::read(path)?;
-    let header = bytes.get(..32).ok_or(PersistError::Truncated)?;
-    if header[..8] != MAGIC {
+    let (header, payload) = bytes.split_at_checked(32).ok_or(PersistError::Truncated)?;
+    let mut header = Reader::new(header);
+    if *header.take(8)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let field_u32 = |off: usize| {
-        let mut le = [0u8; 4];
-        le.copy_from_slice(&header[off..off + 4]);
-        u32::from_le_bytes(le)
-    };
-    let field_u64 = |off: usize| {
-        let mut le = [0u8; 8];
-        le.copy_from_slice(&header[off..off + 8]);
-        u64::from_le_bytes(le)
-    };
-    let version = field_u32(8);
+    let version_and_kind = header.get_u64()?;
+    let (version, found) = (version_and_kind as u32, (version_and_kind >> 32) as u32);
     if !(1..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let found = field_u32(12);
     if found != expected_kind {
         return Err(PersistError::WrongKind {
             expected: expected_kind,
             found,
         });
     }
-    let declared: usize = field_u64(16)
-        .try_into()
-        .map_err(|_| PersistError::Truncated)?;
-    let payload = bytes.get(32..).ok_or(PersistError::Truncated)?;
-    if payload.len() != declared {
+    if header.get_u64()? != payload.len() as u64 {
         return Err(PersistError::Truncated);
     }
-    if fnv1a64(payload) != field_u64(24) {
+    if fnv1a64(payload) != header.get_u64()? {
         return Err(PersistError::ChecksumMismatch);
     }
-    Ok((payload.to_vec(), version))
-}
-
-/// Reads a container of kind `expected_kind` and decodes its payload with
-/// `decode`, which receives the file's format version and must consume the
-/// payload exactly: leftover bytes are [`PersistError::Malformed`].
-pub fn load_container<T>(
-    path: &Path,
-    expected_kind: u32,
-    decode: impl FnOnce(&mut Reader<'_>, u32) -> Result<T, PersistError>,
-) -> Result<T, PersistError> {
-    let (payload, version) = read_container_versioned(path, expected_kind)?;
-    let mut r = Reader::new(&payload);
-    let value = decode(&mut r, version)?;
+    let mut r = Reader {
+        buf: payload,
+        pos: 0,
+        version,
+    };
+    let value = decode(&mut r)?;
     if !r.is_empty() {
-        return Err(PersistError::Malformed(
-            "trailing bytes after index payload",
-        ));
+        return Err(PersistError::Malformed("trailing bytes after the payload"));
     }
     Ok(value)
 }
@@ -811,6 +800,13 @@ pub trait PersistScheme: Sized {
     /// Decodes a calibration previously written by
     /// [`PersistScheme::encode_scheme`].
     fn decode_scheme(r: &mut Reader<'_>) -> Result<Self, PersistError>;
+
+    /// The length of the calibration's per-dimension table, if it has one.
+    /// [`crate::LsfIndex::read_payload`] rejects a table that is not one
+    /// entry per dimension of the profile decoded after it.
+    fn table_len(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// One shard's entry in a [`ShardManifest`]: where its container file lives
@@ -839,7 +835,7 @@ pub struct ShardManifestEntry {
 /// # Examples
 ///
 /// ```
-/// use skewsearch_core::persist::{ShardManifest, ShardManifestEntry};
+/// use skewsearch_core::persist::{Reader, ShardManifest, ShardManifestEntry};
 /// use skewsearch_core::ShardStrategy;
 ///
 /// let manifest = ShardManifest {
@@ -863,7 +859,7 @@ pub struct ShardManifestEntry {
 /// };
 /// // The encoding round-trips exactly.
 /// let payload = manifest.encode();
-/// let back = ShardManifest::decode(&payload).unwrap();
+/// let back = ShardManifest::decode(&mut Reader::new(&payload)).unwrap();
 /// assert_eq!(back, manifest);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -918,8 +914,9 @@ impl ShardManifest {
     }
 
     /// Decodes a manifest payload written by [`ShardManifest::encode`].
-    pub fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::new(payload);
+    /// Whether the manifest agrees with its shards is for
+    /// [`crate::ShardedIndex::load`] to check once it has loaded them.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let strategy = match r.get_u32()? {
             1 => ShardStrategy::ByRepetition,
             2 => ShardStrategy::ByDataset,
@@ -953,9 +950,6 @@ impl ShardManifest {
                 pass_offset,
                 id_map,
             });
-        }
-        if !r.is_empty() {
-            return Err(PersistError::Malformed("trailing bytes after manifest"));
         }
         Ok(Self {
             strategy,
@@ -1046,15 +1040,13 @@ mod tests {
     fn container_header_is_validated_field_by_field() {
         let path = temp_path("header");
         write_container(&path, kind::LSF, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        let read = |kind| load_container(&path, kind, |r| Ok(r.get_u64()?.to_le_bytes()));
 
         // Round trip.
-        assert_eq!(
-            read_container(&path, kind::LSF).unwrap(),
-            vec![1, 2, 3, 4, 5, 6, 7, 8]
-        );
+        assert_eq!(read(kind::LSF).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
         // Wrong kind.
         assert!(matches!(
-            read_container(&path, kind::MINHASH),
+            read(kind::MINHASH),
             Err(PersistError::WrongKind {
                 expected: kind::MINHASH,
                 found: kind::LSF
@@ -1066,45 +1058,33 @@ mod tests {
         let mut bad = original.clone();
         bad[0] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_container(&path, kind::LSF),
-            Err(PersistError::BadMagic)
-        ));
+        assert!(matches!(read(kind::LSF), Err(PersistError::BadMagic)));
         // Unsupported version.
         let mut bad = original.clone();
         bad[8] = 99;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            read_container(&path, kind::LSF),
+            read(kind::LSF),
             Err(PersistError::UnsupportedVersion(99))
         ));
         // Truncated payload.
         std::fs::write(&path, &original[..original.len() - 1]).unwrap();
-        assert!(matches!(
-            read_container(&path, kind::LSF),
-            Err(PersistError::Truncated)
-        ));
+        assert!(matches!(read(kind::LSF), Err(PersistError::Truncated)));
         // Header shorter than 32 bytes.
         std::fs::write(&path, &original[..16]).unwrap();
-        assert!(matches!(
-            read_container(&path, kind::LSF),
-            Err(PersistError::Truncated)
-        ));
+        assert!(matches!(read(kind::LSF), Err(PersistError::Truncated)));
         // Flipped payload byte fails the checksum.
         let mut bad = original.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            read_container(&path, kind::LSF),
+            read(kind::LSF),
             Err(PersistError::ChecksumMismatch)
         ));
         // Missing file is an Io error.
         std::fs::remove_file(&path).unwrap();
-        assert!(matches!(
-            read_container(&path, kind::LSF),
-            Err(PersistError::Io(_))
-        ));
+        assert!(matches!(read(kind::LSF), Err(PersistError::Io(_))));
     }
 
     #[test]
@@ -1130,20 +1110,26 @@ mod tests {
             }],
         };
         let payload = manifest.encode();
-        assert_eq!(ShardManifest::decode(&payload).unwrap(), manifest);
+        assert_eq!(
+            ShardManifest::decode(&mut Reader::new(&payload)).unwrap(),
+            manifest
+        );
         // Corrupting the strategy tag yields Malformed, not a panic.
         let mut bad = payload.clone();
         bad[0] = 9;
         assert!(matches!(
-            ShardManifest::decode(&bad),
+            ShardManifest::decode(&mut Reader::new(&bad)),
             Err(PersistError::Malformed(_))
         ));
         // Trailing garbage is rejected.
         let mut long = payload.clone();
         long.extend_from_slice(&[0u8; 8]);
+        let path = temp_path("manifest");
+        write_container(&path, kind::MANIFEST, &long).unwrap();
         assert!(matches!(
-            ShardManifest::decode(&long),
+            load_container(&path, kind::MANIFEST, ShardManifest::decode),
             Err(PersistError::Malformed(_))
         ));
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -304,6 +304,11 @@ impl PersistScheme for CorrelatedScheme {
             depth_bound,
         })
     }
+
+    /// The `p̂·Σp` table, one entry per dimension.
+    fn table_len(&self) -> Option<usize> {
+        Some(self.phat_w.len())
+    }
 }
 
 impl PersistScheme for ChosenPathScheme {

@@ -71,6 +71,9 @@
 
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::index::LsfIndex;
+use crate::persist::{
+    kind, load_container, write_container, Persist, PersistError, ShardManifest, ShardManifestEntry,
+};
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
     DeadlineExceeded, Match, MutationError, PassSource, ProbeControl, SetId, SetSimilaritySearch,
@@ -380,7 +383,7 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
     }
 }
 
-impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
+impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     /// Saves the whole deployment into `dir` (created if missing): one
     /// container file per shard (`shard-0000.skx`, `shard-0001.skx`, …) plus
     /// a `manifest.skx` recording the strategy, thresholds, watermark, owner
@@ -423,19 +426,19 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
     /// assert_eq!(restored.search_all(&q), sharded.search_all(&q));
     /// assert_eq!(restored.shard_count(), sharded.shard_count());
     /// ```
-    pub fn save(&self, dir: &std::path::Path) -> Result<(), crate::persist::PersistError> {
+    pub fn save(&self, dir: &std::path::Path) -> Result<(), PersistError> {
         std::fs::create_dir_all(dir)?;
         let mut entries = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
             let file = format!("shard-{i:04}.skx");
             shard.index.save(&dir.join(&file))?;
-            entries.push(crate::persist::ShardManifestEntry {
+            entries.push(ShardManifestEntry {
                 file,
                 pass_offset: shard.pass_offset,
                 id_map: shard.id_map.clone(),
             });
         }
-        let manifest = crate::persist::ShardManifest {
+        let manifest = ShardManifest {
             strategy: self.strategy,
             threshold: self.threshold,
             len: self.len,
@@ -443,44 +446,39 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
             owner: self.owner.clone(),
             shards: entries,
         };
-        crate::persist::write_container(
+        write_container(
             &dir.join("manifest.skx"),
-            crate::persist::kind::MANIFEST,
+            kind::MANIFEST,
             &manifest.encode(),
         )
     }
 
     /// Restores a deployment saved by [`ShardedIndex::save`]: reads and
-    /// validates `dir/manifest.skx`, then loads every shard file it lists.
-    /// Fails with a typed [`crate::persist::PersistError`] on a corrupt
-    /// manifest, a missing or corrupt shard file, or a manifest listing no
-    /// shards — never panics.
+    /// validates `dir/manifest.skx`, loads every shard file it lists, and
+    /// checks the manifest against the loaded shards. Fails with a typed
+    /// [`PersistError`] on a corrupt manifest, a missing or corrupt shard
+    /// file, or a manifest that disagrees with its shards (the checks of
+    /// `docs/PERSISTENCE.md` §7.1) — never panics.
     ///
     /// The fan-out/batch worker counts are runtime knobs, not index state;
     /// they reset to their defaults (one worker per core) and can be re-set
     /// with [`ShardedIndex::with_fanout_threads`] /
     /// [`ShardedIndex::with_query_threads`].
-    pub fn load(dir: &std::path::Path) -> Result<Self, crate::persist::PersistError> {
-        let payload = crate::persist::read_container(
+    pub fn load(dir: &std::path::Path) -> Result<Self, PersistError> {
+        let manifest = load_container(
             &dir.join("manifest.skx"),
-            crate::persist::kind::MANIFEST,
+            kind::MANIFEST,
+            ShardManifest::decode,
         )?;
-        let manifest = crate::persist::ShardManifest::decode(&payload)?;
-        if manifest.shards.is_empty() {
-            return Err(crate::persist::PersistError::Malformed(
-                "manifest lists no shards",
-            ));
-        }
         let mut shards = Vec::with_capacity(manifest.shards.len());
-        for entry in &manifest.shards {
-            let index = S::load(&dir.join(&entry.file))?;
+        for entry in manifest.shards {
             shards.push(Shard {
-                index,
+                index: S::load(&dir.join(&entry.file))?,
                 pass_offset: entry.pass_offset,
-                id_map: entry.id_map.clone(),
+                id_map: entry.id_map,
             });
         }
-        Ok(Self {
+        let index = Self {
             shards,
             strategy: manifest.strategy,
             threshold: manifest.threshold,
@@ -489,7 +487,57 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
             owner: manifest.owner,
             fanout_threads: 0,
             query_threads: 0,
-        })
+        };
+        index.check_manifest()?;
+        Ok(index)
+    }
+
+    /// The invariants [`ShardedIndex::build`] establishes and the merge and
+    /// mutation paths index by, checked on a loaded deployment. Every shard
+    /// shares the manifest's threshold. Under `ByDataset`, pass offsets are
+    /// 0, and each shard's id map is strictly ascending and as long as its
+    /// slot count; the owner table, `next_id` long, is their exact inverse;
+    /// the shards' live counts sum to `len`. Under `ByRepetition`, there are
+    /// no id maps and no owner table, every shard holds `next_id` slots and
+    /// `len` live sets, and pass offsets are the running sum of the shards'
+    /// passes.
+    fn check_manifest(&self) -> Result<(), PersistError> {
+        if self.shards.is_empty() {
+            return Err(PersistError::Malformed("manifest lists no shards"));
+        }
+        let dataset = self.strategy == ShardStrategy::ByDataset;
+        let mut ok = self.owner.len() == if dataset { self.next_id } else { 0 };
+        let (mut passes, mut slots, mut live) = (0usize, 0usize, 0usize);
+        for (k, shard) in self.shards.iter().enumerate() {
+            ok &= shard.index.threshold() == self.threshold
+                && shard.pass_offset as usize == if dataset { 0 } else { passes };
+            match &shard.id_map {
+                Some(map) if dataset => {
+                    ok &= map.len() == shard.index.slot_count()
+                        && map.windows(2).all(|w| w[0] < w[1])
+                        && map.iter().enumerate().all(|(local, &global)| {
+                            self.owner.get(global as usize) == Some(&(k as u32, local as u32))
+                        });
+                    slots += map.len();
+                    live += shard.index.len();
+                }
+                None if !dataset => {
+                    ok &= shard.index.slot_count() == self.next_id && shard.index.len() == self.len;
+                }
+                _ => ok = false,
+            }
+            passes += shard.index.passes();
+        }
+        if dataset {
+            ok &= slots == self.next_id && live == self.len;
+        }
+        if ok {
+            Ok(())
+        } else {
+            Err(PersistError::Malformed(
+                "manifest disagrees with its shards",
+            ))
+        }
     }
 }
 

@@ -12,7 +12,6 @@
 use crate::index::LsfIndex;
 use crate::persist::{
     load_container, write_container, Persist, PersistError, PersistScheme, Reader, Writer,
-    FORMAT_VERSION,
 };
 use crate::plan::QueryPlan;
 use crate::scheme::ThresholdScheme;
@@ -43,8 +42,8 @@ pub trait LsfWrapper: DerefMut<Target = LsfIndex<<Self as LsfWrapper>::Scheme>> 
     fn encode_fields(&self, w: &mut Writer);
 
     /// Decodes the prefix [`LsfWrapper::encode_fields`] wrote, then the
-    /// embedded payload of container format `version`.
-    fn decode(r: &mut Reader<'_>, version: u32) -> Result<Self, PersistError>;
+    /// embedded payload.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError>;
 }
 
 impl<W: LsfWrapper> SetSimilaritySearch for W {
@@ -126,7 +125,7 @@ impl<W: LsfWrapper> Persist for W {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
         let mut w = Writer::new();
         self.encode_fields(&mut w);
-        self.write_payload(&mut w, FORMAT_VERSION);
+        self.write_payload(&mut w);
         write_container(path, W::KIND, &w.into_payload())
     }
 

@@ -5,25 +5,33 @@
 //! saved, and whole sharded deployments at every shard count under both
 //! strategies.
 //!
+//! Every round trip also re-saves the reloaded index and requires the same
+//! bytes as the first save (every file of a sharded deployment included):
+//! `save(load(x)) == x`.
+//!
 //! A second block pins the failure contract: truncated files, wrong magic,
-//! unsupported versions, mismatched container kinds, and flipped payload
-//! bytes must all surface as typed [`PersistError`]s — never panics, never a
-//! silently wrong index. A proptest block randomizes the dataset and query
-//! stream over the correlated index round trip.
+//! unsupported versions, mismatched container kinds, flipped payload bytes,
+//! and checksummed files whose contents disagree (a scheme table shorter
+//! than the profile, a shard manifest that does not match its shards) must
+//! all surface as typed [`PersistError`]s — never panics, never a silently
+//! wrong index. A proptest block randomizes the dataset and query stream
+//! over the correlated index round trip.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
-use skewsearch::core::persist::{kind, Writer};
+use skewsearch::core::persist::{kind, write_bucket_map, write_container, Reader, Writer};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CorrelatedIndex,
-    CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Persist, PersistError,
-    PersistScheme, Repetitions, SetSimilaritySearch, ShardStrategy, ShardedIndex, ThresholdScheme,
+    AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Persist,
+    PersistError, PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest,
+    ShardManifestEntry, ShardStrategy, Shardable, ShardedIndex, ThresholdScheme,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
+use skewsearch::hashing::FxHashMap;
 use skewsearch::join::similarity_join;
 use skewsearch::sets::SparseVec;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 0xD15C;
@@ -102,7 +110,8 @@ fn assert_same_answers<I: SetSimilaritySearch>(
     );
 }
 
-/// Round-trips `index` through a scratch file and checks every surface.
+/// Round-trips `index` through a scratch file and checks every surface,
+/// and that re-saving the reloaded index writes the same bytes.
 fn assert_round_trip<I: Persist + SetSimilaritySearch>(
     index: &I,
     queries: &[SparseVec],
@@ -112,9 +121,59 @@ fn assert_round_trip<I: Persist + SetSimilaritySearch>(
     index
         .save(&path)
         .unwrap_or_else(|e| panic!("{label} save: {e}"));
+    let saved = std::fs::read(&path).unwrap();
     let reloaded = I::load(&path).unwrap_or_else(|e| panic!("{label} load: {e}"));
+    reloaded
+        .save(&path)
+        .unwrap_or_else(|e| panic!("{label} re-save: {e}"));
+    assert!(
+        std::fs::read(&path).unwrap() == saved,
+        "{label}: save(load(x)) is not byte-identical to x"
+    );
     let _ = std::fs::remove_file(&path);
     assert_same_answers(index, &reloaded, queries, label);
+    reloaded
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn dir_contents(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name(), std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Round-trips a sharded deployment through a scratch directory, and
+/// checks that re-saving the reloaded deployment writes the same files,
+/// byte for byte.
+fn sharded_round_trip<S: Shardable + Persist + Send + Sync>(
+    sharded: &ShardedIndex<S>,
+    label: &str,
+) -> ShardedIndex<S> {
+    let dir = scratch("sharded");
+    sharded
+        .save(&dir)
+        .unwrap_or_else(|e| panic!("{label} save: {e}"));
+    let reloaded = ShardedIndex::<S>::load(&dir).unwrap_or_else(|e| panic!("{label} load: {e}"));
+    let resaved = scratch("sharded_resave");
+    reloaded
+        .save(&resaved)
+        .unwrap_or_else(|e| panic!("{label} re-save: {e}"));
+    let (first, second) = (dir_contents(&dir), dir_contents(&resaved));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&resaved);
+    let names = |files: &[(std::ffi::OsString, Vec<u8>)]| -> Vec<std::ffi::OsString> {
+        files.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(&second), names(&first), "{label} re-saved file set");
+    for ((name, a), (_, b)) in first.iter().zip(&second) {
+        assert!(a == b, "{label}: re-saved {name:?} is not byte-identical");
+    }
     reloaded
 }
 
@@ -289,11 +348,12 @@ fn mutated_then_compacted_index_round_trips_as_format_v2() {
 
 #[test]
 fn legacy_v1_files_still_load() {
-    // The v1 fallback: a file written in the uncompressed bucket-map layout
-    // (version 1 in the header) must load into the compressed substrate and
-    // answer byte-identically. The file is handcrafted through the public
-    // versioned writer, with the v1 payload encoder as the reference.
-    use skewsearch::core::persist::{kind, write_container_versioned, Writer};
+    // The v1 fallback: a file whose base segments use the §2.1 bucket-map
+    // layout (version 1 in the header) must load into the compressed
+    // substrate and answer byte-identically. The index is saved at the
+    // current version and its payload transcoded to v1 by the spec alone
+    // (docs/PERSISTENCE.md §2.1, §4), so this also checks that the spec is
+    // complete enough to decode from.
     let (ds, profile, queries) = fixture(200, SEED ^ 22);
     let mut rng = StdRng::seed_from_u64(SEED ^ 23);
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
@@ -313,32 +373,75 @@ fn legacy_v1_files_still_load() {
     index.remove(5).unwrap();
 
     let path = scratch("legacy_v1");
-    let mut w = Writer::new();
-    index.write_payload(&mut w, 1);
-    write_container_versioned(&path, kind::LSF, &w.into_payload(), 1).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    assert_eq!(version, 1, "handcrafted file carries the v1 header");
+    index.save(&path).unwrap();
+    let current = std::fs::read(&path).unwrap();
+    write_container(&path, kind::LSF, &transcode_to_v1(&current[32..])).unwrap();
+    // The checksum covers only the payload, so stamping version 1 into
+    // header bytes 8..12 keeps the file valid.
+    let mut v1 = std::fs::read(&path).unwrap();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &v1).unwrap();
 
     let reloaded = LsfIndex::<CorrelatedScheme>::load(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
     assert_same_answers(&index, &reloaded, &queries, "legacy v1");
-
-    // And a v1 file round-trips onward at the current format version (an
-    // upgrade to v2): saving the reloaded index re-encodes the layout
-    // without changing an answer.
-    let path2 = scratch("legacy_v1_upgraded");
-    reloaded.save(&path2).unwrap();
-    let bytes = std::fs::read(&path2).unwrap();
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    assert_eq!(
-        version,
-        skewsearch::core::persist::FORMAT_VERSION,
-        "re-save writes the active version"
+    // Saving it again writes the current version: exactly the bytes the
+    // original index saved.
+    reloaded.save(&path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == current,
+        "save(load(v1)) differs from the current-version save"
     );
-    let upgraded = LsfIndex::<CorrelatedScheme>::load(&path2).unwrap();
-    let _ = std::fs::remove_file(&path2);
-    assert_same_answers(&reloaded, &upgraded, &queries, "v1→v2 upgrade");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Rewrites a current-version kind-1 `LsfIndex<CorrelatedScheme>` payload in
+/// the v1 layout: every §4 field copied through, except that each base
+/// segment goes from §2.2 postings to a §2.1 bucket map.
+fn transcode_to_v1(payload: &[u8]) -> Vec<u8> {
+    let mut r = Reader::new(payload);
+    let mut w = Writer::new();
+    // Scheme tag and calibration, then the profile.
+    w.put_u32(r.get_u32().unwrap());
+    CorrelatedScheme::decode_scheme(&mut r)
+        .unwrap()
+        .encode_scheme(&mut w);
+    w.put_f64_slice(&r.get_f64_vec().unwrap());
+    // verify_threshold, six counters, six build stats: 13 words.
+    for _ in 0..13 {
+        w.put_u64(r.get_u64().unwrap());
+    }
+    let n = r.get_u64().unwrap();
+    w.put_u64(n);
+    w.put_u64_slice(&r.get_u64_vec().unwrap()); // vector offsets
+    w.put_u32_slice(&r.get_u32_vec().unwrap()); // vector dims
+    w.put_bitmap(&r.get_bitmap().unwrap());
+    let reps = r.get_u64().unwrap();
+    w.put_u64(reps);
+    for _ in 0..reps {
+        let levels = r.get_u64().unwrap();
+        w.put_u64(levels);
+        for _ in 0..3 * levels {
+            w.put_u128(r.get_u128().unwrap());
+        }
+        w.put_u64_slice(&r.get_u64_vec().unwrap()); // interner
+        let base = CompressedPostings::from_parts(
+            r.get_u64_vec().unwrap(),
+            r.get_u64_vec().unwrap(),
+            r.get_bytes().unwrap(),
+            n as usize,
+            0,
+        )
+        .unwrap();
+        let map: FxHashMap<u64, Vec<u32>> =
+            base.iter().map(|(k, ids)| (k, ids.collect())).collect();
+        write_bucket_map(&mut w, &map);
+        // The delta segment is a bucket map in both versions.
+        w.put_u64_slice(&r.get_u64_vec().unwrap());
+        w.put_u64_slice(&r.get_u64_vec().unwrap());
+        w.put_u32_slice(&r.get_u32_vec().unwrap());
+    }
+    assert!(r.is_empty(), "transcoding consumed the whole payload");
+    w.into_payload()
 }
 
 #[test]
@@ -350,13 +453,7 @@ fn sharded_deployments_round_trip() {
     for strategy in STRATEGIES {
         for shards in [1usize, 3, 8] {
             let sharded = ShardedIndex::build(&index, strategy, shards);
-            let dir = scratch("sharded");
-            sharded
-                .save(&dir)
-                .unwrap_or_else(|e| panic!("{strategy:?}/{shards} save: {e}"));
-            let reloaded = ShardedIndex::<CorrelatedIndex>::load(&dir)
-                .unwrap_or_else(|e| panic!("{strategy:?}/{shards} load: {e}"));
-            let _ = std::fs::remove_dir_all(&dir);
+            let reloaded = sharded_round_trip(&sharded, &format!("{strategy:?}/{shards}"));
             assert_eq!(reloaded.strategy(), strategy);
             assert_eq!(reloaded.shard_count(), sharded.shard_count());
             assert_eq!(reloaded.shard_lens(), sharded.shard_lens());
@@ -379,10 +476,7 @@ fn sharded_minhash_round_trips() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 15);
     let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
     let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 3);
-    let dir = scratch("sharded_mh");
-    sharded.save(&dir).unwrap();
-    let reloaded = ShardedIndex::<MinHashLsh>::load(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+    let reloaded = sharded_round_trip(&sharded, "ShardedIndex<MinHashLsh>");
     assert_same_answers(&sharded, &reloaded, &queries, "ShardedIndex<MinHashLsh>");
 }
 
@@ -609,6 +703,212 @@ fn manifest_missing_shard_file_is_io_error() {
         Err(PersistError::Io(_))
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fails unless `result` is [`PersistError::Malformed`].
+fn assert_malformed<T>(result: Result<T, PersistError>, what: &str) {
+    match result {
+        Err(PersistError::Malformed(_)) => {}
+        Err(e) => panic!("{what}: expected Malformed, got {e}"),
+        Ok(_) => panic!("{what}: loaded without error"),
+    }
+}
+
+/// Decodes a manifest payload by the spec alone (docs/PERSISTENCE.md §7).
+fn decode_manifest(payload: &[u8]) -> ShardManifest {
+    let mut r = Reader::new(payload);
+    let strategy = match r.get_u32().unwrap() {
+        1 => ShardStrategy::ByRepetition,
+        _ => ShardStrategy::ByDataset,
+    };
+    let threshold = r.get_f64().unwrap();
+    let len = r.get_u64().unwrap() as usize;
+    let next_id = r.get_u64().unwrap() as usize;
+    assert_eq!(r.get_u32().unwrap(), 1, "plan-broadcast flag");
+    let owner = (0..r.get_u64().unwrap())
+        .map(|_| {
+            let packed = r.get_u64().unwrap();
+            (packed as u32, (packed >> 32) as u32)
+        })
+        .collect();
+    let shards = (0..r.get_u64().unwrap())
+        .map(|_| {
+            let pass_offset = r.get_u32().unwrap();
+            let id_map = (r.get_u32().unwrap() == 1).then(|| r.get_u32_vec().unwrap());
+            ShardManifestEntry {
+                pass_offset,
+                id_map,
+                file: r.get_string().unwrap(),
+            }
+        })
+        .collect();
+    assert!(r.is_empty(), "decoding consumed the whole manifest");
+    ShardManifest {
+        strategy,
+        threshold,
+        len,
+        next_id,
+        owner,
+        shards,
+    }
+}
+
+/// Saves a 2-shard deployment under `strategy`, rewrites its manifest with
+/// `corrupt`, re-frames it as a valid container, and requires the load to
+/// fail as `Malformed`: the manifest no longer matches its shards.
+fn assert_manifest_rejected(strategy: ShardStrategy, corrupt: impl FnOnce(&mut ShardManifest)) {
+    let (ds, profile, _) = fixture(120, SEED ^ 24);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 25);
+    let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4));
+    let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
+    let dir = scratch("manifest_check");
+    ShardedIndex::build(&index, strategy, 2).save(&dir).unwrap();
+    let path = dir.join("manifest.skx");
+    let payload = std::fs::read(&path).unwrap()[32..].to_vec();
+    let mut manifest = decode_manifest(&payload);
+    assert!(manifest.encode() == payload, "§7 decodes the manifest");
+    corrupt(&mut manifest);
+    write_container(&path, kind::MANIFEST, &manifest.encode()).unwrap();
+    let result = ShardedIndex::<CorrelatedIndex>::load(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_malformed(result, &format!("{strategy:?} manifest"));
+}
+
+#[test]
+fn manifest_owner_pointing_past_the_shards_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.owner[0] = (7, 0));
+}
+
+#[test]
+fn manifest_owner_table_longer_than_next_id_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.owner.push((0, 0)));
+}
+
+#[test]
+fn manifest_dataset_shard_without_id_map_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.shards[0].id_map = None);
+}
+
+#[test]
+fn manifest_id_map_out_of_order_is_malformed() {
+    // Swap two ids and their owner entries: the owner table stays the
+    // inverse of the id maps, only the ascending order breaks.
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| {
+        let map = m.shards[0].id_map.as_mut().unwrap();
+        map.swap(0, 1);
+        let (a, b) = (map[0] as usize, map[1] as usize);
+        m.owner.swap(a, b);
+    });
+}
+
+#[test]
+fn manifest_id_map_past_next_id_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| {
+        let next_id = m.next_id as u32;
+        *m.shards[0].id_map.as_mut().unwrap().last_mut().unwrap() = next_id;
+    });
+}
+
+#[test]
+fn manifest_id_map_length_differing_from_its_shard_is_malformed() {
+    // Move one id from shard 0's map to shard 1's and rebuild the owner
+    // table from the maps: it stays their exact inverse over next_id slots,
+    // but neither map is as long as its shard any more.
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| {
+        let moved = m.shards[0].id_map.as_mut().unwrap().pop().unwrap();
+        let map = m.shards[1].id_map.as_mut().unwrap();
+        map.insert(map.partition_point(|&g| g < moved), moved);
+        for (k, shard) in m.shards.iter().enumerate() {
+            for (local, &global) in shard.id_map.as_ref().unwrap().iter().enumerate() {
+                m.owner[global as usize] = (k as u32, local as u32);
+            }
+        }
+    });
+}
+
+#[test]
+fn manifest_dataset_pass_offset_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.shards[1].pass_offset = 1);
+}
+
+#[test]
+fn manifest_repetition_shard_with_id_map_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| {
+        m.shards[0].id_map = Some((0..m.next_id as u32).collect());
+    });
+}
+
+#[test]
+fn manifest_repetition_owner_table_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| m.owner = vec![(0, 0)]);
+}
+
+#[test]
+fn manifest_repetition_next_id_past_the_shards_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| m.next_id += 1);
+}
+
+#[test]
+fn manifest_pass_offsets_not_a_running_sum_is_malformed() {
+    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| {
+        m.shards[1].pass_offset += 1
+    });
+}
+
+#[test]
+fn manifest_len_disagreeing_with_the_shards_is_malformed() {
+    for strategy in STRATEGIES {
+        assert_manifest_rejected(strategy, |m| m.len += 1);
+    }
+}
+
+#[test]
+fn manifest_threshold_disagreeing_with_the_shards_is_malformed() {
+    for strategy in STRATEGIES {
+        assert_manifest_rejected(strategy, |m| m.threshold /= 2.0);
+    }
+}
+
+#[test]
+fn correlated_table_shorter_than_the_profile_is_malformed() {
+    // A kind-1 Correlated payload whose p̂ table is cut to 10 entries over
+    // d = 400, re-framed as a valid container: a query on any dim past the
+    // cut would index past the table, so the load must fail instead.
+    let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
+    let mut rng = StdRng::seed_from_u64(SEED ^ 26);
+    let ds = Dataset::generate(&profile, 120, &mut rng);
+    let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
+    let index = LsfIndex::build(
+        ds.vectors().to_vec(),
+        profile.clone(),
+        scheme,
+        ALPHA / 1.3,
+        opts(2),
+        &mut rng,
+    );
+    let path = scratch("short_table");
+    index.save(&path).unwrap();
+    let payload = std::fs::read(&path).unwrap()[32..].to_vec();
+    // §3: scheme tag 2, then 1+δ, log2_n, depth_bound and the p̂·Σp table.
+    let mut r = Reader::new(&payload);
+    let mut w = Writer::new();
+    w.put_u32(r.get_u32().unwrap());
+    w.put_f64(r.get_f64().unwrap());
+    w.put_f64(r.get_f64().unwrap());
+    w.put_u64(r.get_u64().unwrap());
+    let table = r.get_f64_vec().unwrap();
+    assert_eq!(table.len(), 400);
+    w.put_f64_slice(&table[..10]);
+    let rest = &payload[payload.len() - r.remaining()..];
+    write_container(
+        &path,
+        kind::LSF,
+        &[w.into_payload(), rest.to_vec()].concat(),
+    )
+    .unwrap();
+    let result = LsfIndex::<CorrelatedScheme>::load(&path);
+    let _ = std::fs::remove_file(&path);
+    assert_malformed(result, "10-entry p̂ table over d = 400");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@
 //! `probe_passes` of the query, tags included.
 //!
 //! Deterministic tests pin the 5 index types; a proptest block randomizes
-//! dataset, correlation target, and repetition count. Degenerate cases ride
+//! dataset, correlation target, and repetition count. Queries carrying dims
+//! outside the indexed universe (`p_i = 0`: never sampled, still counted in
+//! `|q|`) must keep the same equivalence on every index type, and answer
+//! only true matches. Degenerate cases ride
 //! along everywhere: the empty query (a plan with all-empty key lists), the
 //! *unplanned* plan (fused fallback), and plan reuse (probing must not
 //! consume the plan). A final test drives plans through the sharded
@@ -21,11 +24,13 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::baselines::{
+    BruteForce, ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
+};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
     DeadlineExceeded, IndexOptions, LsfIndex, PassSource, ProbeControl, QueryPlan, Repetitions,
-    SetSimilaritySearch, ShardStrategy, ShardedIndex,
+    SetSimilaritySearch, ShardStrategy, ShardedIndex, SplitIndex, SplitParams,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -212,6 +217,98 @@ fn minhash_plan_equivalence() {
     let params = MinHashParams::new(0.6, 0.3).unwrap();
     let index = MinHashLsh::build(&ds, params, &mut rng);
     assert_plan_equivalent(&index, &queries, 1, "MinHashLsh");
+}
+
+/// Plan equivalence on `queries`, plus soundness: every match `index`
+/// returns is in the brute-force answer over `ds` at the index's threshold.
+fn assert_plan_equivalent_and_sound<I: SetSimilaritySearch>(
+    index: &I,
+    ds: &Dataset,
+    queries: &[SparseVec],
+    min_polls: u64,
+    label: &str,
+) {
+    assert_plan_equivalent(index, queries, min_polls, label);
+    let brute = BruteForce::new(ds.vectors().to_vec(), index.threshold());
+    for (i, q) in queries.iter().enumerate() {
+        let truth = brute.search_all(q);
+        for m in index.search_all(q) {
+            assert!(truth.contains(&m), "{label} q={i}: {m:?} is not a match");
+        }
+    }
+}
+
+#[test]
+fn dims_outside_the_universe_keep_plans_equivalent_and_sound() {
+    let (ds, profile, queries) = fixture(250, SEED ^ 8);
+    let d = profile.d() as u32;
+    let extend =
+        |q: &SparseVec| SparseVec::from_unsorted(q.iter().chain([d, d + 7, u32::MAX]).collect());
+    // Every correlated query gains the outside dims, a query of nothing
+    // else rides along, and the empty query stays last.
+    let (empty, correlated) = queries.split_last().unwrap();
+    let mut queries: Vec<SparseVec> = correlated.iter().chain([empty]).map(extend).collect();
+    queries.push(empty.clone());
+    let queries = &queries[..];
+    let mut rng = StdRng::seed_from_u64(SEED ^ 9);
+    let reps = 4;
+
+    let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
+    let lsf = LsfIndex::build(
+        ds.vectors().to_vec(),
+        profile.clone(),
+        scheme,
+        ALPHA / 1.3,
+        opts(reps),
+        &mut rng,
+    );
+    assert_plan_equivalent_and_sound(&lsf, &ds, queries, reps as u64, "LsfIndex");
+    let correlated = CorrelatedIndex::build(
+        &ds,
+        &profile,
+        CorrelatedParams::new(ALPHA)
+            .unwrap()
+            .with_options(opts(reps)),
+        &mut rng,
+    );
+    assert_plan_equivalent_and_sound(&correlated, &ds, queries, reps as u64, "Correlated");
+    let adversarial = AdversarialIndex::build(
+        &ds,
+        &profile,
+        AdversarialParams::new(ALPHA / 1.3)
+            .unwrap()
+            .with_options(opts(reps)),
+        &mut rng,
+    );
+    assert_plan_equivalent_and_sound(&adversarial, &ds, queries, reps as u64, "Adversarial");
+    for q in queries {
+        assert!(adversarial.predicted_rho(q).is_finite());
+    }
+    let chosen_path = ChosenPathIndex::build(
+        &ds,
+        &profile,
+        ChosenPathParams::for_correlated_model(&profile, ALPHA, 1.0 / 1.3)
+            .unwrap()
+            .with_options(opts(reps)),
+        &mut rng,
+    );
+    assert_plan_equivalent_and_sound(&chosen_path, &ds, queries, reps as u64, "ChosenPath");
+    let minhash = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
+    assert_plan_equivalent_and_sound(&minhash, &ds, queries, 1, "MinHashLsh");
+    let prefix = PrefixFilterIndex::build(&ds, ALPHA / 1.3);
+    assert_plan_equivalent_and_sound(&prefix, &ds, queries, 1, "PrefixFilterIndex");
+    let split = SplitIndex::build(
+        &ds,
+        &profile,
+        SplitParams {
+            cut: 60,
+            i1: ALPHA / 1.3,
+            ell: None,
+            options: opts(reps),
+        },
+        &mut rng,
+    );
+    assert_plan_equivalent_and_sound(&split, &ds, queries, 1, "SplitIndex");
 }
 
 #[test]

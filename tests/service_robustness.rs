@@ -12,7 +12,12 @@
 //! `Connection: close`. Releasing the gate lets A and B complete normally,
 //! proving rejection sheds load without corrupting admitted work.
 
-use skewsearch::core::{Match, MutationError, SetId, SetSimilaritySearch};
+use rand::{rngs::StdRng, SeedableRng};
+use skewsearch::core::{
+    CorrelatedIndex, CorrelatedParams, IndexOptions, Match, MutationError, Repetitions, SetId,
+    SetSimilaritySearch,
+};
+use skewsearch::datagen::{BernoulliProfile, Dataset};
 use skewsearch::server::{
     share, ClientError, ErrorKind, QueryService, Server, ServerConfig, ServerHooks, ServiceClient,
 };
@@ -233,6 +238,56 @@ fn malformed_requests_get_typed_4xx_and_never_kill_the_server() {
         assert!(response.contains("Connection: close"), "{response}");
     }
     // The server is still healthy afterwards.
+    let health = client.healthz().expect("healthz");
+    assert_eq!(
+        health.get("ok").and_then(skewsearch::server::Json::as_bool),
+        Some(true)
+    );
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn dims_outside_the_universe_are_served_and_never_kill_a_worker() {
+    // A dim past the index's universe has p_i = 0: a request holding one is
+    // valid. With a single worker, a panic on it would close the connection
+    // and leave nothing to answer the next request.
+    let profile = BernoulliProfile::two_block(1000, 0.2, 0.02).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x0D1);
+    let data = Dataset::generate(&profile, 150, &mut rng);
+    let options = IndexOptions {
+        repetitions: Repetitions::Fixed(4),
+        ..IndexOptions::default()
+    };
+    let params = CorrelatedParams::new(0.8).unwrap().with_options(options);
+    let index = CorrelatedIndex::build(&data, &profile, params, &mut rng);
+    let queries: [Vec<u32>; 2] = [
+        data.vector(3)
+            .iter()
+            .chain([1000, 5000, u32::MAX])
+            .collect(),
+        vec![3, 5000],
+    ];
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| index.search_all_tagged(&SparseVec::from_unsorted(q.clone())))
+        .collect();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        QueryService::new(share(index)),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        ServerHooks::default(),
+    )
+    .expect("bind");
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+
+    for (q, expected) in queries.iter().zip(expected) {
+        assert_eq!(client.search(q, None).expect("search"), expected);
+    }
+    assert_eq!(client.insert(&[3, 5000, u32::MAX]).expect("insert"), 150);
     let health = client.healthz().expect("healthz");
     assert_eq!(
         health.get("ok").and_then(skewsearch::server::Json::as_bool),
