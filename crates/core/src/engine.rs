@@ -20,10 +20,23 @@
 //! and is reported in [`EnumStats`] — correctness degrades gracefully to
 //! "missed filters", never to wrong answers, because candidates are always
 //! verified.
+//!
+//! The DFS runs one *child test* per query dimension at every node, so a
+//! query's enumeration cost is its filter count times about `|x|` tests.
+//! [`EnumContext`] prepares everything a test needs that does not depend
+//! on the path: each dimension's key term `H(i)` ([`PathKey::dim_term`])
+//! and its thresholds pre-scaled for [`LevelHasher::accepts_scaled`]. A
+//! test is then one key extension, one level hash and one compare; the
+//! without-replacement scan of the path runs only for the few children the
+//! hash accepts. Every step decides exactly what the textbook test does,
+//! in the same order, so `F(x)`, its order and [`EnumStats`] are unchanged
+//! (pinned against a reference DFS in this module's tests).
+//!
+//! [`LevelHasher::accepts_scaled`]: skewsearch_hashing::LevelHasher::accepts_scaled
 
 use crate::scheme::ThresholdScheme;
 use skewsearch_datagen::BernoulliProfile;
-use skewsearch_hashing::{PathHasherStack, PathKey};
+use skewsearch_hashing::{LevelHasher, PathHasherStack, PathKey};
 use skewsearch_sets::SparseVec;
 
 /// Default per-vector node budget (expansion attempts across the DFS).
@@ -71,8 +84,8 @@ pub struct EnumStats {
 }
 
 /// Precomputed enumeration inputs for one vector: every scheme threshold
-/// `s(x, j, i)` and per-dimension mass `log₂(1/p_i)` the DFS can touch,
-/// evaluated once up front.
+/// `s(x, j, i)`, per-dimension mass `log₂(1/p_i)` and key term `H(i)` the
+/// DFS can touch, evaluated once up front.
 ///
 /// Thresholds and masses depend only on the vector, the profile, and the
 /// scheme — **not** on the repetition's hash stack — so a query builds this
@@ -83,11 +96,14 @@ pub struct EnumStats {
 /// single-shot callers.
 pub struct EnumContext<'a> {
     x: &'a SparseVec,
-    /// Depth-major threshold matrix: `thresholds[j · |x| + t]` is
-    /// `s(x, j, dims[t])` for `j < max_depth`.
+    /// Depth-major threshold matrix, pre-scaled for
+    /// [`LevelHasher::accepts_scaled`]: `thresholds[j · |x| + t]` is
+    /// `s(x, j, dims[t]) · 2⁵³` for `j < max_depth`.
     thresholds: Vec<f64>,
     /// `masses[t] = log₂(1/p_{dims[t]})`.
     masses: Vec<f64>,
+    /// `terms[t] = H(dims[t])`, the [`PathKey::dim_term`] of each dimension.
+    terms: Vec<u128>,
     max_depth: usize,
 }
 
@@ -110,7 +126,11 @@ impl<'a> EnumContext<'a> {
         let (known, unknown) = dims.split_at(dims.partition_point(|&i| (i as usize) < profile.d()));
         let mut thresholds = Vec::with_capacity(max_depth * dims.len());
         for depth in 0..max_depth {
-            thresholds.extend(known.iter().map(|&i| scheme.threshold(weight, depth, i)));
+            thresholds.extend(
+                known
+                    .iter()
+                    .map(|&i| scheme.threshold(weight, depth, i) * LevelHasher::SCALE),
+            );
             thresholds.extend(unknown.iter().map(|_| 0.0));
         }
         let mut masses: Vec<f64> = known.iter().map(|&i| profile.log2_inv_p(i)).collect();
@@ -119,6 +139,7 @@ impl<'a> EnumContext<'a> {
             x,
             thresholds,
             masses,
+            terms: dims.iter().map(|&i| PathKey::dim_term(i)).collect(),
             max_depth,
         }
     }
@@ -212,17 +233,20 @@ fn dfs<S: ThresholdScheme>(ctx: &mut Ctx<'_, S>, key: PathKey, mass: f64, path: 
             ctx.stats.truncated = true;
             return;
         }
-        // Without replacement: skip dimensions already on the path. Paths are
-        // at most a few dozen long, so a linear scan beats any set structure.
-        if path.contains(&i) {
-            continue;
-        }
+        // The three rejections below only `continue`, so their order is
+        // unobservable; the cheapest and most selective run first.
         let s = row[t];
         if s <= 0.0 {
             continue;
         }
-        let key2 = key.extend(i);
-        if !level.accepts(key2, s) {
+        let key2 = key.extend_term(cache.terms[t]);
+        if !level.accepts_scaled(key2, s) {
+            continue;
+        }
+        // Without replacement: skip dimensions already on the path. Paths are
+        // at most a few dozen long, so a linear scan beats any set structure,
+        // and it runs only for the few children the hash accepted.
+        if path.contains(&i) {
             continue;
         }
         ctx.stats.nodes += 1;
@@ -364,6 +388,144 @@ mod tests {
             assert_eq!(direct, cached, "seed={seed}");
             assert_eq!(sd, sc, "seed={seed}");
         }
+    }
+
+    /// The enumeration as the recursion of §3 states it, kept as the
+    /// engine's oracle: the path scan first, then the scheme's unscaled
+    /// threshold and the level hash of `key.extend(i)` as a unit-interval
+    /// value.
+    struct Reference<'a, S> {
+        x: &'a SparseVec,
+        profile: &'a BernoulliProfile,
+        scheme: &'a S,
+        hashers: &'a PathHasherStack,
+        node_budget: usize,
+        out: Vec<PathKey>,
+        stats: EnumStats,
+    }
+
+    fn reference_dfs<S: ThresholdScheme>(
+        r: &mut Reference<'_, S>,
+        key: PathKey,
+        mass: f64,
+        path: &mut Vec<u32>,
+    ) {
+        let depth = path.len();
+        for &i in r.x.dims() {
+            if r.stats.nodes >= r.node_budget {
+                r.stats.truncated = true;
+                return;
+            }
+            if path.contains(&i) {
+                continue;
+            }
+            let known = (i as usize) < r.profile.d();
+            let s = if known {
+                r.scheme.threshold(r.x.weight(), depth, i)
+            } else {
+                0.0
+            };
+            if s <= 0.0 {
+                continue;
+            }
+            let key2 = key.extend(i);
+            if r.hashers.level(depth).unit(key2) >= s {
+                continue;
+            }
+            r.stats.nodes += 1;
+            let mass2 = mass + r.profile.log2_inv_p(i);
+            if r.scheme.is_complete(mass2, depth + 1) {
+                r.out.push(key2);
+                r.stats.emitted += 1;
+            } else if depth + 1 < r.hashers.max_depth() {
+                path.push(i);
+                reference_dfs(r, key2, mass2, path);
+                path.pop();
+                if r.stats.truncated {
+                    return;
+                }
+            } else {
+                r.stats.depth_capped = true;
+            }
+        }
+    }
+
+    /// `F(x)` and its statistics by the reference recursion.
+    fn reference_enumerate<S: ThresholdScheme>(
+        x: &SparseVec,
+        profile: &BernoulliProfile,
+        scheme: &S,
+        hashers: &PathHasherStack,
+        node_budget: usize,
+    ) -> (Vec<PathKey>, EnumStats) {
+        let mut r = Reference {
+            x,
+            profile,
+            scheme,
+            hashers,
+            node_budget,
+            out: Vec::new(),
+            stats: EnumStats::default(),
+        };
+        reference_dfs(&mut r, PathKey::EMPTY, 0.0, &mut Vec::new());
+        (r.out, r.stats)
+    }
+
+    /// Asserts the engine and the reference agree on `x`; returns the stats.
+    fn assert_matches_reference<S: ThresholdScheme>(
+        x: &SparseVec,
+        profile: &BernoulliProfile,
+        scheme: &S,
+        hashers: &PathHasherStack,
+        node_budget: usize,
+    ) -> EnumStats {
+        let mut out = Vec::new();
+        let stats = enumerate_filters(x, profile, scheme, hashers, node_budget, &mut out);
+        let (want, want_stats) = reference_enumerate(x, profile, scheme, hashers, node_budget);
+        assert_eq!(out, want, "filters differ from the reference");
+        assert_eq!(stats, want_stats, "stats differ from the reference");
+        stats
+    }
+
+    #[test]
+    fn engine_matches_the_reference_recursion() {
+        let p = profile();
+        let sampler = VectorSampler::new(&p);
+        let mut rng = StdRng::seed_from_u64(40);
+        let adversarial = AdversarialScheme::new(0.4, 256, &p);
+        let correlated = CorrelatedScheme::new(0.7, 256, &p);
+        let chosen = ChosenPathScheme::new(0.6, 0.25, 256);
+        let mut emitted = 0;
+        for seed in 41..45 {
+            // Dims past the profile (threshold 0) ride along in one vector.
+            let mut dims = sampler.sample(&mut rng).into_dims();
+            dims.extend([p.d() as u32, u32::MAX]);
+            for x in [sampler.sample(&mut rng), SparseVec::from_unsorted(dims)] {
+                let h = stack(seed, adversarial.depth_bound());
+                emitted +=
+                    assert_matches_reference(&x, &p, &adversarial, &h, DEFAULT_NODE_BUDGET).emitted;
+                let h = stack(seed, correlated.depth_bound());
+                emitted +=
+                    assert_matches_reference(&x, &p, &correlated, &h, DEFAULT_NODE_BUDGET).emitted;
+                let h = stack(seed, chosen.depth_bound());
+                emitted +=
+                    assert_matches_reference(&x, &p, &chosen, &h, DEFAULT_NODE_BUDGET).emitted;
+            }
+        }
+        assert!(emitted > 100, "non-vacuous: {emitted} filters compared");
+
+        // A budget-truncated enumeration stops at the same node.
+        let wide = BernoulliProfile::uniform(64, 0.45).unwrap();
+        let scheme = AdversarialScheme::new(0.05, 1 << 20, &wide);
+        let x = SparseVec::from_unsorted((0..64).collect());
+        let h = stack(46, scheme.depth_bound());
+        assert!(assert_matches_reference(&x, &wide, &scheme, &h, 100).truncated);
+
+        // A stack shallower than the scheme's depth bound caps paths.
+        let h = stack(47, 2);
+        let x = sampler.sample(&mut rng);
+        let capped = assert_matches_reference(&x, &p, &correlated, &h, DEFAULT_NODE_BUDGET);
+        assert!(capped.depth_capped);
     }
 
     #[test]

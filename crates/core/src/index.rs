@@ -17,7 +17,12 @@
 //! * 128-bit path keys are *interned* to 64-bit bucket keys through a
 //!   per-repetition [`TabulationU128`] draw, halving the inverted index's
 //!   key width (an interning collision merges two buckets and at worst
-//!   causes a spurious verification — never a wrong answer).
+//!   causes a spurious verification — never a wrong answer);
+//! * every stored set carries a 256-bit [`SetSignature`], and the verify
+//!   site turns a candidate away without intersecting it when the
+//!   signatures' exact upper bound on the similarity
+//!   ([`similarity::braun_blanquet_bound`]) is already below the threshold —
+//!   most candidates share a filter with the query but few clear the bar.
 
 use crate::batch::batch_map;
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
@@ -35,7 +40,9 @@ use crate::traits::{
 use rand::{Rng, SeedableRng};
 use skewsearch_datagen::BernoulliProfile;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, TabulationU128};
-use skewsearch_sets::{similarity, SparseVec};
+use skewsearch_sets::similarity::{self, SetSignature};
+use skewsearch_sets::SparseVec;
+use table::SetTable;
 
 /// How many independent repetitions to build.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -140,7 +147,8 @@ pub struct QueryStats {
     pub filters: usize,
     /// Posting-list entries touched.
     pub candidates: usize,
-    /// Distinct vectors verified with a similarity computation.
+    /// Distinct candidates handed to the verify site (live or tombstoned,
+    /// intersected or turned away by the signature bound).
     pub verified: usize,
     /// Repetitions probed before returning.
     pub repetitions_probed: usize,
@@ -211,6 +219,67 @@ fn probe_pass_keys(
         }
     }
     true
+}
+
+mod table {
+    use skewsearch_sets::similarity::SetSignature;
+    use skewsearch_sets::SparseVec;
+
+    /// The indexed sets and their signatures, slot by slot. The fields are
+    /// private to this module, so no path can change a set without its
+    /// signature: every mutation below keeps `signatures[i]` equal to
+    /// `SetSignature::of(&sets[i])`.
+    pub(super) struct SetTable {
+        sets: Vec<SparseVec>,
+        signatures: Vec<SetSignature>,
+    }
+
+    impl SetTable {
+        /// The table over `sets`, deriving every signature.
+        pub(super) fn new(sets: Vec<SparseVec>) -> Self {
+            let signatures = sets.iter().map(SetSignature::of).collect();
+            Self { sets, signatures }
+        }
+
+        /// Appends `set` as the next slot.
+        pub(super) fn push(&mut self, set: SparseVec) {
+            self.signatures.push(SetSignature::of(&set));
+            self.sets.push(set);
+        }
+
+        /// Releases slot `slot`'s set: it becomes the empty set, whose
+        /// signature is all zeros.
+        pub(super) fn clear(&mut self, slot: usize) {
+            self.sets[slot] = SparseVec::empty();
+            self.signatures[slot] = SetSignature::default();
+        }
+
+        /// The sets, by slot.
+        pub(super) fn sets(&self) -> &[SparseVec] {
+            &self.sets
+        }
+
+        /// Slot `slot`'s set and signature.
+        #[inline]
+        pub(super) fn get(&self, slot: usize) -> (&SparseVec, &SetSignature) {
+            (&self.sets[slot], &self.signatures[slot])
+        }
+
+        /// Heap bytes of the sets (their headers and dims).
+        pub(super) fn set_bytes(&self) -> usize {
+            self.sets.capacity() * std::mem::size_of::<SparseVec>()
+                + self
+                    .sets
+                    .iter()
+                    .map(|v| std::mem::size_of_val(v.dims()))
+                    .sum::<usize>()
+        }
+
+        /// Heap bytes of the signatures: 32 per slot.
+        pub(super) fn signature_bytes(&self) -> usize {
+            self.signatures.capacity() * std::mem::size_of::<SetSignature>()
+        }
+    }
 }
 
 /// Where [`LsfIndex::walk`] gets each repetition's bucket keys.
@@ -295,7 +364,9 @@ fn enumerate_chunked<S: ThresholdScheme>(
 /// Path baseline.
 pub struct LsfIndex<S: ThresholdScheme> {
     profile: BernoulliProfile,
-    vectors: Vec<SparseVec>,
+    /// The indexed sets and their signatures. Signatures derive from the
+    /// sets, so they are never persisted: every constructor recomputes them.
+    sets: SetTable,
     scheme: S,
     reps: Vec<Repetition>,
     verify_threshold: f64,
@@ -426,7 +497,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
         Self {
             profile,
-            vectors,
+            sets: SetTable::new(vectors),
             scheme,
             reps,
             verify_threshold,
@@ -454,7 +525,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// The indexed vectors.
     pub fn vectors(&self) -> &[SparseVec] {
-        &self.vectors
+        self.sets.sets()
     }
 
     /// The profile the index was built against.
@@ -610,17 +681,26 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         QueryPlan::from_passes(q.clone(), passes)
     }
 
-    /// Verifies candidate `id` against `q`: its [`Match`] iff the slot is
-    /// live and the similarity clears the index's threshold. Stage 3's
-    /// single verification site, shared by every search/probe entry point —
-    /// which makes it the single place tombstones are filtered: a removed
-    /// set may still be probed out of a stale bucket, but it can never be
-    /// answered.
-    fn verified(&self, q: &SparseVec, id: u32) -> Option<Match> {
+    /// Verifies candidate `id` against `q`, whose signature is `q_sig`:
+    /// its [`Match`] iff the slot is live and the similarity clears the
+    /// index's threshold. Stage 3's single verification site, shared by
+    /// every search/probe entry point — which makes it the single place
+    /// tombstones are filtered: a removed set may still be probed out of a
+    /// stale bucket, but it can never be answered.
+    ///
+    /// A live candidate whose signature bound is below the threshold is
+    /// turned away without an intersection; the bound is never below the
+    /// similarity (see [`similarity::braun_blanquet_bound`]), so only
+    /// candidates that would fail anyway are.
+    fn verified(&self, q: &SparseVec, q_sig: &SetSignature, id: u32) -> Option<Match> {
         if !self.alive[id as usize] {
             return None;
         }
-        let sim = similarity::braun_blanquet(&self.vectors[id as usize], q);
+        let (x, x_sig) = self.sets.get(id as usize);
+        if similarity::braun_blanquet_bound(x, x_sig, q, q_sig) < self.verify_threshold {
+            return None;
+        }
+        let sim = similarity::braun_blanquet(x, q);
         (sim >= self.verify_threshold).then_some(Match {
             id: id as usize,
             similarity: sim,
@@ -629,9 +709,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// [`SetSimilaritySearch::search`] with statistics.
     pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
+        let q_sig = SetSignature::of(q);
         let mut hit = None;
         let stats = self.walk(PassSource::Query(q), ProbeControl::FIRST, |_, _, id| {
-            hit = self.verified(q, id);
+            hit = self.verified(q, &q_sig, id);
             hit.is_some()
         });
         (hit, stats.unwrap_or_default())
@@ -686,9 +767,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// the memory-diet target. `posting_bytes` is exact for the compressed
     /// base segments (three flat arrays, measured by capacity) and a
     /// load-factor-aware estimate for the uncompressed delta maps;
-    /// `aux_bytes` covers hash coefficients, interner tables, and the
-    /// tombstone bitmap. Deterministic for a deterministic build — which
-    /// is what lets `benches/postings.rs` compare substrates.
+    /// `aux_bytes` covers hash coefficients, interner tables, the
+    /// tombstone bitmap and the set signatures (32 bytes per slot).
+    /// Deterministic for a deterministic build — which is what lets
+    /// `benches/postings.rs` compare substrates.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut posting = 0usize;
         let mut aux = 0usize;
@@ -704,19 +786,14 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 .values()
                 .map(|b| b.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>();
-            aux += rep.interner.to_words().len() * std::mem::size_of::<u64>();
+            aux += TabulationU128::WORDS * std::mem::size_of::<u64>();
             aux += rep.hashers.levels().len() * 3 * std::mem::size_of::<u128>();
         }
         aux += self.alive.capacity();
-        let vector_bytes = self.vectors.capacity() * std::mem::size_of::<SparseVec>()
-            + self
-                .vectors
-                .iter()
-                .map(|v| std::mem::size_of_val(v.dims()))
-                .sum::<usize>();
+        aux += self.sets.signature_bytes();
         MemoryStats {
             posting_bytes: posting,
-            vector_bytes,
+            vector_bytes: self.sets.set_bytes(),
             aux_bytes: aux,
         }
     }
@@ -737,7 +814,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// (under the monotone slot-id renumbering; pinned by
     /// `tests/mutation_equivalence.rs`).
     pub fn insert_set(&mut self, set: SparseVec) -> usize {
-        let id = self.vectors.len();
+        let id = self.slot_count();
         let mut filters: Vec<skewsearch_hashing::PathKey> = Vec::new();
         let context = self.enum_context(&set);
         for rep in &mut self.reps {
@@ -753,7 +830,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 rep.delta.entry(key).or_default().push(id as u32);
             }
         }
-        self.vectors.push(set);
+        self.sets.push(set);
         self.alive.push(true);
         self.live += 1;
         self.pending += 1;
@@ -792,8 +869,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// and after compaction answer byte-identically
     /// (`tests/mutation_equivalence.rs` interleaves explicit compactions).
     ///
-    /// Dead slots' vector payloads are released (slot ids are never reused,
-    /// so the slots themselves remain, empty).
+    /// Dead slots' vector payloads are released, signatures zeroed with them
+    /// (slot ids are never reused, so the slots themselves remain, empty).
     pub fn compact(&mut self) {
         if self.pending == 0 {
             return;
@@ -845,10 +922,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         }
         for (slot, &alive) in self.alive.iter().enumerate() {
             if !alive {
-                self.vectors[slot] = SparseVec::empty();
+                self.sets.clear(slot);
             }
         }
-        self.base_len = self.vectors.len();
+        self.base_len = self.slot_count();
         self.pending = 0;
         self.compactions += 1;
     }
@@ -865,7 +942,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// [`LsfIndex::insert_set`] are always `< slot_count()`, and
     /// [`Match::id`] values are slot ids.
     pub fn slot_count(&self) -> usize {
-        self.vectors.len()
+        self.alive.len()
     }
 
     /// Mutations (inserts + removals) absorbed since the last compaction.
@@ -909,7 +986,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         // state (tombstones, segment boundary, pending count) carries over
         // verbatim.
         self.shard_from_reps(
-            self.vectors.clone(),
+            self.vectors().to_vec(),
             reps,
             self.alive.clone(),
             self.base_len,
@@ -930,10 +1007,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     where
         S: Clone,
     {
-        let local_of = crate::shard::local_id_table(ids, self.vectors.len());
+        let local_of = crate::shard::local_id_table(ids, self.slot_count());
         let vectors: Vec<SparseVec> = ids
             .iter()
-            .map(|&g| self.vectors[g as usize].clone())
+            .map(|&g| self.vectors()[g as usize].clone())
             .collect();
         let remap = |buckets: &FxHashMap<u64, Vec<u32>>| -> FxHashMap<u64, Vec<u32>> {
             // lint:allow(nondeterministic-iter, filtering every bucket into a new map is a per-key transform — the resulting map does not depend on visit order)
@@ -992,9 +1069,9 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     }
 
     /// Assembles a shard from cloned repetitions plus its slice of the
-    /// parent's mutation state, recomputing the storage statistics (the
-    /// per-vector truncation counters are a build-time artifact of the
-    /// parent and are zeroed in shards).
+    /// parent's mutation state, recomputing the storage statistics and the
+    /// set signatures (the per-vector truncation counters are a build-time
+    /// artifact of the parent and are zeroed in shards).
     fn shard_from_reps(
         &self,
         vectors: Vec<SparseVec>,
@@ -1021,7 +1098,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         };
         Self {
             profile: self.profile.clone(),
-            vectors,
+            sets: SetTable::new(vectors),
             scheme: self.scheme.clone(),
             reps,
             verify_threshold: self.verify_threshold,
@@ -1064,13 +1141,16 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         let q = source.query();
+        let q_sig = SetSignature::of(q);
         let mut out = Vec::new();
-        self.walk(source, ctl, |pass, step, id| match self.verified(q, id) {
-            Some(hit) => {
-                out.push(TaggedMatch { pass, step, hit });
-                true
+        self.walk(source, ctl, |pass, step, id| {
+            match self.verified(q, &q_sig, id) {
+                Some(hit) => {
+                    out.push(TaggedMatch { pass, step, hit });
+                    true
+                }
+                None => false,
             }
-            None => false,
         })?;
         Ok(out)
     }
@@ -1124,7 +1204,8 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
 // and watermark counters, and per repetition the level-hash coefficients,
 // interner tables, and both posting segments. Byte layout is specified in
 // `docs/PERSISTENCE.md` §4; the container framing lives in
-// [`crate::persist`].
+// [`crate::persist`]. Set signatures derive from the vectors, so the reader
+// recomputes them and the format does not carry them.
 
 impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// Appends this index's complete state to `w` as the kind-1 payload of
@@ -1150,7 +1231,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         w.put_u64(self.build_stats.max_bucket as u64);
         w.put_u64(self.build_stats.truncated_vectors as u64);
         w.put_u64(self.build_stats.depth_capped_vectors as u64);
-        w.put_sets(&self.vectors);
+        w.put_sets(self.vectors());
         w.put_bitmap(&self.alive);
         w.put_u64(self.reps.len() as u64);
         for rep in &self.reps {
@@ -1253,7 +1334,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         }
         Ok(Self {
             profile,
-            vectors,
+            sets: SetTable::new(vectors),
             scheme,
             reps,
             verify_threshold,
@@ -1737,6 +1818,121 @@ mod tests {
         assert!(index.search_all(&q).is_empty());
         index.compact();
         assert!(index.search_all(&q).is_empty());
+    }
+
+    #[test]
+    fn memory_stats_count_the_signature_table() {
+        let (ds, profile, mut rng) = small_setup();
+        let index = build_correlated(&ds, &profile, 0.8, 3, &mut rng);
+        let per_rep = TabulationU128::WORDS * std::mem::size_of::<u64>()
+            + index.scheme().depth_bound() * 3 * std::mem::size_of::<u128>();
+        let (n, signature) = (ds.n(), std::mem::size_of::<SetSignature>());
+        assert_eq!(signature, 32);
+        // Interners and level hashes, the tombstone bitmap, the signatures.
+        assert_eq!(
+            index.memory_stats().aux_bytes,
+            3 * per_rep + n + signature * n
+        );
+    }
+
+    /// The queries of the `serve-skewed` benchmark fixture, whose index
+    /// [`skewed_fixture`] builds: correlated at `α = 2/3` to random sets.
+    fn skewed_queries(
+        ds: &Dataset,
+        profile: &BernoulliProfile,
+        count: usize,
+        rng: &mut StdRng,
+    ) -> Vec<SparseVec> {
+        (0..count)
+            .map(|_| {
+                let target = ds.vector(rng.random_range(0..ds.n()));
+                correlated_query(target, profile, 2.0 / 3.0, rng)
+            })
+            .collect()
+    }
+
+    /// The `serve-skewed` benchmark fixture: n = 800 sets over the skewed
+    /// two-block profile of `skewsearch_bench::skewed_profile(800, 8.0)`
+    /// (107 dims at p = 1/4, 856 at p = 1/32), 6 repetitions, α = 2/3.
+    fn skewed_fixture(rng: &mut StdRng) -> (LsfIndex<CorrelatedScheme>, Dataset, BernoulliProfile) {
+        let profile = BernoulliProfile::blocks(&[(107, 0.25), (856, 1.0 / 32.0)]).unwrap();
+        let ds = Dataset::generate(&profile, 800, rng);
+        let index = build_correlated(&ds, &profile, 2.0 / 3.0, 6, rng);
+        (index, ds, profile)
+    }
+
+    /// Walks every query's distinct candidates through the signature bound
+    /// and the exact similarity. Fails if the bound turns a match away or
+    /// the verify site disagrees with the exact similarity; returns the
+    /// candidates, the bound's rejections and the matches.
+    fn bound_outcomes(
+        index: &LsfIndex<CorrelatedScheme>,
+        queries: &[SparseVec],
+    ) -> (usize, usize, usize) {
+        let (mut candidates, mut rejected, mut matches) = (0, 0, 0);
+        for q in queries {
+            let q_sig = SetSignature::of(q);
+            let walked = index.walk(PassSource::Query(q), ProbeControl::ALL, |_, _, id| {
+                let (x, x_sig) = index.sets.get(id as usize);
+                let below =
+                    similarity::braun_blanquet_bound(x, x_sig, q, &q_sig) < index.threshold();
+                let hit = similarity::braun_blanquet(x, q) >= index.threshold();
+                assert!(!(below && hit), "the bound turned away match {id}");
+                assert_eq!(index.verified(q, &q_sig, id).is_some(), hit, "set {id}");
+                candidates += 1;
+                rejected += usize::from(below);
+                matches += usize::from(hit);
+                hit
+            });
+            assert!(walked.is_ok());
+        }
+        (candidates, rejected, matches)
+    }
+
+    /// Asserts the bound turns away at least 95% of the distinct candidates
+    /// (the fixture measures about 98.7%): a stale or all-ones signature
+    /// rejects far fewer, or rejects a match.
+    fn assert_bound_rejects_most(what: &str, outcome: (usize, usize, usize)) {
+        let (candidates, rejected, matches) = outcome;
+        assert!(
+            matches > 0 && candidates > 1000,
+            "{what}: vacuous {outcome:?}"
+        );
+        let share = rejected as f64 / candidates as f64;
+        assert!(
+            share >= 0.95,
+            "{what}: bound rejected {share:.4} of {candidates}"
+        );
+    }
+
+    #[test]
+    fn signature_bound_rejects_most_candidates_and_no_match() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0017);
+        let (mut index, ds, profile) = skewed_fixture(&mut rng);
+        let queries = skewed_queries(&ds, &profile, 256, &mut rng);
+        assert_bound_rejects_most("built", bound_outcomes(&index, &queries));
+
+        let mut w = Writer::new();
+        index.write_payload(&mut w);
+        let payload = w.into_payload();
+        let loaded = LsfIndex::<CorrelatedScheme>::read_payload(&mut Reader::new(&payload))
+            .expect("own payload loads");
+        assert_bound_rejects_most("loaded", bound_outcomes(&loaded, &queries));
+
+        let ids: Vec<u32> = (0..ds.n() as u32).filter(|id| id % 3 != 1).collect();
+        let shard = index.shard_of_ids(&ids);
+        assert_bound_rejects_most("shard", bound_outcomes(&shard, &queries));
+
+        // Inserted sets carry signatures too: query at them as well.
+        let fresh = Dataset::generate(&profile, 50, &mut rng);
+        for set in fresh.vectors() {
+            index.insert_set(set.clone());
+        }
+        let mut queries = skewed_queries(&fresh, &profile, 50, &mut rng);
+        let (_, _, fresh_matches) = bound_outcomes(&index, &queries);
+        assert!(fresh_matches > 0, "no query matched an inserted set");
+        queries.extend(skewed_queries(&ds, &profile, 256, &mut rng));
+        assert_bound_rejects_most("inserted", bound_outcomes(&index, &queries));
     }
 
     #[test]

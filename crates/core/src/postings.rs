@@ -8,8 +8,8 @@
 //! dominate resident memory. This module replaces that representation for
 //! the *immutable* base segment with three flat arrays:
 //!
-//! * `keys` — the bucket keys, strictly ascending (looked up by binary
-//!   search);
+//! * `keys` — the bucket keys, strictly ascending (looked up by a guessed
+//!   slot and a gallop, see [`CompressedPostings::get`]);
 //! * `offsets` — `keys.len() + 1` byte offsets into the arena, so bucket
 //!   `i` occupies `arena[offsets[i]..offsets[i + 1]]`;
 //! * `arena` — one contiguous byte stream holding every bucket,
@@ -20,8 +20,11 @@
 //! postings compress to one or two bytes — the bytes-per-posting currency
 //! that LSF-Join (Rashtchian–Sharma–Woodruff 2020) identifies as the
 //! communication and memory cost of filtering at scale. The probe hot path
-//! decodes lazily through [`PostingsCursor`], a zero-allocation streaming
-//! iterator feeding the index's single verification site unchanged.
+//! finds a bucket by guessing its slot from the key and galloping from
+//! there (the LSF index's keys are interned hashes, close to uniform, so
+//! the guess lands within a few slots), then decodes lazily through
+//! [`PostingsCursor`], a zero-allocation streaming iterator feeding the
+//! index's single verification site unchanged.
 //!
 //! Encoding happens at exactly two sites — [`crate::LsfIndex`] build and
 //! compaction — through [`PostingsEncoder`]. Decoding untrusted bytes (the
@@ -107,9 +110,9 @@ fn get_varint_strict(bytes: &[u8]) -> Result<(u32, usize), PostingsError> {
 /// layout). The base-segment storage of every [`crate::LsfIndex`]
 /// repetition.
 ///
-/// Lookups ([`CompressedPostings::get`]) binary-search the key array and
-/// return a streaming [`PostingsCursor`] over the bucket's block; no bucket
-/// is ever materialized. Construction goes through [`PostingsEncoder`]
+/// Lookups ([`CompressedPostings::get`]) guess the key's slot, gallop to
+/// it and return a streaming [`PostingsCursor`] over the bucket's block; no
+/// bucket is ever materialized. Construction goes through [`PostingsEncoder`]
 /// (trusted, build/compact) or [`CompressedPostings::from_parts`]
 /// (untrusted, persistence).
 ///
@@ -226,13 +229,61 @@ impl CompressedPostings {
     }
 
     /// The streaming cursor over `key`'s bucket, or `None` when the key has
-    /// no bucket. The probe hot path: one binary search, zero allocation.
+    /// no bucket. The probe hot path: zero allocation.
+    ///
+    /// Bucket keys are interned hashes, so they are close to uniform over
+    /// `u64`, and a key's slot is close to `key · len / 2⁶⁴`. The lookup
+    /// starts there, gallops outward (1, 2, 4, … slots) until it brackets
+    /// the key, and binary-searches the bracket: a few probes of one or two
+    /// cache lines where a binary search over the whole array takes
+    /// `log₂ len`. The guess is always in bounds, and the result is
+    /// correct for any ascending key array; keys crafted to defeat the
+    /// guess cost `O(log len)` probes, as a binary search does.
     #[inline]
     pub fn get(&self, key: u64) -> Option<PostingsCursor<'_>> {
-        let i = self.keys.binary_search(&key).ok()?;
+        let i = self.position(key)?;
         let start = *self.offsets.get(i)? as usize;
         let end = *self.offsets.get(i + 1)? as usize;
         Some(PostingsCursor::new(self.arena.get(start..end)?))
+    }
+
+    /// The slot of `key` in `keys`, by a guess and a gallop (see
+    /// [`CompressedPostings::get`]).
+    #[inline]
+    fn position(&self, key: u64) -> Option<usize> {
+        let keys = self.keys.as_slice();
+        let len = keys.len();
+        // `key < 2⁶⁴`, so `guess < len` whenever `len > 0`.
+        let guess = ((key as u128 * len as u128) >> 64) as usize;
+        let at = *keys.get(guess)?;
+        // The half-open bracket `lo..hi` that must hold the key if present.
+        let (lo, hi) = if at < key {
+            let (mut lo, mut step) = (guess + 1, 1);
+            loop {
+                match keys.get(guess + step) {
+                    None => break (lo, len),
+                    Some(&k) if k >= key => break (lo, guess + step + 1),
+                    Some(_) => lo = guess + step + 1,
+                }
+                step *= 2;
+            }
+        } else if at > key {
+            let (mut hi, mut step) = (guess, 1);
+            loop {
+                let Some(probe) = guess.checked_sub(step) else {
+                    break (0, hi);
+                };
+                if keys[probe] <= key {
+                    break (probe, hi);
+                }
+                hi = probe;
+                step *= 2;
+            }
+        } else {
+            return Some(guess);
+        };
+        let found = keys.get(lo..hi)?.binary_search(&key).ok()?;
+        Some(lo + found)
     }
 
     /// Iterates buckets in ascending key order as `(key, cursor)` pairs —

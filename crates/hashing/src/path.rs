@@ -41,8 +41,24 @@ impl PathKey {
     /// Key of `v ∘ i` given the key of `v`.
     #[inline]
     pub fn extend(self, dim: u32) -> PathKey {
-        let h = inject_dim(dim);
-        PathKey(self.0.wrapping_mul(ROLL_M).wrapping_add(h))
+        self.extend_term(Self::dim_term(dim))
+    }
+
+    /// `H(i)`, the term [`PathKey::extend`] adds for dimension `i`: a
+    /// 128-bit injection from two independent 64-bit mixers. A caller that
+    /// extends many paths by the same dimensions computes it once per
+    /// dimension and calls [`PathKey::extend_term`].
+    #[inline]
+    pub fn dim_term(dim: u32) -> u128 {
+        let lo = splitmix64(dim as u64 ^ 0xA5A5_5A5A_C3C3_3C3C);
+        let hi = murmur3_fmix64(dim as u64 ^ 0x0123_4567_89AB_CDEF);
+        ((hi as u128) << 64) | lo as u128
+    }
+
+    /// Key of `v ∘ i` given the key of `v` and `term = dim_term(i)`.
+    #[inline]
+    pub fn extend_term(self, term: u128) -> PathKey {
+        PathKey(self.0.wrapping_mul(ROLL_M).wrapping_add(term))
     }
 
     /// Raw 128-bit value.
@@ -50,14 +66,6 @@ impl PathKey {
     pub fn raw(self) -> u128 {
         self.0
     }
-}
-
-/// 128-bit injection of a dimension id (two independent 64-bit mixers).
-#[inline]
-fn inject_dim(dim: u32) -> u128 {
-    let lo = splitmix64(dim as u64 ^ 0xA5A5_5A5A_C3C3_3C3C);
-    let hi = murmur3_fmix64(dim as u64 ^ 0x0123_4567_89AB_CDEF);
-    ((hi as u128) << 64) | lo as u128
 }
 
 /// One level's sampling hash `h_j : paths → [0, 1)`, pairwise independent
@@ -68,6 +76,10 @@ pub struct LevelHasher {
 }
 
 impl LevelHasher {
+    /// `2⁵³`, the factor between a threshold `s` and the scaled threshold
+    /// [`LevelHasher::accepts_scaled`] takes.
+    pub const SCALE: f64 = (1u64 << 53) as f64;
+
     /// Draws a level hasher.
     pub fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self {
@@ -98,7 +110,22 @@ impl LevelHasher {
     /// The sampling decision `h_j(v ∘ i) < s` of the construction.
     #[inline]
     pub fn accepts(&self, key: PathKey, threshold: f64) -> bool {
-        self.unit(key) < threshold
+        self.accepts_scaled(key, threshold * Self::SCALE)
+    }
+
+    /// [`LevelHasher::accepts`] for a threshold given pre-scaled,
+    /// `scaled = s · 2⁵³` ([`LevelHasher::SCALE`]): one integer-to-float
+    /// conversion and a compare, for callers that test one threshold
+    /// against many keys.
+    ///
+    /// Exact: [`LevelHasher::unit`] is `m · 2⁻⁵³` for the integer
+    /// `m = h >> 11 < 2⁵³`, and scaling by a power of two loses nothing
+    /// (overflow goes to `∞`, which keeps the order; `±0`, negative and NaN
+    /// thresholds reject on both sides), so `m < s · 2⁵³` holds exactly
+    /// when `unit(key) < s`.
+    #[inline]
+    pub fn accepts_scaled(&self, key: PathKey, scaled: f64) -> bool {
+        ((self.inner.hash(key.0) >> 11) as f64) < scaled
     }
 }
 

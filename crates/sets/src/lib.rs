@@ -13,6 +13,9 @@
 //!   Braun-Blanquet (the paper's working measure, §2), Jaccard, overlap,
 //!   Sørensen–Dice, binary cosine, and Pearson correlation of binary vectors
 //!   (the measure of the light-bulb-problem framing in §1).
+//!   It also holds [`similarity::SetSignature`], a 256-bit set sketch whose
+//!   [`similarity::braun_blanquet_bound`] is an exact upper bound, so a
+//!   verifier can turn most candidates away without an intersection.
 //!
 //! # Example
 //!

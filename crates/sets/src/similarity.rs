@@ -22,6 +22,70 @@ pub fn braun_blanquet(x: &SparseVec, q: &SparseVec) -> f64 {
     x.intersection_len(q) as f64 / m as f64
 }
 
+/// A 256-bit signature of a set: for every element `i`, the bit at the top
+/// 8 bits of `i · 0x9E3779B9 mod 2³²` is set. The empty set's signature is
+/// all zeros ([`SetSignature::default`]).
+///
+/// Equal sets have equal signatures, so a signature can be derived wherever
+/// its set is and never needs storing on its own. Its one use is
+/// [`braun_blanquet_bound`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SetSignature([u64; 4]);
+
+impl SetSignature {
+    /// The signature of `x`.
+    pub fn of(x: &SparseVec) -> Self {
+        let mut words = [0u64; 4];
+        for i in x.iter() {
+            let bit = i.wrapping_mul(0x9E37_79B9) >> 24;
+            words[(bit >> 6) as usize] |= 1 << (bit & 63);
+        }
+        Self(words)
+    }
+
+    /// Bits set in `self` and clear in `other`.
+    #[inline]
+    fn missing_from(&self, other: &SetSignature) -> usize {
+        self.0
+            .iter()
+            .zip(&other.0)
+            .map(|(a, b)| (a & !b).count_ones() as usize)
+            .sum()
+    }
+}
+
+/// An upper bound on [`braun_blanquet`]`(x, q)` from the two weights and
+/// signatures alone, touching no element: `ub / max(|x|, |q|)` with
+/// `ub = |q| − popcount(sig(q) & !sig(x))`, and `0.0` when both sets are
+/// empty.
+///
+/// # Soundness
+///
+/// Each bit set in `sig(q) & !sig(x)` is the hash of some element of `q`,
+/// and of no element of `x`, so that element lies in `q \ x`. Distinct bits
+/// name distinct elements, so `|q \ x| ≥ popcount(sig(q) & !sig(x))` and
+/// `|x ∩ q| = |q| − |q \ x| ≤ ub`. Both quotients divide by the same `m`
+/// with the same correctly rounded `f64` division, which is monotone in
+/// the numerator, so the result is never below [`braun_blanquet`]`(x, q)`.
+/// Hence `braun_blanquet_bound(..) < t` implies `braun_blanquet(x, q) < t`:
+/// rejecting a candidate on the bound cannot change an answer.
+///
+/// The signatures must be those of `x` and `q` ([`SetSignature::of`]).
+#[inline]
+pub fn braun_blanquet_bound(
+    x: &SparseVec,
+    x_sig: &SetSignature,
+    q: &SparseVec,
+    q_sig: &SetSignature,
+) -> f64 {
+    let m = x.weight().max(q.weight());
+    if m == 0 {
+        return 0.0;
+    }
+    let ub = q.weight().saturating_sub(q_sig.missing_from(x_sig));
+    ub as f64 / m as f64
+}
+
 /// Jaccard similarity `|x ∩ q| / |x ∪ q|`.
 #[inline]
 pub fn jaccard(x: &SparseVec, q: &SparseVec) -> f64 {
@@ -117,6 +181,28 @@ mod tests {
         assert!((braun_blanquet(&x, &q) - 2.0 / 4.0).abs() < 1e-12);
         // Symmetry.
         assert_eq!(braun_blanquet(&x, &q), braun_blanquet(&q, &x));
+    }
+
+    #[test]
+    fn signature_bound_is_exact_when_no_bits_collide() {
+        // 0..4 hash to distinct bits, so the bound counts q \ x exactly.
+        let x = v(&[0, 1, 2]);
+        let q = v(&[1, 2, 3]);
+        let (sx, sq) = (SetSignature::of(&x), SetSignature::of(&q));
+        assert_eq!(sq.missing_from(&sx), 1);
+        assert_eq!(
+            braun_blanquet_bound(&x, &sx, &q, &sq),
+            braun_blanquet(&x, &q)
+        );
+        assert_eq!(
+            SetSignature::of(&SparseVec::empty()),
+            SetSignature::default()
+        );
+        let e = SparseVec::empty();
+        let se = SetSignature::default();
+        assert_eq!(braun_blanquet_bound(&e, &se, &e, &se), 0.0);
+        assert_eq!(braun_blanquet_bound(&x, &sx, &e, &se), 0.0);
+        assert_eq!(braun_blanquet_bound(&e, &se, &x, &sx), 0.0);
     }
 
     #[test]

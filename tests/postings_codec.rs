@@ -37,17 +37,45 @@ fn bucket_sets() -> impl Strategy<Value = Vec<(u64, Vec<u32>)>> {
         (any::<u64>(), prop::collection::vec(any::<u32>(), 1..24)),
         0..24,
     )
-    .prop_map(|raw| {
-        let mut canonical: std::collections::BTreeMap<u64, std::collections::BTreeSet<u32>> =
-            std::collections::BTreeMap::new();
-        for (key, ids) in raw {
-            canonical.entry(key).or_default().extend(ids);
-        }
-        canonical
-            .into_iter()
-            .map(|(k, ids)| (k, ids.into_iter().collect::<Vec<u32>>()))
-            .collect()
-    })
+    .prop_map(canonical)
+}
+
+/// Canonicalizes raw `(key, ids)` pairs into encoder input: keys sorted and
+/// merged, ids sorted and deduplicated.
+fn canonical(raw: impl IntoIterator<Item = (u64, Vec<u32>)>) -> Vec<(u64, Vec<u32>)> {
+    let mut canonical: std::collections::BTreeMap<u64, std::collections::BTreeSet<u32>> =
+        std::collections::BTreeMap::new();
+    for (key, ids) in raw {
+        canonical.entry(key).or_default().extend(ids);
+    }
+    canonical
+        .into_iter()
+        .map(|(k, ids)| (k, ids.into_iter().collect::<Vec<u32>>()))
+        .collect()
+}
+
+/// Bucket sets with uniform keys, and with keys laid out against the
+/// lookup's guess that a key's slot is `key · len / 2⁶⁴`: every key in a
+/// 2¹⁰-wide window at the bottom, middle or top of `u64`, only the two
+/// extreme keys, a single key, or no key at all.
+fn lookup_bucket_sets() -> impl Strategy<Value = Vec<(u64, Vec<u32>)>> {
+    (
+        0u8..7,
+        bucket_sets(),
+        prop::collection::vec(0u64..1024, 1..600),
+    )
+        .prop_map(|(shape, uniform, offsets)| {
+            let keys: Vec<u64> = match shape {
+                0 => return uniform,
+                1 => offsets.clone(),
+                2 => offsets.iter().map(|o| (1 << 63) - 512 + o).collect(),
+                3 => offsets.iter().map(|o| u64::MAX - 1023 + o).collect(),
+                4 => vec![0, u64::MAX],
+                5 => vec![offsets[0].wrapping_mul(0x9E37_79B9_7F4A_7C15)],
+                _ => Vec::new(),
+            };
+            canonical(keys.into_iter().zip(0u32..).map(|(k, id)| (k, vec![id])))
+        })
 }
 
 proptest! {
@@ -77,6 +105,27 @@ proptest! {
         let expect = buckets.iter().find(|(k, _)| *k == probe).map(|(_, ids)| ids.clone());
         let got = p.get(probe).map(|c| c.collect::<Vec<u32>>());
         prop_assert_eq!(got, expect);
+    }
+
+    /// `get` finds exactly the decoded bucket of every present key, and
+    /// nothing at each key's neighbours or at the ends of `u64`, whatever
+    /// the key layout.
+    #[test]
+    fn get_agrees_with_decode_for_any_key_layout(
+        buckets in lookup_bucket_sets(),
+        probe in any::<u64>(),
+    ) {
+        let p = encode(&buckets);
+        let decoded: std::collections::BTreeMap<u64, Vec<u32>> = decode(&p).into_iter().collect();
+        prop_assert_eq!(decoded.len(), buckets.len());
+        let mut probes = vec![0, u64::MAX, probe];
+        for (key, _) in &buckets {
+            probes.extend([*key, key.wrapping_sub(1), key.wrapping_add(1)]);
+        }
+        for key in probes {
+            let got = p.get(key).map(|c| c.collect::<Vec<u32>>());
+            prop_assert_eq!(got, decoded.get(&key).cloned());
+        }
     }
 
     /// Re-validating an encoder's own output through `from_parts` always

@@ -14,6 +14,35 @@ fn arb_probability() -> impl Strategy<Value = f64> {
     (0.001f64..0.5).prop_map(|p| p)
 }
 
+/// Set pairs built around a shared part, so that every similarity from 0
+/// to 1 occurs. `shape` picks the dims: folded into 64 or 512 values (many
+/// elements per signature bit), all of `u32` with its two top values added,
+/// or one side empty.
+fn arb_set_pair() -> impl Strategy<Value = (SparseVec, SparseVec)> {
+    (
+        0u8..6,
+        prop::collection::vec(any::<u32>(), 0..60),
+        prop::collection::vec(any::<u32>(), 0..20),
+        prop::collection::vec(any::<u32>(), 0..20),
+    )
+        .prop_map(|(shape, shared, x_only, q_only)| {
+            let side = |own: &[u32]| -> SparseVec {
+                let dims = shared.iter().chain(own);
+                SparseVec::from_unsorted(match shape {
+                    0 => dims.map(|d| d % 64).collect(),
+                    1 => dims.map(|d| d % 512).collect(),
+                    _ => dims.copied().chain([u32::MAX, u32::MAX - 1]).collect(),
+                })
+            };
+            let (x, q) = (side(&x_only), side(&q_only));
+            match shape {
+                4 => (SparseVec::empty(), q),
+                5 => (x, SparseVec::empty()),
+                _ => (x, q),
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -44,6 +73,23 @@ proptest! {
         }
         for x in da.iter() {
             prop_assert!(a.contains(x) && !b.contains(x));
+        }
+    }
+
+    /// The signature bound never turns away a pair that clears the
+    /// threshold: it is never below the exact Braun-Blanquet similarity.
+    #[test]
+    fn signature_bound_never_rejects_a_match((x, q) in arb_set_pair()) {
+        let (sx, sq) = (similarity::SetSignature::of(&x), similarity::SetSignature::of(&q));
+        for (a, sa, b, sb) in [(&x, &sx, &q, &sq), (&q, &sq, &x, &sx)] {
+            let exact = similarity::braun_blanquet(a, b);
+            let bound = similarity::braun_blanquet_bound(a, sa, b, sb);
+            prop_assert!(bound >= exact, "bound {bound} below similarity {exact}");
+            for threshold in [0.0, 0.3, 2.0 / 3.0 / 1.3, 1.0] {
+                if exact >= threshold {
+                    prop_assert!(bound >= threshold, "rejected a match at {threshold}");
+                }
+            }
         }
     }
 
