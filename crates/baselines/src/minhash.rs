@@ -39,9 +39,9 @@ pub struct MinHashParams {
     pub band_factor: f64,
     /// Hard cap on `L` to bound memory.
     pub max_bands: usize,
-    /// Worker threads for [`SetSimilaritySearch::search_batch`]
-    /// (`0` = one per available core). Batch results are identical for any
-    /// worker count.
+    /// Worker threads [`SetSimilaritySearch::search_batch`] answers a batch
+    /// on (`0` = one per available core). Saved with the index. Batch
+    /// results are identical for any worker count.
     pub query_threads: usize,
 }
 
@@ -234,13 +234,6 @@ impl MinHashLsh {
         count
     }
 
-    /// [`SetSimilaritySearch::search_batch`] with an explicit worker count
-    /// (`0` = one per available core), ignoring
-    /// [`MinHashParams::query_threads`].
-    pub fn search_batch_threads(&self, queries: &[SparseVec], threads: usize) -> Vec<Vec<Match>> {
-        skewsearch_core::batch_map(queries, threads, |q| self.search_all(q))
-    }
-
     /// Verifies candidate `id` against `q`: its [`Match`] iff the similarity
     /// clears the threshold — the single verification site every search and
     /// probe entry point shares.
@@ -289,12 +282,9 @@ impl SetSimilaritySearch for MinHashLsh {
         Ok(out)
     }
 
+    /// Runs on [`MinHashParams::query_threads`] workers.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        self.search_batch_threads(queries, self.params.query_threads)
-    }
-
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        skewsearch_core::batch_map(queries, self.params.query_threads, |q| self.search_best(q))
+        skewsearch_core::batch_map(queries, self.params.query_threads, |q| self.search_all(q))
     }
 
     /// Band buckets as posting bytes, stored vectors, and per-band hash

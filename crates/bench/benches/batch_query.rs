@@ -1,9 +1,10 @@
-//! Batch query throughput: the sequential per-query loop vs
-//! `search_batch` at 1/2/4/8 worker threads.
+//! Batch query throughput: the sequential per-query loop vs the batch
+//! executor (`skewsearch_core::batch_map`, behind every `search_batch`
+//! override) at 1/2/4/8 worker threads.
 //!
-//! The batch executor distributes queries by chunked work stealing
-//! (`skewsearch_core::batch_map`), so on skewed data — where per-query cost
-//! varies with `ρ(q)` — threads stay busy behind expensive stragglers.
+//! The executor distributes queries by chunked work stealing, so on skewed
+//! data — where per-query cost varies with `ρ(q)` — threads stay busy
+//! behind expensive stragglers.
 //! Results are identical to the sequential loop at every thread count; only
 //! throughput changes. On a single-core host the threaded rows sit at
 //! sequential parity (thread overhead only); the speedup shows on multicore.
@@ -12,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skewsearch_baselines::{MinHashLsh, MinHashParams};
 use skewsearch_bench::{bench_dataset, bench_rng};
 use skewsearch_core::{
-    CorrelatedIndex, CorrelatedParams, IndexOptions, Repetitions, SetSimilaritySearch,
+    batch_map, CorrelatedIndex, CorrelatedParams, IndexOptions, Repetitions, SetSimilaritySearch,
 };
 use skewsearch_datagen::correlated_query;
 use skewsearch_sets::SparseVec;
@@ -58,7 +59,7 @@ fn bench_batch(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new(format!("ours_batch_t{threads}"), N),
             &qs,
-            |b, qs| b.iter(|| black_box(ours.search_batch_threads(black_box(qs), threads))),
+            |b, qs| b.iter(|| black_box(batch_map(black_box(qs), threads, |q| ours.search_all(q)))),
         );
     }
     g.bench_with_input(
@@ -76,7 +77,7 @@ fn bench_batch(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new(format!("minhash_batch_t{threads}"), N),
             &qs,
-            |b, qs| b.iter(|| black_box(mh.search_batch_threads(black_box(qs), threads))),
+            |b, qs| b.iter(|| black_box(batch_map(black_box(qs), threads, |q| mh.search_all(q)))),
         );
     }
     g.finish();

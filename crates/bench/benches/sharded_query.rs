@@ -42,7 +42,7 @@ fn bench_sharded(c: &mut Criterion) {
 
     let mut g = c.benchmark_group(format!("sharded_query_skewed_n{N}_q{QUERIES}"));
     g.bench_with_input(BenchmarkId::new("unsharded_batch", N), &qs, |b, qs| {
-        b.iter(|| black_box(index.search_batch_threads(black_box(qs), 0)))
+        b.iter(|| black_box(index.search_batch(black_box(qs))))
     });
     for (strategy, label) in [
         (ShardStrategy::ByRepetition, "by_repetition"),

@@ -28,7 +28,7 @@ pub const CLAIM_CHUNK: usize = 8;
 /// Resolves a requested worker count: `0` means "one worker per available
 /// core", anything else is taken literally (and capped by the item count at
 /// the call site).
-pub fn resolve_threads(requested: usize) -> usize {
+fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -130,10 +130,10 @@ where
 /// occurrence of each distinct item (in first-appearance order) and
 /// `slot_of[i]` is the position in `representatives` answering item `i`.
 ///
-/// This is the dedup behind [`batch_map_distinct`] and the join layer's
-/// plan-once-per-distinct-query guarantee: a probe batch with duplicate sets
-/// (common after `ByDataset`'s content-hash co-location) enumerates, plans,
-/// and probes each *distinct* query exactly once.
+/// This is the dedup behind the join layer's plan-once-per-distinct-query
+/// guarantee: a probe batch with duplicate sets (common after `ByDataset`'s
+/// content-hash co-location) enumerates, plans, and probes each *distinct*
+/// query exactly once.
 pub fn distinct_slots<Q: std::hash::Hash + Eq>(items: &[Q]) -> (Vec<usize>, Vec<usize>) {
     let mut first: skewsearch_hashing::FxHashMap<&Q, usize> =
         skewsearch_hashing::FxHashMap::default();
@@ -148,29 +148,6 @@ pub fn distinct_slots<Q: std::hash::Hash + Eq>(items: &[Q]) -> (Vec<usize>, Vec<
         slot_of.push(slot);
     }
     (representatives, slot_of)
-}
-
-/// [`batch_map`] that evaluates `f` **once per distinct item**: equal items
-/// (by `Eq`/`Hash`) share one evaluation, whose output is cloned into every
-/// occurrence's slot. Output equals `batch_map(items, threads, f)` whenever
-/// `f` is a pure function of the item — which every search structure in this
-/// workspace is (indexes are immutable at query time).
-///
-/// The distinct evaluations still run on the work-stealing executor, so a
-/// heavily duplicated batch both shrinks and stays parallel.
-pub fn batch_map_distinct<Q, T, F>(items: &[Q], threads: usize, f: F) -> Vec<T>
-where
-    Q: Sync + std::hash::Hash + Eq,
-    T: Send + Clone,
-    F: Fn(&Q) -> T + Sync,
-{
-    let (representatives, slot_of) = distinct_slots(items);
-    if representatives.len() == items.len() {
-        return batch_map(items, threads, f);
-    }
-    let distinct: Vec<&Q> = representatives.iter().map(|&i| &items[i]).collect();
-    let outputs = batch_map(&distinct, threads, |q| f(q));
-    slot_of.into_iter().map(|s| outputs[s].clone()).collect()
 }
 
 #[cfg(test)]
@@ -234,25 +211,6 @@ mod tests {
         assert_eq!(slot_of, vec![0, 1, 0, 2, 1, 0]);
         let empty: Vec<u32> = vec![];
         assert_eq!(distinct_slots(&empty), (vec![], vec![]));
-    }
-
-    #[test]
-    fn batch_map_distinct_equals_batch_map_and_counts_evaluations() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items = vec![3u32, 5, 3, 3, 7, 5, 11];
-        let expect: Vec<u32> = items.iter().map(|x| x * 2).collect();
-        for threads in [1, 4] {
-            let calls = AtomicUsize::new(0);
-            let got = batch_map_distinct(&items, threads, |x| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                x * 2
-            });
-            assert_eq!(got, expect, "threads={threads}");
-            assert_eq!(calls.load(Ordering::Relaxed), 4, "one call per distinct");
-        }
-        // All-distinct batches take the direct path.
-        let unique = vec![1u32, 2, 3];
-        assert_eq!(batch_map_distinct(&unique, 2, |x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::traits::{
 };
 use rand::{Rng, SeedableRng};
 use skewsearch_datagen::BernoulliProfile;
-use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, TabulationU128};
+use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, PathKey, TabulationU128};
 use skewsearch_sets::similarity::{self, SetSignature};
 use skewsearch_sets::SparseVec;
 use table::SetTable;
@@ -83,14 +83,10 @@ pub struct IndexOptions {
     pub repetitions: Repetitions,
     /// Per-vector node budget for path enumeration.
     pub node_budget: usize,
-    /// Build threads. `1` = sequential; more parallelizes filter enumeration
-    /// across vectors (std scoped threads). The built index is
-    /// **identical** for any thread count: chunks are merged in id order.
-    pub build_threads: usize,
-    /// Worker threads used by [`SetSimilaritySearch::search_batch`] (and
-    /// `search_batch_best`). `0` = one worker per available core. Batch
-    /// results are **identical** for any worker count — see
-    /// [`crate::batch::batch_map`].
+    /// Worker threads [`SetSimilaritySearch::search_batch`] answers a batch
+    /// on — and with it every join over this index. `0` = one worker per
+    /// available core. Saved with the index. Batch results are
+    /// **identical** for any worker count — see [`crate::batch::batch_map`].
     pub query_threads: usize,
     /// How many pending mutations (inserts + removals since the last
     /// compaction) the delta segment absorbs before the index compacts
@@ -106,7 +102,6 @@ impl Default for IndexOptions {
         Self {
             repetitions: Repetitions::default(),
             node_budget: DEFAULT_NODE_BUDGET,
-            build_threads: 1,
             query_threads: 0,
             mutation_buffer: 1024,
         }
@@ -174,6 +169,27 @@ struct Repetition {
     interner: TabulationU128,
     base: CompressedPostings,
     delta: FxHashMap<u64, Vec<u32>>,
+}
+
+impl Repetition {
+    /// Enumerates `F(x)` for `context`'s vector under this repetition's hash
+    /// stack into `filters` and replaces `keys` with the interned bucket
+    /// keys, in enumeration order — the one enumerate-and-intern step of
+    /// build, insert, planning and the lazy probe.
+    fn enumerate_keys<S: ThresholdScheme>(
+        &self,
+        context: &EnumContext<'_>,
+        scheme: &S,
+        node_budget: usize,
+        filters: &mut Vec<PathKey>,
+        keys: &mut Vec<u64>,
+    ) -> EnumStats {
+        filters.clear();
+        let stats = enumerate_filters_with(context, scheme, &self.hashers, node_budget, filters);
+        keys.clear();
+        keys.extend(filters.iter().map(|k| self.interner.hash(k.raw())));
+        stats
+    }
 }
 
 /// The bucket walk of one pass of [`LsfIndex::walk`]: looks `keys` up in
@@ -290,74 +306,6 @@ enum PassKeys<'a> {
     Lazy(EnumContext<'a>),
 }
 
-/// Per-chunk enumeration result (`pairs` in ascending id order, keys already
-/// interned to 64 bits).
-struct ChunkFilters {
-    pairs: Vec<(u32, u64)>,
-    truncated: Vec<u32>,
-    depth_capped: Vec<u32>,
-}
-
-/// Enumerates `F(x)` for every vector, optionally fanning out over
-/// contiguous id chunks with std scoped threads. Chunks are returned
-/// in id order, so downstream merging is thread-count independent.
-fn enumerate_chunked<S: ThresholdScheme>(
-    vectors: &[SparseVec],
-    profile: &BernoulliProfile,
-    scheme: &S,
-    hashers: &PathHasherStack,
-    interner: &TabulationU128,
-    node_budget: usize,
-    threads: usize,
-) -> Vec<ChunkFilters> {
-    let enumerate_chunk = |base: usize, slice: &[SparseVec]| -> ChunkFilters {
-        let mut chunk = ChunkFilters {
-            pairs: Vec::new(),
-            truncated: Vec::new(),
-            depth_capped: Vec::new(),
-        };
-        let mut scratch: Vec<skewsearch_hashing::PathKey> = Vec::new();
-        for (off, x) in slice.iter().enumerate() {
-            let id = (base + off) as u32;
-            scratch.clear();
-            let context = EnumContext::new(x, profile, scheme, hashers.max_depth());
-            let stats: EnumStats =
-                enumerate_filters_with(&context, scheme, hashers, node_budget, &mut scratch);
-            if stats.truncated {
-                chunk.truncated.push(id);
-            }
-            if stats.depth_capped {
-                chunk.depth_capped.push(id);
-            }
-            chunk
-                .pairs
-                .extend(scratch.iter().map(|k| (id, interner.hash(k.raw()))));
-        }
-        chunk
-    };
-
-    let threads = threads.max(1).min(vectors.len().max(1));
-    if threads <= 1 {
-        return vec![enumerate_chunk(0, vectors)];
-    }
-    let chunk_len = vectors.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = vectors
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(c, slice)| {
-                let f = &enumerate_chunk;
-                scope.spawn(move || f(c * chunk_len, slice))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint:allow(no-panic-in-lib, join only errs when the enumeration worker itself panicked — re-raising the caller's own panic is the correct propagation)
-            .map(|h| h.join().expect("build worker panicked"))
-            .collect()
-    })
-}
-
 /// A locality-sensitive filtering index over a dataset, generic in the
 /// [`ThresholdScheme`]. This is the shared machinery behind
 /// [`crate::AdversarialIndex`], [`crate::CorrelatedIndex`], and the Chosen
@@ -398,8 +346,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// `verify_threshold` is the Braun-Blanquet bar `b₁` candidates must
     /// clear.
     ///
-    /// Deterministic under a fixed `rng` seed, for any
-    /// [`IndexOptions::build_threads`] count.
+    /// Deterministic under a fixed `rng` seed.
     ///
     /// # Examples
     ///
@@ -432,10 +379,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         verify_threshold: f64,
         options: IndexOptions,
         rng: &mut R,
-    ) -> Self
-    where
-        S: Sync,
-    {
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&verify_threshold),
             "verification threshold must lie in [0,1]"
@@ -449,48 +393,51 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         };
         let mut truncated: FxHashSet<u32> = FxHashSet::default();
         let mut depth_capped: FxHashSet<u32> = FxHashSet::default();
+        let (mut filters, mut keys) = (Vec::new(), Vec::new());
+        let mut pairs: Vec<(u32, u64)> = Vec::new();
 
         // Each repetition gets an independent stack seeded from the caller's
-        // RNG; builds stay deterministic under a fixed seed (and under any
-        // thread count: chunk results are merged in id order).
+        // RNG; builds stay deterministic under a fixed seed.
         let mut reps = Vec::with_capacity(r);
         for _ in 0..r {
             let mut stack_rng = rand::rngs::StdRng::seed_from_u64(rng.random::<u64>());
-            let hashers = PathHasherStack::sample(&mut stack_rng, depth);
-            let interner = TabulationU128::sample(&mut stack_rng);
-            let chunks = enumerate_chunked(
-                &vectors,
-                &profile,
-                &scheme,
-                &hashers,
-                &interner,
-                options.node_budget,
-                options.build_threads,
-            );
-            // Concatenate chunks (already in ascending id order) and stable-
-            // sort by key: within each key the ids stay ascending — exactly
-            // the encoder's input contract, for any thread count.
-            let mut pairs: Vec<(u32, u64)> = Vec::new();
-            for chunk in chunks {
-                build_stats.total_filters += chunk.pairs.len();
-                pairs.extend(chunk.pairs);
-                truncated.extend(chunk.truncated);
-                depth_capped.extend(chunk.depth_capped);
+            let mut rep = Repetition {
+                hashers: PathHasherStack::sample(&mut stack_rng, depth),
+                interner: TabulationU128::sample(&mut stack_rng),
+                base: CompressedPostings::new(),
+                delta: FxHashMap::default(),
+            };
+            pairs.clear();
+            for (id, x) in vectors.iter().enumerate() {
+                let id = id as u32;
+                let context = EnumContext::new(x, &profile, &scheme, depth);
+                let stats = rep.enumerate_keys(
+                    &context,
+                    &scheme,
+                    options.node_budget,
+                    &mut filters,
+                    &mut keys,
+                );
+                if stats.truncated {
+                    truncated.insert(id);
+                }
+                if stats.depth_capped {
+                    depth_capped.insert(id);
+                }
+                pairs.extend(keys.iter().map(|&key| (id, key)));
             }
+            // Pairs arrive in ascending id order; a stable sort by key keeps
+            // the ids ascending within each key — the encoder's contract.
+            build_stats.total_filters += pairs.len();
             pairs.sort_by_key(|&(_, key)| key);
             let mut enc = PostingsEncoder::new();
-            for (id, key) in pairs {
+            for &(id, key) in &pairs {
                 enc.push(key, id);
             }
-            let base = enc.finish();
-            build_stats.distinct_buckets += base.bucket_count();
-            build_stats.max_bucket = build_stats.max_bucket.max(base.max_bucket_len());
-            reps.push(Repetition {
-                hashers,
-                interner,
-                base,
-                delta: FxHashMap::default(),
-            });
+            rep.base = enc.finish();
+            build_stats.distinct_buckets += rep.base.bucket_count();
+            build_stats.max_bucket = build_stats.max_bucket.max(rep.base.max_bucket_len());
+            reps.push(rep);
         }
         build_stats.truncated_vectors = truncated.len();
         build_stats.depth_capped_vectors = depth_capped.len();
@@ -588,7 +535,13 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             let keys: &[u64] = match &pass_keys {
                 PassKeys::Planned(passes) => &passes[pass],
                 PassKeys::Lazy(context) => {
-                    self.enumerate_pass(context, rep, &mut filters, &mut enumerated);
+                    rep.enumerate_keys(
+                        context,
+                        &self.scheme,
+                        self.node_budget,
+                        &mut filters,
+                        &mut enumerated,
+                    );
                     &enumerated
                 }
             };
@@ -602,28 +555,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// The enumeration inputs of `q`, hoisted once per query.
     fn enum_context<'q>(&self, q: &'q SparseVec) -> EnumContext<'q> {
         EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound())
-    }
-
-    /// Stage 1 for one repetition: enumerates `F(q)` under `rep`'s hash
-    /// stack into `filters` and replaces `keys` with the interned bucket
-    /// keys, in enumeration order.
-    fn enumerate_pass(
-        &self,
-        context: &EnumContext<'_>,
-        rep: &Repetition,
-        filters: &mut Vec<skewsearch_hashing::PathKey>,
-        keys: &mut Vec<u64>,
-    ) {
-        filters.clear();
-        enumerate_filters_with(
-            context,
-            &self.scheme,
-            &rep.hashers,
-            self.node_budget,
-            filters,
-        );
-        keys.clear();
-        keys.extend(filters.iter().map(|k| rep.interner.hash(k.raw())));
     }
 
     /// Stage 1 of the pipeline: enumerates `F(q)` under every repetition's
@@ -674,7 +605,13 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             .iter()
             .map(|rep| {
                 let mut keys = Vec::new();
-                self.enumerate_pass(&context, rep, &mut filters, &mut keys);
+                rep.enumerate_keys(
+                    &context,
+                    &self.scheme,
+                    self.node_budget,
+                    &mut filters,
+                    &mut keys,
+                );
                 keys
             })
             .collect();
@@ -727,35 +664,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             true
         });
         (ids, stats.unwrap_or_default())
-    }
-
-    /// [`SetSimilaritySearch::search_batch`] with an explicit worker count
-    /// (`0` = one per available core), ignoring the build-time
-    /// [`IndexOptions::query_threads`]. Results are identical for every
-    /// worker count.
-    pub fn search_batch_threads(&self, queries: &[SparseVec], threads: usize) -> Vec<Vec<Match>> {
-        batch_map(queries, threads, |q| self.search_all(q))
-    }
-
-    /// [`SetSimilaritySearch::search_batch_best`] with an explicit worker
-    /// count (`0` = one per available core).
-    pub fn search_batch_best_threads(
-        &self,
-        queries: &[SparseVec],
-        threads: usize,
-    ) -> Vec<Option<Match>> {
-        batch_map(queries, threads, |q| self.search_best(q))
-    }
-
-    /// [`LsfIndex::distinct_candidates`] over a query batch on `threads`
-    /// workers (`0` = one per available core). Element `i` is exactly
-    /// `self.distinct_candidates(&queries[i])`.
-    pub fn distinct_candidates_batch(
-        &self,
-        queries: &[SparseVec],
-        threads: usize,
-    ) -> Vec<(Vec<u32>, QueryStats)> {
-        batch_map(queries, threads, |q| self.distinct_candidates(q))
     }
 
     /// Number of probe passes (= built repetitions).
@@ -815,18 +723,17 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// `tests/mutation_equivalence.rs`).
     pub fn insert_set(&mut self, set: SparseVec) -> usize {
         let id = self.slot_count();
-        let mut filters: Vec<skewsearch_hashing::PathKey> = Vec::new();
+        let (mut filters, mut keys) = (Vec::new(), Vec::new());
         let context = self.enum_context(&set);
         for rep in &mut self.reps {
-            filters.clear();
-            enumerate_filters_with(
+            rep.enumerate_keys(
                 &context,
                 &self.scheme,
-                &rep.hashers,
                 self.node_budget,
                 &mut filters,
+                &mut keys,
             );
-            for key in filters.iter().map(|k| rep.interner.hash(k.raw())) {
+            for &key in &keys {
                 rep.delta.entry(key).or_default().push(id as u32);
             }
         }
@@ -1155,12 +1062,9 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
         Ok(out)
     }
 
+    /// Runs on [`IndexOptions::query_threads`] workers.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        self.search_batch_threads(queries, self.query_threads)
-    }
-
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.search_batch_best_threads(queries, self.query_threads)
+        batch_map(queries, self.query_threads, |q| self.search_all(q))
     }
 
     /// Infallible delegation to [`LsfIndex::insert_set`] — the LSF index is
@@ -1512,52 +1416,6 @@ mod tests {
         let (c2, s2) = idx2.distinct_candidates(&q);
         assert_eq!(c1, c2);
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        let profile = BernoulliProfile::two_block(500, 0.2, 0.02).unwrap();
-        let mut rng = StdRng::seed_from_u64(777);
-        let ds = Dataset::generate(&profile, 120, &mut rng);
-        let build = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(31337);
-            let scheme = CorrelatedScheme::new(0.8, ds.n(), &profile);
-            LsfIndex::build(
-                ds.vectors().to_vec(),
-                profile.clone(),
-                scheme,
-                0.8 / 1.3,
-                IndexOptions {
-                    repetitions: Repetitions::Fixed(3),
-                    build_threads: threads,
-                    ..IndexOptions::default()
-                },
-                &mut rng,
-            )
-        };
-        let seq = build(1);
-        for threads in [2, 4, 7] {
-            let par = build(threads);
-            // Identical stats and identical probing behaviour on queries.
-            assert_eq!(
-                seq.build_stats().total_filters,
-                par.build_stats().total_filters,
-                "threads={threads}"
-            );
-            assert_eq!(
-                seq.build_stats().distinct_buckets,
-                par.build_stats().distinct_buckets
-            );
-            let mut rng = StdRng::seed_from_u64(1);
-            for t in 0..10 {
-                let q = correlated_query(ds.vector(t), &profile, 0.8, &mut rng);
-                assert_eq!(
-                    seq.distinct_candidates(&q).0,
-                    par.distinct_candidates(&q).0,
-                    "threads={threads} query={t}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -84,9 +84,7 @@ pub mod traits;
 pub mod wrapper;
 
 pub use adversarial::{AdversarialIndex, AdversarialParams};
-pub use batch::{
-    batch_map, batch_map_chunked, batch_map_distinct, distinct_slots, resolve_threads,
-};
+pub use batch::{batch_map, batch_map_chunked, distinct_slots};
 pub use correlated::{CorrelatedIndex, CorrelatedParams, ModelDiagnostics};
 pub use engine::{
     enumerate_filters, enumerate_filters_with, enumeration_count, EnumContext, EnumStats,

@@ -198,7 +198,11 @@ impl<S> Shard<S> {
 /// A sharded index: `N` shards of an underlying [`Shardable`] index, merged
 /// behind [`SetSimilaritySearch`] with answers **byte-identical** to the
 /// unsharded index — same matches, same similarities, same order, for
-/// `search`, `search_all`, `search_batch`, and `search_batch_best`.
+/// `search`, `search_all`, and `search_batch`.
+///
+/// Every query fans out across the shards on one worker per core;
+/// `search_batch` instead runs its queries on one worker per core, each
+/// fanning out on one worker.
 ///
 /// # Examples
 ///
@@ -235,10 +239,6 @@ pub struct ShardedIndex<S> {
     /// or tombstoned, lives in exactly one shard); empty under
     /// `ByRepetition`, where ids are already global in every shard.
     owner: Vec<(u32, u32)>,
-    /// Workers for the per-query cross-shard fan-out (`0` = one per core).
-    fanout_threads: usize,
-    /// Workers for `search_batch` across queries (`0` = one per core).
-    query_threads: usize,
 }
 
 impl<S: Shardable + Send + Sync> ShardedIndex<S> {
@@ -297,25 +297,7 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
             len: index.len(),
             next_id: slot_count,
             owner,
-            fanout_threads: 0,
-            query_threads: 0,
         }
-    }
-
-    /// Sets the worker count for the per-query cross-shard fan-out
-    /// (`0` = one per core). Purely a throughput knob — results are
-    /// identical for every value.
-    pub fn with_fanout_threads(mut self, threads: usize) -> Self {
-        self.fanout_threads = threads;
-        self
-    }
-
-    /// Sets the worker count [`SetSimilaritySearch::search_batch`] uses
-    /// across queries (`0` = one per core). Results are identical for every
-    /// value.
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
-        self
     }
 
     /// The decomposition strategy.
@@ -459,11 +441,6 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     /// [`PersistError`] on a corrupt manifest, a missing or corrupt shard
     /// file, or a manifest that disagrees with its shards (the checks of
     /// `docs/PERSISTENCE.md` §7.1) — never panics.
-    ///
-    /// The fan-out/batch worker counts are runtime knobs, not index state;
-    /// they reset to their defaults (one worker per core) and can be re-set
-    /// with [`ShardedIndex::with_fanout_threads`] /
-    /// [`ShardedIndex::with_query_threads`].
     pub fn load(dir: &std::path::Path) -> Result<Self, PersistError> {
         let manifest = load_container(
             &dir.join("manifest.skx"),
@@ -485,8 +462,6 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
             len: manifest.len,
             next_id: manifest.next_id,
             owner: manifest.owner,
-            fanout_threads: 0,
-            query_threads: 0,
         };
         index.check_manifest()?;
         Ok(index)
@@ -559,25 +534,17 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         source: PassSource<'_>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        self.fan_out(source.query(), ctl, self.fanout_threads)
+        self.fan_out(source.query(), ctl, 0)
     }
 
-    /// Parallelizes across *queries* (the shard fan-out inside each query
-    /// stays sequential to avoid nested oversubscription); results equal
+    /// Parallelizes across *queries* on one worker per core (the shard
+    /// fan-out inside each query stays sequential to avoid nested
+    /// oversubscription); results equal
     /// `queries.iter().map(|q| self.search_all(q))` regardless.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        batch_map(queries, self.query_threads, |q| {
+        batch_map(queries, 0, |q| {
             let all = self.fan_out(q, ProbeControl::ALL, 1).unwrap_or_default();
             all.into_iter().map(|t| t.hit).collect()
-        })
-    }
-
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        batch_map(queries, self.query_threads, |q| {
-            let all = self.fan_out(q, ProbeControl::ALL, 1).unwrap_or_default();
-            all.into_iter()
-                .map(|t| t.hit)
-                .max_by(|a, b| a.similarity.total_cmp(&b.similarity))
         })
     }
 
@@ -776,22 +743,6 @@ mod tests {
         assert_eq!(sharded.shard_lens().iter().sum::<usize>(), index.len());
         // Content hashing spreads 160 vectors over 4 shards non-degenerately.
         assert!(sharded.shard_lens().iter().filter(|&&l| l > 0).count() >= 2);
-    }
-
-    #[test]
-    fn fanout_and_query_threads_never_change_results() {
-        let (index, queries) = fixture(5);
-        let reference = ShardedIndex::build(&index, ShardStrategy::ByRepetition, 4);
-        let expect = reference.search_batch(&queries);
-        for threads in [0, 1, 2, 8] {
-            let sharded = ShardedIndex::build(&index, ShardStrategy::ByRepetition, 4)
-                .with_fanout_threads(threads)
-                .with_query_threads(threads);
-            assert_eq!(sharded.search_batch(&queries), expect, "threads={threads}");
-            for q in queries.iter().take(5) {
-                assert_eq!(sharded.search_all(q), reference.search_all(q));
-            }
-        }
     }
 
     #[test]

@@ -424,12 +424,12 @@ pub trait SetSimilaritySearch {
     /// Answers a batch of queries: element `i` of the result is exactly
     /// `self.search_all(&queries[i])`.
     ///
-    /// The default implementation is the sequential loop. Index structures
-    /// override it with a thread-pooled implementation (std scoped threads,
-    /// chunked work stealing via an atomic cursor — the worker count comes
-    /// from build-time options such as `IndexOptions::query_threads`), and
-    /// guarantee **identical results for every worker count** — batching is
-    /// a throughput optimization, never a semantics change.
+    /// The default implementation is the sequential loop. The LSF indexes
+    /// and MinHash override it to run on [`crate::batch::batch_map`] with
+    /// their saved `query_threads` worker count;
+    /// [`crate::shard::ShardedIndex`] runs on one worker per core. Results
+    /// are **identical for every worker count** — batching is a throughput
+    /// optimization, never a semantics change.
     ///
     /// # Examples
     ///
@@ -459,13 +459,6 @@ pub trait SetSimilaritySearch {
     /// ```
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         queries.iter().map(|q| self.search_all(q)).collect()
-    }
-
-    /// Batch [`SetSimilaritySearch::search_best`]: element `i` of the result
-    /// is exactly `self.search_best(&queries[i])`. Same override and
-    /// identical-results guarantees as [`SetSimilaritySearch::search_batch`].
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        queries.iter().map(|q| self.search_best(q)).collect()
     }
 
     /// Incrementally indexes `set`, returning its stable [`SetId`].
@@ -584,9 +577,7 @@ mod tests {
             SparseVec::empty(),
         ];
         let all: Vec<_> = queries.iter().map(|q| s.search_all(q)).collect();
-        let best: Vec<_> = queries.iter().map(|q| s.search_best(q)).collect();
         assert_eq!(s.search_batch(&queries), all);
-        assert_eq!(s.search_batch_best(&queries), best);
     }
 
     #[test]

@@ -67,10 +67,6 @@ impl<W: LsfWrapper> SetSimilaritySearch for W {
         (**self).search_batch(queries)
     }
 
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        (**self).search_batch_best(queries)
-    }
-
     /// Mutable: the embedded index's log-structured insert.
     fn insert(&mut self, set: SparseVec) -> Result<SetId, MutationError> {
         (**self).insert(set)

@@ -18,7 +18,8 @@ use skewsearch_baselines::{
     ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
 };
 use skewsearch_core::{
-    CorrelatedIndex, CorrelatedParams, IndexOptions, PassSource, ProbeControl, Repetitions,
+    batch_map, CorrelatedIndex, CorrelatedParams, IndexOptions, PassSource, ProbeControl,
+    Repetitions,
 };
 use skewsearch_datagen::{correlated_query, skew::least_squares_slope, BernoulliProfile, Dataset};
 
@@ -163,8 +164,8 @@ pub fn run(config: &ScalingConfig) -> Scaling {
         let mut cands = [0f64; 5];
         let mut recalls = [0f64; 5];
         for (m, batch) in [
-            ours.distinct_candidates_batch(&qs, 0),
-            cp.distinct_candidates_batch(&qs, 0),
+            batch_map(&qs, 0, |q| ours.distinct_candidates(q)),
+            batch_map(&qs, 0, |q| cp.distinct_candidates(q)),
         ]
         .into_iter()
         .enumerate()
@@ -262,7 +263,8 @@ pub fn run_adversarial(config: &ScalingConfig, b1: f64, deletions: usize) -> Sca
         }
         let mut cands = 0f64;
         let mut recall = 0f64;
-        for (&target, (ids, _)) in targets.iter().zip(index.distinct_candidates_batch(&qs, 0)) {
+        let batch = batch_map(&qs, 0, |q| index.distinct_candidates(q));
+        for (&target, (ids, _)) in targets.iter().zip(batch) {
             cands += ids.len() as f64;
             recall += ids.contains(&(target as u32)) as u8 as f64;
         }
@@ -396,7 +398,7 @@ pub fn run_sharded(config: &ScalingConfig, shard_counts: &[usize]) -> ShardedSca
                 recall as f64 / config.queries as f64,
             )
         };
-        let unsharded = index.search_batch_threads(&qs, 0);
+        let unsharded = index.search_batch(&qs);
         let (avg, rec) = measure(&unsharded);
         points.push(ShardedPoint {
             n,

@@ -9,7 +9,9 @@
 //!
 //! The join is generic over any [`SetSimilaritySearch`] structure, so the
 //! same driver runs the paper's indexes, Chosen Path, MinHash, prefix
-//! filtering, and the exact nested-loop oracle used to validate them.
+//! filtering, and the exact nested-loop oracle used to validate them. It is
+//! the one join driver: how many workers answer the probe side is the
+//! index's own batch setting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,10 +48,11 @@ fn collect_pairs(per_query: Vec<Vec<skewsearch_core::Match>>) -> Vec<JoinPair> {
 /// R ⋈ S: probes `index` (built over `S`) with every vector of `r`,
 /// collecting all verified pairs at the index's threshold.
 ///
-/// Runs through [`SetSimilaritySearch::search_batch`], so indexes with a
-/// thread-pooled batch override (the LSF indexes, MinHash) answer the probe
-/// side in parallel with results identical to the sequential loop; pairs are
-/// emitted in `r` order.
+/// Runs through [`SetSimilaritySearch::search_batch`], so the index sets
+/// the probe side's worker count — the LSF indexes and MinHash their
+/// `query_threads`, a [`ShardedIndex`](skewsearch_core::ShardedIndex) one
+/// worker per core — with results identical to the sequential loop; pairs
+/// are emitted in `r` order.
 ///
 /// **Each distinct probe-side query is planned and answered exactly once.**
 /// Duplicate sets in `r` (frequent in real joins, and co-located by
@@ -75,30 +78,6 @@ pub fn similarity_join<I: SetSimilaritySearch>(r: &[SparseVec], index: &I) -> Ve
     let distinct: Vec<SparseVec> = representatives.iter().map(|&i| r[i].clone()).collect();
     let answers = index.search_batch(&distinct);
     collect_pairs(slot_of.into_iter().map(|s| answers[s].clone()).collect())
-}
-
-/// [`similarity_join`] with an explicit worker count for the probe side
-/// (`0` = one per available core), independent of the index's own batch
-/// configuration. Work is distributed by chunked work stealing over the
-/// distinct queries ([`skewsearch_core::batch_map_distinct`] — duplicates
-/// share one answer, as in [`similarity_join`]); output is identical to the
-/// sequential join for every thread count.
-///
-/// With a [`ShardedIndex`](skewsearch_core::ShardedIndex), prefer
-/// [`similarity_join`]: its `search_batch` pins the per-query shard fan-out
-/// to one worker, whereas this function's per-query `search_all` calls fan
-/// out at the index's `fanout_threads` *inside* each probe worker —
-/// `threads × fanout` scoped threads per query wave (results unchanged,
-/// throughput oversubscribed). If you do use this, build the sharded index
-/// with `with_fanout_threads(1)`.
-pub fn similarity_join_parallel<I: SetSimilaritySearch + Sync>(
-    r: &[SparseVec],
-    index: &I,
-    threads: usize,
-) -> Vec<JoinPair> {
-    collect_pairs(skewsearch_core::batch_map_distinct(r, threads, |q| {
-        index.search_all(q)
-    }))
 }
 
 /// Self-join of the indexed set: probes the index with each of its own
@@ -196,22 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_matches_sequential_exactly() {
-        let profile = BernoulliProfile::uniform(200, 0.1).unwrap();
-        let mut rng = StdRng::seed_from_u64(91);
-        let s = Dataset::generate(&profile, 120, &mut rng);
-        let r: Vec<SparseVec> = (0..40)
-            .map(|t| correlated_query(s.vector(t), &profile, 0.9, &mut rng))
-            .collect();
-        let index = BruteForce::new(s.vectors().to_vec(), 0.5);
-        let seq = similarity_join(&r, &index);
-        for threads in [2, 3, 8, 64] {
-            let par = similarity_join_parallel(&r, &index, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn lsf_join_has_high_recall_vs_oracle() {
         let profile = BernoulliProfile::two_block(800, 0.2, 0.02).unwrap();
         let mut rng = StdRng::seed_from_u64(92);
@@ -285,9 +248,6 @@ mod tests {
         let index = BruteForce::new(s.clone(), 0.6);
         let naive: Vec<JoinPair> = collect_pairs(r.iter().map(|q| index.search_all(q)).collect());
         assert_eq!(similarity_join(&r, &index), naive);
-        for threads in [1, 4] {
-            assert_eq!(similarity_join_parallel(&r, &index, threads), naive);
-        }
         assert!(
             naive.iter().filter(|p| p.r_id == 2 || p.r_id == 3).count() >= 2,
             "duplicates must each contribute their own pairs"

@@ -2,8 +2,9 @@
 //! the paper — "Our results immediately apply to the problem of database
 //! similarity joins").
 //!
-//! Indexes S once, probes with every r ∈ R (sequentially and in parallel),
-//! and validates recall against the exact nested-loop join.
+//! Indexes S once, probes with every r ∈ R on the index's batch executor
+//! (one worker per core by default), and validates recall against the exact
+//! nested-loop join.
 //!
 //! ```sh
 //! cargo run --release --example similarity_join
@@ -14,9 +15,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::core::{CorrelatedIndex, CorrelatedParams, IndexOptions, SetSimilaritySearch};
+use skewsearch::core::{CorrelatedIndex, CorrelatedParams, SetSimilaritySearch};
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
-use skewsearch::join::{join_recall, nested_loop_join, similarity_join, similarity_join_parallel};
+use skewsearch::join::{join_recall, nested_loop_join, similarity_join};
 use skewsearch::sets::SparseVec;
 use std::time::Instant;
 
@@ -43,18 +44,10 @@ fn main() {
         .collect();
 
     let t = Instant::now();
-    // query_threads: 1 pins the index's own batch pool to one worker so the
-    // "sequential join" timing below really is sequential; the parallel
-    // driver then supplies its own thread count explicitly.
     let index = CorrelatedIndex::build(
         &s,
         &profile,
-        CorrelatedParams::new(alpha)
-            .expect("alpha")
-            .with_options(IndexOptions {
-                query_threads: 1,
-                ..IndexOptions::default()
-            }),
+        CorrelatedParams::new(alpha).expect("alpha"),
         &mut rng,
     );
     println!(
@@ -64,20 +57,9 @@ fn main() {
     );
 
     let t = Instant::now();
-    let seq = similarity_join(&r, &index);
-    let t_seq = t.elapsed();
-    println!("sequential join: {} pairs in {t_seq:?}", seq.len());
-
-    let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let t = Instant::now();
-    let par = similarity_join_parallel(&r, &index, threads);
-    let t_par = t.elapsed();
-    println!(
-        "parallel join ({threads} threads): {} pairs in {t_par:?} ({:.1}x speedup)",
-        par.len(),
-        t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9)
-    );
-    assert_eq!(seq, par, "parallel join must be byte-identical");
+    let pairs = similarity_join(&r, &index);
+    let t_join = t.elapsed();
+    println!("indexed join: {} pairs in {t_join:?}", pairs.len());
 
     let t = Instant::now();
     let truth = nested_loop_join(&r, s.vectors(), index.threshold());
@@ -85,10 +67,10 @@ fn main() {
     println!(
         "exact nested loop: {} pairs in {t_exact:?} ({:.1}x slower than indexed)",
         truth.len(),
-        t_exact.as_secs_f64() / t_seq.as_secs_f64().max(1e-9)
+        t_exact.as_secs_f64() / t_join.as_secs_f64().max(1e-9)
     );
     println!(
         "join recall vs exact: {:.1}%",
-        100.0 * join_recall(&seq, &truth)
+        100.0 * join_recall(&pairs, &truth)
     );
 }

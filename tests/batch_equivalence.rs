@@ -1,9 +1,9 @@
 //! Batch semantics: for every index type, `search_batch` must return exactly
-//! `queries.iter().map(|q| search_all(q))` — and `search_batch_best` exactly
-//! the per-query `search_best` results — at any worker count, under a fixed
-//! seed. Extends `tests/determinism.rs`'s transcript approach: the batch
-//! transcript at 1 and 8 threads is compared byte-for-byte against the
-//! sequential one.
+//! `queries.iter().map(|q| search_all(q))` at any `query_threads` setting,
+//! under a fixed seed — and `search_best` the highest-similarity match of
+//! `search_all`. Extends `tests/determinism.rs`'s transcript approach: the
+//! batch transcript at 1 and 8 workers is compared byte-for-byte against
+//! the sequential one.
 
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
@@ -42,8 +42,9 @@ fn opts(query_threads: usize) -> IndexOptions {
 }
 
 /// Asserts the batch contract for one structure: trait-level `search_batch`
-/// and `search_batch_best` equal the sequential per-query loops, element for
-/// element.
+/// equals the sequential per-query loop, element for element, and each
+/// query's `search_best` is a match of its `search_all` list with no match
+/// above it.
 fn assert_batch_matches_sequential<I: SetSimilaritySearch>(
     index: &I,
     queries: &[SparseVec],
@@ -51,8 +52,17 @@ fn assert_batch_matches_sequential<I: SetSimilaritySearch>(
 ) {
     let sequential: Vec<_> = queries.iter().map(|q| index.search_all(q)).collect();
     assert_eq!(index.search_batch(queries), sequential, "{label}");
-    let best: Vec<_> = queries.iter().map(|q| index.search_best(q)).collect();
-    assert_eq!(index.search_batch_best(queries), best, "{label}");
+    for (q, all) in queries.iter().zip(&sequential) {
+        let best = index.search_best(q);
+        assert_eq!(best.is_some(), !all.is_empty(), "{label}");
+        if let Some(best) = best {
+            assert!(all.contains(&best), "{label}");
+            assert!(
+                all.iter().all(|m| m.similarity <= best.similarity),
+                "{label}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -70,15 +80,6 @@ fn lsf_index_batch_equivalence() {
             &mut rng,
         );
         assert_batch_matches_sequential(&index, &queries, &format!("LsfIndex t={threads}"));
-        // Explicit-thread inherent APIs agree with the trait method.
-        assert_eq!(
-            index.search_batch_threads(&queries, threads),
-            index.search_batch(&queries)
-        );
-        let batched = index.distinct_candidates_batch(&queries, threads);
-        for (q, got) in queries.iter().zip(batched) {
-            assert_eq!(got, index.distinct_candidates(q));
-        }
     }
 }
 
@@ -130,25 +131,26 @@ fn minhash_batch_equivalence() {
         params.query_threads = threads;
         let index = MinHashLsh::build(&ds, params, &mut rng);
         assert_batch_matches_sequential(&index, &queries, &format!("MinHashLsh t={threads}"));
-        assert_eq!(
-            index.search_batch_threads(&queries, threads),
-            index.search_batch(&queries)
-        );
     }
 }
 
 #[test]
 fn batch_results_are_thread_count_invariant() {
-    // The same built index must answer a batch identically at every worker
-    // count — the "batching is never a semantics change" guarantee.
+    // Same-seed twins that differ only in `query_threads` must answer a
+    // batch identically — the "batching is never a semantics change"
+    // guarantee.
     let (ds, profile, queries) = fixture();
-    let mut rng = StdRng::seed_from_u64(SEED ^ 6);
-    let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(1));
-    let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
-    let reference = index.search_batch_threads(&queries, 1);
+    let build = |threads: usize| {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 6);
+        let params = CorrelatedParams::new(ALPHA)
+            .unwrap()
+            .with_options(opts(threads));
+        CorrelatedIndex::build(&ds, &profile, params, &mut rng)
+    };
+    let reference = build(1).search_batch(&queries);
     for threads in [0, 2, 3, 8, 64] {
         assert_eq!(
-            index.search_batch_threads(&queries, threads),
+            build(threads).search_batch(&queries),
             reference,
             "threads={threads}"
         );

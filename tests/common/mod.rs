@@ -3,10 +3,10 @@
 
 pub mod mutation;
 
-/// Worker counts the parallel-equivalence suites exercise: 1 and 8 always,
-/// plus the value of `SKEWSEARCH_TEST_THREADS` when set. CI sets it to
-/// `nproc` on multicore hosts so the executor actually fans out across the
-/// real core count — see `.github/workflows/ci.yml`.
+/// The `query_threads` values the batch and join suites build their twins
+/// at: 1 and 8 always, plus the value of `SKEWSEARCH_TEST_THREADS` when set.
+/// CI sets it to `nproc` on multicore hosts so the executor actually fans
+/// out across the real core count — see `.github/workflows/ci.yml`.
 ///
 /// Not every suite that includes `common` calls this — hence the allow.
 #[allow(dead_code)]

@@ -245,17 +245,17 @@ pub fn assert_answers_like_rebuild<I: SetSimilaritySearch>(
         .map(|ms| dense(ms))
         .collect();
     assert_eq!(batch, oracle_batch, "{label}: search_batch");
-    let best: Vec<Option<(usize, u64)>> = index
-        .search_batch_best(queries)
+    let best: Vec<Option<(usize, u64)>> = queries
         .iter()
+        .map(|q| index.search_best(q))
         .map(|m| m.map(|m| (compact_of[&m.id], m.similarity.to_bits())))
         .collect();
-    let oracle_best: Vec<Option<(usize, u64)>> = oracle
-        .search_batch_best(queries)
+    let oracle_best: Vec<Option<(usize, u64)>> = queries
         .iter()
+        .map(|q| oracle.search_best(q))
         .map(|m| m.map(|m| (m.id, m.similarity.to_bits())))
         .collect();
-    assert_eq!(best, oracle_best, "{label}: search_batch_best");
+    assert_eq!(best, oracle_best, "{label}: search_best");
 }
 
 /// Rebuilds the oracle over a script's survivors and returns it with the

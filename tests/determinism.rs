@@ -1,7 +1,5 @@
 //! Determinism: the same seed must yield byte-identical search results for
-//! every randomized index, independently of when or how often it is built —
-//! and, for the LSF indexes, independently of the build thread count (chunk
-//! results are merged in id order).
+//! every randomized index, independently of when or how often it is built.
 
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
@@ -27,10 +25,9 @@ fn fixture() -> (Dataset, BernoulliProfile, Vec<SparseVec>) {
     (ds, profile, queries)
 }
 
-fn opts(threads: usize) -> IndexOptions {
+fn opts() -> IndexOptions {
     IndexOptions {
         repetitions: Repetitions::Fixed(6),
-        build_threads: threads,
         ..IndexOptions::default()
     }
 }
@@ -49,53 +46,44 @@ fn transcript<I: SetSimilaritySearch>(index: &I, queries: &[SparseVec]) -> Strin
 #[test]
 fn correlated_index_is_deterministic_under_fixed_seed() {
     let (ds, profile, queries) = fixture();
-    let build = |threads: usize| {
+    let build = || {
         let mut rng = StdRng::seed_from_u64(SEED);
-        let params = CorrelatedParams::new(ALPHA)
-            .unwrap()
-            .with_options(opts(threads));
+        let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts());
         CorrelatedIndex::build(&ds, &profile, params, &mut rng)
     };
-    let a = transcript(&build(1), &queries);
-    let b = transcript(&build(1), &queries);
+    let a = transcript(&build(), &queries);
+    let b = transcript(&build(), &queries);
     assert_eq!(a, b, "two same-seed builds must answer identically");
-    // Thread-count independence: chunked enumeration merges in id order.
-    let c = transcript(&build(4), &queries);
-    assert_eq!(a, c, "build_threads must not change results");
 }
 
 #[test]
 fn adversarial_index_is_deterministic_under_fixed_seed() {
     let (ds, profile, queries) = fixture();
-    let build = |threads: usize| {
+    let build = || {
         let mut rng = StdRng::seed_from_u64(SEED ^ 2);
         let params = AdversarialParams::new(ALPHA / 1.3)
             .unwrap()
-            .with_options(opts(threads));
+            .with_options(opts());
         AdversarialIndex::build(&ds, &profile, params, &mut rng)
     };
-    let a = transcript(&build(1), &queries);
-    let b = transcript(&build(1), &queries);
+    let a = transcript(&build(), &queries);
+    let b = transcript(&build(), &queries);
     assert_eq!(a, b, "two same-seed builds must answer identically");
-    let c = transcript(&build(3), &queries);
-    assert_eq!(a, c, "build_threads must not change results");
 }
 
 #[test]
 fn chosen_path_index_is_deterministic_under_fixed_seed() {
     let (ds, profile, queries) = fixture();
-    let build = |threads: usize| {
+    let build = || {
         let mut rng = StdRng::seed_from_u64(SEED ^ 3);
         let params = ChosenPathParams::for_correlated_model(&profile, ALPHA, 1.0 / 1.3)
             .unwrap()
-            .with_options(opts(threads));
+            .with_options(opts());
         ChosenPathIndex::build(&ds, &profile, params, &mut rng)
     };
-    let a = transcript(&build(1), &queries);
-    let b = transcript(&build(1), &queries);
+    let a = transcript(&build(), &queries);
+    let b = transcript(&build(), &queries);
     assert_eq!(a, b, "two same-seed builds must answer identically");
-    let c = transcript(&build(8), &queries);
-    assert_eq!(a, c, "build_threads must not change results");
 }
 
 #[test]
@@ -119,7 +107,7 @@ fn different_seeds_actually_differ() {
     let (ds, profile, _) = fixture();
     let build = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
-        let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(1));
+        let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts());
         CorrelatedIndex::build(&ds, &profile, params, &mut rng)
     };
     let a = format!("{:?}", build(1).build_stats());

@@ -2,7 +2,9 @@
 //! hook `skewsearch::core::enumeration_count`: a `ByDataset`-sharded index
 //! performs **exactly one** `F(q)` enumeration per query — `R` calls into the
 //! enumeration engine, one per repetition — regardless of shard count.
-//! The join layer's distinct-query dedup is counted the same way.
+//! The join layer's distinct-query dedup is counted the same way, and so
+//! are the builds: an index build enumerates each set once per repetition,
+//! and sharding an index enumerates nothing.
 //!
 //! The counter is process-global, so everything here lives in **one** test
 //! function: integration tests in one binary run on concurrent threads, and
@@ -39,7 +41,13 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
             repetitions: Repetitions::Fixed(REPS),
             ..IndexOptions::default()
         });
-    let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
+    let (index, delta) =
+        enumerations_during(|| CorrelatedIndex::build(&ds, &profile, params, &mut rng));
+    assert_eq!(
+        delta,
+        (ds.n() * REPS) as u64,
+        "a build enumerates each set once per repetition"
+    );
     let queries: Vec<SparseVec> = (0..8)
         .map(|t| correlated_query(ds.vector(t * 17 % ds.n()), &profile, ALPHA, &mut rng))
         .chain(std::iter::once(SparseVec::empty()))
@@ -58,7 +66,9 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
     for shards in [1usize, 2, 4, 8] {
         // The tentpole claim: ByDataset plans once and broadcasts — the
         // enumeration count per query does not depend on the shard count.
-        let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, shards);
+        let (sharded, delta) =
+            enumerations_during(|| ShardedIndex::build(&index, ShardStrategy::ByDataset, shards));
+        assert_eq!(delta, 0, "sharding reuses the stored keys, shards={shards}");
         for (q, expect) in queries.iter().zip(&expected) {
             let (got, delta) = enumerations_during(|| sharded.search_all(q));
             assert_eq!(&got, expect, "ByDataset shards={shards}");
@@ -72,7 +82,10 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
         assert_eq!(delta, REPS as u64, "search plans once, shards={shards}");
 
         // ByRepetition: disjoint pass slices sum to R — also 1× total.
-        let by_rep = ShardedIndex::build(&index, ShardStrategy::ByRepetition, shards);
+        let (by_rep, delta) = enumerations_during(|| {
+            ShardedIndex::build(&index, ShardStrategy::ByRepetition, shards)
+        });
+        assert_eq!(delta, 0, "sharding reuses the stored keys, shards={shards}");
         for (q, expect) in queries.iter().zip(&expected).take(3) {
             let (got, delta) = enumerations_during(|| by_rep.search_all(q));
             assert_eq!(&got, expect, "ByRepetition shards={shards}");

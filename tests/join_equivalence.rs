@@ -1,6 +1,6 @@
 //! Join-level integration: index-driven joins versus the exact nested-loop
-//! oracle, across structures, with the parallel driver byte-identical to the
-//! sequential one.
+//! oracle, across structures, with joins byte-identical at every
+//! `query_threads` setting of the index.
 
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{BruteForce, PrefixFilterIndex};
@@ -8,9 +8,7 @@ use skewsearch::core::{
     CorrelatedIndex, CorrelatedParams, IndexOptions, Repetitions, SetSimilaritySearch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
-use skewsearch::join::{
-    join_recall, nested_loop_join, self_join, similarity_join, similarity_join_parallel,
-};
+use skewsearch::join::{join_recall, nested_loop_join, self_join, similarity_join};
 use skewsearch::sets::SparseVec;
 
 mod common;
@@ -62,24 +60,32 @@ fn prefix_filter_join_is_exact() {
 #[test]
 fn lsf_join_recall_and_parallel_determinism() {
     let (ds, profile, r, alpha) = setup(33);
-    let mut rng = StdRng::seed_from_u64(77);
-    let index = CorrelatedIndex::build(
-        &ds,
-        &profile,
-        CorrelatedParams::new(alpha)
-            .unwrap()
-            .with_options(IndexOptions {
-                repetitions: Repetitions::Fixed(10),
-                ..IndexOptions::default()
-            }),
-        &mut rng,
-    );
+    // Same-seed twins that differ only in `query_threads`, the worker count
+    // `similarity_join` runs its probe side on.
+    let build = |query_threads: usize| {
+        let mut rng = StdRng::seed_from_u64(77);
+        CorrelatedIndex::build(
+            &ds,
+            &profile,
+            CorrelatedParams::new(alpha)
+                .unwrap()
+                .with_options(IndexOptions {
+                    repetitions: Repetitions::Fixed(10),
+                    query_threads,
+                    ..IndexOptions::default()
+                }),
+            &mut rng,
+        )
+    };
+    let index = build(1);
     let seq = similarity_join(&r, &index);
-    for threads in [2, 5, 16] {
+    let mut counts = thread_counts();
+    counts.extend([2, 5, 16]);
+    for threads in counts {
         assert_eq!(
-            similarity_join_parallel(&r, &index, threads),
+            similarity_join(&r, &build(threads)),
             seq,
-            "threads={threads}"
+            "query_threads={threads}"
         );
     }
     let truth = nested_loop_join(&r, ds.vectors(), index.threshold());
@@ -154,9 +160,8 @@ fn duplicate_probe_sets_join_identically_through_bydataset_shards() {
 fn mutated_index_joins_like_its_rebuild_and_shards_exactly() {
     // A join driven by a mutated (tombstoned + delta-segmented) index must
     // equal the join driven by a from-scratch build over the survivors,
-    // under the monotone slot → compact-id renumbering — sequentially, on
-    // the parallel driver at every worker count, and through sharded
-    // mirrors under both strategies.
+    // under the monotone slot → compact-id renumbering — unsharded and
+    // through sharded mirrors under both strategies.
     use skewsearch::core::{CorrelatedScheme, LsfIndex, ShardStrategy, ShardedIndex};
     let (ds, profile, r, alpha) = setup(36);
     // A deterministic builder: the RNG is consumed only by the build and the
@@ -189,13 +194,6 @@ fn mutated_index_joins_like_its_rebuild_and_shards_exactly() {
         .collect();
 
     let seq = similarity_join(&r, &index);
-    for threads in thread_counts() {
-        assert_eq!(
-            similarity_join_parallel(&r, &index, threads),
-            seq,
-            "threads={threads}"
-        );
-    }
 
     // Rebuild oracle: same pairs, with s_id renumbered to compact ids.
     let rebuilt = build(survivors.iter().map(|&s| ds.vector(s).clone()).collect());

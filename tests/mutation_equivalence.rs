@@ -1,12 +1,11 @@
 //! The mutability contract, pinned end to end: after **any** interleaving of
 //! `insert` / `remove` / `compact` / queries, a log-structured index answers
 //! every surface — `search`, `search_all`, `search_all_tagged`,
-//! `search_batch`, `search_batch_best`, and `plan_query` + `probe_plan` —
+//! `search_batch`, `search_best`, and `plan_query` + `probe_plan` —
 //! **byte-identically** to an index built from scratch over the surviving
 //! sets (under the monotone slot → compact-id renumbering), and a
 //! `ShardedIndex` mutated through the trait API answers byte-identically to
-//! the mutated unsharded index at every shard count, strategy, and worker
-//! count.
+//! the mutated unsharded index at every shard count and strategy.
 //!
 //! The oracle machinery (pool, fixed-seed builder, op scripts, rebuild
 //! oracle, per-surface assertion) lives in `tests/common/mutation.rs`, where
@@ -29,7 +28,6 @@ use common::mutation::{
     assert_answers_like_rebuild, build_fixed, fixed_script, oracle_for, pool, queries_for, resolve,
     run_inherent, run_trait, Op, SHARD_COUNTS, STRATEGIES,
 };
-use common::thread_counts;
 
 #[test]
 fn interleaved_mutations_answer_like_a_rebuild_on_every_surface() {
@@ -191,15 +189,11 @@ fn mutated_sharded_indexes_match_at_every_shard_count() {
 
     for strategy in STRATEGIES {
         for shards in SHARD_COUNTS {
-            for threads in thread_counts() {
-                let label = format!("{strategy:?} shards={shards} threads={threads}");
-                let mut sharded = ShardedIndex::build(&base, strategy, shards)
-                    .with_fanout_threads(threads)
-                    .with_query_threads(threads);
-                assert!(sharded.supports_mutation(), "{label}");
-                run_trait(&mut sharded, &ds, &ops);
-                assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
-            }
+            let label = format!("{strategy:?} shards={shards}");
+            let mut sharded = ShardedIndex::build(&base, strategy, shards);
+            assert!(sharded.supports_mutation(), "{label}");
+            run_trait(&mut sharded, &ds, &ops);
+            assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Persistence semantics: for every index type, `load(save(index))` must
 //! answer **byte-identically** to the original on every surface — `search`,
-//! `search_all`, `search_all_tagged`, `search_batch`, `search_batch_best`,
-//! and `similarity_join` — including indexes that were mutated before being
+//! `search_all`, `search_all_tagged`, `search_batch`, `search_best`, and
+//! `similarity_join` — including indexes that were mutated before being
 //! saved, and whole sharded deployments at every shard count under both
 //! strategies.
 //!
@@ -92,16 +92,16 @@ fn assert_same_answers<I: SetSimilaritySearch>(
             original.search_all_tagged(q),
             "{label} q={i}"
         );
+        assert_eq!(
+            reloaded.search_best(q),
+            original.search_best(q),
+            "{label} q={i}"
+        );
     }
     assert_eq!(
         reloaded.search_batch(queries),
         original.search_batch(queries),
         "{label} batch"
-    );
-    assert_eq!(
-        reloaded.search_batch_best(queries),
-        original.search_batch_best(queries),
-        "{label} batch_best"
     );
     assert_eq!(
         similarity_join(queries, reloaded),

@@ -13,8 +13,7 @@
 //! along everywhere: the empty query (a plan with all-empty key lists), the
 //! *unplanned* plan (fused fallback), and plan reuse (probing must not
 //! consume the plan). A final test drives plans through the sharded
-//! broadcast at the worker counts of `SKEWSEARCH_TEST_THREADS` (CI sets it
-//! to `nproc` on multicore hosts — see `.github/workflows/ci.yml`).
+//! broadcast, which fans out on one worker per core.
 //!
 //! Both the per-index helper and the sharded test also pin the deadline
 //! granularity of `probe_plan_tagged_deadline` with a counting expiry check:
@@ -35,9 +34,6 @@ use skewsearch::core::{
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-mod common;
-use common::thread_counts;
 
 const SEED: u64 = 0x91A4;
 const ALPHA: f64 = 0.7;
@@ -336,9 +332,8 @@ fn empty_index_plans_and_probes_to_nothing() {
 
 #[test]
 fn broadcast_probes_match_at_configured_worker_counts() {
-    // The sharded fan-out consumes one plan from many workers; results must
-    // be identical at every worker count (including SKEWSEARCH_TEST_THREADS,
-    // which CI pins to the real core count).
+    // The sharded fan-out consumes one plan from one worker per core;
+    // results must be identical to the unsharded index's.
     let (ds, profile, queries) = fixture(200, SEED ^ 7);
     let mut rng = StdRng::seed_from_u64(SEED ^ 7);
     let reps = 5;
@@ -352,33 +347,29 @@ fn broadcast_probes_match_at_configured_worker_counts() {
             ShardStrategy::ByRepetition => reps,
             ShardStrategy::ByDataset => 4 * reps,
         };
-        for threads in thread_counts() {
-            let sharded = ShardedIndex::build(&index, strategy, 4)
-                .with_fanout_threads(threads)
-                .with_query_threads(threads);
-            for (i, q) in queries.iter().enumerate() {
-                assert_eq!(
-                    sharded.search_all_tagged(q),
-                    index.search_all_tagged(q),
-                    "{strategy:?} threads={threads} q={i}"
-                );
-                // Every shard polls the shared check once per repetition.
-                assert_deadline_granularity(
-                    &sharded,
-                    &sharded.plan_query(q),
-                    min_polls as u64,
-                    &format!("{strategy:?} threads={threads} q={i}"),
-                );
-            }
+        let sharded = ShardedIndex::build(&index, strategy, 4);
+        for (i, q) in queries.iter().enumerate() {
             assert_eq!(
-                sharded.search_batch(&queries),
-                queries
-                    .iter()
-                    .map(|q| index.search_all(q))
-                    .collect::<Vec<_>>(),
-                "{strategy:?} threads={threads}"
+                sharded.search_all_tagged(q),
+                index.search_all_tagged(q),
+                "{strategy:?} q={i}"
+            );
+            // Every shard polls the shared check once per repetition.
+            assert_deadline_granularity(
+                &sharded,
+                &sharded.plan_query(q),
+                min_polls as u64,
+                &format!("{strategy:?} q={i}"),
             );
         }
+        assert_eq!(
+            sharded.search_batch(&queries),
+            queries
+                .iter()
+                .map(|q| index.search_all(q))
+                .collect::<Vec<_>>(),
+            "{strategy:?}"
+        );
     }
 }
 

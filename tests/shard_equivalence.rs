@@ -1,6 +1,6 @@
 //! Sharding semantics: for every index type, a `ShardedIndex` must answer
 //! `search`, `search_all`, `search_all_tagged`, `search_batch`, and
-//! `search_batch_best` **byte-identically** to the unsharded index it was
+//! `search_best` **byte-identically** to the unsharded index it was
 //! partitioned from — under both strategies, at every shard count, including
 //! degenerate partitions where some shards are empty.
 //!
@@ -8,10 +8,9 @@
 //! grid from the acceptance criteria; a proptest block then randomizes the
 //! dataset, correlation, and shard count over {1, 3, 8}.
 //!
-//! Thread counts: the per-query shard fan-out and the batch executor are
-//! exercised at 1 and 8 workers, plus the value of `SKEWSEARCH_TEST_THREADS`
-//! when set (CI sets it to `nproc` on multicore hosts so these suites run at
-//! real parallelism — see `.github/workflows/ci.yml`).
+//! The per-query shard fan-out and the batch executor both run on one
+//! worker per core, so on a multicore host these suites run at real
+//! parallelism.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -23,9 +22,6 @@ use skewsearch::core::{
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
-
-mod common;
-use common::thread_counts;
 
 const SEED: u64 = 0x54A8D;
 const ALPHA: f64 = 0.7;
@@ -50,7 +46,7 @@ fn opts(reps: usize) -> IndexOptions {
 }
 
 /// The core assertion: every trait entry point of the sharded wrapper equals
-/// the unsharded index's answer, byte for byte, at every worker count.
+/// the unsharded index's answer, byte for byte.
 fn assert_sharded_identical<I: Shardable + Send + Sync>(
     index: &I,
     queries: &[SparseVec],
@@ -67,26 +63,23 @@ fn assert_sharded_identical<I: Shardable + Send + Sync>(
     let best: Vec<_> = queries.iter().map(|q| index.search_best(q)).collect();
     for strategy in STRATEGIES {
         for &shards in shard_counts {
-            for threads in thread_counts() {
-                let sharded = ShardedIndex::build(index, strategy, shards)
-                    .with_fanout_threads(threads)
-                    .with_query_threads(threads);
-                let ctx = format!("{label} {strategy:?} shards={shards} threads={threads}");
-                assert_eq!(sharded.len(), index.len(), "{ctx}");
-                assert_eq!(sharded.threshold(), index.threshold(), "{ctx}");
-                for (i, q) in queries.iter().enumerate() {
-                    assert_eq!(sharded.search_all(q), all[i], "{ctx} q={i}");
-                    assert_eq!(sharded.search_all_tagged(q), tagged[i], "{ctx} q={i}");
-                    assert_eq!(sharded.search(q), first[i], "{ctx} q={i}");
-                    assert_eq!(
-                        sharded.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
-                        first_tagged[i],
-                        "{ctx} q={i}"
-                    );
-                }
-                assert_eq!(sharded.search_batch(queries), all, "{ctx}");
-                assert_eq!(sharded.search_batch_best(queries), best, "{ctx}");
+            let sharded = ShardedIndex::build(index, strategy, shards);
+            let ctx = format!("{label} {strategy:?} shards={shards}");
+            assert_eq!(sharded.len(), index.len(), "{ctx}");
+            assert_eq!(sharded.threshold(), index.threshold(), "{ctx}");
+            for (i, q) in queries.iter().enumerate() {
+                assert_eq!(sharded.search_all(q), all[i], "{ctx} q={i}");
+                assert_eq!(sharded.search_all_tagged(q), tagged[i], "{ctx} q={i}");
+                assert_eq!(sharded.search(q), first[i], "{ctx} q={i}");
+                assert_eq!(
+                    sharded.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
+                    first_tagged[i],
+                    "{ctx} q={i}"
+                );
             }
+            assert_eq!(sharded.search_batch(queries), all, "{ctx}");
+            let sharded_best: Vec<_> = queries.iter().map(|q| sharded.search_best(q)).collect();
+            assert_eq!(sharded_best, best, "{ctx}");
         }
     }
 }
