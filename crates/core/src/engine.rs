@@ -24,13 +24,17 @@
 //! The DFS runs one *child test* per query dimension at every node, so a
 //! query's enumeration cost is its filter count times about `|x|` tests.
 //! [`EnumContext`] prepares everything a test needs that does not depend
-//! on the path: each dimension's key term `H(i)` ([`PathKey::dim_term`])
-//! and its thresholds pre-scaled for [`LevelHasher::accepts_scaled`]. A
-//! test is then one key extension, one level hash and one compare; the
-//! without-replacement scan of the path runs only for the few children the
-//! hash accepts. Every step decides exactly what the textbook test does,
-//! in the same order, so `F(x)`, its order and [`EnumStats`] are unchanged
-//! (pinned against a reference DFS in this module's tests).
+//! on the path, packed into one row per depth and dimension: the
+//! dimension's key term `H(i)` ([`PathKey::dim_term`]) and its threshold
+//! pre-scaled for [`LevelHasher::accepts_scaled`]. A test is then one row
+//! read, one key extension, one level hash and one compare, and a node
+//! scans its rows for the next child the hash accepts in a loop that
+//! touches nothing else. The dimension, its mass and the
+//! without-replacement scan of the path are read only for the few
+//! children the hash accepts. Every step decides exactly what the
+//! textbook test does, in the same order, so `F(x)`, its order and
+//! [`EnumStats`] are unchanged (pinned against a reference DFS in this
+//! module's tests).
 //!
 //! [`LevelHasher::accepts_scaled`]: skewsearch_hashing::LevelHasher::accepts_scaled
 
@@ -96,15 +100,26 @@ pub struct EnumStats {
 /// single-shot callers.
 pub struct EnumContext<'a> {
     x: &'a SparseVec,
-    /// Depth-major threshold matrix, pre-scaled for
-    /// [`LevelHasher::accepts_scaled`]: `thresholds[j · |x| + t]` is
-    /// `s(x, j, dims[t]) · 2⁵³` for `j < max_depth`.
-    thresholds: Vec<f64>,
+    /// Depth-major child tests: `tests[j · |x| + t]` tests dimension
+    /// `dims[t]` at depth `j`, for `j < max_depth`.
+    tests: Vec<ChildTest>,
     /// `masses[t] = log₂(1/p_{dims[t]})`.
     masses: Vec<f64>,
-    /// `terms[t] = H(dims[t])`, the [`PathKey::dim_term`] of each dimension.
-    terms: Vec<u128>,
     max_depth: usize,
+}
+
+/// What the DFS reads to test one child, packed into one row: everything
+/// the test needs before the level hash accepts the child. The dimension
+/// itself and its mass are read only for the children the hash accepts.
+#[derive(Clone, Copy)]
+struct ChildTest {
+    /// `H(dims[t])`, the dimension's [`PathKey::dim_term`].
+    term: u128,
+    /// `s(x, j, dims[t]) · 2⁵³`, pre-scaled for
+    /// [`LevelHasher::accepts_scaled`].
+    threshold: f64,
+    /// `t`, the dimension's position in `x`.
+    t: u32,
 }
 
 impl<'a> EnumContext<'a> {
@@ -123,23 +138,32 @@ impl<'a> EnumContext<'a> {
     ) -> Self {
         let weight = x.weight();
         let dims = x.dims();
-        let (known, unknown) = dims.split_at(dims.partition_point(|&i| (i as usize) < profile.d()));
-        let mut thresholds = Vec::with_capacity(max_depth * dims.len());
+        let known = dims.partition_point(|&i| (i as usize) < profile.d());
+        let terms: Vec<u128> = dims.iter().map(|&i| PathKey::dim_term(i)).collect();
+        let mut tests = Vec::with_capacity(max_depth * dims.len());
         for depth in 0..max_depth {
-            thresholds.extend(
-                known
-                    .iter()
-                    .map(|&i| scheme.threshold(weight, depth, i) * LevelHasher::SCALE),
-            );
-            thresholds.extend(unknown.iter().map(|_| 0.0));
+            for (t, (&i, &term)) in dims.iter().zip(&terms).enumerate() {
+                let threshold = if t < known {
+                    scheme.threshold(weight, depth, i) * LevelHasher::SCALE
+                } else {
+                    0.0
+                };
+                tests.push(ChildTest {
+                    term,
+                    threshold,
+                    t: t as u32,
+                });
+            }
         }
-        let mut masses: Vec<f64> = known.iter().map(|&i| profile.log2_inv_p(i)).collect();
+        let mut masses: Vec<f64> = dims[..known]
+            .iter()
+            .map(|&i| profile.log2_inv_p(i))
+            .collect();
         masses.resize(dims.len(), 0.0);
         Self {
             x,
-            thresholds,
+            tests,
             masses,
-            terms: dims.iter().map(|&i| PathKey::dim_term(i)).collect(),
             max_depth,
         }
     }
@@ -200,7 +224,7 @@ pub fn enumerate_filters_with<S: ThresholdScheme>(
         context.max_depth,
         hashers.max_depth()
     );
-    let mut path: Vec<u32> = Vec::with_capacity(hashers.max_depth());
+    let mut path = vec![0u32; hashers.max_depth()];
     let mut ctx = Ctx {
         cache: context,
         scheme,
@@ -209,7 +233,7 @@ pub fn enumerate_filters_with<S: ThresholdScheme>(
         out,
         stats: &mut stats,
     };
-    dfs(&mut ctx, PathKey::EMPTY, 0.0, &mut path);
+    dfs(&mut ctx, PathKey::EMPTY, 0.0, &mut path, 0);
     stats
 }
 
@@ -222,42 +246,55 @@ struct Ctx<'a, S: ThresholdScheme> {
     stats: &'a mut EnumStats,
 }
 
-fn dfs<S: ThresholdScheme>(ctx: &mut Ctx<'_, S>, key: PathKey, mass: f64, path: &mut Vec<u32>) {
-    let depth = path.len();
+/// Extends the path `path[..depth]`, whose key is `key` and mass `mass`, by
+/// every child the level hash accepts; `path` has room for the stack's
+/// depth.
+fn dfs<S: ThresholdScheme>(
+    ctx: &mut Ctx<'_, S>,
+    key: PathKey,
+    mass: f64,
+    path: &mut [u32],
+    depth: usize,
+) {
     let level = ctx.hashers.level(depth);
     let cache = ctx.cache;
     let dims = cache.x.dims();
-    let row = &cache.thresholds[depth * dims.len()..(depth + 1) * dims.len()];
-    for (t, &i) in dims.iter().enumerate() {
+    let mut tests = &cache.tests[depth * dims.len()..(depth + 1) * dims.len()];
+    while !tests.is_empty() {
         if ctx.stats.nodes >= ctx.node_budget {
             ctx.stats.truncated = true;
             return;
         }
-        // The three rejections below only `continue`, so their order is
-        // unobservable; the cheapest and most selective run first.
-        let s = row[t];
-        if s <= 0.0 {
-            continue;
-        }
-        let key2 = key.extend_term(cache.terms[t]);
-        if !level.accepts_scaled(key2, s) {
-            continue;
-        }
+        // The next child the hash accepts. A rejected child changes no
+        // state, so the budget check above holds for every child the scan
+        // passes over, as it would if each were checked in turn. A
+        // threshold of 0 (a dimension outside the profile) rejects every
+        // hash.
+        let accepted = tests
+            .iter()
+            .position(|test| level.accepts_scaled(key.extend_term(test.term), test.threshold));
+        let Some(at) = accepted else {
+            return;
+        };
+        let test = tests[at];
+        tests = &tests[at + 1..];
         // Without replacement: skip dimensions already on the path. Paths are
         // at most a few dozen long, so a linear scan beats any set structure,
         // and it runs only for the few children the hash accepted.
-        if path.contains(&i) {
+        let t = test.t as usize;
+        let i = dims[t];
+        if path[..depth].contains(&i) {
             continue;
         }
         ctx.stats.nodes += 1;
+        let key2 = key.extend_term(test.term);
         let mass2 = mass + cache.masses[t];
         if ctx.scheme.is_complete(mass2, depth + 1) {
             ctx.out.push(key2);
             ctx.stats.emitted += 1;
         } else if depth + 1 < ctx.hashers.max_depth() {
-            path.push(i);
-            dfs(ctx, key2, mass2, path);
-            path.pop();
+            path[depth] = i;
+            dfs(ctx, key2, mass2, path, depth + 1);
             if ctx.stats.truncated {
                 return;
             }

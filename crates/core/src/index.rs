@@ -154,16 +154,19 @@ pub struct QueryStats {
 ///
 /// The inverted index is log-structured: `base` is the immutable **base
 /// segment** (filled at build time or by [`LsfIndex::compact`]), stored as
-/// [`CompressedPostings`] — sorted keys + byte offsets into one delta+varint
-/// arena — and `delta` is the small mutable segment absorbing incremental
-/// inserts as plain uncompressed buckets. A probe walks the base bucket for
-/// a key (streaming-decoded by a [`crate::postings::PostingsCursor`], zero
-/// allocation), then the delta bucket. Every id in `delta` exceeds every id
-/// in `base` (inserts are assigned ids past `LsfIndex::base_len`), so the
-/// concatenated walk visits ids in exactly the ascending order a
-/// from-scratch build over the same sets would store — which is what keeps
-/// mutated answers byte-identical to a rebuild. Build and compaction are
-/// the only two sites that encode a base segment.
+/// [`CompressedPostings`] — sorted keys under a directory, one word per
+/// bucket holding a single id inline, and a delta+varint arena for the
+/// other buckets — and `delta` is the small mutable segment absorbing
+/// incremental inserts as plain uncompressed buckets. A probe walks the
+/// base bucket for a key (streamed by a
+/// [`crate::postings::PostingsCursor`], zero allocation), then the delta
+/// bucket. Every id in `delta` exceeds every id in `base` (inserts are
+/// assigned ids past `LsfIndex::base_len`), so the concatenated walk
+/// visits ids in exactly the ascending order a from-scratch build over the
+/// same sets would store — which is what keeps mutated answers
+/// byte-identical to a rebuild. Build, compaction, dataset
+/// sharding and loading each encode a base segment through one
+/// [`PostingsEncoder`].
 struct Repetition {
     hashers: PathHasherStack,
     interner: TabulationU128,
@@ -206,11 +209,12 @@ fn probe_pass_keys(
 ) -> bool {
     stats.repetitions_probed += 1;
     stats.filters += keys.len();
+    let delta = (!rep.delta.is_empty()).then_some(&rep.delta);
     for (step, key) in keys.iter().enumerate() {
         // Base segment first, then the delta segment: delta ids all exceed
         // base ids, so this is ascending-id order — the order a rebuild
         // would store (see [`Repetition`]). The base bucket is streamed
-        // straight out of the compressed arena — no decode buffer.
+        // straight out of its word or arena block — no decode buffer.
         if let Some(cursor) = rep.base.get(*key) {
             for id in cursor {
                 stats.candidates += 1;
@@ -222,7 +226,7 @@ fn probe_pass_keys(
                 }
             }
         }
-        if let Some(bucket) = rep.delta.get(key) {
+        if let Some(bucket) = delta.and_then(|delta| delta.get(key)) {
             stats.candidates += bucket.len();
             for &id in bucket {
                 if seen.insert(id) {
@@ -394,7 +398,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         let mut truncated: FxHashSet<u32> = FxHashSet::default();
         let mut depth_capped: FxHashSet<u32> = FxHashSet::default();
         let (mut filters, mut keys) = (Vec::new(), Vec::new());
-        let mut pairs: Vec<(u32, u64)> = Vec::new();
+        let mut pairs: Vec<(u64, u32)> = Vec::new();
 
         // Each repetition gets an independent stack seeded from the caller's
         // RNG; builds stay deterministic under a fixed seed.
@@ -424,14 +428,16 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 if stats.depth_capped {
                     depth_capped.insert(id);
                 }
-                pairs.extend(keys.iter().map(|&key| (id, key)));
+                pairs.extend(keys.iter().map(|&key| (key, id)));
             }
-            // Pairs arrive in ascending id order; a stable sort by key keeps
-            // the ids ascending within each key — the encoder's contract.
+            // Sorted as `(key, id)`, ids ascend within each key — the
+            // encoder's contract. No two pairs are equal (the encoder
+            // asserts it), so an unstable sort gives the order a stable
+            // sort by key of the id-ordered pairs would.
             build_stats.total_filters += pairs.len();
-            pairs.sort_by_key(|&(_, key)| key);
+            pairs.sort_unstable();
             let mut enc = PostingsEncoder::new();
-            for &(id, key) in &pairs {
+            for &(key, id) in &pairs {
                 enc.push(key, id);
             }
             rep.base = enc.finish();
@@ -673,8 +679,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// Resident heap bytes of this index by role — the accounting behind
     /// the memory-diet target. `posting_bytes` is exact for the compressed
-    /// base segments (three flat arrays, measured by capacity) and a
-    /// load-factor-aware estimate for the uncompressed delta maps;
+    /// base segments (four flat arrays measured by capacity: keys, one
+    /// word per bucket, the derived directory and the arena of the buckets
+    /// that are not inline singletons) and a load-factor-aware estimate
+    /// for the uncompressed delta maps;
     /// `aux_bytes` covers hash coefficients, interner tables, the
     /// tombstone bitmap and the set signatures (32 bytes per slot).
     /// Deterministic for a deterministic build — which is what lets
@@ -1113,9 +1121,10 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
 
 impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// Appends this index's complete state to `w` as the kind-1 payload of
-    /// `docs/PERSISTENCE.md` §4: base segments as compressed postings
-    /// (sorted keys + byte offsets + the delta/varint arena, verbatim),
-    /// delta segments as bucket maps. Public because the wrapper indexes in
+    /// `docs/PERSISTENCE.md` §4: base segments as format-v2 compressed
+    /// postings (sorted keys + byte offsets + the delta/varint arena,
+    /// derived by [`CompressedPostings::v2_parts`]), delta segments as
+    /// bucket maps. Public because the wrapper indexes in
     /// `skewsearch-baselines` embed this payload after their own fields;
     /// most callers want [`Persist::save`] instead.
     pub fn write_payload(&self, w: &mut Writer) {
@@ -1791,6 +1800,28 @@ mod tests {
         assert!(fresh_matches > 0, "no query matched an inserted set");
         queries.extend(skewed_queries(&ds, &profile, 256, &mut rng));
         assert_bound_rejects_most("inserted", bound_outcomes(&index, &queries));
+    }
+
+    /// The base segments' resident bytes stay at most 85% of what the same
+    /// postings take in the format-v2 layout (8-byte keys, 8-byte offsets
+    /// and the arena): most buckets are singletons held in a 4-byte word.
+    #[test]
+    fn posting_bytes_undercut_the_v2_layout() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0020);
+        let (index, _, _) = skewed_fixture(&mut rng);
+        let v2: usize = index
+            .reps
+            .iter()
+            .map(|rep| {
+                let (offsets, arena) = rep.base.v2_parts();
+                8 * rep.base.keys().len() + 8 * offsets.len() + arena.len()
+            })
+            .sum();
+        let resident = index.memory_stats().posting_bytes;
+        assert!(
+            20 * resident <= 17 * v2,
+            "{resident} resident posting bytes against {v2} in the v2 layout"
+        );
     }
 
     #[test]

@@ -620,23 +620,26 @@ fn read_buckets(
 
 /// Writes one [`CompressedPostings`] as three aligned fields: the sorted key
 /// array, the **byte**-offset table (`keys.len() + 1` entries into the
-/// arena), and the delta+varint arena itself, persisted verbatim — the
-/// base-segment encoding (`docs/PERSISTENCE.md` §2.2). Contrast with
-/// [`write_bucket_map`], whose offsets count *ids*, not bytes.
+/// arena), and the delta+varint arena — the base-segment encoding
+/// (`docs/PERSISTENCE.md` §2.2), re-derived bucket by bucket by
+/// [`CompressedPostings::v2_parts`]. Contrast with [`write_bucket_map`],
+/// whose offsets count *ids*, not bytes.
 pub fn write_postings(w: &mut Writer, p: &CompressedPostings) {
+    let (offsets, arena) = p.v2_parts();
     // lint:allow(nondeterministic-iter, CompressedPostings::keys is the sorted key array of the compressed encoding — a Vec accessor, not a hash map)
     w.put_u64_slice(p.keys());
-    w.put_u64_slice(p.offsets());
-    w.put_bytes(p.arena());
+    w.put_u64_slice(&offsets);
+    w.put_bytes(&arena);
 }
 
 /// Decodes a base segment at the reader's format version — the one layout
 /// in the format that depends on it. Since v2 it is the [`write_postings`]
 /// encoding, every structural check (key order, offset consistency, varint
 /// well-formedness, strictly ascending ids in `min_id..n_slots`) delegated
-/// to [`CompressedPostings::from_parts`]; v1 stored a [`write_bucket_map`]
-/// map, whose checked buckets stream into a [`PostingsEncoder`]. Corruption
-/// maps to [`PersistError::Malformed`] naming the violated invariant.
+/// to [`CompressedPostings::from_parts`], which streams the checked buckets
+/// into a [`PostingsEncoder`]; v1 stored a [`write_bucket_map`] map, whose
+/// checked buckets stream into the encoder here. Corruption maps to
+/// [`PersistError::Malformed`] naming the violated invariant.
 pub fn read_postings(
     r: &mut Reader<'_>,
     n_slots: usize,
@@ -664,6 +667,7 @@ pub fn read_postings(
                     PostingsError::KeyOrder => "postings keys not strictly ascending",
                     PostingsError::OffsetTable => "postings offset table inconsistent",
                     PostingsError::IdOutOfRange => "postings id outside slot range",
+                    PostingsError::TooLarge => "postings exceed the in-memory layout's range",
                 })
             })
         }

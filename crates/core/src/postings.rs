@@ -1,4 +1,6 @@
-//! Compressed posting storage: delta + varint bucket arenas.
+//! Compressed posting storage: a directory over sorted keys, one word per
+//! bucket, and a delta + varint arena for the buckets that hold more than
+//! one id.
 //!
 //! The base segment of every [`crate::LsfIndex`] repetition is an inverted
 //! index `interned 64-bit bucket key → ascending set ids`. Storing each
@@ -6,33 +8,40 @@
 //! a map entry (key + `Vec` header + load-factor slack) plus 4 bytes per
 //! posting — at millions of indexed sets the per-repetition bucket maps
 //! dominate resident memory. This module replaces that representation for
-//! the *immutable* base segment with three flat arrays:
+//! the *immutable* base segment with four flat arrays:
 //!
-//! * `keys` — the bucket keys, strictly ascending (looked up by a guessed
-//!   slot and a gallop, see [`CompressedPostings::get`]);
-//! * `offsets` — `keys.len() + 1` byte offsets into the arena, so bucket
-//!   `i` occupies `arena[offsets[i]..offsets[i + 1]]`;
-//! * `arena` — one contiguous byte stream holding every bucket,
-//!   delta-encoded (first id absolute, then successive gaps, which are
-//!   strictly positive because ids ascend) and LEB128-varint-compressed.
+//! * `keys` — the bucket keys, strictly ascending;
+//! * `words` — one `u32` per bucket. A bucket holding a single id below
+//!   2³¹ stores it inline, as `INLINE | id`; any other bucket stores the
+//!   byte offset of its block in the arena;
+//! * `arena` — one contiguous byte stream holding the blocks of the
+//!   buckets that are not inline: each is the bucket's id count, then its
+//!   first id, then the gaps between successive ids (strictly positive,
+//!   because ids ascend), all LEB128 varints;
+//! * `dir` — a directory over the keys' top `b` bits: `dir[p]` is the
+//!   first slot whose key's top bits are `≥ p`, so the keys of cell `p`
+//!   are `keys[dir[p]..dir[p + 1]]`. It is derived from the keys whenever
+//!   a map is built and never persisted.
 //!
-//! Under skew the popular buckets are long and their id gaps small, so most
-//! postings compress to one or two bytes — the bytes-per-posting currency
-//! that LSF-Join (Rashtchian–Sharma–Woodruff 2020) identifies as the
-//! communication and memory cost of filtering at scale. The probe hot path
-//! finds a bucket by guessing its slot from the key and galloping from
-//! there (the LSF index's keys are interned hashes, close to uniform, so
-//! the guess lands within a few slots), then decodes lazily through
+//! In an LSF index most buckets hold a single id (88% at n = 800), so most
+//! lookups read one directory entry, one cache line of keys and one word,
+//! and never touch the arena. Under skew the popular buckets are long and
+//! their id gaps small, so most of their postings compress to one or two
+//! bytes — the bytes-per-posting currency that LSF-Join
+//! (Rashtchian–Sharma–Woodruff 2020) identifies as the communication and
+//! memory cost of filtering at scale. A bucket is read through
 //! [`PostingsCursor`], a zero-allocation streaming iterator feeding the
 //! index's single verification site unchanged.
 //!
-//! Encoding happens at exactly two sites — [`crate::LsfIndex`] build and
-//! compaction — through [`PostingsEncoder`]. Decoding untrusted bytes (the
-//! format-v2 persistence payload) goes through
-//! [`CompressedPostings::from_parts`], which validates every structural
-//! invariant and reports violations as a typed [`PostingsError`]; nothing in
-//! this module panics on malformed input (skewcheck's `no-panic-in-lib`
-//! contract).
+//! Encoding happens at the trusted sites — [`crate::LsfIndex`] build,
+//! compaction and sharding — through [`PostingsEncoder`]. Untrusted bytes
+//! (the format-v2 persistence payload: keys, a byte-offset table and an
+//! arena of count-free blocks) go through [`CompressedPostings::from_parts`],
+//! which validates every structural invariant, reports violations as a
+//! typed [`PostingsError`] and streams the checked buckets into the
+//! encoder; [`CompressedPostings::v2_parts`] derives the same parts back,
+//! byte for byte. Nothing in this module panics on malformed input
+//! (skewcheck's `no-panic-in-lib` contract).
 
 /// Why a compressed postings payload was rejected by
 /// [`CompressedPostings::from_parts`]. Every variant is a structural
@@ -53,6 +62,10 @@ pub enum PostingsError {
     OffsetTable,
     /// A decoded id lies outside the permitted `min_id..n_slots` range.
     IdOutOfRange,
+    /// The buckets do not fit the in-memory layout: a block would start at
+    /// or past the 2³¹ arena bytes a word addresses, or there are 2³² or
+    /// more buckets.
+    TooLarge,
 }
 
 impl std::fmt::Display for PostingsError {
@@ -64,11 +77,17 @@ impl std::fmt::Display for PostingsError {
             PostingsError::KeyOrder => write!(f, "bucket keys not strictly ascending"),
             PostingsError::OffsetTable => write!(f, "bucket offset table inconsistent"),
             PostingsError::IdOutOfRange => write!(f, "posting id outside the slot range"),
+            PostingsError::TooLarge => write!(f, "postings exceed the in-memory layout's range"),
         }
     }
 }
 
 impl std::error::Error for PostingsError {}
+
+/// The tag bit of a word holding its bucket's single id inline. A word
+/// without it is the byte offset of the bucket's block in the arena, so
+/// block offsets stay below 2³¹.
+const INLINE: u32 = 1 << 31;
 
 /// Appends `v` to `arena` as a LEB128 varint (7 payload bits per byte,
 /// high bit = continuation; at most 5 bytes for a `u32`).
@@ -79,6 +98,16 @@ fn put_varint(arena: &mut Vec<u8>, mut v: u32) {
         v >>= 7;
     }
     arena.push(v as u8);
+}
+
+/// Appends ascending `ids` to `arena` as delta varints: the first id
+/// absolute, then each gap from its predecessor.
+fn put_deltas(arena: &mut Vec<u8>, ids: impl IntoIterator<Item = u32>) {
+    let mut prev = 0;
+    for id in ids {
+        put_varint(arena, id - prev);
+        prev = id;
+    }
 }
 
 /// Strict varint decode for untrusted bytes: the value and the bytes
@@ -105,16 +134,55 @@ fn get_varint_strict(bytes: &[u8]) -> Result<(u32, usize), PostingsError> {
     Err(PostingsError::Truncated)
 }
 
-/// An immutable, compressed posting map: sorted bucket keys, a byte-offset
-/// table, and one flat delta+varint arena (see the module docs for the
-/// layout). The base-segment storage of every [`crate::LsfIndex`]
-/// repetition.
+/// Varint decode for bytes an encoder wrote: the value at `*pos`, advancing
+/// past it, or `None` on bytes no encoder writes (truncated, or more than
+/// five bytes long).
+#[inline]
+fn next_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let mut value = 0u32;
+    let mut shift = 0u32;
+    loop {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        value |= ((b & 0x7F) as u32) << shift;
+        if b & 0x80 == 0 {
+            return Some(value);
+        }
+        shift += 7;
+        if shift > 28 {
+            return None;
+        }
+    }
+}
+
+/// The directory over ascending `keys` and the shift that selects a key's
+/// cell: `b = max(1, ⌊log₂ len⌋ − 1)` top bits, so a cell holds two to
+/// four keys when the keys are uniform, and `dir` has `2^b + 1` entries,
+/// `dir[p]` the first slot whose key's top `b` bits are `≥ p`.
+fn directory(keys: &[u64]) -> (Vec<u32>, u32) {
+    let bits = keys.len().max(1).ilog2().saturating_sub(1).max(1);
+    let shift = u64::BITS - bits;
+    let cells = 1usize << bits;
+    let mut dir = Vec::with_capacity(cells + 1);
+    for (slot, &key) in keys.iter().enumerate() {
+        let cell = (key >> shift) as usize;
+        dir.resize(dir.len().max(cell + 1), slot as u32);
+    }
+    dir.resize(cells + 1, keys.len() as u32);
+    (dir, shift)
+}
+
+/// An immutable, compressed posting map: sorted bucket keys, one word per
+/// bucket, an arena for the buckets that do not fit in their word, and a
+/// directory over the keys (see the module docs for the layout). The
+/// base-segment storage of every [`crate::LsfIndex`] repetition.
 ///
-/// Lookups ([`CompressedPostings::get`]) guess the key's slot, gallop to
-/// it and return a streaming [`PostingsCursor`] over the bucket's block; no
-/// bucket is ever materialized. Construction goes through [`PostingsEncoder`]
-/// (trusted, build/compact) or [`CompressedPostings::from_parts`]
-/// (untrusted, persistence).
+/// A lookup ([`CompressedPostings::get`]) reads the key's directory cell,
+/// binary-searches the few keys in it and returns a streaming
+/// [`PostingsCursor`] over the bucket; no bucket is ever materialized.
+/// Construction goes through [`PostingsEncoder`] (trusted:
+/// build/compact/shard) or [`CompressedPostings::from_parts`] (untrusted,
+/// persistence).
 ///
 /// # Examples
 ///
@@ -133,39 +201,51 @@ fn get_varint_strict(bytes: &[u8]) -> Result<(u32, usize), PostingsError> {
 /// assert_eq!(ids, vec![3, 4, 1000]);
 /// assert!(postings.get(8).is_none());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedPostings {
     /// Bucket keys, strictly ascending.
     keys: Vec<u64>,
-    /// `keys.len() + 1` byte offsets into `arena`; bucket `i` is
-    /// `arena[offsets[i] as usize..offsets[i + 1] as usize]`.
-    offsets: Vec<u64>,
-    /// The delta+varint byte stream holding every bucket.
+    /// One word per bucket: `INLINE | id` for a single id below 2³¹, else
+    /// the byte offset of the bucket's block in `arena`.
+    words: Vec<u32>,
+    /// The blocks of the buckets that are not inline: a varint id count,
+    /// then the ids as delta varints.
     arena: Vec<u8>,
-    /// Total postings across buckets (counted at encode/validate time).
+    /// `dir[p]` is the first slot whose key's top bits (`key >> shift`)
+    /// are `≥ p`; the last entry is `keys.len()`. Derived, never persisted.
+    dir: Vec<u32>,
+    /// `64 − b` for a `b`-bit directory.
+    shift: u32,
+    /// Total postings across buckets (counted at encode time).
     postings: usize,
-    /// Largest single bucket (counted at encode/validate time).
+    /// Largest single bucket (counted at encode time).
     max_bucket: usize,
+}
+
+impl Default for CompressedPostings {
+    /// The empty posting map, as [`CompressedPostings::new`] builds it.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CompressedPostings {
     /// The empty posting map (no keys, no arena).
     pub fn new() -> Self {
-        Self {
-            keys: Vec::new(),
-            offsets: vec![0],
-            arena: Vec::new(),
-            postings: 0,
-            max_bucket: 0,
-        }
+        PostingsEncoder::new().finish()
     }
 
-    /// Reassembles a posting map from its persisted parts, validating every
-    /// invariant the probe path relies on: keys strictly ascending, the
-    /// offset table consistent with the arena, every bucket a well-formed
-    /// varint stream with strictly positive gaps, and every decoded id in
-    /// `min_id..n_slots`. Corrupt bytes yield a typed [`PostingsError`],
-    /// never a panic. The format-v2 read path of `docs/PERSISTENCE.md` §4.
+    /// Rebuilds a posting map from its format-v2 parts — the sorted keys, a
+    /// byte-offset table (`keys.len() + 1` entries) and an arena in which
+    /// bucket `i` is `arena[offsets[i]..offsets[i + 1]]`, its first id
+    /// then its gaps as varints — validating every invariant the probe
+    /// path relies on: keys strictly ascending, the offset table
+    /// consistent with the arena, every bucket a well-formed varint stream
+    /// with strictly positive gaps, and every decoded id in
+    /// `min_id..n_slots`. The checked buckets stream into a
+    /// [`PostingsEncoder`], which lays them out in memory. Corrupt bytes
+    /// yield a typed [`PostingsError`], never a panic. The format-v2 read
+    /// path of `docs/PERSISTENCE.md` §4.
     pub fn from_parts(
         keys: Vec<u64>,
         offsets: Vec<u64>,
@@ -187,115 +267,89 @@ impl CompressedPostings {
         {
             return Err(PostingsError::OffsetTable);
         }
-        let mut postings = 0usize;
-        let mut max_bucket = 0usize;
-        for i in 0..keys.len() {
-            let start = offsets[i] as usize;
-            let end = offsets[i + 1] as usize;
-            let block = arena.get(start..end).ok_or(PostingsError::OffsetTable)?;
+        let mut enc = PostingsEncoder::with_buckets(keys.len());
+        for (&key, bounds) in keys.iter().zip(offsets.windows(2)) {
+            let block = arena
+                .get(bounds[0] as usize..bounds[1] as usize)
+                .ok_or(PostingsError::OffsetTable)?;
             let mut pos = 0usize;
-            let mut prev = 0u32;
-            let mut first = true;
-            let mut len = 0usize;
+            let mut prev = None;
             while pos < block.len() {
                 let tail = block.get(pos..).ok_or(PostingsError::Truncated)?;
                 let (v, consumed) = get_varint_strict(tail)?;
                 pos += consumed;
-                let id = if first {
-                    first = false;
-                    v
-                } else {
-                    if v == 0 {
-                        return Err(PostingsError::NonMonotone);
-                    }
-                    prev.checked_add(v).ok_or(PostingsError::Overflow)?
+                let id = match prev {
+                    None => v,
+                    Some(_) if v == 0 => return Err(PostingsError::NonMonotone),
+                    Some(prev) => u32::checked_add(prev, v).ok_or(PostingsError::Overflow)?,
                 };
                 if id < min_id || id as usize >= n_slots {
                     return Err(PostingsError::IdOutOfRange);
                 }
-                prev = id;
-                len += 1;
+                // Keys ascend and ids strictly ascend within the bucket, as
+                // checked above — the encoder's contract.
+                enc.push(key, id);
+                prev = Some(id);
             }
-            postings += len;
-            max_bucket = max_bucket.max(len);
         }
-        Ok(Self {
-            keys,
-            offsets,
-            arena,
-            postings,
-            max_bucket,
-        })
+        enc.finish_checked()
+    }
+
+    /// The byte-offset table and the arena of this map's format-v2
+    /// encoding (its keys are [`CompressedPostings::keys`]): bucket `i` is
+    /// `arena[offsets[i]..offsets[i + 1]]`, its first id then its gaps as
+    /// varints. Derived bucket by bucket; [`CompressedPostings::from_parts`]
+    /// reads the parts back into an equal map, and the persisted bytes are
+    /// these parts verbatim.
+    pub fn v2_parts(&self) -> (Vec<u64>, Vec<u8>) {
+        let mut offsets = Vec::with_capacity(self.keys.len() + 1);
+        let mut arena = Vec::new();
+        offsets.push(0);
+        for (_, cursor) in self.iter() {
+            put_deltas(&mut arena, cursor);
+            offsets.push(arena.len() as u64);
+        }
+        (offsets, arena)
     }
 
     /// The streaming cursor over `key`'s bucket, or `None` when the key has
     /// no bucket. The probe hot path: zero allocation.
     ///
-    /// Bucket keys are interned hashes, so they are close to uniform over
-    /// `u64`, and a key's slot is close to `key · len / 2⁶⁴`. The lookup
-    /// starts there, gallops outward (1, 2, 4, … slots) until it brackets
-    /// the key, and binary-searches the bracket: a few probes of one or two
-    /// cache lines where a binary search over the whole array takes
-    /// `log₂ len`. The guess is always in bounds, and the result is
-    /// correct for any ascending key array; keys crafted to defeat the
-    /// guess cost `O(log len)` probes, as a binary search does.
+    /// The key's top bits pick its directory cell, and a binary search
+    /// over the cell's keys finds the slot: bucket keys are interned
+    /// hashes, close to uniform over `u64`, so a cell holds two to four
+    /// keys, usually one cache line. The slot's word then holds a single
+    /// id inline or points at the bucket's block. The result is correct
+    /// for any ascending keys; keys crafted into one cell cost the
+    /// `O(log len)` probes of a binary search.
     #[inline]
     pub fn get(&self, key: u64) -> Option<PostingsCursor<'_>> {
-        let i = self.position(key)?;
-        let start = *self.offsets.get(i)? as usize;
-        let end = *self.offsets.get(i + 1)? as usize;
-        Some(PostingsCursor::new(self.arena.get(start..end)?))
+        let cell = (key >> self.shift) as usize;
+        let lo = *self.dir.get(cell)? as usize;
+        let hi = *self.dir.get(cell + 1)? as usize;
+        let slot = lo + self.keys.get(lo..hi)?.partition_point(|&k| k < key);
+        let word = *self.words.get(slot)?;
+        let hit = self.keys.get(slot).is_some_and(|&k| k == key);
+        hit.then(|| self.cursor(word))
     }
 
-    /// The slot of `key` in `keys`, by a guess and a gallop (see
-    /// [`CompressedPostings::get`]).
+    /// The cursor over the bucket whose word is `word`.
     #[inline]
-    fn position(&self, key: u64) -> Option<usize> {
-        let keys = self.keys.as_slice();
-        let len = keys.len();
-        // `key < 2⁶⁴`, so `guess < len` whenever `len > 0`.
-        let guess = ((key as u128 * len as u128) >> 64) as usize;
-        let at = *keys.get(guess)?;
-        // The half-open bracket `lo..hi` that must hold the key if present.
-        let (lo, hi) = if at < key {
-            let (mut lo, mut step) = (guess + 1, 1);
-            loop {
-                match keys.get(guess + step) {
-                    None => break (lo, len),
-                    Some(&k) if k >= key => break (lo, guess + step + 1),
-                    Some(_) => lo = guess + step + 1,
-                }
-                step *= 2;
-            }
-        } else if at > key {
-            let (mut hi, mut step) = (guess, 1);
-            loop {
-                let Some(probe) = guess.checked_sub(step) else {
-                    break (0, hi);
-                };
-                if keys[probe] <= key {
-                    break (probe, hi);
-                }
-                hi = probe;
-                step *= 2;
-            }
+    fn cursor(&self, word: u32) -> PostingsCursor<'_> {
+        if word & INLINE != 0 {
+            PostingsCursor::inline(word & !INLINE)
         } else {
-            return Some(guess);
-        };
-        let found = keys.get(lo..hi)?.binary_search(&key).ok()?;
-        Some(lo + found)
+            PostingsCursor::block(self.arena.get(word as usize..).unwrap_or(&[]))
+        }
     }
 
     /// Iterates buckets in ascending key order as `(key, cursor)` pairs —
-    /// the traversal compaction, dataset sharding, and the v1 persistence
-    /// fallback use.
+    /// the traversal compaction, dataset sharding and persistence use.
     pub fn iter(&self) -> impl Iterator<Item = (u64, PostingsCursor<'_>)> + '_ {
-        self.keys.iter().enumerate().map(move |(i, &key)| {
-            let start = self.offsets[i] as usize;
-            let end = self.offsets[i + 1] as usize;
-            let block = self.arena.get(start..end).unwrap_or(&[]);
-            (key, PostingsCursor::new(block))
-        })
+        self.keys
+            .iter()
+            .zip(&self.words)
+            .map(|(&key, &word)| (key, self.cursor(word)))
     }
 
     /// Number of buckets (distinct keys).
@@ -318,12 +372,13 @@ impl CompressedPostings {
         self.keys.is_empty()
     }
 
-    /// Heap bytes resident in this structure (keys + offsets + arena,
-    /// by capacity) — the posting-side term of
+    /// Heap bytes resident in this structure (keys + words + directory +
+    /// arena, by capacity) — the posting-side term of
     /// [`crate::traits::MemoryStats`].
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u64>()
-            + self.offsets.capacity() * std::mem::size_of::<u64>()
+            + self.words.capacity() * std::mem::size_of::<u32>()
+            + self.dir.capacity() * std::mem::size_of::<u32>()
             + self.arena.capacity()
     }
 
@@ -331,42 +386,50 @@ impl CompressedPostings {
     pub fn keys(&self) -> &[u64] {
         &self.keys
     }
-
-    /// The byte-offset table (persisted verbatim by the format-v2 payload).
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// The delta+varint arena (persisted verbatim by the format-v2 payload).
-    pub fn arena(&self) -> &[u8] {
-        &self.arena
-    }
 }
 
-/// Zero-allocation streaming decoder over one bucket's arena block: yields
-/// the bucket's ids in ascending order.
+/// Zero-allocation streaming decoder over one bucket: yields the bucket's
+/// ids in ascending order.
 ///
-/// Built only over blocks that were encoded by [`PostingsEncoder`] or
-/// validated by [`CompressedPostings::from_parts`]; on bytes that are
+/// It decodes `left` varints from `gaps`, each id its predecessor plus the
+/// varint; the first id's predecessor is `prev = 0`, so the first varint
+/// is the id itself. A block cursor starts after the block's count; an
+/// inline id streams as `prev = id` followed by the one gap `0`.
+///
+/// Built only over buckets a [`PostingsEncoder`] wrote; on bytes that are
 /// nevertheless malformed the cursor *terminates* (yields `None`) instead
 /// of panicking or looping.
 #[derive(Clone, Debug)]
 pub struct PostingsCursor<'a> {
-    block: &'a [u8],
+    gaps: &'a [u8],
     pos: usize,
+    left: u32,
     prev: u32,
-    started: bool,
 }
 
 impl<'a> PostingsCursor<'a> {
-    /// A cursor at the start of `block`.
+    /// The cursor over a bucket holding only `id`.
     #[inline]
-    fn new(block: &'a [u8]) -> Self {
+    fn inline(id: u32) -> Self {
         Self {
-            block,
+            gaps: &[0],
             pos: 0,
+            left: 1,
+            prev: id,
+        }
+    }
+
+    /// The cursor over the block at the start of `bytes`: its id count,
+    /// then its ids.
+    #[inline]
+    fn block(bytes: &'a [u8]) -> Self {
+        let mut pos = 0;
+        let left = next_varint(bytes, &mut pos).unwrap_or(0);
+        Self {
+            gaps: bytes,
+            pos,
+            left,
             prev: 0,
-            started: false,
         }
     }
 }
@@ -376,43 +439,28 @@ impl Iterator for PostingsCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<u32> {
-        if self.pos >= self.block.len() {
+        if self.left == 0 {
             return None;
         }
-        let mut value = 0u32;
-        let mut shift = 0u32;
-        loop {
-            let b = *self.block.get(self.pos)?;
-            self.pos += 1;
-            value |= ((b & 0x7F) as u32) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift > 28 {
-                // Malformed varint (validated arenas never produce this):
-                // terminate rather than misdecode.
-                self.pos = self.block.len();
-                return None;
-            }
-        }
-        let id = if self.started {
-            // Gaps are strictly positive in well-formed blocks; checked_add
-            // turns a corrupt overflowing gap into termination, not a panic.
-            self.prev.checked_add(value)?
-        } else {
-            self.started = true;
-            value
+        // A malformed varint or an overflowing gap (neither of which an
+        // encoder writes) ends the stream rather than misdecoding it.
+        let Some(id) =
+            next_varint(self.gaps, &mut self.pos).and_then(|gap| self.prev.checked_add(gap))
+        else {
+            self.left = 0;
+            return None;
         };
+        self.left -= 1;
         self.prev = id;
         Some(id)
     }
 }
 
 /// Builder for a [`CompressedPostings`] from an ordered posting stream —
-/// the two trusted encode sites are [`crate::LsfIndex`] build (pairs sorted
-/// by key, ids ascending within a key) and compaction (sorted-key merge of
-/// base and delta segments).
+/// the trusted encode sites are [`crate::LsfIndex`] build (pairs sorted by
+/// key, ids ascending within a key), compaction (sorted-key merge of base
+/// and delta segments) and sharding, and
+/// [`CompressedPostings::from_parts`] streams checked buckets through it.
 ///
 /// # Examples
 ///
@@ -420,14 +468,15 @@ impl Iterator for PostingsCursor<'_> {
 #[derive(Debug, Default)]
 pub struct PostingsEncoder {
     keys: Vec<u64>,
-    offsets: Vec<u64>,
+    words: Vec<u32>,
     arena: Vec<u8>,
+    /// The ids of the bucket being written.
+    bucket: Vec<u32>,
     postings: usize,
     max_bucket: usize,
-    /// Postings in the bucket currently being written.
-    run: usize,
-    /// Last id pushed into the current bucket.
-    prev_id: u32,
+    /// Whether a block started at or past [`INLINE`] bytes, where a word
+    /// can no longer address it.
+    too_large: bool,
 }
 
 impl PostingsEncoder {
@@ -436,21 +485,28 @@ impl PostingsEncoder {
         Self::default()
     }
 
+    /// An empty encoder with room for `buckets` buckets.
+    fn with_buckets(buckets: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(buckets),
+            words: Vec::with_capacity(buckets),
+            ..Self::default()
+        }
+    }
+
     /// Appends posting `id` to `key`'s bucket.
     ///
     /// Callers must push keys in non-decreasing order and, within one key,
-    /// ids in strictly ascending order — the invariant both encode sites
-    /// hold by construction and these asserts prove.
+    /// ids in strictly ascending order — the invariant every encode site
+    /// holds by construction and these asserts prove.
     #[inline]
     pub fn push(&mut self, key: u64, id: u32) {
         match self.keys.last() {
             Some(&last) if last == key => {
                 assert!(
-                    id > self.prev_id,
+                    self.bucket.last().is_some_and(|&prev| id > prev),
                     "posting ids must strictly ascend within a bucket"
                 );
-                put_varint(&mut self.arena, id - self.prev_id);
-                self.run += 1;
             }
             last => {
                 assert!(
@@ -459,39 +515,66 @@ impl PostingsEncoder {
                 );
                 self.close_bucket();
                 self.keys.push(key);
-                put_varint(&mut self.arena, id);
-                self.run = 1;
             }
         }
-        self.prev_id = id;
+        self.bucket.push(id);
         self.postings += 1;
     }
 
-    /// Records the byte boundary of the bucket being written, if any.
+    /// Writes the word (and, unless it is an inline singleton, the block)
+    /// of the bucket being written, if any.
     fn close_bucket(&mut self) {
-        if self.run > 0 {
-            self.offsets.push(self.arena.len() as u64);
-            self.max_bucket = self.max_bucket.max(self.run);
-            self.run = 0;
-        }
+        let word = match self.bucket[..] {
+            [] => return,
+            [id] if id & INLINE == 0 => INLINE | id,
+            ref ids => {
+                let start = self.arena.len();
+                self.too_large |= start >= INLINE as usize;
+                put_varint(&mut self.arena, ids.len() as u32);
+                put_deltas(&mut self.arena, ids.iter().copied());
+                start as u32
+            }
+        };
+        self.words.push(word);
+        self.max_bucket = self.max_bucket.max(self.bucket.len());
+        self.bucket.clear();
     }
 
     /// Finalizes the encoding. The returned structure's arrays are shrunk
     /// to fit — the whole point is the memory diet.
-    pub fn finish(mut self) -> CompressedPostings {
+    ///
+    /// # Panics
+    /// Panics if the buckets exceed the layout's range
+    /// ([`PostingsError::TooLarge`]): 2³¹ arena bytes or 2³² buckets.
+    pub fn finish(self) -> CompressedPostings {
+        let postings = self.finish_checked();
+        assert!(
+            postings.is_ok(),
+            "postings exceed 2³¹ arena bytes or 2³² buckets"
+        );
+        postings.unwrap_or_default()
+    }
+
+    /// [`PostingsEncoder::finish`], reporting a layout overflow as
+    /// [`PostingsError::TooLarge`] instead of panicking.
+    fn finish_checked(mut self) -> Result<CompressedPostings, PostingsError> {
         self.close_bucket();
-        let mut offsets = Vec::with_capacity(self.keys.len() + 1);
-        offsets.push(0u64);
-        offsets.extend_from_slice(&self.offsets);
+        if self.too_large || u32::try_from(self.keys.len()).is_err() {
+            return Err(PostingsError::TooLarge);
+        }
         self.keys.shrink_to_fit();
+        self.words.shrink_to_fit();
         self.arena.shrink_to_fit();
-        CompressedPostings {
+        let (dir, shift) = directory(&self.keys);
+        Ok(CompressedPostings {
             keys: self.keys,
-            offsets,
+            words: self.words,
             arena: self.arena,
+            dir,
+            shift,
             postings: self.postings,
             max_bucket: self.max_bucket,
-        }
+        })
     }
 }
 
@@ -509,6 +592,15 @@ mod tests {
         enc.finish()
     }
 
+    /// `p` rebuilt from its exported format-v2 parts.
+    fn through_v2(
+        p: &CompressedPostings,
+        n_slots: usize,
+    ) -> Result<CompressedPostings, PostingsError> {
+        let (offsets, arena) = p.v2_parts();
+        CompressedPostings::from_parts(p.keys().to_vec(), offsets, arena, n_slots, 0)
+    }
+
     #[test]
     fn varints_round_trip_at_width_boundaries() {
         for v in [0u32, 1, 127, 128, 129, 16383, 16384, 1 << 21, u32::MAX] {
@@ -518,6 +610,9 @@ mod tests {
             let (back, used) = get_varint_strict(&arena).unwrap();
             assert_eq!(back, v);
             assert_eq!(used, arena.len());
+            let mut pos = 0;
+            assert_eq!(next_varint(&arena, &mut pos), Some(v));
+            assert_eq!(pos, arena.len());
         }
     }
 
@@ -578,6 +673,7 @@ mod tests {
         assert_eq!(p.bucket_count(), 0);
         assert_eq!(p.posting_count(), 0);
         assert!(p.get(0).is_none());
+        assert!(p.get(u64::MAX).is_none());
         assert_eq!(p.iter().count(), 0);
         let q = PostingsEncoder::new().finish();
         assert_eq!(q.bucket_count(), 0);
@@ -585,19 +681,14 @@ mod tests {
         // from_parts accepts the canonical empty encoding.
         let r = CompressedPostings::from_parts(vec![], vec![0], vec![], 10, 0).unwrap();
         assert!(r.is_empty());
+        assert_eq!(CompressedPostings::default(), p);
     }
 
     #[test]
     fn from_parts_accepts_what_the_encoder_writes() {
         let p = encode(&[(1, &[0, 5, 6]), (4, &[2]), (8, &[0, 1, 2, 3])]);
-        let q = CompressedPostings::from_parts(
-            p.keys().to_vec(),
-            p.offsets().to_vec(),
-            p.arena().to_vec(),
-            7,
-            0,
-        )
-        .unwrap();
+        let q = through_v2(&p, 7).unwrap();
+        assert_eq!(q, p);
         assert_eq!(q.posting_count(), p.posting_count());
         assert_eq!(q.max_bucket_len(), p.max_bucket_len());
         let a: Vec<(u64, Vec<u32>)> = p.iter().map(|(k, c)| (k, c.collect())).collect();
@@ -608,7 +699,8 @@ mod tests {
     #[test]
     fn from_parts_rejects_structural_corruption() {
         let p = encode(&[(1, &[0, 5]), (4, &[2])]);
-        let (keys, offsets, arena) = (p.keys().to_vec(), p.offsets().to_vec(), p.arena().to_vec());
+        let keys = p.keys().to_vec();
+        let (offsets, arena) = p.v2_parts();
 
         // Keys out of order.
         let mut bad = keys.clone();
@@ -684,29 +776,81 @@ mod tests {
 
     #[test]
     fn cursor_terminates_on_malformed_bytes_instead_of_panicking() {
-        // Bypass validation: cursor directly over garbage blocks.
+        // Bypass the encoder: a block cursor (id count, then ids) directly
+        // over garbage bytes.
         for block in [
-            &[0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80][..], // endless continuation
-            &[0xFFu8][..],                               // truncated
-            &[0x05u8, 0x80][..],                         // valid id then truncated gap
+            &[0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80][..], // endless count
+            &[0xFFu8][..],                               // truncated count
+            &[0x02u8, 0x80][..],                         // truncated first id
+            &[0x03u8, 0x05, 0x80][..],                   // valid id then truncated gap
+            &[0x05u8, 0x07][..],                         // count past the bytes
         ] {
-            let ids: Vec<u32> = PostingsCursor::new(block).collect();
+            let ids: Vec<u32> = PostingsCursor::block(block).collect();
             assert!(ids.len() <= 1, "cursor must stop, got {ids:?}");
         }
         // Overflowing gap: 5 then u32::MAX stops cleanly.
-        let mut block = Vec::new();
+        let mut block = vec![2];
         put_varint(&mut block, 5);
         put_varint(&mut block, u32::MAX);
-        let ids: Vec<u32> = PostingsCursor::new(&block).collect();
+        let ids: Vec<u32> = PostingsCursor::block(&block).collect();
         assert_eq!(ids, vec![5]);
     }
 
     #[test]
-    fn heap_bytes_track_the_three_arrays() {
-        let p = encode(&[(1, &[0, 1, 2, 3, 4, 5, 6, 7])]);
-        let floor = p.keys().len() * 8 + p.offsets().len() * 8 + p.arena().len();
+    fn heap_bytes_track_the_four_arrays() {
+        let p = encode(&[(1, &[0, 1, 2, 3, 4, 5, 6, 7]), (2, &[9])]);
+        let floor = p.keys.len() * 8 + p.words.len() * 4 + p.dir.len() * 4 + p.arena.len();
         assert!(p.heap_bytes() >= floor);
-        // Dense ascending ids are one byte each after the first.
-        assert_eq!(p.arena().len(), 8);
+        // The count, then dense ascending ids one byte each; the singleton
+        // lives in its word.
+        assert_eq!(p.arena.len(), 9);
+        assert_eq!(p.words, vec![0, INLINE | 9]);
+    }
+
+    #[test]
+    fn singletons_inline_below_the_tag_bit_and_take_the_arena_above_it() {
+        for (id, inline) in [
+            (0, true),
+            ((1 << 31) - 1, true),
+            (1 << 31, false),
+            (u32::MAX, false),
+        ] {
+            let p = encode(&[(7, &[id])]);
+            assert_eq!(p.arena.is_empty(), inline, "id {id}");
+            assert_eq!(p.get(7).map(Iterator::collect), Some(vec![id]));
+            assert_eq!(through_v2(&p, usize::MAX), Ok(p));
+        }
+        // Two ids below the tag bit still take a block.
+        let p = encode(&[(7, &[1, 2])]);
+        assert_eq!(p.words, vec![0]);
+        assert_eq!(p.arena, vec![2, 1, 1]);
+    }
+
+    #[test]
+    fn directory_has_two_to_the_b_plus_one_entries() {
+        for (buckets, bits) in [
+            (0, 1),
+            (1, 1),
+            (3, 1),
+            (4, 1),
+            (8, 2),
+            (15, 2),
+            (16, 3),
+            (1000, 8),
+        ] {
+            let keys: Vec<u64> = (0..buckets as u64)
+                .map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect::<std::collections::BTreeSet<u64>>()
+                .into_iter()
+                .collect();
+            let (dir, shift) = directory(&keys);
+            assert_eq!(shift, 64 - bits, "{buckets} buckets");
+            assert_eq!(dir.len(), (1 << bits) + 1);
+            assert_eq!(dir.last().copied(), Some(keys.len() as u32));
+            for (p, &slot) in dir.iter().enumerate() {
+                let first = keys.partition_point(|&k| ((k >> shift) as usize) < p);
+                assert_eq!(slot as usize, first, "cell {p} of {buckets} buckets");
+            }
+        }
     }
 }

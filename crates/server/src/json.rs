@@ -13,6 +13,8 @@
 //! golden-file tests (`tests/service_wire_golden.rs`) pin exact response
 //! bytes.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value (see the module docs for the supported grammar).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Json {
@@ -112,7 +114,8 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => {
-                out.push_str(&n.to_string());
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => encode_str(s, out),
             Json::Arr(items) => {

@@ -6,9 +6,17 @@
 //! typed [`PostingsError`] from `from_parts` — never a panic, never a silently
 //! wrong bucket. The proptest block randomizes bucket shapes; the unit block
 //! pins each corruption class by hand-crafting arenas at the byte level.
+//! The last tests pin the lookup directory at its cell edges and the saved
+//! bytes of a fixed index, which no in-memory layout may change.
 
 use proptest::prelude::*;
-use skewsearch::core::{CompressedPostings, PostingsEncoder, PostingsError};
+use rand::{rngs::StdRng, SeedableRng};
+use skewsearch::core::persist::{fnv1a64, read_postings, write_postings, Reader, Writer};
+use skewsearch::core::{
+    CompressedPostings, CorrelatedIndex, CorrelatedParams, IndexOptions, Persist, PostingsEncoder,
+    PostingsError, Repetitions,
+};
+use skewsearch::datagen::{BernoulliProfile, Dataset};
 
 /// Encode a key-sorted map of buckets (ids strictly ascending within each).
 fn encode(buckets: &[(u64, Vec<u32>)]) -> CompressedPostings {
@@ -128,8 +136,9 @@ proptest! {
         }
     }
 
-    /// Re-validating an encoder's own output through `from_parts` always
-    /// succeeds: the strict reader accepts everything the writer emits.
+    /// The format-v2 parts an encoder's output exports read back, through
+    /// `from_parts`, into a map equal to it: the strict reader accepts
+    /// everything the writer emits and lays it out the same way.
     #[test]
     fn from_parts_accepts_encoder_output(buckets in bucket_sets()) {
         let p = encode(&buckets);
@@ -139,13 +148,8 @@ proptest! {
             .map(|&id| id as usize + 1)
             .max()
             .unwrap_or(0);
-        let re = CompressedPostings::from_parts(
-            p.keys().to_vec(),
-            p.offsets().to_vec(),
-            p.arena().to_vec(),
-            n_slots,
-            0,
-        );
+        let (offsets, arena) = p.v2_parts();
+        let re = CompressedPostings::from_parts(p.keys().to_vec(), offsets, arena, n_slots, 0);
         prop_assert_eq!(re, Ok(p));
     }
 
@@ -160,15 +164,15 @@ proptest! {
         cut_raw in any::<usize>(),
     ) {
         let p = encode(&buckets);
-        prop_assume!(!p.arena().is_empty());
-        let cut = cut_raw % p.arena().len();
-        let mut offsets = p.offsets().to_vec();
+        let (mut offsets, mut arena) = p.v2_parts();
+        prop_assume!(!arena.is_empty());
+        let cut = cut_raw % arena.len();
         // Clamp the offset table to the shortened arena so the table itself
         // stays internally consistent — the damage is inside the bytes.
         for o in &mut offsets {
             *o = (*o).min(cut as u64);
         }
-        let arena = p.arena()[..cut].to_vec();
+        arena.truncate(cut);
         let re = CompressedPostings::from_parts(
             p.keys().to_vec(),
             offsets,
@@ -195,13 +199,13 @@ proptest! {
         xor in 1u8..=255,
     ) {
         let p = encode(&buckets);
-        prop_assume!(!p.arena().is_empty());
-        let at = at_raw % p.arena().len();
-        let mut arena = p.arena().to_vec();
+        let (offsets, mut arena) = p.v2_parts();
+        prop_assume!(!arena.is_empty());
+        let at = at_raw % arena.len();
         arena[at] ^= xor;
         let _ = CompressedPostings::from_parts(
             p.keys().to_vec(),
-            p.offsets().to_vec(),
+            offsets,
             arena,
             u32::MAX as usize,
             0,
@@ -298,10 +302,9 @@ fn unsorted_keys_are_rejected() {
     let p = enc.finish();
     // Duplicate the single key: 7, 7 is not strictly ascending.
     let keys = vec![7u64, 7u64];
-    let mut offsets = p.offsets().to_vec();
+    let (mut offsets, arena) = p.v2_parts();
     offsets.push(*offsets.last().unwrap()); // would also trip OffsetTable — keys are checked first
-    let err =
-        CompressedPostings::from_parts(keys, offsets, p.arena().to_vec(), 100, 0).unwrap_err();
+    let err = CompressedPostings::from_parts(keys, offsets, arena, 100, 0).unwrap_err();
     assert_eq!(err, PostingsError::KeyOrder);
 }
 
@@ -348,6 +351,7 @@ fn errors_display_without_panicking() {
         PostingsError::KeyOrder,
         PostingsError::OffsetTable,
         PostingsError::IdOutOfRange,
+        PostingsError::TooLarge,
     ] {
         assert!(!err.to_string().is_empty());
     }
@@ -364,4 +368,107 @@ fn empty_postings_are_well_formed() {
     assert!(p.get(0).is_none());
     let re = CompressedPostings::from_parts(Vec::new(), vec![0], Vec::new(), 0, 0);
     assert_eq!(re, Ok(p));
+}
+
+#[test]
+fn default_is_the_empty_map() {
+    let p = CompressedPostings::default();
+    assert_eq!(p, CompressedPostings::new());
+    assert!(p.get(0).is_none());
+    assert!(p.get(u64::MAX).is_none());
+    assert_eq!(p.iter().count(), 0);
+    let mut w = Writer::new();
+    write_postings(&mut w, &p);
+    let payload = w.into_payload();
+    let mut r = Reader::new(&payload);
+    assert_eq!(read_postings(&mut r, 0, 0).unwrap(), p);
+    assert!(r.is_empty());
+}
+
+/// The directory's cell count for `buckets` buckets: `2^b` cells with
+/// `b = max(1, ⌊log₂ buckets⌋ − 1)`.
+fn cell_bits(buckets: usize) -> u32 {
+    buckets.max(1).ilog2().saturating_sub(1).max(1)
+}
+
+/// Asserts `get` finds every bucket of `keys` (one id each) and nothing at
+/// each key's neighbours or at the ends of `u64`.
+fn assert_lookups(keys: &[u64], what: &str) {
+    let buckets = canonical(keys.iter().zip(0u32..).map(|(&k, id)| (k, vec![id])));
+    let p = encode(&buckets);
+    assert_eq!(p.bucket_count(), buckets.len(), "{what}");
+    let stored: std::collections::BTreeMap<u64, Vec<u32>> = buckets.into_iter().collect();
+    let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+    for &key in keys {
+        probes.extend([key, key.wrapping_sub(1), key.wrapping_add(1)]);
+    }
+    for key in probes {
+        let got = p.get(key).map(|c| c.collect::<Vec<u32>>());
+        assert_eq!(got, stored.get(&key).cloned(), "{what}: key {key:#x}");
+    }
+}
+
+#[test]
+fn directory_cells_find_every_key_at_their_edges() {
+    // One- and two-bucket maps, at the ends of `u64` and in between.
+    for keys in [
+        vec![0],
+        vec![u64::MAX],
+        vec![1 << 63],
+        vec![0, u64::MAX],
+        vec![(1 << 63) - 1, 1 << 63],
+        vec![5, 6],
+    ] {
+        assert_lookups(&keys, &format!("{keys:?}"));
+    }
+    // Every key in one cell: the cell's binary search carries the lookup.
+    for buckets in [3usize, 64, 1000] {
+        let shift = 64 - cell_bits(buckets);
+        for cell in [0u64, 1, (1 << (64 - shift)) - 1] {
+            let keys: Vec<u64> = (0..buckets as u64)
+                .map(|k| (cell << shift) + k * 3)
+                .collect();
+            assert_lookups(&keys, &format!("{buckets} keys in cell {cell}"));
+        }
+    }
+    // Keys on both sides of every cell boundary, plus 0 and u64::MAX:
+    // 2^(b+1) keys, whose directory has exactly the 2^b cells bounded here.
+    for bits in [1u32, 2, 4, 8] {
+        let width = 1u64 << (64 - bits);
+        let mut keys = vec![0, u64::MAX];
+        for cell in 1..1u64 << bits {
+            keys.extend([cell * width - 1, cell * width]);
+        }
+        assert_eq!(cell_bits(keys.len()), bits);
+        assert_lookups(&keys, &format!("boundaries of {} cells", 1u64 << bits));
+    }
+}
+
+/// The saved bytes of a fixed small index, pinned by length and FNV-1a
+/// checksum: the in-memory postings layout may change, the format-v2 bytes
+/// may not (`docs/PERSISTENCE.md` §2.2). The constants were taken with a
+/// layout that held the v2 arena in memory verbatim, so any layout that
+/// alters a saved byte fails here.
+#[test]
+fn saved_bytes_of_a_fixed_index_are_pinned() {
+    let profile = BernoulliProfile::blocks(&[(60, 0.2), (900, 0.01)]).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EED_0020);
+    let ds = Dataset::generate(&profile, 300, &mut rng);
+    let options = IndexOptions {
+        repetitions: Repetitions::Fixed(4),
+        ..IndexOptions::default()
+    };
+    let params = CorrelatedParams::new(0.7).unwrap().with_options(options);
+    let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
+    let path = std::env::temp_dir().join(format!(
+        "skewsearch_postings_pin_{}.skx",
+        std::process::id()
+    ));
+    index.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (2_013_128, 0x4e17_2bc5_fc25_5b1c)
+    );
 }
