@@ -19,22 +19,6 @@ impl BruteForce {
         );
         Self { vectors, threshold }
     }
-
-    /// The exact top-1 neighbor regardless of threshold (useful as ground
-    /// truth for recall experiments). Ties broken by lowest id.
-    pub fn nearest(&self, q: &SparseVec) -> Option<Match> {
-        let mut best: Option<Match> = None;
-        for (id, x) in self.vectors.iter().enumerate() {
-            let sim = similarity::braun_blanquet(x, q);
-            if best.is_none_or(|b| sim > b.similarity) {
-                best = Some(Match {
-                    id,
-                    similarity: sim,
-                });
-            }
-        }
-        best
-    }
 }
 
 impl SetSimilaritySearch for BruteForce {
@@ -91,21 +75,10 @@ mod tests {
     }
 
     #[test]
-    fn nearest_ignores_threshold() {
-        let b = BruteForce::new(vec![v(&[1]), v(&[9, 10])], 0.99);
-        let q = v(&[9]);
-        assert!(b.search(&q).is_none());
-        let near = b.nearest(&q).unwrap();
-        assert_eq!(near.id, 1);
-        assert_eq!(near.similarity, 0.5);
-    }
-
-    #[test]
     fn empty_dataset() {
         let b = BruteForce::new(vec![], 0.5);
         assert!(b.is_empty());
         assert!(b.search(&v(&[1])).is_none());
-        assert!(b.nearest(&v(&[1])).is_none());
     }
 
     #[test]

@@ -80,7 +80,6 @@ impl MinHashParams {
 }
 
 /// One band: its `r` min-wise hash functions and its bucket table.
-#[derive(Clone)]
 struct Band {
     hashes: Vec<PairwiseU64>,
     buckets: FxHashMap<u64, Vec<u32>>,
@@ -212,9 +211,7 @@ impl MinHashLsh {
     ///
     /// The plan is valid for this index and for any
     /// [`Shardable::shard_of_ids`](skewsearch_core::Shardable::shard_of_ids)
-    /// dataset shard (shards keep the band hash functions), and, via
-    /// [`QueryPlan::slice_passes`](skewsearch_core::QueryPlan::slice_passes),
-    /// for band-slice shards.
+    /// shard of it (shards keep the band hash functions).
     pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
         let passes = self
             .bands
@@ -327,21 +324,6 @@ impl SetSimilaritySearch for MinHashLsh {
 }
 
 impl skewsearch_core::Shardable for MinHashLsh {
-    /// MinHash's probe passes are its bands.
-    fn passes(&self) -> usize {
-        self.bands.len()
-    }
-
-    fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self {
-        Self {
-            vectors: self.vectors.clone(),
-            bands: self.bands[range].to_vec(),
-            threshold: self.threshold,
-            rows: self.rows,
-            params: self.params,
-        }
-    }
-
     fn shard_of_ids(&self, ids: &[u32]) -> Self {
         let local_of = skewsearch_core::shard::local_id_table(ids, self.vectors.len());
         let bands = self

@@ -66,11 +66,6 @@ impl PrefixFilterIndex {
         }
     }
 
-    /// Total posting entries (index size diagnostic).
-    pub fn posting_entries(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
-    }
-
     /// Feeds every distinct candidate sharing a prefix dimension with `q` to
     /// `visit`; stops on `false`.
     pub fn probe(&self, q: &SparseVec, mut visit: impl FnMut(u32) -> bool) {

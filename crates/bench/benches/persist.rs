@@ -13,7 +13,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use skewsearch_bench::bench_dataset;
 use skewsearch_core::{
     CorrelatedIndex, CorrelatedParams, IndexOptions, Persist, Repetitions, SetSimilaritySearch,
-    ShardStrategy, ShardedIndex,
+    ShardedIndex,
 };
 
 const ALPHA: f64 = 2.0 / 3.0;
@@ -42,7 +42,7 @@ fn build(
 fn bench_persist(c: &mut Criterion) {
     let (ds, profile) = bench_dataset(N, true);
     let index = build(&ds, &profile);
-    let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, SHARDS);
+    let sharded = ShardedIndex::build(&index, SHARDS);
 
     let dir = std::env::temp_dir().join(format!("skewsearch_bench_persist_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -11,12 +11,15 @@
 //! * `motivating` — §1 harmonic split balance;
 //! * `query_scaling` — query latency, ours vs every baseline;
 //! * `batch_query` — sequential loop vs `search_batch` at 1/2/4/8 threads;
-//! * `sharded_query` — unsharded vs `ShardedIndex` at 1/2/4/8 shards,
-//!   both strategies;
 //! * `build_index` — preprocessing cost, ours vs every baseline;
 //! * `ablation` — threshold adaptivity, stopping rule, δ-boost, hash family;
 //! * `substrates` — intersections, samplers, hashers;
-//! * `join` — similarity join vs nested loop, sequential vs parallel.
+//! * `join` — similarity join vs nested loop, sequential vs parallel;
+//! * `mutation` — insert/remove pairs, compaction, mutated vs rebuilt queries;
+//! * `persist` — save and load of an index and a sharded deployment vs a
+//!   rebuild;
+//! * `postings` — compressed posting bytes and probes vs a bucket map;
+//! * `service` — `/search` over loopback HTTP.
 //!
 //! All benches run with reduced sample counts so `cargo bench --workspace`
 //! finishes at laptop scale; they are throughput/latency *shape* probes, not

@@ -568,12 +568,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// [`EnumContext`] — and interns the path keys into the per-repetition
     /// 64-bit bucket keys, packaged as a reusable [`QueryPlan`].
     ///
-    /// The plan is valid for this index, for any [`LsfIndex::shard_of_ids`]
-    /// dataset shard of it (shards keep the parent's hash stacks and
-    /// interners, so the plan is shard-invariant — the fact the sharding
-    /// layer's enumerate-once broadcast rests on), and, via
-    /// [`QueryPlan::slice_passes`], for any [`LsfIndex::shard_of_passes`]
-    /// pass-slice shard.
+    /// The plan is valid for this index and for any
+    /// [`LsfIndex::shard_of_ids`] shard of it (shards keep the parent's hash
+    /// stacks and interners, so the plan is shard-invariant — the fact the
+    /// sharding layer's enumerate-once broadcast rests on).
     ///
     /// Unlike the fused probe, planning always enumerates **all**
     /// repetitions up front (no early exit) — that is the price of
@@ -875,46 +873,14 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         id < self.alive.len() && self.alive[id]
     }
 
-    /// Clones out a shard of this index owning the repetition slice
-    /// `range` over the **full** dataset (the `ByRepetition` sharding
-    /// primitive — see [`crate::shard`]). The shard's repetition `r` is
-    /// byte-identical to this index's repetition `range.start + r`.
-    ///
-    /// An empty `range` yields a valid index that never finds anything.
-    ///
-    /// # Panics
-    /// Panics if `range.end` exceeds [`LsfIndex::repetition_count`].
-    pub fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self
-    where
-        S: Clone,
-    {
-        let reps: Vec<Repetition> = self.reps[range]
-            .iter()
-            .map(|rep| Repetition {
-                hashers: rep.hashers.clone(),
-                interner: rep.interner.clone(),
-                base: rep.base.clone(),
-                delta: rep.delta.clone(),
-            })
-            .collect();
-        // Pass-slice shards keep the full dataset, so the parent's mutation
-        // state (tombstones, segment boundary, pending count) carries over
-        // verbatim.
-        self.shard_from_reps(
-            self.vectors().to_vec(),
-            reps,
-            self.alive.clone(),
-            self.base_len,
-            self.pending,
-        )
-    }
-
     /// Clones out a shard owning only the vectors with the given **global**
-    /// ids (ascending), remapped to local ids `0..ids.len()` (the
-    /// `ByDataset` sharding primitive — see [`crate::shard`]). The shard
-    /// keeps every repetition's hash stack and interner, with each bucket
-    /// filtered down to the shard's ids; bucket order (ascending global id)
-    /// is preserved under the monotone remap.
+    /// ids (ascending), remapped to local ids `0..ids.len()` (the sharding
+    /// primitive — see [`crate::shard`]). The shard keeps every
+    /// repetition's hash stack and interner, with each bucket filtered down
+    /// to the shard's ids; bucket order (ascending global id) is preserved
+    /// under the monotone remap. Its storage statistics and set signatures
+    /// are recomputed; the per-vector truncation counters are a build-time
+    /// artifact of the parent and are zeroed.
     ///
     /// # Panics
     /// Panics if `ids` is not strictly ascending or contains an id `≥ len()`.
@@ -980,24 +946,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 .sum();
             deltas + alive.iter().filter(|a| !**a).count()
         };
-        self.shard_from_reps(vectors, reps, alive, base_len, pending)
-    }
-
-    /// Assembles a shard from cloned repetitions plus its slice of the
-    /// parent's mutation state, recomputing the storage statistics and the
-    /// set signatures (the per-vector truncation counters are a build-time
-    /// artifact of the parent and are zeroed in shards).
-    fn shard_from_reps(
-        &self,
-        vectors: Vec<SparseVec>,
-        reps: Vec<Repetition>,
-        alive: Vec<bool>,
-        base_len: usize,
-        pending: usize,
-    ) -> Self
-    where
-        S: Clone,
-    {
         let live = alive.iter().filter(|a| **a).count();
         let build_stats = BuildStats {
             repetitions: reps.len(),
@@ -1474,25 +1422,6 @@ mod tests {
         let index = build_correlated(&ds, &profile, 0.8, 4, &mut rng);
         let plan = crate::plan::QueryPlan::from_passes(SparseVec::empty(), vec![vec![]; 3]);
         let _ = SetSimilaritySearch::probe_plan_tagged(&index, &plan);
-    }
-
-    #[test]
-    fn sliced_plan_drives_pass_slice_shards() {
-        // A pass-slice shard's probe of plan.slice_passes(range) equals its
-        // own fused search — the cross-machine ByRepetition fan-out shape.
-        let (ds, profile, mut rng) = small_setup();
-        let index = build_correlated(&ds, &profile, 0.8, 6, &mut rng);
-        let q = correlated_query(ds.vector(9), &profile, 0.8, &mut rng);
-        let plan = index.plan_query(&q);
-        for range in [0..2, 2..6, 0..6, 3..3] {
-            let shard = index.shard_of_passes(range.clone());
-            let sliced = plan.slice_passes(range.clone());
-            assert_eq!(
-                SetSimilaritySearch::probe_plan_tagged(&shard, &sliced),
-                shard.search_all_tagged(&q),
-                "range {range:?}"
-            );
-        }
     }
 
     #[test]

@@ -39,9 +39,8 @@
 //! and the paper's indexes are thin [`LsfWrapper`]s around [`LsfIndex`]
 //! ([`wrapper`]). Any structure can
 //! additionally be partitioned across shards by [`ShardedIndex`] ([`shard`])
-//! — by repetition slice or by hash-partitioned dataset, where one plan per
-//! query broadcasts to all shards — with answers byte-identical to the
-//! unsharded structure. Built indexes are durable: [`persist::Persist`]
+//! — a hash partition of the dataset, where one plan per query broadcasts
+//! to all shards — with answers byte-identical to the unsharded structure. Built indexes are durable: [`persist::Persist`]
 //! saves any of them to a versioned, checksummed container file and loads
 //! it back with byte-identical answers, and [`ShardedIndex::save`] writes a
 //! whole deployment (manifest + per-shard files) to a directory.
@@ -95,7 +94,7 @@ pub use persist::{Persist, PersistError, PersistScheme, ShardManifest, ShardMani
 pub use plan::QueryPlan;
 pub use postings::{CompressedPostings, PostingsCursor, PostingsEncoder, PostingsError};
 pub use scheme::{AdversarialScheme, ChosenPathScheme, CorrelatedScheme, ThresholdScheme};
-pub use shard::{set_partition_key, ShardStrategy, Shardable, ShardedIndex};
+pub use shard::{set_partition_key, Shardable, ShardedIndex};
 pub use split::{
     balance_split, balance_split_normalized, balanced_exponents, SplitIndex, SplitParams,
 };

@@ -44,8 +44,8 @@
 //!   `skewsearch-baselines`) `ChosenPathIndex` and `MinHashLsh`.
 //! * [`crate::ShardedIndex::save`] / [`crate::ShardedIndex::load`] — a
 //!   directory of per-shard `.skx` files plus a [`ShardManifest`] recording
-//!   strategy, shard count, and the local→global id maps, restoring a
-//!   sharded deployment byte-identically.
+//!   the shard count and the local→global id maps, restoring a sharded
+//!   deployment byte-identically.
 //! * [`Writer`] / [`Reader`] — the little-endian encoding primitives, public
 //!   so sibling crates (baselines) encode their own section types.
 //! * [`write_container`] / [`load_container`] — the one writer and the one
@@ -54,7 +54,6 @@
 //!   [`read_postings`] is the one decoder whose layout depends on it.
 
 use crate::postings::{CompressedPostings, PostingsEncoder, PostingsError};
-use crate::shard::ShardStrategy;
 use skewsearch_hashing::FxHashMap;
 use skewsearch_sets::SparseVec;
 use std::path::Path;
@@ -820,11 +819,8 @@ pub struct ShardManifestEntry {
     /// File name of the shard's container, relative to the manifest's
     /// directory (e.g. `shard-0003.skx`).
     pub file: String,
-    /// Added to the shard's pass tags (`ByRepetition` slices; 0 otherwise).
-    pub pass_offset: u32,
-    /// Local id → global id (`ByDataset`; `None` when ids are already
-    /// global, i.e. under `ByRepetition`).
-    pub id_map: Option<Vec<u32>>,
+    /// Local id → global id.
+    pub id_map: Vec<u32>,
 }
 
 /// The manifest of a saved [`crate::ShardedIndex`]: everything the wrapper
@@ -840,10 +836,8 @@ pub struct ShardManifestEntry {
 ///
 /// ```
 /// use skewsearch_core::persist::{Reader, ShardManifest, ShardManifestEntry};
-/// use skewsearch_core::ShardStrategy;
 ///
 /// let manifest = ShardManifest {
-///     strategy: ShardStrategy::ByDataset,
 ///     threshold: 0.6,
 ///     len: 3,
 ///     next_id: 3,
@@ -851,13 +845,11 @@ pub struct ShardManifestEntry {
 ///     shards: vec![
 ///         ShardManifestEntry {
 ///             file: "shard-0000.skx".into(),
-///             pass_offset: 0,
-///             id_map: Some(vec![0, 2]),
+///             id_map: vec![0, 2],
 ///         },
 ///         ShardManifestEntry {
 ///             file: "shard-0001.skx".into(),
-///             pass_offset: 0,
-///             id_map: Some(vec![1]),
+///             id_map: vec![1],
 ///         },
 ///     ],
 /// };
@@ -868,8 +860,6 @@ pub struct ShardManifestEntry {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardManifest {
-    /// The decomposition strategy the deployment was built with.
-    pub strategy: ShardStrategy,
     /// The wrapper's verification threshold.
     pub threshold: f64,
     /// Live set count across shards.
@@ -877,21 +867,28 @@ pub struct ShardManifest {
     /// The next global [`crate::SetId`] to assign (the mutation-log
     /// watermark of the wrapper itself).
     pub next_id: usize,
-    /// Global id → `(shard, local id)` under `ByDataset`; empty under
-    /// `ByRepetition`.
+    /// Global id → `(shard, local id)`.
     pub owner: Vec<(u32, u32)>,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardManifestEntry>,
+}
+
+/// Reads a `u32` field whose value is fixed: the words that once told
+/// pass-slice shards from dataset shards (`docs/PERSISTENCE.md` §7).
+fn expect_u32(r: &mut Reader<'_>, fixed: u32, what: &'static str) -> Result<(), PersistError> {
+    if r.get_u32()? == fixed {
+        Ok(())
+    } else {
+        Err(PersistError::Malformed(what))
+    }
 }
 
 impl ShardManifest {
     /// Encodes the manifest into a container payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_u32(match self.strategy {
-            ShardStrategy::ByRepetition => 1,
-            ShardStrategy::ByDataset => 2,
-        });
+        // `strategy`: always 2, dataset shards (§7's fixed words).
+        w.put_u32(2);
         w.put_f64(self.threshold);
         w.put_u64(self.len as u64);
         w.put_u64(self.next_id as u64);
@@ -904,14 +901,10 @@ impl ShardManifest {
         }
         w.put_u64(self.shards.len() as u64);
         for entry in &self.shards {
-            w.put_u32(entry.pass_offset);
-            match &entry.id_map {
-                Some(map) => {
-                    w.put_u32(1);
-                    w.put_u32_slice(map);
-                }
-                None => w.put_u32(0),
-            }
+            // `pass_offset` (always 0) and `has_id_map` (always 1).
+            w.put_u32(0);
+            w.put_u32(1);
+            w.put_u32_slice(&entry.id_map);
             w.put_str(&entry.file);
         }
         w.into_payload()
@@ -921,11 +914,11 @@ impl ShardManifest {
     /// Whether the manifest agrees with its shards is for
     /// [`crate::ShardedIndex::load`] to check once it has loaded them.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let strategy = match r.get_u32()? {
-            1 => ShardStrategy::ByRepetition,
-            2 => ShardStrategy::ByDataset,
-            _ => return Err(PersistError::Malformed("unknown shard strategy tag")),
-        };
+        expect_u32(
+            r,
+            2,
+            "shard strategy tag not 2 (tag 1, pass-slice shards, is retired)",
+        )?;
         let threshold = r.get_f64()?;
         let len = r.get_u64()? as usize;
         let next_id = r.get_u64()? as usize;
@@ -942,21 +935,13 @@ impl ShardManifest {
         let shard_count = r.get_len(16)?;
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
-            let pass_offset = r.get_u32()?;
-            let id_map = match r.get_u32()? {
-                0 => None,
-                1 => Some(r.get_u32_vec()?),
-                _ => return Err(PersistError::Malformed("id-map flag not 0/1")),
-            };
+            expect_u32(r, 0, "shard pass offset not 0")?;
+            expect_u32(r, 1, "shard id-map flag not 1")?;
+            let id_map = r.get_u32_vec()?;
             let file = r.get_string()?;
-            shards.push(ShardManifestEntry {
-                file,
-                pass_offset,
-                id_map,
-            });
+            shards.push(ShardManifestEntry { file, id_map });
         }
         Ok(Self {
-            strategy,
             threshold,
             len,
             next_id,
@@ -1102,15 +1087,13 @@ mod tests {
     #[test]
     fn manifest_round_trips_and_rejects_bad_tags() {
         let manifest = ShardManifest {
-            strategy: ShardStrategy::ByRepetition,
             threshold: 0.42,
-            len: 10,
-            next_id: 12,
-            owner: vec![],
+            len: 2,
+            next_id: 3,
+            owner: vec![(0, 0), (0, 1), (0, 2)],
             shards: vec![ShardManifestEntry {
                 file: "shard-0000.skx".into(),
-                pass_offset: 3,
-                id_map: None,
+                id_map: vec![0, 1, 2],
             }],
         };
         let payload = manifest.encode();
@@ -1118,13 +1101,23 @@ mod tests {
             ShardManifest::decode(&mut Reader::new(&payload)).unwrap(),
             manifest
         );
-        // Corrupting the strategy tag yields Malformed, not a panic.
-        let mut bad = payload.clone();
-        bad[0] = 9;
-        assert!(matches!(
-            ShardManifest::decode(&mut Reader::new(&bad)),
-            Err(PersistError::Malformed(_))
-        ));
+        // Any other value in a fixed word — the strategy tag (1 is the
+        // retired pass-slice strategy), the shard's pass offset or its
+        // id-map flag — yields Malformed, not a panic.
+        // The first entry follows five 8-byte header words, the owner
+        // table and the shard count.
+        let entry = 40 + 8 + 8 * manifest.owner.len() + 8;
+        for (at, value) in [(0, 1), (0, 9), (entry, 1), (entry + 8, 0), (entry + 8, 2)] {
+            let mut bad = payload.clone();
+            bad[at..at + 4].copy_from_slice(&u32::to_le_bytes(value));
+            assert!(
+                matches!(
+                    ShardManifest::decode(&mut Reader::new(&bad)),
+                    Err(PersistError::Malformed(_))
+                ),
+                "word at {at} = {value}"
+            );
+        }
         // Trailing garbage is rejected.
         let mut long = payload.clone();
         long.extend_from_slice(&[0u8; 8]);

@@ -132,28 +132,6 @@ impl QueryPlan {
             .as_ref()
             .map_or(0, |p| p.iter().map(Vec::len).sum())
     }
-
-    /// Restricts a planned plan to the pass slice `range` — the plan a
-    /// pass-slice shard ([`Shardable::shard_of_passes`]) consumes, since its
-    /// pass `r` is the parent's pass `range.start + r`. Slicing an unplanned
-    /// plan yields an unplanned plan.
-    ///
-    /// [`Shardable::shard_of_passes`]: crate::shard::Shardable::shard_of_passes
-    ///
-    /// # Panics
-    /// Panics if `range` exceeds [`QueryPlan::pass_count`] on a planned plan.
-    pub fn slice_passes(&self, range: std::ops::Range<usize>) -> Self {
-        Self {
-            query: self.query.clone(),
-            passes: self.passes.as_ref().map(|p| p[range].to_vec()),
-        }
-    }
-
-    /// Decomposes into `(query, passes)` — the plain owned data a
-    /// serialization layer would ship.
-    pub fn into_parts(self) -> (SparseVec, Option<Vec<Vec<u64>>>) {
-        (self.query, self.passes)
-    }
 }
 
 #[cfg(test)]
@@ -169,38 +147,15 @@ mod tests {
         assert_eq!(plan.passes(), None);
         assert_eq!(plan.pass_count(), 0);
         assert_eq!(plan.key_count(), 0);
-        let sliced = plan.slice_passes(0..0);
-        assert!(!sliced.is_planned());
-        assert_eq!(sliced.query(), &q);
     }
 
     #[test]
     fn planned_plans_expose_passes_and_counts() {
         let q = SparseVec::from_unsorted(vec![7]);
-        let plan = QueryPlan::from_passes(q.clone(), vec![vec![1, 2], vec![], vec![3]]);
+        let plan = QueryPlan::from_passes(q, vec![vec![1, 2], vec![], vec![3]]);
         assert!(plan.is_planned());
         assert_eq!(plan.pass_count(), 3);
         assert_eq!(plan.key_count(), 3);
         assert_eq!(plan.passes().unwrap()[0], vec![1, 2]);
-        let (query, passes) = plan.clone().into_parts();
-        assert_eq!(query, q);
-        assert_eq!(passes.unwrap().len(), 3);
-    }
-
-    #[test]
-    fn slice_passes_restricts_planned_plans() {
-        let q = SparseVec::empty();
-        let plan = QueryPlan::from_passes(q, vec![vec![1], vec![2], vec![3], vec![4]]);
-        let mid = plan.slice_passes(1..3);
-        assert_eq!(mid.pass_count(), 2);
-        assert_eq!(mid.passes().unwrap(), &[vec![2], vec![3]]);
-        assert_eq!(plan.slice_passes(4..4).pass_count(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn slice_past_end_of_planned_plan_panics() {
-        let plan = QueryPlan::from_passes(SparseVec::empty(), vec![vec![1]]);
-        let _ = plan.slice_passes(0..2);
     }
 }

@@ -2,25 +2,18 @@
 //! changing a single byte of any answer.
 //!
 //! The ROADMAP's "millions of users" north star needs indexes that outgrow
-//! one allocation and one build. The paper's filter family distributes
-//! naturally (LSF-Join makes the same observation for the join setting):
-//! repetitions are embarrassingly parallel, and hash-partitioning the sets
-//! keeps shards balanced even under the skewed distributions this workspace
-//! targets. [`ShardedIndex`] packages both decompositions behind the normal
-//! [`SetSimilaritySearch`] interface:
-//!
-//! * [`ShardStrategy::ByRepetition`] — each shard owns a contiguous slice of
-//!   the probe passes (LSF repetitions / MinHash bands) over the **full**
-//!   dataset. Shard builds and probes are independent; a candidate can
-//!   surface in several shards, so the merge deduplicates across shards.
-//! * [`ShardStrategy::ByDataset`] — the vectors are hash-partitioned by set
-//!   content ([`set_partition_key`]); each shard is a full index over its
-//!   slice with local ids. Every candidate lives in exactly one shard, so
-//!   cross-shard dedup is vacuous and the merge only reorders and remaps.
+//! one allocation and one build. [`ShardedIndex`] hash-partitions the
+//! indexed sets by content ([`set_partition_key`]), which keeps shards
+//! balanced even under the skewed distributions this workspace targets and
+//! co-locates duplicate sets. Each shard is a full index over its slice with
+//! local ids and the parent's hash stacks: memory stays `≈ |S|` plus the
+//! per-shard stacks, and every candidate lives in exactly one shard, so each
+//! is verified once. LSF-Join makes the same partitioning observation for
+//! the join setting.
 //!
 //! ## The merge protocol
 //!
-//! Both strategies reconstruct the unsharded index's `search_all` output
+//! The wrapper reconstructs the unsharded index's `search_all` output
 //! **byte-identically** (`tests/shard_equivalence.rs` pins this down for all
 //! five index types). The key fact: every structure here emits matches in
 //! first-discovery order, and a candidate's first discovery happens at a
@@ -28,16 +21,11 @@
 //! then filter/bucket — with ids ascending inside one coordinate (bucket
 //! insertion order). So the unsharded output order is exactly "sort
 //! candidates by `(pass, step, id)` of their first discovery". Shards report
-//! that coordinate per match ([`SetSimilaritySearch::probe_passes`]);
-//! the merge offsets passes (`ByRepetition`), remaps local ids to global
-//! (`ByDataset`), sorts by `(pass, step, id)`, and drops all but the first
-//! occurrence of each id. Dedup-before-verify holds *within* each shard
-//! exactly as in the unsharded index, and the merge never re-verifies —
-//! but note that under `ByRepetition` a candidate surfacing in several
-//! pass-slices is verified once *per owning shard* (up to `N` similarity
-//! computations for a hot candidate; the per-shard `seen` sets cannot see
-//! each other). `ByDataset` has no such duplication: every candidate lives
-//! in exactly one shard.
+//! that coordinate per match ([`SetSimilaritySearch::probe_passes`]); the
+//! merge remaps local ids to global and sorts by `(pass, step, id)`.
+//! Dedup-before-verify holds within each shard exactly as in the unsharded
+//! index, and since no id lives in two shards, the merge neither dedups nor
+//! re-verifies.
 //!
 //! Cross-shard fan-out and shard construction both run on the existing
 //! work-stealing executor ([`crate::batch::batch_map_chunked`] with a claim
@@ -46,28 +34,17 @@
 //!
 //! ## The plan broadcast (enumerate once, probe everywhere)
 //!
-//! `ByDataset` shards share the parent's hash stacks and key interners, so a
-//! query's filter set `F(q)` — and hence its [`QueryPlan`](crate::QueryPlan) — is
+//! Shards share the parent's hash stacks and key interners, so a query's
+//! filter set `F(q)` — and hence its [`QueryPlan`](crate::QueryPlan) — is
 //! **shard-invariant**. The wrapper therefore runs the pipeline's stage 1
 //! exactly once per query ([`SetSimilaritySearch::plan_query`] on one shard)
 //! and broadcasts the resulting plan to every shard's probe, which only
 //! touches the shard's inverted index: one enumeration per query at any
 //! shard count and, because a plan is plain owned data, exactly what a
-//! cross-machine fan-out would serialize and ship. `ByRepetition` shards own
-//! *disjoint* pass slices, so each shard enumerates its own slice lazily —
-//! total enumeration is the unsharded `1×` either way.
-//! `tests/enumeration_count.rs` pins the exactly-one-enumeration claim with
-//! the counting hook [`crate::engine::enumeration_count`].
-//!
-//! ## Trade-offs (documented, not hidden)
-//!
-//! `ByRepetition` duplicates the dataset into every shard (memory `N·|S|`)
-//! but enumerates query filters once per shard slice — total probe work
-//! matches the unsharded index. `ByDataset` partitions the vectors (memory
-//! `≈ |S|` plus per-shard hash stacks) and, with the plan broadcast,
-//! enumerates once per query like the unsharded index — only bucket probing
-//! and verification run per shard. Both keep per-shard structures small
-//! enough to build, rebuild, and eventually place on separate machines.
+//! cross-machine fan-out would serialize and ship. Only bucket probing and
+//! verification run per shard. `tests/enumeration_count.rs` pins the
+//! exactly-one-enumeration claim with the counting hook
+//! [`crate::engine::enumeration_count`].
 
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::index::LsfIndex;
@@ -79,48 +56,29 @@ use crate::traits::{
     DeadlineExceeded, Match, MutationError, PassSource, ProbeControl, SetId, SetSimilaritySearch,
     TaggedMatch,
 };
-use skewsearch_hashing::{mix, FxHashSet};
+use skewsearch_hashing::mix;
 use skewsearch_sets::SparseVec;
 
-/// How a [`ShardedIndex`] decomposes the underlying index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Each shard owns a contiguous slice of the probe passes (repetitions /
-    /// bands) over the full dataset.
-    ByRepetition,
-    /// Vectors are hash-partitioned by set content; each shard is a full
-    /// index over its slice.
-    ByDataset,
-}
-
-/// An index that knows how to split itself into shards. Implemented by every
-/// index structure in the workspace (the LSF family and MinHash); the
-/// sharded wrapper is generic over this trait.
+/// An index that knows how to split itself into dataset shards. Implemented
+/// by every index structure in the workspace (the LSF family and MinHash);
+/// the sharded wrapper is generic over this trait.
 ///
 /// Implementations must uphold the tag contract of
 /// [`SetSimilaritySearch::probe_passes`] with *genuine* probe
 /// coordinates — the byte-identical merge guarantee of [`ShardedIndex`]
-/// holds only then — and the **plan-invariance contract**: dataset shards
-/// keep the parent's probe-plan structure, i.e.
+/// holds only then — and the **plan-invariance contract**: shards keep the
+/// parent's probe-plan structure, i.e.
 /// `self.shard_of_ids(ids).plan_query(q) == self.plan_query(q)` for every
 /// query. The wrapper's enumerate-once broadcast plans on one shard and
 /// probes the same [`crate::QueryPlan`] on all of them; a shard that redrew hash
 /// stacks would silently probe the wrong buckets.
 pub trait Shardable: SetSimilaritySearch + Sized {
-    /// Number of probe passes (repetitions / bands) this index runs.
-    fn passes(&self) -> usize;
-
-    /// Clones out a shard owning the pass slice `range` over the full
-    /// dataset. Shard pass `r` must be byte-identical to this index's pass
-    /// `range.start + r`. An empty range yields an index that finds nothing.
-    fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self;
-
     /// Clones out a shard owning only the vectors with the given global ids
     /// (strictly ascending), remapped to local ids `0..ids.len()`.
     fn shard_of_ids(&self, ids: &[u32]) -> Self;
 
     /// Stable content-hash of the indexed vector `id`, used to assign it to
-    /// a dataset shard. Equal sets always land in the same shard.
+    /// a shard. Equal sets always land in the same shard.
     fn partition_key(&self, id: u32) -> u64;
 
     /// Total id slots ever assigned, live or not. For frozen structures this
@@ -142,7 +100,7 @@ pub fn set_partition_key(x: &SparseVec) -> u64 {
     })
 }
 
-/// Builds the global→local id table a dataset shard uses to filter buckets:
+/// Builds the global→local id table a shard uses to filter buckets:
 /// `table[g]` is `g`'s local id when the shard owns `g`, `u32::MAX`
 /// otherwise. Shared by every [`Shardable::shard_of_ids`] implementation.
 ///
@@ -173,26 +131,11 @@ pub fn remap_bucket(bucket: &[u32], local_of: &[u32]) -> Option<Vec<u32>> {
     (!local.is_empty()).then_some(local)
 }
 
-/// One shard plus the bookkeeping the merge needs to globalize its answers.
+/// One shard plus the local → global id map the merge globalizes its
+/// answers with.
 struct Shard<S> {
     index: S,
-    /// Added to the shard's pass tags (`ByRepetition` slices; 0 otherwise).
-    pass_offset: u32,
-    /// Local id → global id (`ByDataset`; `None` when ids are already
-    /// global).
-    id_map: Option<Vec<u32>>,
-}
-
-impl<S> Shard<S> {
-    /// Lifts a shard-local tagged match into global coordinates: offsets the
-    /// pass (`ByRepetition`) and remaps the id (`ByDataset`).
-    fn globalize(&self, mut t: TaggedMatch) -> TaggedMatch {
-        t.pass += self.pass_offset;
-        if let Some(map) = &self.id_map {
-            t.hit.id = map[t.hit.id] as usize;
-        }
-        t
-    }
+    id_map: Vec<u32>,
 }
 
 /// A sharded index: `N` shards of an underlying [`Shardable`] index, merged
@@ -208,9 +151,7 @@ impl<S> Shard<S> {
 ///
 /// ```
 /// use rand::{rngs::StdRng, SeedableRng};
-/// use skewsearch_core::{
-///     CorrelatedIndex, CorrelatedParams, SetSimilaritySearch, ShardStrategy, ShardedIndex,
-/// };
+/// use skewsearch_core::{CorrelatedIndex, CorrelatedParams, SetSimilaritySearch, ShardedIndex};
 /// use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
 ///
 /// let mut rng = StdRng::seed_from_u64(7);
@@ -222,87 +163,55 @@ impl<S> Shard<S> {
 ///     CorrelatedParams::new(0.8).unwrap(),
 ///     &mut rng,
 /// );
-/// let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 4);
+/// let sharded = ShardedIndex::build(&index, 4);
 /// let q = correlated_query(data.vector(3), &profile, 0.8, &mut rng);
 /// assert_eq!(sharded.search_all(&q), index.search_all(&q));
 /// ```
 pub struct ShardedIndex<S> {
     shards: Vec<Shard<S>>,
-    strategy: ShardStrategy,
     threshold: f64,
     len: usize,
-    /// The next global [`SetId`] to hand out — starts at the source index's
-    /// slot count, so the wrapper assigns exactly the ids the unsharded
-    /// index would.
-    next_id: usize,
-    /// Global id → `(shard, local id)` under `ByDataset` (every slot, live
-    /// or tombstoned, lives in exactly one shard); empty under
-    /// `ByRepetition`, where ids are already global in every shard.
+    /// Global id → `(shard, local id)` for every slot, live or tombstoned.
+    /// Its length is the next global [`SetId`] to hand out: it starts at
+    /// the source index's slot count, so the wrapper assigns exactly the
+    /// ids the unsharded index would.
     owner: Vec<(u32, u32)>,
 }
 
 impl<S: Shardable + Send + Sync> ShardedIndex<S> {
-    /// Partitions `index` into `shards` shards under `strategy`. Shard
+    /// Partitions `index` into `shards` shards by set content. Shard
     /// construction fans out on the work-stealing executor.
     ///
-    /// Shard counts exceeding the pass count (`ByRepetition`) or vector
-    /// count (`ByDataset`) produce empty shards, which are valid and simply
-    /// contribute nothing.
+    /// Shard counts exceeding the vector count produce empty shards, which
+    /// are valid and simply contribute nothing.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn build(index: &S, strategy: ShardStrategy, shards: usize) -> Self {
+    pub fn build(index: &S, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
+        // Every slot is routed, tombstoned ones included: that keeps each
+        // shard's local↔global map dense and monotone, so a mutated source
+        // index shards exactly like a frozen one.
         let slot_count = index.slot_count();
-        let mut owner = Vec::new();
-        let built = match strategy {
-            ShardStrategy::ByRepetition => {
-                let passes = index.passes();
-                // Balanced contiguous slices; later slices may be empty when
-                // shards > passes.
-                let ranges: Vec<std::ops::Range<usize>> = (0..shards)
-                    .map(|k| (k * passes / shards)..((k + 1) * passes / shards))
-                    .collect();
-                batch_map_chunked(&ranges, 0, 1, |range| Shard {
-                    index: index.shard_of_passes(range.clone()),
-                    pass_offset: range.start as u32,
-                    id_map: None,
-                })
+        let mut ids: Vec<Vec<u32>> = vec![Vec::new(); shards];
+        for id in 0..slot_count as u32 {
+            ids[(index.partition_key(id) % shards as u64) as usize].push(id);
+        }
+        let mut owner = vec![(0, 0); slot_count];
+        for (shard_ix, ids) in ids.iter().enumerate() {
+            for (local, &global) in ids.iter().enumerate() {
+                owner[global as usize] = (shard_ix as u32, local as u32);
             }
-            ShardStrategy::ByDataset => {
-                // Every slot is routed, tombstoned ones included: that keeps
-                // each shard's local↔global map dense and monotone, so a
-                // mutated source index shards exactly like a frozen one.
-                let mut ids: Vec<Vec<u32>> = vec![Vec::new(); shards];
-                for id in 0..slot_count as u32 {
-                    ids[(index.partition_key(id) % shards as u64) as usize].push(id);
-                }
-                owner = vec![(0, 0); slot_count];
-                for (shard_ix, ids) in ids.iter().enumerate() {
-                    for (local, &global) in ids.iter().enumerate() {
-                        owner[global as usize] = (shard_ix as u32, local as u32);
-                    }
-                }
-                batch_map_chunked(&ids, 0, 1, |ids| Shard {
-                    index: index.shard_of_ids(ids),
-                    pass_offset: 0,
-                    id_map: Some(ids.clone()),
-                })
-            }
-        };
+        }
         Self {
-            shards: built,
-            strategy,
+            shards: batch_map_chunked(&ids, 0, 1, |ids| Shard {
+                index: index.shard_of_ids(ids),
+                id_map: ids.clone(),
+            }),
             threshold: index.threshold(),
             len: index.len(),
-            next_id: slot_count,
             owner,
         }
-    }
-
-    /// The decomposition strategy.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// Number of shards (including empty ones).
@@ -310,27 +219,21 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         self.shards.len()
     }
 
-    /// Indexed-vector count per shard. Under `ByRepetition` every shard
-    /// reports the full dataset; under `ByDataset` the counts partition it.
+    /// Indexed-vector count per shard; the counts partition the dataset.
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.index.len()).collect()
     }
 
-    /// The one fan-out behind every query surface: probes every shard under
-    /// `ctl` (`threads` workers, claim chunk 1, so each shard probe can take
-    /// its own worker), globalizes tags and ids, and merges back into the
-    /// unsharded discovery order: sort by `(pass, step, id)`, then keep only
-    /// the first occurrence of each id — under `first_only`, only the first
-    /// match overall, the `(pass, step, id)`-minimum of the shards' own
-    /// first hits.
-    ///
-    /// Under `ByDataset` the query is planned once, on the first shard —
-    /// plans are shard-invariant there (the [`Shardable`] plan-invariance
-    /// contract), so even a shard owning zero vectors derives the parent's
-    /// plan — and every shard probes that one plan: exactly one `F(q)`
-    /// enumeration per query, no matter the shard count. `ByRepetition`
-    /// shards own disjoint pass slices and enumerate their own lazily, so a
-    /// `first_only` probe stops enumerating at the shard's first hit.
+    /// The one fan-out behind every query surface: plans the query once, on
+    /// the first shard — plans are shard-invariant (the [`Shardable`]
+    /// plan-invariance contract), so even a shard owning zero vectors
+    /// derives the parent's plan — probes that one plan on every shard
+    /// under `ctl` (`threads` workers, claim chunk 1, so each shard probe
+    /// can take its own worker), remaps ids to global, and sorts by
+    /// `(pass, step, id)` back into the unsharded discovery order: exactly
+    /// one `F(q)` enumeration per query, no matter the shard count. Under
+    /// `first_only`, only the first match overall is kept, the
+    /// `(pass, step, id)`-minimum of the shards' own first hits.
     ///
     /// The deadline is polled before planning, then by every shard at its
     /// own pass boundaries; if *any* shard reports [`DeadlineExceeded`] the
@@ -343,21 +246,18 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         threads: usize,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         ctl.poll()?;
-        let plan = match self.strategy {
-            ShardStrategy::ByDataset => Some(self.shards[0].index.plan_query(q)),
-            ShardStrategy::ByRepetition => None,
-        };
-        let source = plan.as_ref().map_or(PassSource::Query(q), PassSource::Plan);
+        let plan = self.shards[0].index.plan_query(q);
         let per_shard = batch_map_chunked(&self.shards, threads, 1, |shard| {
-            shard.index.probe_passes(source, ctl)
+            shard.index.probe_passes(PassSource::Plan(&plan), ctl)
         });
         let mut all: Vec<TaggedMatch> = Vec::new();
         for (shard, tagged) in self.shards.iter().zip(per_shard) {
-            all.extend(tagged?.into_iter().map(|t| shard.globalize(t)));
+            all.extend(tagged?.into_iter().map(|mut t| {
+                t.hit.id = shard.id_map[t.hit.id] as usize;
+                t
+            }));
         }
         all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        all.retain(|t| seen.insert(t.hit.id));
         if ctl.first_only {
             all.truncate(1);
         }
@@ -368,9 +268,9 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
 impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     /// Saves the whole deployment into `dir` (created if missing): one
     /// container file per shard (`shard-0000.skx`, `shard-0001.skx`, …) plus
-    /// a `manifest.skx` recording the strategy, thresholds, watermark, owner
-    /// table, and each shard's file, pass offset, and local→global id map —
-    /// see [`crate::persist::ShardManifest`] and the "restoring a sharded
+    /// a `manifest.skx` recording the threshold, watermark, owner table, and
+    /// each shard's file and local→global id map — see
+    /// [`crate::persist::ShardManifest`] and the "restoring a sharded
     /// deployment" walkthrough in `docs/PERSISTENCE.md`.
     ///
     /// [`ShardedIndex::load`] on the same directory restores a wrapper whose
@@ -380,9 +280,7 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     ///
     /// ```
     /// use rand::{rngs::StdRng, SeedableRng};
-    /// use skewsearch_core::{
-    ///     CorrelatedIndex, CorrelatedParams, SetSimilaritySearch, ShardStrategy, ShardedIndex,
-    /// };
+    /// use skewsearch_core::{CorrelatedIndex, CorrelatedParams, SetSimilaritySearch, ShardedIndex};
     /// use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
     ///
     /// let mut rng = StdRng::seed_from_u64(21);
@@ -394,7 +292,7 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     ///     CorrelatedParams::new(0.8).unwrap(),
     ///     &mut rng,
     /// );
-    /// let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 2);
+    /// let sharded = ShardedIndex::build(&index, 2);
     ///
     /// let dir = std::env::temp_dir().join(format!(
     ///     "skewsearch_doctest_deployment_{}",
@@ -416,15 +314,13 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
             shard.index.save(&dir.join(&file))?;
             entries.push(ShardManifestEntry {
                 file,
-                pass_offset: shard.pass_offset,
                 id_map: shard.id_map.clone(),
             });
         }
         let manifest = ShardManifest {
-            strategy: self.strategy,
             threshold: self.threshold,
             len: self.len,
-            next_id: self.next_id,
+            next_id: self.owner.len(),
             owner: self.owner.clone(),
             shards: entries,
         };
@@ -451,62 +347,42 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
         for entry in manifest.shards {
             shards.push(Shard {
                 index: S::load(&dir.join(&entry.file))?,
-                pass_offset: entry.pass_offset,
                 id_map: entry.id_map,
             });
         }
         let index = Self {
             shards,
-            strategy: manifest.strategy,
             threshold: manifest.threshold,
             len: manifest.len,
-            next_id: manifest.next_id,
             owner: manifest.owner,
         };
-        index.check_manifest()?;
+        index.check_manifest(manifest.next_id)?;
         Ok(index)
     }
 
     /// The invariants [`ShardedIndex::build`] establishes and the merge and
-    /// mutation paths index by, checked on a loaded deployment. Every shard
-    /// shares the manifest's threshold. Under `ByDataset`, pass offsets are
-    /// 0, and each shard's id map is strictly ascending and as long as its
-    /// slot count; the owner table, `next_id` long, is their exact inverse;
-    /// the shards' live counts sum to `len`. Under `ByRepetition`, there are
-    /// no id maps and no owner table, every shard holds `next_id` slots and
-    /// `len` live sets, and pass offsets are the running sum of the shards'
-    /// passes.
-    fn check_manifest(&self) -> Result<(), PersistError> {
+    /// mutation paths index by, checked on a loaded deployment: every shard
+    /// shares the manifest's threshold; each shard's id map is strictly
+    /// ascending and as long as its slot count; the owner table, `next_id`
+    /// long, is their exact inverse; the shards' live counts sum to `len`.
+    fn check_manifest(&self, next_id: usize) -> Result<(), PersistError> {
         if self.shards.is_empty() {
             return Err(PersistError::Malformed("manifest lists no shards"));
         }
-        let dataset = self.strategy == ShardStrategy::ByDataset;
-        let mut ok = self.owner.len() == if dataset { self.next_id } else { 0 };
-        let (mut passes, mut slots, mut live) = (0usize, 0usize, 0usize);
+        let mut ok = self.owner.len() == next_id;
+        let (mut slots, mut live) = (0usize, 0usize);
         for (k, shard) in self.shards.iter().enumerate() {
+            let map = &shard.id_map;
             ok &= shard.index.threshold() == self.threshold
-                && shard.pass_offset as usize == if dataset { 0 } else { passes };
-            match &shard.id_map {
-                Some(map) if dataset => {
-                    ok &= map.len() == shard.index.slot_count()
-                        && map.windows(2).all(|w| w[0] < w[1])
-                        && map.iter().enumerate().all(|(local, &global)| {
-                            self.owner.get(global as usize) == Some(&(k as u32, local as u32))
-                        });
-                    slots += map.len();
-                    live += shard.index.len();
-                }
-                None if !dataset => {
-                    ok &= shard.index.slot_count() == self.next_id && shard.index.len() == self.len;
-                }
-                _ => ok = false,
-            }
-            passes += shard.index.passes();
+                && map.len() == shard.index.slot_count()
+                && map.windows(2).all(|w| w[0] < w[1])
+                && map.iter().enumerate().all(|(local, &global)| {
+                    self.owner.get(global as usize) == Some(&(k as u32, local as u32))
+                });
+            slots += map.len();
+            live += shard.index.len();
         }
-        if dataset {
-            ok &= slots == self.next_id && live == self.len;
-        }
-        if ok {
+        if ok && slots == next_id && live == self.len {
             Ok(())
         } else {
             Err(PersistError::Malformed(
@@ -548,14 +424,11 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         })
     }
 
-    /// Routes the insert to its owning shard and assigns the exact global
-    /// [`SetId`] the unsharded index would: under `ByDataset` the new set
-    /// goes to the shard its content hash selects (the same routing
-    /// [`ShardedIndex::build`] uses, so duplicates still co-locate) and the
-    /// fresh global id is appended to that shard's id map (which stays
-    /// monotone — the merge protocol is untouched); under `ByRepetition`
-    /// every shard indexes the set under its own pass slice, so the total
-    /// enumeration work equals one unsharded insert.
+    /// Routes the insert to the shard its content hash selects (the same
+    /// routing [`ShardedIndex::build`] uses, so duplicates still co-locate)
+    /// and assigns the exact global [`SetId`] the unsharded index would,
+    /// appended to that shard's id map (which stays monotone — the merge
+    /// protocol is untouched).
     ///
     /// Errs with [`MutationError::Unsupported`] — before touching anything —
     /// iff the underlying index type is read-only.
@@ -563,59 +436,29 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         if !self.supports_mutation() {
             return Err(MutationError::Unsupported);
         }
-        let global = self.next_id;
-        match self.strategy {
-            ShardStrategy::ByDataset => {
-                let shard_ix = (set_partition_key(&set) % self.shards.len() as u64) as usize;
-                let shard = &mut self.shards[shard_ix];
-                let local = shard.index.insert(set)?;
-                if let Some(map) = shard.id_map.as_mut() {
-                    assert_eq!(local, map.len(), "shard-local ids must stay dense");
-                    map.push(global as u32);
-                }
-                self.owner.push((shard_ix as u32, local as u32));
-            }
-            ShardStrategy::ByRepetition => {
-                for shard in &mut self.shards {
-                    let local = shard.index.insert(set.clone())?;
-                    assert_eq!(local, global, "ByRepetition shard ids are global");
-                }
-            }
-        }
-        self.next_id += 1;
+        let global = self.owner.len();
+        let shard_ix = (set_partition_key(&set) % self.shards.len() as u64) as usize;
+        let shard = &mut self.shards[shard_ix];
+        let local = shard.index.insert(set)?;
+        assert_eq!(local, shard.id_map.len(), "shard-local ids must stay dense");
+        shard.id_map.push(global as u32);
+        self.owner.push((shard_ix as u32, local as u32));
         self.len += 1;
         Ok(global)
     }
 
-    /// Tombstones the set in whichever shard(s) hold it: the owner-table
-    /// lookup under `ByDataset`, a broadcast under `ByRepetition` (every
-    /// shard keeps its own liveness for the full dataset). Same semantics
-    /// as the unsharded remove: `Ok(false)` for unassigned or already-dead
-    /// ids, and ids are never reused.
+    /// Tombstones the set in the shard the owner table names. Same
+    /// semantics as the unsharded remove: `Ok(false)` for unassigned or
+    /// already-dead ids, and ids are never reused.
     fn remove(&mut self, id: SetId) -> Result<bool, MutationError> {
         if !self.supports_mutation() {
             return Err(MutationError::Unsupported);
         }
-        let removed = match self.strategy {
-            ShardStrategy::ByDataset => {
-                if id >= self.owner.len() {
-                    false
-                } else {
-                    let (shard_ix, local) = self.owner[id];
-                    self.shards[shard_ix as usize]
-                        .index
-                        .remove(local as usize)?
-                }
-            }
-            ShardStrategy::ByRepetition => {
-                let mut removed = false;
-                for shard in &mut self.shards {
-                    // Every shard sees the same full-dataset liveness, so
-                    // each reports the same answer.
-                    removed = shard.index.remove(id)?;
-                }
-                removed
-            }
+        let removed = match self.owner.get(id) {
+            Some(&(shard_ix, local)) => self.shards[shard_ix as usize]
+                .index
+                .remove(local as usize)?,
+            None => false,
         };
         if removed {
             self.len -= 1;
@@ -652,14 +495,6 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
 }
 
 impl<S: ThresholdScheme + Clone> Shardable for LsfIndex<S> {
-    fn passes(&self) -> usize {
-        self.repetition_count()
-    }
-
-    fn shard_of_passes(&self, range: std::ops::Range<usize>) -> Self {
-        LsfIndex::shard_of_passes(self, range)
-    }
-
     fn shard_of_ids(&self, ids: &[u32]) -> Self {
         LsfIndex::shard_of_ids(self, ids)
     }
@@ -707,19 +542,17 @@ mod tests {
     #[test]
     fn both_strategies_reproduce_unsharded_output() {
         let (index, queries) = fixture(6);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            for shards in [1, 2, 5] {
-                let sharded = ShardedIndex::build(&index, strategy, shards);
-                assert_eq!(sharded.len(), index.len());
-                assert_eq!(sharded.threshold(), index.threshold());
-                for q in &queries {
-                    assert_eq!(
-                        sharded.search_all(q),
-                        index.search_all(q),
-                        "{strategy:?} shards={shards}"
-                    );
-                    assert_eq!(sharded.search(q), index.search(q));
-                }
+        for shards in [1, 2, 5] {
+            let sharded = ShardedIndex::build(&index, shards);
+            assert_eq!(sharded.len(), index.len());
+            assert_eq!(sharded.threshold(), index.threshold());
+            for q in &queries {
+                assert_eq!(
+                    sharded.search_all(q),
+                    index.search_all(q),
+                    "shards={shards}"
+                );
+                assert_eq!(sharded.search(q), index.search(q));
             }
         }
     }
@@ -727,19 +560,19 @@ mod tests {
     #[test]
     fn empty_shards_are_harmless() {
         let (index, queries) = fixture(3);
-        // 3 repetitions over 8 shards: at least five shards own no passes.
-        let by_rep = ShardedIndex::build(&index, ShardStrategy::ByRepetition, 8);
-        assert_eq!(by_rep.shard_count(), 8);
+        // 160 vectors over 200 shards: at least forty shards own nothing.
+        let sharded = ShardedIndex::build(&index, 200);
+        assert_eq!(sharded.shard_count(), 200);
+        assert!(sharded.shard_lens().iter().filter(|&&l| l == 0).count() >= 40);
         for q in &queries {
-            assert_eq!(by_rep.search_all(q), index.search_all(q));
+            assert_eq!(sharded.search_all(q), index.search_all(q));
         }
     }
 
     #[test]
     fn by_dataset_partitions_the_vectors() {
         let (index, _) = fixture(4);
-        let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 4);
-        assert_eq!(sharded.strategy(), ShardStrategy::ByDataset);
+        let sharded = ShardedIndex::build(&index, 4);
         assert_eq!(sharded.shard_lens().iter().sum::<usize>(), index.len());
         // Content hashing spreads 160 vectors over 4 shards non-degenerately.
         assert!(sharded.shard_lens().iter().filter(|&&l| l > 0).count() >= 2);
@@ -747,10 +580,10 @@ mod tests {
 
     #[test]
     fn sharded_indexes_compose() {
-        // Tags stay global through a merge, so sharding a sharded index
-        // still reproduces the original output.
+        // Tags stay global through the merge: the wrapper's tagged answers
+        // are the unsharded index's, passes and steps included.
         let (index, queries) = fixture(6);
-        let inner = ShardedIndex::build(&index, ShardStrategy::ByRepetition, 3);
+        let inner = ShardedIndex::build(&index, 3);
         for q in &queries {
             let once = inner.search_all_tagged(q);
             let direct = index.search_all_tagged(q);
@@ -775,7 +608,7 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let (index, _) = fixture(2);
-        let _ = ShardedIndex::build(&index, ShardStrategy::ByRepetition, 0);
+        let _ = ShardedIndex::build(&index, 0);
     }
 
     /// Fresh vectors (drawn apart from the fixture) to insert after build.
@@ -813,30 +646,28 @@ mod tests {
             }
         };
         script(&mut apply_unsharded);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            for shards in [1, 3, 8] {
-                let (fresh, _) = fixture(5);
-                let mut sharded = ShardedIndex::build(&fresh, strategy, shards);
-                assert!(sharded.supports_mutation());
-                let mut apply_sharded = |id: usize, set: Option<SparseVec>| -> usize {
-                    match set {
-                        Some(set) => sharded.insert(set).expect("LSF shards are mutable"),
-                        None => {
-                            sharded.remove(id).expect("LSF shards are mutable");
-                            id
-                        }
+        for shards in [1, 3, 8] {
+            let (fresh, _) = fixture(5);
+            let mut sharded = ShardedIndex::build(&fresh, shards);
+            assert!(sharded.supports_mutation());
+            let mut apply_sharded = |id: usize, set: Option<SparseVec>| -> usize {
+                match set {
+                    Some(set) => sharded.insert(set).expect("LSF shards are mutable"),
+                    None => {
+                        sharded.remove(id).expect("LSF shards are mutable");
+                        id
                     }
-                };
-                script(&mut apply_sharded);
-                assert_eq!(sharded.len(), index.len(), "{strategy:?} {shards}");
-                for q in &queries {
-                    assert_eq!(
-                        sharded.search_all_tagged(q),
-                        index.search_all_tagged(q),
-                        "{strategy:?} shards={shards}"
-                    );
-                    assert_eq!(sharded.search(q), index.search(q));
                 }
+            };
+            script(&mut apply_sharded);
+            assert_eq!(sharded.len(), index.len(), "shards={shards}");
+            for q in &queries {
+                assert_eq!(
+                    sharded.search_all_tagged(q),
+                    index.search_all_tagged(q),
+                    "shards={shards}"
+                );
+                assert_eq!(sharded.search(q), index.search(q));
             }
         }
     }
@@ -845,39 +676,34 @@ mod tests {
     fn sharded_insert_assigns_unsharded_ids_and_routes_by_content() {
         let (index, _) = fixture(4);
         let extras = extra_vectors(10);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            let mut sharded = ShardedIndex::build(&index, strategy, 4);
-            let before = sharded.len();
-            for (k, v) in extras.iter().enumerate() {
-                // Global ids continue exactly where the source index stopped.
-                assert_eq!(sharded.insert(v.clone()), Ok(index.len() + k));
-            }
-            assert_eq!(sharded.len(), before + extras.len());
-            // Duplicate content co-locates: inserting a copy of an indexed
-            // vector must land on the shard already holding it (ByDataset).
-            if strategy == ShardStrategy::ByDataset {
-                let lens_before = sharded.shard_lens();
-                let dup = index.vectors()[3].clone();
-                let expected_shard =
-                    (set_partition_key(&dup) % sharded.shard_count() as u64) as usize;
-                sharded.insert(dup).unwrap();
-                let lens_after = sharded.shard_lens();
-                for s in 0..sharded.shard_count() {
-                    let grew = usize::from(s == expected_shard);
-                    assert_eq!(lens_after[s], lens_before[s] + grew);
-                }
-            }
-            // Remove semantics mirror the unsharded index.
-            assert_eq!(sharded.remove(index.len()), Ok(true));
-            assert_eq!(sharded.remove(index.len()), Ok(false), "idempotent");
-            assert_eq!(sharded.remove(123_456), Ok(false), "never assigned");
+        let mut sharded = ShardedIndex::build(&index, 4);
+        let before = sharded.len();
+        for (k, v) in extras.iter().enumerate() {
+            // Global ids continue exactly where the source index stopped.
+            assert_eq!(sharded.insert(v.clone()), Ok(index.len() + k));
         }
+        assert_eq!(sharded.len(), before + extras.len());
+        // Duplicate content co-locates: inserting a copy of an indexed
+        // vector must land on the shard already holding it.
+        let lens_before = sharded.shard_lens();
+        let dup = index.vectors()[3].clone();
+        let expected_shard = (set_partition_key(&dup) % sharded.shard_count() as u64) as usize;
+        sharded.insert(dup).unwrap();
+        let lens_after = sharded.shard_lens();
+        for s in 0..sharded.shard_count() {
+            let grew = usize::from(s == expected_shard);
+            assert_eq!(lens_after[s], lens_before[s] + grew);
+        }
+        // Remove semantics mirror the unsharded index.
+        assert_eq!(sharded.remove(index.len()), Ok(true));
+        assert_eq!(sharded.remove(index.len()), Ok(false), "idempotent");
+        assert_eq!(sharded.remove(123_456), Ok(false), "never assigned");
     }
 
     #[test]
     fn sharding_a_mutated_index_reproduces_its_answers() {
         // Build shards FROM an already-mutated source: tombstoned slots and
-        // delta segments must survive both decompositions.
+        // delta segments must survive the partition.
         let (mut index, queries) = fixture(5);
         let extras = extra_vectors(15);
         for v in &extras {
@@ -887,17 +713,15 @@ mod tests {
             assert!(index.remove_set(id));
         }
         assert!(index.pending_mutations() > 0);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            for shards in [1, 3, 8] {
-                let sharded = ShardedIndex::build(&index, strategy, shards);
-                assert_eq!(sharded.len(), index.len());
-                for q in &queries {
-                    assert_eq!(
-                        sharded.search_all_tagged(q),
-                        index.search_all_tagged(q),
-                        "{strategy:?} shards={shards}"
-                    );
-                }
+        for shards in [1, 3, 8] {
+            let sharded = ShardedIndex::build(&index, shards);
+            assert_eq!(sharded.len(), index.len());
+            for q in &queries {
+                assert_eq!(
+                    sharded.search_all_tagged(q),
+                    index.search_all_tagged(q),
+                    "shards={shards}"
+                );
             }
         }
     }

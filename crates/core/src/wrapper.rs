@@ -21,7 +21,7 @@ use crate::traits::{
     SetSimilaritySearch, TaggedMatch,
 };
 use skewsearch_sets::SparseVec;
-use std::ops::{DerefMut, Range};
+use std::ops::DerefMut;
 use std::path::Path;
 
 /// An index that is an [`LsfIndex`] plus fields of its own — everything a
@@ -94,14 +94,6 @@ impl<W: LsfWrapper> SetSimilaritySearch for W {
 }
 
 impl<W: LsfWrapper> Shardable for W {
-    fn passes(&self) -> usize {
-        self.repetition_count()
-    }
-
-    fn shard_of_passes(&self, range: Range<usize>) -> Self {
-        self.rewrap((**self).shard_of_passes(range))
-    }
-
     fn shard_of_ids(&self, ids: &[u32]) -> Self {
         self.rewrap((**self).shard_of_ids(ids))
     }

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use skewsearch_baselines::{MinHashLsh, MinHashParams};
 use skewsearch_core::{
     CorrelatedIndex, CorrelatedParams, IndexOptions, Match, Persist, PersistError, Repetitions,
-    SetSimilaritySearch, ShardStrategy, ShardedIndex,
+    SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch_sets::SparseVec;
@@ -103,7 +103,7 @@ pub fn save(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
         MinHashParams::new((b1m / 1.3).max(b2m * 1.01), b2m).unwrap(),
         &mut rng,
     );
-    let sharded = ShardedIndex::build(&correlated, ShardStrategy::ByDataset, config.shards);
+    let sharded = ShardedIndex::build(&correlated, config.shards);
 
     std::fs::create_dir_all(dir)?;
     correlated.save(&dir.join("correlated.skx"))?;

@@ -291,14 +291,12 @@ pub fn run_adversarial(config: &ScalingConfig, b1: f64, deletions: usize) -> Sca
     }
 }
 
-/// Per-(n, strategy, shard-count) measurement of the sharded sweep.
+/// Per-(n, shard-count) measurement of the sharded sweep.
 #[derive(Clone, Debug)]
 pub struct ShardedPoint {
     /// Dataset size.
     pub n: usize,
-    /// `"unsharded"`, `"by_repetition"`, or `"by_dataset"`.
-    pub strategy: &'static str,
-    /// Shard count (1 for the unsharded reference row).
+    /// Shard count.
     pub shards: usize,
     /// Mean verified matches per query.
     pub avg_matches: f64,
@@ -321,19 +319,11 @@ impl ShardedScaling {
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "Sharded scaling: matches per query and equivalence vs the unsharded index",
-            &[
-                "n",
-                "strategy",
-                "shards",
-                "avg_matches",
-                "recall",
-                "identical",
-            ],
+            &["n", "shards", "avg_matches", "recall", "identical"],
         );
         for p in &self.points {
             t.push_row(vec![
                 p.n.to_string(),
-                p.strategy.to_string(),
                 p.shards.to_string(),
                 fmt(p.avg_matches, 2),
                 fmt(p.recall, 3),
@@ -351,11 +341,12 @@ impl ShardedScaling {
 
 /// The sharded variant of [`run`]: sweeps the correlated index over the same
 /// `n`-grid, wrapping it in a [`ShardedIndex`](skewsearch_core::ShardedIndex)
-/// at each shard count under both strategies, and checks that every answer is
-/// byte-identical to the unsharded index while recording recall/throughput
-/// proxies. Queries are answered through the batch subsystem.
+/// at each shard count, and checks that every answer is byte-identical to
+/// the unsharded index while recording recall/throughput proxies (an
+/// identical row's figures are the unsharded index's). Queries are answered
+/// through the batch subsystem.
 pub fn run_sharded(config: &ScalingConfig, shard_counts: &[usize]) -> ShardedScaling {
-    use skewsearch_core::{SetSimilaritySearch, ShardStrategy, ShardedIndex};
+    use skewsearch_core::{SetSimilaritySearch, ShardedIndex};
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x54A8D);
     let opts = IndexOptions {
         repetitions: Repetitions::Fixed(config.repetitions),
@@ -399,32 +390,16 @@ pub fn run_sharded(config: &ScalingConfig, shard_counts: &[usize]) -> ShardedSca
             )
         };
         let unsharded = index.search_batch(&qs);
-        let (avg, rec) = measure(&unsharded);
-        points.push(ShardedPoint {
-            n,
-            strategy: "unsharded",
-            shards: 1,
-            avg_matches: avg,
-            recall: rec,
-            identical: true,
-        });
-        for (strategy, label) in [
-            (ShardStrategy::ByRepetition, "by_repetition"),
-            (ShardStrategy::ByDataset, "by_dataset"),
-        ] {
-            for &shards in shard_counts {
-                let sharded = ShardedIndex::build(&index, strategy, shards);
-                let results = sharded.search_batch(&qs);
-                let (avg, rec) = measure(&results);
-                points.push(ShardedPoint {
-                    n,
-                    strategy: label,
-                    shards,
-                    avg_matches: avg,
-                    recall: rec,
-                    identical: results == unsharded,
-                });
-            }
+        for &shards in shard_counts {
+            let results = ShardedIndex::build(&index, shards).search_batch(&qs);
+            let (avg, rec) = measure(&results);
+            points.push(ShardedPoint {
+                n,
+                shards,
+                avg_matches: avg,
+                recall: rec,
+                identical: results == unsharded,
+            });
         }
     }
     ShardedScaling { points }
@@ -600,12 +575,12 @@ mod tests {
             "sharded answers diverged: {:?}",
             s.points
         );
-        // 2 ns × (1 unsharded + 2 strategies × 2 shard counts).
-        assert_eq!(s.points.len(), 10);
+        // 2 ns × 2 shard counts.
+        assert_eq!(s.points.len(), 4);
         for p in &s.points {
             assert!(p.recall >= 0.7, "{p:?}");
         }
-        assert_eq!(s.table().rows.len(), 10);
+        assert_eq!(s.table().rows.len(), 4);
     }
 
     #[test]

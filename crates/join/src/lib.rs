@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn sharded_join_matches_unsharded_exactly() {
-        use skewsearch_core::{ShardStrategy, ShardedIndex};
+        use skewsearch_core::ShardedIndex;
         let profile = BernoulliProfile::two_block(700, 0.2, 0.02).unwrap();
         let mut rng = StdRng::seed_from_u64(93);
         let s = Dataset::generate(&profile, 150, &mut rng);
@@ -219,15 +219,9 @@ mod tests {
             });
         let index = CorrelatedIndex::build(&s, &profile, params, &mut rng);
         let unsharded = similarity_join(&r, &index);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            for shards in [1, 4] {
-                let sharded = ShardedIndex::build(&index, strategy, shards);
-                assert_eq!(
-                    similarity_join(&r, &sharded),
-                    unsharded,
-                    "{strategy:?} shards={shards}"
-                );
-            }
+        for shards in [1, 4] {
+            let sharded = ShardedIndex::build(&index, shards);
+            assert_eq!(similarity_join(&r, &sharded), unsharded, "shards={shards}");
         }
     }
 

@@ -17,8 +17,7 @@ use std::collections::HashMap;
 
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::core::{
-    CorrelatedScheme, IndexOptions, LsfIndex, Match, Repetitions, SetSimilaritySearch,
-    ShardStrategy, TaggedMatch,
+    CorrelatedScheme, IndexOptions, LsfIndex, Match, Repetitions, SetSimilaritySearch, TaggedMatch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -28,8 +27,6 @@ pub const ALPHA: f64 = 0.8;
 /// The rebuild oracle's build seed — shared so mutated index and oracle
 /// draw identical hash stacks.
 pub const BUILD_SEED: u64 = 0xB111D;
-/// Both sharding strategies.
-pub const STRATEGIES: [ShardStrategy; 2] = [ShardStrategy::ByRepetition, ShardStrategy::ByDataset];
 /// Shard counts the sweeps exercise.
 pub const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 

@@ -1,6 +1,6 @@
 //! The acceptance criterion of the plan pipeline, asserted with the counting
-//! hook `skewsearch::core::enumeration_count`: a `ByDataset`-sharded index
-//! performs **exactly one** `F(q)` enumeration per query — `R` calls into the
+//! hook `skewsearch::core::enumeration_count`: a sharded index performs
+//! **exactly one** `F(q)` enumeration per query — `R` calls into the
 //! enumeration engine, one per repetition — regardless of shard count.
 //! The join layer's distinct-query dedup is counted the same way, and so
 //! are the builds: an index build enumerates each set once per repetition,
@@ -14,7 +14,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::core::{
     enumeration_count, CorrelatedIndex, CorrelatedParams, IndexOptions, Repetitions,
-    SetSimilaritySearch, ShardStrategy, ShardedIndex,
+    SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::join::{similarity_join, JoinPair};
@@ -64,14 +64,13 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
     }
 
     for shards in [1usize, 2, 4, 8] {
-        // The tentpole claim: ByDataset plans once and broadcasts — the
+        // The tentpole claim: the wrapper plans once and broadcasts — the
         // enumeration count per query does not depend on the shard count.
-        let (sharded, delta) =
-            enumerations_during(|| ShardedIndex::build(&index, ShardStrategy::ByDataset, shards));
+        let (sharded, delta) = enumerations_during(|| ShardedIndex::build(&index, shards));
         assert_eq!(delta, 0, "sharding reuses the stored keys, shards={shards}");
         for (q, expect) in queries.iter().zip(&expected) {
             let (got, delta) = enumerations_during(|| sharded.search_all(q));
-            assert_eq!(&got, expect, "ByDataset shards={shards}");
+            assert_eq!(&got, expect, "shards={shards}");
             assert_eq!(
                 delta, REPS as u64,
                 "exactly one F(q) enumeration per query, shards={shards}"
@@ -80,17 +79,6 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
         // `search` plans once too (and probes early-exit per shard).
         let (_, delta) = enumerations_during(|| sharded.search(&queries[0]));
         assert_eq!(delta, REPS as u64, "search plans once, shards={shards}");
-
-        // ByRepetition: disjoint pass slices sum to R — also 1× total.
-        let (by_rep, delta) = enumerations_during(|| {
-            ShardedIndex::build(&index, ShardStrategy::ByRepetition, shards)
-        });
-        assert_eq!(delta, 0, "sharding reuses the stored keys, shards={shards}");
-        for (q, expect) in queries.iter().zip(&expected).take(3) {
-            let (got, delta) = enumerations_during(|| by_rep.search_all(q));
-            assert_eq!(&got, expect, "ByRepetition shards={shards}");
-            assert_eq!(delta, REPS as u64, "ByRepetition shards={shards}");
-        }
     }
 
     // ---- Mutations keep the once-per-query contract ----
@@ -118,32 +106,25 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
     assert_eq!(removed, Ok(true));
     assert_eq!(delta, 0, "remove + auto-compaction never enumerate");
 
-    // Inserting through a sharded wrapper costs exactly R as well:
-    // ByDataset routes the set to one shard (which pays its full R);
-    // ByRepetition fans it to every shard, whose disjoint pass slices sum
-    // to R. The regression this section pins: the plan broadcast still
-    // enumerates exactly once per query *after* the insert, with answers
-    // byte-identical to the mutated unsharded index.
-    let mut mirrors: Vec<(ShardStrategy, ShardedIndex<_>)> = Vec::new();
-    for strategy in [ShardStrategy::ByDataset, ShardStrategy::ByRepetition] {
-        let mut sharded = ShardedIndex::build(&mutated, strategy, 4);
-        let (res, delta) = enumerations_during(|| sharded.insert(ds.vector(1).clone()));
-        assert_eq!(res, Ok(ds.n() + 1), "{strategy:?}: sharded ids stay global");
-        assert_eq!(delta, REPS as u64, "{strategy:?}: sharded insert costs R");
-        mirrors.push((strategy, sharded));
-    }
+    // Inserting through a sharded wrapper costs exactly R as well: the set
+    // is routed to one shard, which pays its full R. The regression this
+    // section pins: the plan broadcast still enumerates exactly once per
+    // query *after* the insert, with answers byte-identical to the mutated
+    // unsharded index.
+    let mut mirror = ShardedIndex::build(&mutated, 4);
+    let (res, delta) = enumerations_during(|| mirror.insert(ds.vector(1).clone()));
+    assert_eq!(res, Ok(ds.n() + 1), "sharded ids stay global");
+    assert_eq!(delta, REPS as u64, "sharded insert costs R");
     assert_eq!(mutated.insert(ds.vector(1).clone()), Ok(ds.n() + 1));
-    for (strategy, sharded) in &mirrors {
-        for q in queries.iter().take(3) {
-            let (got, delta) = enumerations_during(|| sharded.search_all(q));
-            assert_eq!(got, mutated.search_all(q), "post-insert {strategy:?}");
-            assert_eq!(
-                delta, REPS as u64,
-                "post-insert broadcast still enumerates once, {strategy:?}"
-            );
-        }
+    for q in queries.iter().take(3) {
+        let (got, delta) = enumerations_during(|| mirror.search_all(q));
+        assert_eq!(got, mutated.search_all(q), "post-insert");
+        assert_eq!(
+            delta, REPS as u64,
+            "post-insert broadcast still enumerates once"
+        );
     }
-    drop(mirrors);
+    drop(mirror);
 
     // Joins: duplicate probe-side sets are answered once per *distinct*
     // query — 5 distinct queries repeated 3× each cost 5·R enumerations.
@@ -165,7 +146,7 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
             })
         })
         .collect();
-    let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 4);
+    let sharded = ShardedIndex::build(&index, 4);
     let (pairs, delta) = enumerations_during(|| similarity_join(&r, &sharded));
     assert_eq!(
         pairs, naive,

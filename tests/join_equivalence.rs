@@ -102,10 +102,10 @@ fn lsf_join_recall_and_parallel_determinism() {
 #[test]
 fn duplicate_probe_sets_join_identically_through_bydataset_shards() {
     // The plan pipeline answers each *distinct* probe query once and fans
-    // the answers back to every occurrence; under ByDataset the duplicates'
+    // the answers back to every occurrence; sharded, the duplicates'
     // indexed twins also co-locate on one shard (content-hash partitioning).
     // Neither optimization may change a byte of the join output.
-    use skewsearch::core::{ShardStrategy, ShardedIndex};
+    use skewsearch::core::ShardedIndex;
     let (ds, profile, mut r, alpha) = setup(35);
     // Probe side with heavy duplication: every third query repeats query 0,
     // plus a run of empty queries.
@@ -139,7 +139,7 @@ fn duplicate_probe_sets_join_identically_through_bydataset_shards() {
         })
         .collect();
     for shards in [1, 4] {
-        let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, shards);
+        let sharded = ShardedIndex::build(&index, shards);
         let got: Vec<_> = similarity_join(&r, &sharded)
             .into_iter()
             .map(|p| (p.r_id, p.s_id, p.similarity))
@@ -161,8 +161,8 @@ fn mutated_index_joins_like_its_rebuild_and_shards_exactly() {
     // A join driven by a mutated (tombstoned + delta-segmented) index must
     // equal the join driven by a from-scratch build over the survivors,
     // under the monotone slot → compact-id renumbering — unsharded and
-    // through sharded mirrors under both strategies.
-    use skewsearch::core::{CorrelatedScheme, LsfIndex, ShardStrategy, ShardedIndex};
+    // through sharded mirrors.
+    use skewsearch::core::{CorrelatedScheme, LsfIndex, ShardedIndex};
     let (ds, profile, r, alpha) = setup(36);
     // A deterministic builder: the RNG is consumed only by the build and the
     // scheme is calibrated to a fixed n, so the rebuild over the survivors
@@ -210,15 +210,9 @@ fn mutated_index_joins_like_its_rebuild_and_shards_exactly() {
     assert_eq!(remapped, oracle, "mutated join != rebuilt join");
 
     // Sharded mirrors of the mutated index join byte-identically.
-    for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-        for shards in [1usize, 4] {
-            let sharded = ShardedIndex::build(&index, strategy, shards);
-            assert_eq!(
-                similarity_join(&r, &sharded),
-                seq,
-                "{strategy:?} shards={shards}"
-            );
-        }
+    for shards in [1usize, 4] {
+        let sharded = ShardedIndex::build(&index, shards);
+        assert_eq!(similarity_join(&r, &sharded), seq, "shards={shards}");
     }
 
     // Every reported pair verifies against the survivor set, and recall

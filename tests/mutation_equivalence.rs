@@ -5,7 +5,7 @@
 //! **byte-identically** to an index built from scratch over the surviving
 //! sets (under the monotone slot → compact-id renumbering), and a
 //! `ShardedIndex` mutated through the trait API answers byte-identically to
-//! the mutated unsharded index at every shard count and strategy.
+//! the mutated unsharded index at every shard count.
 //!
 //! The oracle machinery (pool, fixed-seed builder, op scripts, rebuild
 //! oracle, per-surface assertion) lives in `tests/common/mutation.rs`, where
@@ -26,7 +26,7 @@ use skewsearch::core::{MutationError, SetSimilaritySearch, ShardedIndex};
 mod common;
 use common::mutation::{
     assert_answers_like_rebuild, build_fixed, fixed_script, oracle_for, pool, queries_for, resolve,
-    run_inherent, run_trait, Op, SHARD_COUNTS, STRATEGIES,
+    run_inherent, run_trait, Op, SHARD_COUNTS,
 };
 
 #[test]
@@ -161,14 +161,12 @@ fn read_only_structures_refuse_mutation() {
 
     // A sharded wrapper over a read-only structure refuses mutations too,
     // before touching any shard — no partial fan-out effects.
-    for strategy in STRATEGIES {
-        let mut sharded = ShardedIndex::build(&minhash, strategy, 3);
-        assert!(!sharded.supports_mutation());
-        let before = sharded.len();
-        assert_eq!(sharded.insert(v.clone()), Err(MutationError::Unsupported));
-        assert_eq!(sharded.remove(0), Err(MutationError::Unsupported));
-        assert_eq!(sharded.len(), before, "{strategy:?}: no partial insert");
-    }
+    let mut sharded = ShardedIndex::build(&minhash, 3);
+    assert!(!sharded.supports_mutation());
+    let before = sharded.len();
+    assert_eq!(sharded.insert(v.clone()), Err(MutationError::Unsupported));
+    assert_eq!(sharded.remove(0), Err(MutationError::Unsupported));
+    assert_eq!(sharded.len(), before, "no partial insert");
 }
 
 #[test]
@@ -187,24 +185,20 @@ fn mutated_sharded_indexes_match_at_every_shard_count() {
     let (oracle, compact_of) = oracle_for(&survivors, &ds, &profile);
     assert_answers_like_rebuild(&reference, &oracle, &compact_of, &queries, "reference");
 
-    for strategy in STRATEGIES {
-        for shards in SHARD_COUNTS {
-            let label = format!("{strategy:?} shards={shards}");
-            let mut sharded = ShardedIndex::build(&base, strategy, shards);
-            assert!(sharded.supports_mutation(), "{label}");
-            run_trait(&mut sharded, &ds, &ops);
-            assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
-        }
+    for shards in SHARD_COUNTS {
+        let label = format!("shards={shards}");
+        let mut sharded = ShardedIndex::build(&base, shards);
+        assert!(sharded.supports_mutation(), "{label}");
+        run_trait(&mut sharded, &ds, &ops);
+        assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
     }
 
     // Sharding an already-mutated index must reproduce its answers too:
     // build-time routing has to carry tombstones and delta entries.
-    for strategy in STRATEGIES {
-        for shards in SHARD_COUNTS {
-            let label = format!("post-mutation {strategy:?} shards={shards}");
-            let sharded = ShardedIndex::build(&reference, strategy, shards);
-            assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
-        }
+    for shards in SHARD_COUNTS {
+        let label = format!("post-mutation shards={shards}");
+        let sharded = ShardedIndex::build(&reference, shards);
+        assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
     }
 }
 
@@ -236,16 +230,14 @@ proptest! {
         let label = format!("seed={seed} buffer={buffer}");
         assert_answers_like_rebuild(&index, &oracle, &compact_of, &queries, &label);
 
-        for strategy in STRATEGIES {
-            let mut sharded = ShardedIndex::build(&base, strategy, shards);
-            run_trait(&mut sharded, &ds, &ops);
-            assert_answers_like_rebuild(
-                &sharded,
-                &oracle,
-                &compact_of,
-                &queries,
-                &format!("{label} {strategy:?} shards={shards}"),
-            );
-        }
+        let mut sharded = ShardedIndex::build(&base, shards);
+        run_trait(&mut sharded, &ds, &ops);
+        assert_answers_like_rebuild(
+            &sharded,
+            &oracle,
+            &compact_of,
+            &queries,
+            &format!("{label} shards={shards}"),
+        );
     }
 }

@@ -2,8 +2,7 @@
 //! answer **byte-identically** to the original on every surface — `search`,
 //! `search_all`, `search_all_tagged`, `search_batch`, `search_best`, and
 //! `similarity_join` — including indexes that were mutated before being
-//! saved, and whole sharded deployments at every shard count under both
-//! strategies.
+//! saved, and whole sharded deployments at every shard count.
 //!
 //! Every round trip also re-saves the reloaded index and requires the same
 //! bytes as the first save (every file of a sharded deployment included):
@@ -12,20 +11,21 @@
 //! A second block pins the failure contract: truncated files, wrong magic,
 //! unsupported versions, mismatched container kinds, flipped payload bytes,
 //! and checksummed files whose contents disagree (a scheme table shorter
-//! than the profile, a shard manifest that does not match its shards) must
-//! all surface as typed [`PersistError`]s — never panics, never a silently
+//! than the profile, a shard manifest that does not match its shards or
+//! that holds a retired pass-slice layout) must all surface as typed
+//! [`PersistError`]s — never panics, never a silently
 //! wrong index. A proptest block randomizes the dataset and query stream
 //! over the correlated index round trip.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
-use skewsearch::core::persist::{kind, write_bucket_map, write_container, Reader, Writer};
+use skewsearch::core::persist::{fnv1a64, kind, write_bucket_map, write_container, Reader, Writer};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
     CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Persist,
     PersistError, PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest,
-    ShardManifestEntry, ShardStrategy, Shardable, ShardedIndex, ThresholdScheme,
+    ShardManifestEntry, Shardable, ShardedIndex, ThresholdScheme,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::hashing::FxHashMap;
@@ -36,7 +36,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 0xD15C;
 const ALPHA: f64 = 0.7;
-const STRATEGIES: [ShardStrategy; 2] = [ShardStrategy::ByRepetition, ShardStrategy::ByDataset];
 
 /// A collision-free scratch path (no wall clock: process id + counter).
 fn scratch(label: &str) -> PathBuf {
@@ -450,32 +449,59 @@ fn sharded_deployments_round_trip() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 13);
     let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(6));
     let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
-    for strategy in STRATEGIES {
-        for shards in [1usize, 3, 8] {
-            let sharded = ShardedIndex::build(&index, strategy, shards);
-            let reloaded = sharded_round_trip(&sharded, &format!("{strategy:?}/{shards}"));
-            assert_eq!(reloaded.strategy(), strategy);
-            assert_eq!(reloaded.shard_count(), sharded.shard_count());
-            assert_eq!(reloaded.shard_lens(), sharded.shard_lens());
-            assert_same_answers(
-                &sharded,
-                &reloaded,
-                &queries,
-                &format!("ShardedIndex {strategy:?} shards={shards}"),
-            );
-        }
+    for shards in [1usize, 3, 8] {
+        let sharded = ShardedIndex::build(&index, shards);
+        let reloaded = sharded_round_trip(&sharded, &format!("shards={shards}"));
+        assert_eq!(reloaded.shard_count(), sharded.shard_count());
+        assert_eq!(reloaded.shard_lens(), sharded.shard_lens());
+        assert_same_answers(
+            &sharded,
+            &reloaded,
+            &queries,
+            &format!("ShardedIndex shards={shards}"),
+        );
     }
+}
+
+/// The saved bytes of a fixed deployment, pinned by file name, length and
+/// FNV-1a checksum: the index of `tests/postings_codec.rs`'s
+/// `saved_bytes_of_a_fixed_index_are_pinned` split over 3 dataset shards.
+/// Changing how shards are built or how the manifest is written may not
+/// alter a saved byte (`docs/PERSISTENCE.md` §7).
+#[test]
+fn saved_bytes_of_a_fixed_deployment_are_pinned() {
+    let profile = BernoulliProfile::blocks(&[(60, 0.2), (900, 0.01)]).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EED_0020);
+    let ds = Dataset::generate(&profile, 300, &mut rng);
+    let params = CorrelatedParams::new(0.7).unwrap().with_options(opts(4));
+    let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
+    let dir = scratch("deployment_pin");
+    ShardedIndex::build(&index, 3).save(&dir).unwrap();
+    let files: Vec<(String, usize, u64)> = dir_contents(&dir)
+        .into_iter()
+        .map(|(name, bytes)| (name.into_string().unwrap(), bytes.len(), fnv1a64(&bytes)))
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let pinned = [
+        ("manifest.skx", 3_832, 0x526c_7a1a_e364_45a4),
+        ("shard-0000.skx", 857_544, 0xba6f_b745_4da2_2504),
+        ("shard-0001.skx", 859_704, 0xd632_7a9c_1b9f_82ba),
+        ("shard-0002.skx", 669_504, 0xa490_00b7_f038_fbbf),
+    ];
+    assert_eq!(
+        files,
+        pinned.map(|(name, len, hash)| (name.to_string(), len, hash))
+    );
 }
 
 #[test]
 fn sharded_minhash_round_trips() {
     // The manifest must also work over an index with its own section type
-    // (MinHash, kind 5) — exercises the id-map path since MinHash shards
-    // only by dataset.
+    // (MinHash, kind 5).
     let (ds, _profile, queries) = fixture(200, SEED ^ 14);
     let mut rng = StdRng::seed_from_u64(SEED ^ 15);
     let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
-    let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 3);
+    let sharded = ShardedIndex::build(&index, 3);
     let reloaded = sharded_round_trip(&sharded, "ShardedIndex<MinHashLsh>");
     assert_same_answers(&sharded, &reloaded, &queries, "ShardedIndex<MinHashLsh>");
 }
@@ -694,7 +720,7 @@ fn manifest_missing_shard_file_is_io_error() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 19);
     let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4));
     let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
-    let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 2);
+    let sharded = ShardedIndex::build(&index, 2);
     let dir = scratch("manifest");
     sharded.save(&dir).unwrap();
     std::fs::remove_file(dir.join("shard-0001.skx")).unwrap();
@@ -714,13 +740,12 @@ fn assert_malformed<T>(result: Result<T, PersistError>, what: &str) {
     }
 }
 
-/// Decodes a manifest payload by the spec alone (docs/PERSISTENCE.md §7).
-fn decode_manifest(payload: &[u8]) -> ShardManifest {
+/// Decodes a manifest payload by the spec alone (docs/PERSISTENCE.md §7),
+/// with the payload offset of each shard entry: its pass-offset word, then
+/// 8 bytes on its id-map flag word.
+fn decode_manifest(payload: &[u8]) -> (ShardManifest, Vec<usize>) {
     let mut r = Reader::new(payload);
-    let strategy = match r.get_u32().unwrap() {
-        1 => ShardStrategy::ByRepetition,
-        _ => ShardStrategy::ByDataset,
-    };
+    assert_eq!(r.get_u32().unwrap(), 2, "strategy tag");
     let threshold = r.get_f64().unwrap();
     let len = r.get_u64().unwrap() as usize;
     let next_id = r.get_u64().unwrap() as usize;
@@ -731,70 +756,98 @@ fn decode_manifest(payload: &[u8]) -> ShardManifest {
             (packed as u32, (packed >> 32) as u32)
         })
         .collect();
+    let mut entries = Vec::new();
     let shards = (0..r.get_u64().unwrap())
         .map(|_| {
-            let pass_offset = r.get_u32().unwrap();
-            let id_map = (r.get_u32().unwrap() == 1).then(|| r.get_u32_vec().unwrap());
+            entries.push(payload.len() - r.remaining());
+            assert_eq!(r.get_u32().unwrap(), 0, "pass offset");
+            assert_eq!(r.get_u32().unwrap(), 1, "id-map flag");
             ShardManifestEntry {
-                pass_offset,
-                id_map,
+                id_map: r.get_u32_vec().unwrap(),
                 file: r.get_string().unwrap(),
             }
         })
         .collect();
     assert!(r.is_empty(), "decoding consumed the whole manifest");
-    ShardManifest {
-        strategy,
+    let manifest = ShardManifest {
         threshold,
         len,
         next_id,
         owner,
         shards,
-    }
+    };
+    (manifest, entries)
 }
 
-/// Saves a 2-shard deployment under `strategy`, rewrites its manifest with
-/// `corrupt`, re-frames it as a valid container, and requires the load to
-/// fail as `Malformed`: the manifest no longer matches its shards.
-fn assert_manifest_rejected(strategy: ShardStrategy, corrupt: impl FnOnce(&mut ShardManifest)) {
+/// Saves a 2-shard deployment, rewrites its manifest payload with `corrupt`
+/// (given each shard entry's payload offset), reseals it as a valid
+/// container, and requires the load to fail as `Malformed`.
+fn assert_manifest_payload_rejected(corrupt: impl FnOnce(&mut Vec<u8>, &[usize])) {
     let (ds, profile, _) = fixture(120, SEED ^ 24);
     let mut rng = StdRng::seed_from_u64(SEED ^ 25);
     let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4));
     let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
     let dir = scratch("manifest_check");
-    ShardedIndex::build(&index, strategy, 2).save(&dir).unwrap();
+    ShardedIndex::build(&index, 2).save(&dir).unwrap();
     let path = dir.join("manifest.skx");
-    let payload = std::fs::read(&path).unwrap()[32..].to_vec();
-    let mut manifest = decode_manifest(&payload);
+    let mut payload = std::fs::read(&path).unwrap()[32..].to_vec();
+    let (manifest, entries) = decode_manifest(&payload);
     assert!(manifest.encode() == payload, "§7 decodes the manifest");
-    corrupt(&mut manifest);
-    write_container(&path, kind::MANIFEST, &manifest.encode()).unwrap();
+    corrupt(&mut payload, &entries);
+    write_container(&path, kind::MANIFEST, &payload).unwrap();
     let result = ShardedIndex::<CorrelatedIndex>::load(&dir);
     let _ = std::fs::remove_dir_all(&dir);
-    assert_malformed(result, &format!("{strategy:?} manifest"));
+    assert_malformed(result, "manifest");
+}
+
+/// Rewrites the saved manifest with `corrupt` so that it no longer matches
+/// its shards, and requires the load to fail as `Malformed`.
+fn assert_manifest_rejected(corrupt: impl FnOnce(&mut ShardManifest)) {
+    assert_manifest_payload_rejected(|payload, _| {
+        let mut manifest = decode_manifest(payload).0;
+        corrupt(&mut manifest);
+        *payload = manifest.encode();
+    });
+}
+
+/// Overwrites the `u32` word at payload offset `at`.
+fn put_word(payload: &mut [u8], at: usize, value: u32) {
+    payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+#[test]
+fn manifest_with_the_retired_strategy_tag_is_malformed() {
+    // Tag 1 is a saved pass-slice deployment, a layout no longer built.
+    assert_manifest_payload_rejected(|payload, _| put_word(payload, 0, 1));
 }
 
 #[test]
 fn manifest_owner_pointing_past_the_shards_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.owner[0] = (7, 0));
+    assert_manifest_rejected(|m| m.owner[0] = (7, 0));
 }
 
 #[test]
 fn manifest_owner_table_longer_than_next_id_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.owner.push((0, 0)));
+    assert_manifest_rejected(|m| m.owner.push((0, 0)));
 }
 
 #[test]
 fn manifest_dataset_shard_without_id_map_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.shards[0].id_map = None);
+    // The bytes an id-less entry had: flag 0 and no map after it.
+    assert_manifest_payload_rejected(|payload, entries| {
+        let flag = entries[0] + 8;
+        let map_len = u64::from_le_bytes(payload[flag + 8..flag + 16].try_into().unwrap());
+        put_word(payload, flag, 0);
+        payload.drain(flag + 8..flag + 16 + (4 * map_len as usize).next_multiple_of(8));
+    });
 }
 
 #[test]
 fn manifest_id_map_out_of_order_is_malformed() {
     // Swap two ids and their owner entries: the owner table stays the
     // inverse of the id maps, only the ascending order breaks.
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| {
-        let map = m.shards[0].id_map.as_mut().unwrap();
+    assert_manifest_rejected(|m| {
+        let map = &mut m.shards[0].id_map;
         map.swap(0, 1);
         let (a, b) = (map[0] as usize, map[1] as usize);
         m.owner.swap(a, b);
@@ -803,9 +856,9 @@ fn manifest_id_map_out_of_order_is_malformed() {
 
 #[test]
 fn manifest_id_map_past_next_id_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| {
+    assert_manifest_rejected(|m| {
         let next_id = m.next_id as u32;
-        *m.shards[0].id_map.as_mut().unwrap().last_mut().unwrap() = next_id;
+        *m.shards[0].id_map.last_mut().unwrap() = next_id;
     });
 }
 
@@ -814,12 +867,12 @@ fn manifest_id_map_length_differing_from_its_shard_is_malformed() {
     // Move one id from shard 0's map to shard 1's and rebuild the owner
     // table from the maps: it stays their exact inverse over next_id slots,
     // but neither map is as long as its shard any more.
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| {
-        let moved = m.shards[0].id_map.as_mut().unwrap().pop().unwrap();
-        let map = m.shards[1].id_map.as_mut().unwrap();
+    assert_manifest_rejected(|m| {
+        let moved = m.shards[0].id_map.pop().unwrap();
+        let map = &mut m.shards[1].id_map;
         map.insert(map.partition_point(|&g| g < moved), moved);
         for (k, shard) in m.shards.iter().enumerate() {
-            for (local, &global) in shard.id_map.as_ref().unwrap().iter().enumerate() {
+            for (local, &global) in shard.id_map.iter().enumerate() {
                 m.owner[global as usize] = (k as u32, local as u32);
             }
         }
@@ -828,45 +881,17 @@ fn manifest_id_map_length_differing_from_its_shard_is_malformed() {
 
 #[test]
 fn manifest_dataset_pass_offset_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByDataset, |m| m.shards[1].pass_offset = 1);
-}
-
-#[test]
-fn manifest_repetition_shard_with_id_map_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| {
-        m.shards[0].id_map = Some((0..m.next_id as u32).collect());
-    });
-}
-
-#[test]
-fn manifest_repetition_owner_table_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| m.owner = vec![(0, 0)]);
-}
-
-#[test]
-fn manifest_repetition_next_id_past_the_shards_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| m.next_id += 1);
-}
-
-#[test]
-fn manifest_pass_offsets_not_a_running_sum_is_malformed() {
-    assert_manifest_rejected(ShardStrategy::ByRepetition, |m| {
-        m.shards[1].pass_offset += 1
-    });
+    assert_manifest_payload_rejected(|payload, entries| put_word(payload, entries[1], 1));
 }
 
 #[test]
 fn manifest_len_disagreeing_with_the_shards_is_malformed() {
-    for strategy in STRATEGIES {
-        assert_manifest_rejected(strategy, |m| m.len += 1);
-    }
+    assert_manifest_rejected(|m| m.len += 1);
 }
 
 #[test]
 fn manifest_threshold_disagreeing_with_the_shards_is_malformed() {
-    for strategy in STRATEGIES {
-        assert_manifest_rejected(strategy, |m| m.threshold /= 2.0);
-    }
+    assert_manifest_rejected(|m| m.threshold /= 2.0);
 }
 
 #[test]

@@ -29,7 +29,7 @@ use skewsearch::baselines::{
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
     DeadlineExceeded, IndexOptions, LsfIndex, PassSource, ProbeControl, QueryPlan, Repetitions,
-    SetSimilaritySearch, ShardStrategy, ShardedIndex, SplitIndex, SplitParams,
+    SetSimilaritySearch, ShardedIndex, SplitIndex, SplitParams,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -341,36 +341,29 @@ fn broadcast_probes_match_at_configured_worker_counts() {
         .unwrap()
         .with_options(opts(reps));
     let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
-    for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-        // Dataset shards each walk every repetition; pass slices split them.
-        let min_polls = match strategy {
-            ShardStrategy::ByRepetition => reps,
-            ShardStrategy::ByDataset => 4 * reps,
-        };
-        let sharded = ShardedIndex::build(&index, strategy, 4);
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(
-                sharded.search_all_tagged(q),
-                index.search_all_tagged(q),
-                "{strategy:?} q={i}"
-            );
-            // Every shard polls the shared check once per repetition.
-            assert_deadline_granularity(
-                &sharded,
-                &sharded.plan_query(q),
-                min_polls as u64,
-                &format!("{strategy:?} q={i}"),
-            );
-        }
+    let sharded = ShardedIndex::build(&index, 4);
+    for (i, q) in queries.iter().enumerate() {
         assert_eq!(
-            sharded.search_batch(&queries),
-            queries
-                .iter()
-                .map(|q| index.search_all(q))
-                .collect::<Vec<_>>(),
-            "{strategy:?}"
+            sharded.search_all_tagged(q),
+            index.search_all_tagged(q),
+            "q={i}"
+        );
+        // Every shard walks every repetition, polling the shared check once
+        // per repetition.
+        assert_deadline_granularity(
+            &sharded,
+            &sharded.plan_query(q),
+            4 * reps as u64,
+            &format!("q={i}"),
         );
     }
+    assert_eq!(
+        sharded.search_batch(&queries),
+        queries
+            .iter()
+            .map(|q| index.search_all(q))
+            .collect::<Vec<_>>()
+    );
 }
 
 proptest! {

@@ -7,7 +7,7 @@
 //! Three layers:
 //!
 //! 1. **Read-only, all types** — each of the five index types plus
-//!    `ShardedIndex` under both strategies is served to 4 concurrent
+//!    `ShardedIndex` at 3 and 8 shards is served to 4 concurrent
 //!    clients, each comparing every response against the expected answers
 //!    computed in-process before the index moved into the server.
 //! 2. **Interleaved mutations** — a mutation script is applied *through the
@@ -35,7 +35,7 @@ use skewsearch::sets::SparseVec;
 mod common;
 use common::mutation::{
     build_fixed, dense_tagged, fixed_script, oracle_for, pool, queries_for, remap_tagged, resolve,
-    Op, SHARD_COUNTS, STRATEGIES,
+    Op, SHARD_COUNTS,
 };
 
 const CLIENTS: usize = 4;
@@ -211,11 +211,9 @@ fn served_sharded_indexes_match_under_both_strategies() {
         CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4)),
         &mut rng,
     );
-    for strategy in STRATEGIES {
-        for shards in [SHARD_COUNTS[1], SHARD_COUNTS[2]] {
-            let sharded = skewsearch::core::ShardedIndex::build(&base, strategy, shards);
-            check_served(sharded, &queries, &format!("{strategy:?} shards={shards}"));
-        }
+    for shards in [SHARD_COUNTS[1], SHARD_COUNTS[2]] {
+        let sharded = skewsearch::core::ShardedIndex::build(&base, shards);
+        check_served(sharded, &queries, &format!("shards={shards}"));
     }
 }
 
@@ -313,33 +311,31 @@ fn sharded_mutations_over_the_wire_answer_like_a_rebuild() {
         .collect();
 
     let base = build_fixed(ds.vectors()[..n_build].to_vec(), &profile, usize::MAX);
-    for strategy in STRATEGIES {
-        let sharded = skewsearch::core::ShardedIndex::build(&base, strategy, 3);
-        let server = serve(Box::new(sharded));
-        let addr = server.local_addr();
-        let mut mutator = ServiceClient::connect(addr).expect("connect");
-        run_ops_over_wire(&mut mutator, &ds, &ops);
-        std::thread::scope(|scope| {
-            for c in 0..CLIENTS {
-                let (queries, expected, compact_of) = (&queries, &expected, &compact_of);
-                scope.spawn(move || {
-                    let mut client = ServiceClient::connect(addr).expect("connect");
-                    for (i, q) in queries.iter().enumerate() {
-                        let served = client
-                            .search(&dims_of(q), None)
-                            .unwrap_or_else(|e| panic!("{strategy:?} client={c} q={i}: {e}"));
-                        assert_eq!(
-                            remap_tagged(&served, compact_of),
-                            expected[i],
-                            "{strategy:?} client={c} q={i}"
-                        );
-                    }
-                });
-            }
-        });
-        drop(mutator);
-        server.shutdown();
-    }
+    let sharded = skewsearch::core::ShardedIndex::build(&base, 3);
+    let server = serve(Box::new(sharded));
+    let addr = server.local_addr();
+    let mut mutator = ServiceClient::connect(addr).expect("connect");
+    run_ops_over_wire(&mut mutator, &ds, &ops);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (queries, expected, compact_of) = (&queries, &expected, &compact_of);
+            scope.spawn(move || {
+                let mut client = ServiceClient::connect(addr).expect("connect");
+                for (i, q) in queries.iter().enumerate() {
+                    let served = client
+                        .search(&dims_of(q), None)
+                        .unwrap_or_else(|e| panic!("client={c} q={i}: {e}"));
+                    assert_eq!(
+                        remap_tagged(&served, compact_of),
+                        expected[i],
+                        "client={c} q={i}"
+                    );
+                }
+            });
+        }
+    });
+    drop(mutator);
+    server.shutdown();
 }
 
 proptest! {

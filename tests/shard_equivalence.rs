@@ -1,12 +1,12 @@
 //! Sharding semantics: for every index type, a `ShardedIndex` must answer
 //! `search`, `search_all`, `search_all_tagged`, `search_batch`, and
 //! `search_best` **byte-identically** to the unsharded index it was
-//! partitioned from — under both strategies, at every shard count, including
-//! degenerate partitions where some shards are empty.
+//! partitioned from — at every shard count, including degenerate partitions
+//! where some shards are empty.
 //!
-//! Deterministic tests pin the 5 index types × 2 strategies × {1, 8} shards
-//! grid from the acceptance criteria; a proptest block then randomizes the
-//! dataset, correlation, and shard count over {1, 3, 8}.
+//! Deterministic tests pin the 5 index types × {1, 8} shards grid from the
+//! acceptance criteria; a proptest block then randomizes the dataset,
+//! correlation, and shard count over {1, 3, 8}.
 //!
 //! The per-query shard fan-out and the batch executor both run on one
 //! worker per core, so on a multicore host these suites run at real
@@ -17,15 +17,14 @@ use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch,
-    ShardStrategy, Shardable, ShardedIndex,
+    IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch, Shardable,
+    ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
 
 const SEED: u64 = 0x54A8D;
 const ALPHA: f64 = 0.7;
-const STRATEGIES: [ShardStrategy; 2] = [ShardStrategy::ByRepetition, ShardStrategy::ByDataset];
 
 fn fixture(n: usize, seed: u64) -> (Dataset, BernoulliProfile, Vec<SparseVec>) {
     let profile = BernoulliProfile::blocks(&[(60, 0.2), (900, 0.01)]).unwrap();
@@ -61,26 +60,24 @@ fn assert_sharded_identical<I: Shardable + Send + Sync>(
         .map(|q| index.probe_passes(PassSource::Query(q), ProbeControl::FIRST))
         .collect();
     let best: Vec<_> = queries.iter().map(|q| index.search_best(q)).collect();
-    for strategy in STRATEGIES {
-        for &shards in shard_counts {
-            let sharded = ShardedIndex::build(index, strategy, shards);
-            let ctx = format!("{label} {strategy:?} shards={shards}");
-            assert_eq!(sharded.len(), index.len(), "{ctx}");
-            assert_eq!(sharded.threshold(), index.threshold(), "{ctx}");
-            for (i, q) in queries.iter().enumerate() {
-                assert_eq!(sharded.search_all(q), all[i], "{ctx} q={i}");
-                assert_eq!(sharded.search_all_tagged(q), tagged[i], "{ctx} q={i}");
-                assert_eq!(sharded.search(q), first[i], "{ctx} q={i}");
-                assert_eq!(
-                    sharded.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
-                    first_tagged[i],
-                    "{ctx} q={i}"
-                );
-            }
-            assert_eq!(sharded.search_batch(queries), all, "{ctx}");
-            let sharded_best: Vec<_> = queries.iter().map(|q| sharded.search_best(q)).collect();
-            assert_eq!(sharded_best, best, "{ctx}");
+    for &shards in shard_counts {
+        let sharded = ShardedIndex::build(index, shards);
+        let ctx = format!("{label} shards={shards}");
+        assert_eq!(sharded.len(), index.len(), "{ctx}");
+        assert_eq!(sharded.threshold(), index.threshold(), "{ctx}");
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(sharded.search_all(q), all[i], "{ctx} q={i}");
+            assert_eq!(sharded.search_all_tagged(q), tagged[i], "{ctx} q={i}");
+            assert_eq!(sharded.search(q), first[i], "{ctx} q={i}");
+            assert_eq!(
+                sharded.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
+                first_tagged[i],
+                "{ctx} q={i}"
+            );
         }
+        assert_eq!(sharded.search_batch(queries), all, "{ctx}");
+        let sharded_best: Vec<_> = queries.iter().map(|q| sharded.search_best(q)).collect();
+        assert_eq!(sharded_best, best, "{ctx}");
     }
 }
 
@@ -103,10 +100,9 @@ fn lsf_index_shard_equivalence() {
 #[test]
 fn mutated_lsf_index_shard_equivalence() {
     // Sharding an index that has been mutated — live tombstones, a delta
-    // segment, and a compacted region — must still be byte-identical under
-    // both strategies: `ByDataset` routes every slot (dead ones included, to
-    // keep the id maps dense) and `ByRepetition` carries the segments
-    // verbatim. See `tests/mutation_equivalence.rs` for the rebuild oracle.
+    // segment, and a compacted region — must still be byte-identical: the
+    // partition routes every slot (dead ones included, to keep the id maps
+    // dense). See `tests/mutation_equivalence.rs` for the rebuild oracle.
     let (ds, profile, queries) = fixture(250, SEED ^ 8);
     let mut rng = StdRng::seed_from_u64(SEED ^ 9);
     let scheme = CorrelatedScheme::new(ALPHA, 220, &profile);
@@ -174,9 +170,8 @@ fn minhash_shard_equivalence() {
 
 #[test]
 fn empty_shards_from_tiny_datasets_are_exact() {
-    // 5 vectors over 8 dataset shards: at least three shards hold nothing.
-    // 3 repetitions over 8 repetition shards: at least five passes-shards
-    // are empty. Both partitions must still be byte-identical.
+    // 5 vectors over 8 shards: at least three shards hold nothing, and the
+    // partition must still be byte-identical.
     let (ds, profile, _) = fixture(5, SEED ^ 6);
     let mut rng = StdRng::seed_from_u64(SEED ^ 6);
     let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(3));
@@ -185,19 +180,15 @@ fn empty_shards_from_tiny_datasets_are_exact() {
         .map(|t| correlated_query(ds.vector(t), &profile, ALPHA, &mut rng))
         .chain(std::iter::once(SparseVec::empty()))
         .collect();
-    for strategy in STRATEGIES {
-        let sharded = ShardedIndex::build(&index, strategy, 8);
-        assert_eq!(sharded.shard_count(), 8);
-        if strategy == ShardStrategy::ByDataset {
-            assert!(
-                sharded.shard_lens().iter().filter(|&&l| l == 0).count() >= 3,
-                "expected empty shards, got {:?}",
-                sharded.shard_lens()
-            );
-        }
-        for q in &queries {
-            assert_eq!(sharded.search_all(q), index.search_all(q), "{strategy:?}");
-        }
+    let sharded = ShardedIndex::build(&index, 8);
+    assert_eq!(sharded.shard_count(), 8);
+    assert!(
+        sharded.shard_lens().iter().filter(|&&l| l == 0).count() >= 3,
+        "expected empty shards, got {:?}",
+        sharded.shard_lens()
+    );
+    for q in &queries {
+        assert_eq!(sharded.search_all(q), index.search_all(q));
     }
 }
 
@@ -214,22 +205,19 @@ fn empty_index_shards_find_nothing() {
         IndexOptions::default(),
         &mut rng,
     );
-    for strategy in STRATEGIES {
-        let sharded = ShardedIndex::build(&index, strategy, 4);
-        assert!(sharded.is_empty());
-        assert!(sharded
-            .search(&SparseVec::from_unsorted(vec![1, 2]))
-            .is_none());
-    }
+    let sharded = ShardedIndex::build(&index, 4);
+    assert!(sharded.is_empty());
+    assert!(sharded
+        .search(&SparseVec::from_unsorted(vec![1, 2]))
+        .is_none());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized sweep of the acceptance grid: all five index types, both
-    /// strategies, shard counts drawn from {1, 3, 8}, over random dataset
-    /// sizes (small enough that 8-way dataset partitions regularly produce
-    /// empty shards).
+    /// Randomized sweep of the acceptance grid: all five index types, shard
+    /// counts drawn from {1, 3, 8}, over random dataset sizes (small enough
+    /// that 8-way partitions regularly produce empty shards).
     #[test]
     fn sharded_equals_unsharded_for_all_index_types(
         seed in 0u64..1_000_000,
