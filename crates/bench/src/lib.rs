@@ -1,25 +1,19 @@
 //! # skewsearch-bench
 //!
-//! Shared fixtures for the Criterion benchmark suite. One bench target per
-//! paper artifact (see DESIGN.md §4) plus ablations and substrate
-//! microbenches:
+//! Shared fixtures for the Criterion microbenchmarks, which time what
+//! neither `repro` nor perfbench measures:
 //!
-//! * `fig1_rho` — Figure 1 exponent curves;
-//! * `fig2_freq` — Figure 2 frequency-plot pipeline;
-//! * `table1_ratios` — Table 1 independence ratios;
-//! * `sec7_examples` — §7.1/§7.2 worked-example exponents;
-//! * `motivating` — §1 harmonic split balance;
-//! * `query_scaling` — query latency, ours vs every baseline;
-//! * `batch_query` — sequential loop vs `search_batch` at 1/2/4/8 threads;
-//! * `build_index` — preprocessing cost, ours vs every baseline;
 //! * `ablation` — threshold adaptivity, stopping rule, δ-boost, hash family;
-//! * `substrates` — intersections, samplers, hashers;
 //! * `join` — similarity join vs nested loop, sequential vs parallel;
 //! * `mutation` — insert/remove pairs, compaction, mutated vs rebuilt queries;
 //! * `persist` — save and load of an index and a sharded deployment vs a
 //!   rebuild;
-//! * `postings` — compressed posting bytes and probes vs a bucket map;
-//! * `service` — `/search` over loopback HTTP.
+//! * `postings` — compressed posting bytes and probes vs a bucket map.
+//!
+//! The paper's artifacts and the scaling claim are printed by `repro` and
+//! pinned by `tests/repro_artifacts.rs`; end-to-end `/search` speed is
+//! perfbench's (`BENCHMARK.json`). `skewed_profile` and `uniform_profile`
+//! are perfbench's fixtures too.
 //!
 //! All benches run with reduced sample counts so `cargo bench --workspace`
 //! finishes at laptop scale; they are throughput/latency *shape* probes, not

@@ -21,7 +21,7 @@ use skewsearch_sets::SparseVec;
 pub struct AdversarialParams {
     /// Similarity threshold `b₁` the returned vector must meet.
     pub b1: f64,
-    /// Index tuning (repetitions, node budget).
+    /// Index tuning.
     pub options: IndexOptions,
 }
 

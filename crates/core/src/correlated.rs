@@ -28,7 +28,7 @@ pub const B2_DIVISOR: f64 = 1.5;
 pub struct CorrelatedParams {
     /// The target correlation `α ∈ (0, 1]`.
     pub alpha: f64,
-    /// Index tuning (repetitions, node budget).
+    /// Index tuning.
     pub options: IndexOptions,
 }
 

@@ -43,7 +43,9 @@ use skewsearch_datagen::BernoulliProfile;
 use skewsearch_hashing::{LevelHasher, PathHasherStack, PathKey};
 use skewsearch_sets::SparseVec;
 
-/// Default per-vector node budget (expansion attempts across the DFS).
+/// Per-vector node budget (expansion attempts across the DFS) that every
+/// [`crate::LsfIndex`] enumerates under; a saved index records it, and a
+/// load rejects any other value.
 pub const DEFAULT_NODE_BUDGET: usize = 1 << 21;
 
 /// Process-wide count of filter-set enumerations (instrumentation).

@@ -81,8 +81,6 @@ impl Default for Repetitions {
 pub struct IndexOptions {
     /// Repetition policy.
     pub repetitions: Repetitions,
-    /// Per-vector node budget for path enumeration.
-    pub node_budget: usize,
     /// Worker threads [`SetSimilaritySearch::search_batch`] answers a batch
     /// on — and with it every join over this index. `0` = one worker per
     /// available core. Saved with the index. Batch results are
@@ -101,7 +99,6 @@ impl Default for IndexOptions {
     fn default() -> Self {
         Self {
             repetitions: Repetitions::default(),
-            node_budget: DEFAULT_NODE_BUDGET,
             query_threads: 0,
             mutation_buffer: 1024,
         }
@@ -178,17 +175,18 @@ impl Repetition {
     /// Enumerates `F(x)` for `context`'s vector under this repetition's hash
     /// stack into `filters` and replaces `keys` with the interned bucket
     /// keys, in enumeration order — the one enumerate-and-intern step of
-    /// build, insert, planning and the lazy probe.
+    /// build, insert, planning and the lazy probe. Every index enumerates
+    /// under [`DEFAULT_NODE_BUDGET`].
     fn enumerate_keys<S: ThresholdScheme>(
         &self,
         context: &EnumContext<'_>,
         scheme: &S,
-        node_budget: usize,
         filters: &mut Vec<PathKey>,
         keys: &mut Vec<u64>,
     ) -> EnumStats {
         filters.clear();
-        let stats = enumerate_filters_with(context, scheme, &self.hashers, node_budget, filters);
+        let stats =
+            enumerate_filters_with(context, scheme, &self.hashers, DEFAULT_NODE_BUDGET, filters);
         keys.clear();
         keys.extend(filters.iter().map(|k| self.interner.hash(k.raw())));
         stats
@@ -322,7 +320,6 @@ pub struct LsfIndex<S: ThresholdScheme> {
     scheme: S,
     reps: Vec<Repetition>,
     verify_threshold: f64,
-    node_budget: usize,
     query_threads: usize,
     build_stats: BuildStats,
     /// Slots `0..base_len` live in the base segments; slots `base_len..`
@@ -415,13 +412,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             for (id, x) in vectors.iter().enumerate() {
                 let id = id as u32;
                 let context = EnumContext::new(x, &profile, &scheme, depth);
-                let stats = rep.enumerate_keys(
-                    &context,
-                    &scheme,
-                    options.node_budget,
-                    &mut filters,
-                    &mut keys,
-                );
+                let stats = rep.enumerate_keys(&context, &scheme, &mut filters, &mut keys);
                 if stats.truncated {
                     truncated.insert(id);
                 }
@@ -454,7 +445,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             scheme,
             reps,
             verify_threshold,
-            node_budget: options.node_budget,
             query_threads: options.query_threads,
             build_stats,
             base_len: n,
@@ -541,13 +531,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             let keys: &[u64] = match &pass_keys {
                 PassKeys::Planned(passes) => &passes[pass],
                 PassKeys::Lazy(context) => {
-                    rep.enumerate_keys(
-                        context,
-                        &self.scheme,
-                        self.node_budget,
-                        &mut filters,
-                        &mut enumerated,
-                    );
+                    rep.enumerate_keys(context, &self.scheme, &mut filters, &mut enumerated);
                     &enumerated
                 }
             };
@@ -609,13 +593,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             .iter()
             .map(|rep| {
                 let mut keys = Vec::new();
-                rep.enumerate_keys(
-                    &context,
-                    &self.scheme,
-                    self.node_budget,
-                    &mut filters,
-                    &mut keys,
-                );
+                rep.enumerate_keys(&context, &self.scheme, &mut filters, &mut keys);
                 keys
             })
             .collect();
@@ -732,13 +710,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         let (mut filters, mut keys) = (Vec::new(), Vec::new());
         let context = self.enum_context(&set);
         for rep in &mut self.reps {
-            rep.enumerate_keys(
-                &context,
-                &self.scheme,
-                self.node_budget,
-                &mut filters,
-                &mut keys,
-            );
+            rep.enumerate_keys(&context, &self.scheme, &mut filters, &mut keys);
             for &key in &keys {
                 rep.delta.entry(key).or_default().push(id as u32);
             }
@@ -965,7 +937,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             scheme: self.scheme.clone(),
             reps,
             verify_threshold: self.verify_threshold,
-            node_budget: self.node_budget,
             query_threads: self.query_threads,
             build_stats,
             base_len,
@@ -1080,7 +1051,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         self.scheme.encode_scheme(w);
         w.put_f64_slice(self.profile.ps());
         w.put_f64(self.verify_threshold);
-        w.put_u64(self.node_budget as u64);
+        w.put_u64(DEFAULT_NODE_BUDGET as u64);
         w.put_u64(self.query_threads as u64);
         w.put_u64(self.mutation_buffer as u64);
         w.put_u64(self.compactions);
@@ -1138,7 +1109,14 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         if !(0.0..=1.0).contains(&verify_threshold) {
             return Err(PersistError::Malformed("verify threshold out of [0,1]"));
         }
-        let node_budget = r.get_u64()? as usize;
+        // The base segments hold the filters enumerated under the saved
+        // budget, and queries enumerate under `DEFAULT_NODE_BUDGET`: a file
+        // saved under any other budget would answer unlike its source index.
+        if r.get_u64()? != DEFAULT_NODE_BUDGET as u64 {
+            return Err(PersistError::Malformed(
+                "node budget differs from the one every index enumerates under",
+            ));
+        }
         let query_threads = r.get_u64()? as usize;
         let mutation_buffer = r.get_u64()? as usize;
         let compactions = r.get_u64()?;
@@ -1199,7 +1177,6 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
             scheme,
             reps,
             verify_threshold,
-            node_budget,
             query_threads,
             build_stats,
             base_len,

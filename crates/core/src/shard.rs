@@ -471,14 +471,15 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         self.shards.iter().all(|s| s.index.supports_mutation())
     }
 
-    /// Sum of the shards' accounting plus the wrapper's own owner table.
+    /// Sum of the shards' accounting plus the wrapper's own tables: the
+    /// owner table and each shard's id map, both in `aux_bytes`.
     fn memory_stats(&self) -> crate::traits::MemoryStats {
         let mut total = crate::traits::MemoryStats::default();
         for shard in &self.shards {
             let s = shard.index.memory_stats();
             total.posting_bytes += s.posting_bytes;
             total.vector_bytes += s.vector_bytes;
-            total.aux_bytes += s.aux_bytes;
+            total.aux_bytes += s.aux_bytes + shard.id_map.capacity() * std::mem::size_of::<u32>();
         }
         total.aux_bytes += self.owner.capacity() * std::mem::size_of::<(u32, u32)>();
         total
@@ -602,6 +603,26 @@ mod tests {
             set_partition_key(&SparseVec::empty()),
             0x9E37_79B9_7F4A_7C15
         );
+    }
+
+    #[test]
+    fn memory_stats_count_the_owner_table_and_every_id_map() {
+        let (index, _) = fixture(3);
+        for shards in [1, 3, 8] {
+            let sharded = ShardedIndex::build(&index, shards);
+            let inner: usize = sharded
+                .shards
+                .iter()
+                .map(|s| s.index.memory_stats().aux_bytes)
+                .sum();
+            let id_maps: usize = sharded.shards.iter().map(|s| s.id_map.capacity() * 4).sum();
+            assert!(id_maps >= index.slot_count() * 4);
+            assert_eq!(
+                sharded.memory_stats().aux_bytes - inner,
+                sharded.owner.capacity() * 8 + id_maps,
+                "shards={shards}"
+            );
+        }
     }
 
     #[test]

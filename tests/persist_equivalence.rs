@@ -11,8 +11,9 @@
 //! A second block pins the failure contract: truncated files, wrong magic,
 //! unsupported versions, mismatched container kinds, flipped payload bytes,
 //! and checksummed files whose contents disagree (a scheme table shorter
-//! than the profile, a shard manifest that does not match its shards or
-//! that holds a retired pass-slice layout) must all surface as typed
+//! than the profile, a node budget other than the fixed one, a shard
+//! manifest that does not match its shards or that holds a retired
+//! pass-slice layout) must all surface as typed
 //! [`PersistError`]s — never panics, never a silently
 //! wrong index. A proptest block randomizes the dataset and query stream
 //! over the correlated index round trip.
@@ -25,7 +26,7 @@ use skewsearch::core::{
     AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
     CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Persist,
     PersistError, PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest,
-    ShardManifestEntry, Shardable, ShardedIndex, ThresholdScheme,
+    ShardManifestEntry, Shardable, ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::hashing::FxHashMap;
@@ -894,11 +895,10 @@ fn manifest_threshold_disagreeing_with_the_shards_is_malformed() {
     assert_manifest_rejected(|m| m.threshold /= 2.0);
 }
 
-#[test]
-fn correlated_table_shorter_than_the_profile_is_malformed() {
-    // A kind-1 Correlated payload whose p̂ table is cut to 10 entries over
-    // d = 400, re-framed as a valid container: a query on any dim past the
-    // cut would index past the table, so the load must fail instead.
+/// Saves a kind-1 Correlated `LsfIndex`, replaces its payload with
+/// `corrupt(payload)`, re-frames that as a valid container and requires the
+/// load to fail with `Malformed`.
+fn assert_lsf_payload_rejected(corrupt: impl FnOnce(&[u8]) -> Vec<u8>, what: &str) {
     let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED ^ 26);
     let ds = Dataset::generate(&profile, 120, &mut rng);
@@ -911,29 +911,60 @@ fn correlated_table_shorter_than_the_profile_is_malformed() {
         opts(2),
         &mut rng,
     );
-    let path = scratch("short_table");
+    let path = scratch("lsf_payload");
     index.save(&path).unwrap();
-    let payload = std::fs::read(&path).unwrap()[32..].to_vec();
-    // §3: scheme tag 2, then 1+δ, log2_n, depth_bound and the p̂·Σp table.
-    let mut r = Reader::new(&payload);
-    let mut w = Writer::new();
-    w.put_u32(r.get_u32().unwrap());
-    w.put_f64(r.get_f64().unwrap());
-    w.put_f64(r.get_f64().unwrap());
-    w.put_u64(r.get_u64().unwrap());
-    let table = r.get_f64_vec().unwrap();
-    assert_eq!(table.len(), 400);
-    w.put_f64_slice(&table[..10]);
-    let rest = &payload[payload.len() - r.remaining()..];
-    write_container(
-        &path,
-        kind::LSF,
-        &[w.into_payload(), rest.to_vec()].concat(),
-    )
-    .unwrap();
+    let payload = corrupt(&std::fs::read(&path).unwrap()[32..]);
+    write_container(&path, kind::LSF, &payload).unwrap();
     let result = LsfIndex::<CorrelatedScheme>::load(&path);
     let _ = std::fs::remove_file(&path);
-    assert_malformed(result, "10-entry p̂ table over d = 400");
+    assert_malformed(result, what);
+}
+
+#[test]
+fn correlated_table_shorter_than_the_profile_is_malformed() {
+    // A kind-1 Correlated payload whose p̂ table is cut to 10 entries over
+    // d = 400: a query on any dim past the cut would index past the table,
+    // so the load must fail instead.
+    assert_lsf_payload_rejected(
+        |payload| {
+            // §3: scheme tag 2, then 1+δ, log2_n, depth_bound and the p̂·Σp table.
+            let mut r = Reader::new(payload);
+            let mut w = Writer::new();
+            w.put_u32(r.get_u32().unwrap());
+            w.put_f64(r.get_f64().unwrap());
+            w.put_f64(r.get_f64().unwrap());
+            w.put_u64(r.get_u64().unwrap());
+            let table = r.get_f64_vec().unwrap();
+            assert_eq!(table.len(), 400);
+            w.put_f64_slice(&table[..10]);
+            let rest = &payload[payload.len() - r.remaining()..];
+            [w.into_payload(), rest.to_vec()].concat()
+        },
+        "10-entry p̂ table over d = 400",
+    );
+}
+
+#[test]
+fn node_budget_other_than_the_fixed_one_is_malformed() {
+    // The saved base segments hold the filters enumerated under the one
+    // budget every index uses, so a payload naming another must not load.
+    assert_lsf_payload_rejected(
+        |payload| {
+            // §4: scheme tag and calibration, profile, verify threshold,
+            // then the node-budget word.
+            let mut r = Reader::new(payload);
+            r.get_u32().unwrap();
+            CorrelatedScheme::decode_scheme(&mut r).unwrap();
+            r.get_f64_vec().unwrap();
+            r.get_f64().unwrap();
+            let at = payload.len() - r.remaining();
+            assert_eq!(r.get_u64().unwrap(), DEFAULT_NODE_BUDGET as u64);
+            let mut corrupt = payload.to_vec();
+            corrupt[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
+            corrupt
+        },
+        "node budget 100",
+    );
 }
 
 // ---------------------------------------------------------------------------
