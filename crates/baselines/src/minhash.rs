@@ -15,7 +15,7 @@
 
 use rand::{Rng, SeedableRng};
 use skewsearch_core::persist::{
-    kind, load_container, read_bucket_map, write_bucket_map, write_container, Writer,
+    fnv1a64, kind, load_container, read_bucket_map, write_bucket_map, write_container, Writer,
 };
 use skewsearch_core::{
     DeadlineExceeded, Match, PassSource, PersistError, ProbeControl, QueryPlan,
@@ -26,6 +26,13 @@ use skewsearch_hashing::{FxHashMap, FxHashSet, PairwiseU64};
 use skewsearch_rho::rho_minhash;
 use skewsearch_sets::{similarity, SparseVec};
 
+/// Multiplier on the theoretical band count `n^ρ` (≈ `ln(1/δ)` for failure
+/// probability `δ`).
+const BAND_FACTOR: f64 = 3.0;
+
+/// Hard cap on the band count `L`, to bound memory.
+const MAX_BANDS: usize = 4096;
+
 /// Parameters for [`MinHashLsh`].
 #[derive(Clone, Copy, Debug)]
 pub struct MinHashParams {
@@ -34,11 +41,6 @@ pub struct MinHashParams {
     pub b1: f64,
     /// Background Braun-Blanquet similarity (converted to `j₂`).
     pub b2: f64,
-    /// Multiplier on the theoretical band count `n^ρ` (≈ `ln(1/δ)` for
-    /// failure probability `δ`).
-    pub band_factor: f64,
-    /// Hard cap on `L` to bound memory.
-    pub max_bands: usize,
     /// Worker threads [`SetSimilaritySearch::search_batch`] answers a batch
     /// on (`0` = one per available core). Saved with the index. Batch
     /// results are identical for any worker count.
@@ -54,8 +56,6 @@ impl MinHashParams {
         Ok(Self {
             b1,
             b2,
-            band_factor: 3.0,
-            max_bands: 4096,
             query_threads: 0,
         })
     }
@@ -69,13 +69,13 @@ impl MinHashParams {
     }
 
     /// The banding plan `(r, L)` for a dataset of `n` vectors:
-    /// `r = ⌈ln n / ln(1/j₂)⌉`, `L = ⌈band_factor · j₁^{-r}⌉ ≈ Θ(n^ρ)`.
+    /// `r = ⌈ln n / ln(1/j₂)⌉`, `L = ⌈3 · j₁^{-r}⌉ ≈ Θ(n^ρ)`, at most 4096.
     pub fn plan(&self, n: usize) -> (usize, usize) {
         let (j1, j2) = self.jaccard_thresholds();
         let n = n.max(2) as f64;
         let r = (n.ln() / (1.0 / j2).ln()).ceil().max(1.0) as usize;
-        let l = (self.band_factor / j1.powi(r as i32)).ceil() as usize;
-        (r, l.clamp(1, self.max_bands))
+        let l = (BAND_FACTOR / j1.powi(r as i32)).ceil() as usize;
+        (r, l.clamp(1, MAX_BANDS))
     }
 }
 
@@ -98,6 +98,16 @@ impl Band {
             key = skewsearch_hashing::mix::combine64(key, m);
         }
         Some(key)
+    }
+
+    /// The band's hash count and min-wise hash coefficients.
+    fn write_hashes(&self, w: &mut Writer) {
+        w.put_u64(self.hashes.len() as u64);
+        for h in &self.hashes {
+            let (a, b) = h.coefficients();
+            w.put_u128(a);
+            w.put_u128(b);
+        }
     }
 }
 
@@ -356,6 +366,16 @@ impl skewsearch_core::Shardable for MinHashLsh {
     fn partition_key(&self, id: u32) -> u64 {
         skewsearch_core::set_partition_key(&self.vectors[id as usize])
     }
+
+    /// FNV-1a-64 over the row count and every band's hash coefficients.
+    fn plan_digest(&self) -> u64 {
+        let mut w = Writer::new();
+        w.put_u64(self.rows as u64);
+        for band in &self.bands {
+            band.write_hashes(&mut w);
+        }
+        fnv1a64(&w.into_payload())
+    }
 }
 
 impl skewsearch_core::Persist for MinHashLsh {
@@ -369,18 +389,13 @@ impl skewsearch_core::Persist for MinHashLsh {
         w.put_u64(self.rows as u64);
         w.put_f64(self.params.b1);
         w.put_f64(self.params.b2);
-        w.put_f64(self.params.band_factor);
-        w.put_u64(self.params.max_bands as u64);
+        w.put_f64(BAND_FACTOR);
+        w.put_u64(MAX_BANDS as u64);
         w.put_u64(self.params.query_threads as u64);
         w.put_sets(&self.vectors);
         w.put_u64(self.bands.len() as u64);
         for band in &self.bands {
-            w.put_u64(band.hashes.len() as u64);
-            for h in &band.hashes {
-                let (a, b) = h.coefficients();
-                w.put_u128(a);
-                w.put_u128(b);
-            }
+            band.write_hashes(&mut w);
             write_bucket_map(&mut w, &band.buckets);
         }
         write_container(path, kind::MINHASH, &w.into_payload())
@@ -392,17 +407,19 @@ impl skewsearch_core::Persist for MinHashLsh {
             let rows = r.get_u64()? as usize;
             let b1 = r.get_f64()?;
             let b2 = r.get_f64()?;
+            // The banding words are fixed: a file naming other values would
+            // not save again to the same bytes.
             let band_factor = r.get_f64()?;
-            let max_bands = r.get_u64()? as usize;
+            let max_bands = r.get_u64()?;
             let query_threads = r.get_u64()? as usize;
             if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
                 return Err(PersistError::Malformed(
                     "minhash thresholds violate 0<b2<b1<=1",
                 ));
             }
-            if !(band_factor.is_finite() && band_factor > 0.0) || rows == 0 {
+            if band_factor != BAND_FACTOR || max_bands != MAX_BANDS as u64 || rows == 0 {
                 return Err(PersistError::Malformed(
-                    "minhash banding parameters out of range",
+                    "minhash rows is 0 or a banding word is not the fixed one",
                 ));
             }
             let vectors = r.get_sets()?;
@@ -433,8 +450,6 @@ impl skewsearch_core::Persist for MinHashLsh {
                 params: MinHashParams {
                     b1,
                     b2,
-                    band_factor,
-                    max_bands,
                     query_threads,
                 },
             })

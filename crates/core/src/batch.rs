@@ -131,9 +131,9 @@ where
 /// `slot_of[i]` is the position in `representatives` answering item `i`.
 ///
 /// This is the dedup behind the join layer's plan-once-per-distinct-query
-/// guarantee: a probe batch with duplicate sets (common after `ByDataset`'s
-/// content-hash co-location) enumerates, plans, and probes each *distinct*
-/// query exactly once.
+/// guarantee: a probe batch with duplicate sets (common after a sharded
+/// index's content-hash co-location) enumerates, plans, and probes each
+/// *distinct* query exactly once.
 pub fn distinct_slots<Q: std::hash::Hash + Eq>(items: &[Q]) -> (Vec<usize>, Vec<usize>) {
     let mut first: skewsearch_hashing::FxHashMap<&Q, usize> =
         skewsearch_hashing::FxHashMap::default();

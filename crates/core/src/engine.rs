@@ -56,10 +56,10 @@ static ENUMERATIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 /// repetitions adds exactly `R`.
 ///
 /// This is the counting hook the plan-pipeline tests use to assert that a
-/// `ByDataset`-sharded index enumerates each query's filter set **once**
-/// regardless of shard count (`tests/enumeration_count.rs`); the counter is
-/// a single relaxed atomic increment per enumeration, negligible next to the
-/// DFS it counts. It is process-global and monotone — measure *deltas*, and
+/// sharded index enumerates each query's filter set **once** regardless of
+/// shard count (`tests/enumeration_count.rs`); the counter is a single
+/// relaxed atomic increment per enumeration, negligible next to the DFS it
+/// counts. It is process-global and monotone — measure *deltas*, and
 /// serialize measured regions against other enumerating threads.
 ///
 /// Incremental mutations are counted too: one

@@ -27,8 +27,8 @@
 use crate::batch::batch_map;
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
-    kind, load_container, read_bucket_map, read_postings, write_bucket_map, write_container,
-    write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
+    fnv1a64, kind, load_container, read_bucket_map, read_postings, write_bucket_map,
+    write_container, write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
 };
 use crate::plan::QueryPlan;
 use crate::postings::{CompressedPostings, PostingsEncoder};
@@ -190,6 +190,20 @@ impl Repetition {
         keys.clear();
         keys.extend(filters.iter().map(|k| self.interner.hash(k.raw())));
         stats
+    }
+
+    /// The level-hash coefficients and interner words, as the payload
+    /// carries them.
+    fn write_hash_stack(&self, w: &mut Writer) {
+        let levels = self.hashers.levels();
+        w.put_u64(levels.len() as u64);
+        for level in levels {
+            let (a1, a2, b) = level.coefficients();
+            w.put_u128(a1);
+            w.put_u128(a2);
+            w.put_u128(b);
+        }
+        w.put_u64_slice(&self.interner.to_words());
     }
 }
 
@@ -1047,9 +1061,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// `skewsearch-baselines` embed this payload after their own fields;
     /// most callers want [`Persist::save`] instead.
     pub fn write_payload(&self, w: &mut Writer) {
-        w.put_u32(S::SCHEME_TAG);
-        self.scheme.encode_scheme(w);
-        w.put_f64_slice(self.profile.ps());
+        self.write_calibration(w);
         w.put_f64(self.verify_threshold);
         w.put_u64(DEFAULT_NODE_BUDGET as u64);
         w.put_u64(self.query_threads as u64);
@@ -1067,18 +1079,28 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         w.put_bitmap(&self.alive);
         w.put_u64(self.reps.len() as u64);
         for rep in &self.reps {
-            let levels = rep.hashers.levels();
-            w.put_u64(levels.len() as u64);
-            for level in levels {
-                let (a1, a2, b) = level.coefficients();
-                w.put_u128(a1);
-                w.put_u128(a2);
-                w.put_u128(b);
-            }
-            w.put_u64_slice(&rep.interner.to_words());
+            rep.write_hash_stack(w);
             write_postings(w, &rep.base);
             write_bucket_map(w, &rep.delta);
         }
+    }
+
+    /// The payload's leading fields: scheme tag, calibration, profile.
+    fn write_calibration(&self, w: &mut Writer) {
+        w.put_u32(S::SCHEME_TAG);
+        self.scheme.encode_scheme(w);
+        w.put_f64_slice(self.profile.ps());
+    }
+
+    /// [`crate::Shardable::plan_digest`]: FNV-1a-64 over the calibration and
+    /// every repetition's hash stack, the payload bytes planning reads.
+    pub(crate) fn plan_digest(&self) -> u64 {
+        let mut w = Writer::new();
+        self.write_calibration(&mut w);
+        for rep in &self.reps {
+            rep.write_hash_stack(&mut w);
+        }
+        fnv1a64(&w.into_payload())
     }
 
     /// Decodes an index from a payload written by

@@ -23,8 +23,6 @@
 //!   biased by `p̂_i = p_i(1−α) + α`, verification at `α/1.3`.
 //! * [`AdversarialIndex`] — Theorem 2: arbitrary queries at threshold `b₁`;
 //!   thresholds `1/(b₁|x| − j)`, per-query cost exponent `ρ(q)`.
-//! * [`SplitIndex`] — the §1 motivating example (frequent/rare split with
-//!   balanced exponents), kept as an instructive comparison point.
 //! * [`LsfIndex`] + [`ThresholdScheme`] — the generic engine, also used by
 //!   the Chosen Path baseline in `skewsearch-baselines`.
 //!
@@ -78,7 +76,6 @@ pub mod plan;
 pub mod postings;
 pub mod scheme;
 pub mod shard;
-pub mod split;
 pub mod traits;
 pub mod wrapper;
 
@@ -95,9 +92,6 @@ pub use plan::QueryPlan;
 pub use postings::{CompressedPostings, PostingsCursor, PostingsEncoder, PostingsError};
 pub use scheme::{AdversarialScheme, ChosenPathScheme, CorrelatedScheme, ThresholdScheme};
 pub use shard::{set_partition_key, Shardable, ShardedIndex};
-pub use split::{
-    balance_split, balance_split_normalized, balanced_exponents, SplitIndex, SplitParams,
-};
 pub use traits::{
     DeadlineExceeded, Match, MemoryStats, MutationError, PassSource, ProbeControl, SetId,
     SetSimilaritySearch, TaggedMatch,

@@ -87,8 +87,8 @@ pub mod kind {
     /// A MinHash LSH index (its own section type: band hash coefficients +
     /// band buckets).
     pub const MINHASH: u32 = 5;
-    /// A [`crate::ShardedIndex`] manifest (strategy, owner table, per-shard
-    /// files + id maps — see [`super::ShardManifest`]).
+    /// A [`crate::ShardedIndex`] manifest (threshold, live count, owner
+    /// table, per-shard files + id maps — see [`super::ShardManifest`]).
     pub const MANIFEST: u32 = 6;
 }
 

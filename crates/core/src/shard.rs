@@ -1,15 +1,14 @@
 //! The sharding layer: partition any index across `N` shards without
 //! changing a single byte of any answer.
 //!
-//! The ROADMAP's "millions of users" north star needs indexes that outgrow
-//! one allocation and one build. [`ShardedIndex`] hash-partitions the
-//! indexed sets by content ([`set_partition_key`]), which keeps shards
-//! balanced even under the skewed distributions this workspace targets and
-//! co-locates duplicate sets. Each shard is a full index over its slice with
-//! local ids and the parent's hash stacks: memory stays `≈ |S|` plus the
-//! per-shard stacks, and every candidate lives in exactly one shard, so each
-//! is verified once. LSF-Join makes the same partitioning observation for
-//! the join setting.
+//! An index can outgrow one allocation and one build. [`ShardedIndex`]
+//! hash-partitions the indexed sets by content ([`set_partition_key`]),
+//! which keeps shards balanced even under the skewed distributions this
+//! workspace targets and co-locates duplicate sets. Each shard is a full
+//! index over its slice with local ids and the parent's hash stacks: memory
+//! stays `≈ |S|` plus the per-shard stacks, and every candidate lives in
+//! exactly one shard, so each is verified once. LSF-Join makes the same
+//! partitioning observation for the join setting.
 //!
 //! ## The merge protocol
 //!
@@ -49,7 +48,8 @@
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::index::LsfIndex;
 use crate::persist::{
-    kind, load_container, write_container, Persist, PersistError, ShardManifest, ShardManifestEntry,
+    kind, load_container, write_container, Persist, PersistError, PersistScheme, ShardManifest,
+    ShardManifestEntry,
 };
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
@@ -88,6 +88,11 @@ pub trait Shardable: SetSimilaritySearch + Sized {
     fn slot_count(&self) -> usize {
         self.len()
     }
+
+    /// A digest of what [`SetSimilaritySearch::plan_query`] reads, equal on
+    /// every shard of one build (the plan-invariance contract above), so
+    /// [`ShardedIndex::load`] rejects shards of two builds. Not saved.
+    fn plan_digest(&self) -> u64;
 }
 
 /// Stable 64-bit content hash of a set, for dataset partitioning: mixes each
@@ -360,14 +365,18 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
         Ok(index)
     }
 
-    /// The invariants [`ShardedIndex::build`] establishes and the merge and
-    /// mutation paths index by, checked on a loaded deployment: every shard
-    /// shares the manifest's threshold; each shard's id map is strictly
-    /// ascending and as long as its slot count; the owner table, `next_id`
-    /// long, is their exact inverse; the shards' live counts sum to `len`.
+    /// The invariants [`ShardedIndex::build`] establishes, checked on a
+    /// loaded deployment: every shard has one [`Shardable::plan_digest`] and
+    /// the manifest's threshold; each id map is strictly ascending and as
+    /// long as its shard's slot count; the owner table, `next_id` long, is
+    /// their exact inverse; the shards' live counts sum to `len`.
     fn check_manifest(&self, next_id: usize) -> Result<(), PersistError> {
-        if self.shards.is_empty() {
+        let Some(first) = self.shards.first() else {
             return Err(PersistError::Malformed("manifest lists no shards"));
+        };
+        let digest = first.index.plan_digest();
+        if self.shards.iter().any(|s| s.index.plan_digest() != digest) {
+            return Err(PersistError::Malformed("shards come from different builds"));
         }
         let mut ok = self.owner.len() == next_id;
         let (mut slots, mut live) = (0usize, 0usize);
@@ -495,7 +504,7 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     }
 }
 
-impl<S: ThresholdScheme + Clone> Shardable for LsfIndex<S> {
+impl<S: ThresholdScheme + PersistScheme + Clone> Shardable for LsfIndex<S> {
     fn shard_of_ids(&self, ids: &[u32]) -> Self {
         LsfIndex::shard_of_ids(self, ids)
     }
@@ -506,6 +515,10 @@ impl<S: ThresholdScheme + Clone> Shardable for LsfIndex<S> {
 
     fn slot_count(&self) -> usize {
         LsfIndex::slot_count(self)
+    }
+
+    fn plan_digest(&self) -> u64 {
+        LsfIndex::plan_digest(self)
     }
 }
 

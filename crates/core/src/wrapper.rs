@@ -105,6 +105,10 @@ impl<W: LsfWrapper> Shardable for W {
     fn slot_count(&self) -> usize {
         (**self).slot_count()
     }
+
+    fn plan_digest(&self) -> u64 {
+        (**self).plan_digest()
+    }
 }
 
 impl<W: LsfWrapper> Persist for W {

@@ -18,7 +18,8 @@
 //!
 //! Each module exposes a pure `compute`/`run` function returning structured
 //! results plus [`table::Table`] renderers; the `repro` binary wires them to
-//! a CLI. EXPERIMENTS.md records paper-vs-measured values.
+//! a CLI. `docs/PAPER_MAP.md` maps each artifact to its section of the
+//! paper, and `tests/repro_artifacts.rs` pins the values `repro` prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

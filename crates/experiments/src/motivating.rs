@@ -5,7 +5,9 @@
 //! 1/2 to satisfy the model); a query seeks `|x ∩ q| ≥ i₁|q|`. The single
 //! search costs `n^ρ` with `ρ = log(i₁)/log(i₂)`; the paper splits the
 //! universe into frequent/rare halves and balances `ℓ` to get
-//! `n^{ρ_f} + n^{ρ_r}`.
+//! `n^{ρ_f} + n^{ρ_r}`. The split is exact: if `|x ∩ q| ≥ i₁|q|`, then for
+//! any `ℓ ∈ (0, i₁)` either `|x_f ∩ q_f| ≥ ℓ|q|` or
+//! `|x_r ∩ q_r| ≥ (i₁−ℓ)|q|`, so one sub-search per half finds `x`.
 //!
 //! **Reproduction note.** The paper's displayed formulas
 //! (`ρ_f = log(ℓ)/log(i_f)`, both normalized by the full `|q|`) are
@@ -21,8 +23,8 @@
 //! speedup the example is about).
 
 use crate::table::{fmt, Table};
-use skewsearch_core::{balance_split_normalized, balanced_exponents};
 use skewsearch_datagen::BernoulliProfile;
+use skewsearch_rho::solve::bisect;
 
 /// The worked motivating example.
 #[derive(Clone, Debug)]
@@ -92,6 +94,38 @@ pub fn compute(d: usize, i1: f64) -> Motivating {
     }
 }
 
+/// The `ℓ ∈ (0, i₁)` equalizing the paper's literal `ρ_f(ℓ) = log(ℓ)/log(i_f)`
+/// and `ρ_r(ℓ) = log(i₁−ℓ)/log(i_r)`; `ρ_f` falls and `ρ_r` rises in `ℓ`.
+fn balance_split(i_f: f64, i_r: f64, i1: f64) -> f64 {
+    let gap = |l: f64| l.ln() / i_f.ln() - (i1 - l).ln() / i_r.ln();
+    bisect(gap, i1 * 1e-9, i1 * (1.0 - 1e-9))
+}
+
+/// `(ℓ, ρ_f, ρ_r)` at the optimum of [`balance_split`].
+fn balanced_exponents(i_f: f64, i_r: f64, i1: f64) -> (f64, f64, f64) {
+    let l = balance_split(i_f, i_r, i1);
+    (l, l.ln() / i_f.ln(), (i1 - l).ln() / i_r.ln())
+}
+
+/// [`balanced_exponents`] on the projected halves, where the threshold and
+/// background level are `ℓ/frac` and `i/frac`, `frac = E|q_half| / E|q|`;
+/// `ℓ` stays in `(i1 − frac_r, frac_f)`, where both thresholds are below 1.
+fn balance_split_normalized(
+    i_f: f64,
+    i_r: f64,
+    i1: f64,
+    frac_f: f64,
+    frac_r: f64,
+) -> (f64, f64, f64) {
+    let rho_f = |l: f64| (l / frac_f).ln() / (i_f / frac_f).ln();
+    let rho_r = |l: f64| ((i1 - l) / frac_r).ln() / (i_r / frac_r).ln();
+    let eps = 1e-12;
+    let lo = (i1 - frac_r).max(0.0) + eps;
+    let hi = i1.min(frac_f) - eps;
+    let l = bisect(|l| rho_f(l) - rho_r(l), lo, hi);
+    (l, rho_f(l), rho_r(l))
+}
+
 impl Motivating {
     /// The combined normalized split exponent `max(ρ_f, ρ_r)` (query cost
     /// `n^{ρ_f} + n^{ρ_r}`).
@@ -132,6 +166,24 @@ impl Motivating {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn balance_split_equalizes_exponents() {
+        let (l, rf, rr) = balanced_exponents(0.3, 0.02, 0.5);
+        assert!((rf - rr).abs() < 1e-9, "rf={rf} rr={rr}");
+        assert!(l > 0.0 && l < 0.5);
+    }
+
+    #[test]
+    fn balance_split_prefers_the_rare_side_for_mass() {
+        // Rare side has much smaller background intersection, so the rare
+        // search is cheaper per unit threshold: the balanced ℓ gives the
+        // frequent side *more* of the required overlap (ρ_f shrinks with ℓ).
+        let l_skewed = balance_split(0.3, 0.001, 0.5);
+        let l_even = balance_split(0.1, 0.1, 0.5);
+        assert!((l_even - 0.25).abs() < 1e-9, "symmetric case splits evenly");
+        assert!(l_skewed > l_even, "l_skewed={l_skewed}");
+    }
 
     #[test]
     fn normalized_split_beats_single_search() {

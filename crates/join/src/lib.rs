@@ -56,7 +56,8 @@ fn collect_pairs(per_query: Vec<Vec<skewsearch_core::Match>>) -> Vec<JoinPair> {
 ///
 /// **Each distinct probe-side query is planned and answered exactly once.**
 /// Duplicate sets in `r` (frequent in real joins, and co-located by
-/// `ByDataset`'s content-hash partitioning) are grouped up front
+/// [`ShardedIndex`](skewsearch_core::ShardedIndex)'s content-hash
+/// partitioning) are grouped up front
 /// ([`skewsearch_core::distinct_slots`]); the index sees only the distinct
 /// queries, and their answers fan back out to every occurrence. Identical
 /// output — every structure in this workspace answers as a pure function of

@@ -164,21 +164,6 @@ impl SparseVec {
         }
         SparseVec { dims: out }
     }
-
-    /// Splits into `(x ∩ [0, cut), x ∩ [cut, d))` — the frequent/rare split of
-    /// the paper's §1 motivating example when dimensions are sorted by
-    /// decreasing frequency.
-    pub fn split_at_dim(&self, cut: u32) -> (SparseVec, SparseVec) {
-        let pos = self.dims.partition_point(|&i| i < cut);
-        (
-            SparseVec {
-                dims: self.dims[..pos].to_vec(),
-            },
-            SparseVec {
-                dims: self.dims[pos..].to_vec(),
-            },
-        )
-    }
 }
 
 /// Size ratio above which intersection switches from merging to galloping.
@@ -341,17 +326,6 @@ mod tests {
         let i = x.intersection(&y);
         assert_eq!(i.dims(), &[2, 4]);
         assert_eq!(i.weight(), x.intersection_len(&y));
-    }
-
-    #[test]
-    fn split_at_dim_partitions() {
-        let x = v(&[0, 2, 5, 9, 11]);
-        let (lo, hi) = x.split_at_dim(6);
-        assert_eq!(lo.dims(), &[0, 2, 5]);
-        assert_eq!(hi.dims(), &[9, 11]);
-        let (all, none) = x.split_at_dim(100);
-        assert_eq!(all.weight(), 5);
-        assert!(none.is_empty());
     }
 
     #[test]

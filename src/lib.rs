@@ -10,8 +10,7 @@
 //!
 //! * [`core`] — the paper's contribution: skew-adaptive locality-sensitive
 //!   filtering ([`core::CorrelatedIndex`] for Theorem 1,
-//!   [`core::AdversarialIndex`] for Theorem 2, [`core::SplitIndex`] for the
-//!   §1 motivating example).
+//!   [`core::AdversarialIndex`] for Theorem 2).
 //! * [`baselines`] — Chosen Path, MinHash LSH, prefix filtering, brute force.
 //! * [`datagen`] — the skewed Bernoulli data model of §2 and Kirsch et al.,
 //!   correlated query generation (Definition 3), skew analysis (§8).
@@ -21,7 +20,8 @@
 //! * [`server`] — the long-lived query service: bounded admission,
 //!   per-request deadlines, byte-identical answers over the wire
 //!   (`docs/SERVICE.md`).
-//! * [`experiments`] — the table/figure reproduction harness.
+//! * [`experiments`] — the table/figure reproduction harness, including the
+//!   §1 motivating example's frequent/rare split exponents.
 //!
 //! # Quickstart
 //!

@@ -11,9 +11,10 @@
 //! A second block pins the failure contract: truncated files, wrong magic,
 //! unsupported versions, mismatched container kinds, flipped payload bytes,
 //! and checksummed files whose contents disagree (a scheme table shorter
-//! than the profile, a node budget other than the fixed one, a shard
-//! manifest that does not match its shards or that holds a retired
-//! pass-slice layout) must all surface as typed
+//! than the profile, a node budget or MinHash banding word other than the
+//! fixed one, a shard manifest that does not match its shards or that holds
+//! a retired pass-slice layout, shards from two builds) must all surface as
+//! typed
 //! [`PersistError`]s — never panics, never a silently
 //! wrong index. A proptest block randomizes the dataset and query stream
 //! over the correlated index round trip.
@@ -893,6 +894,65 @@ fn manifest_len_disagreeing_with_the_shards_is_malformed() {
 #[test]
 fn manifest_threshold_disagreeing_with_the_shards_is_malformed() {
     assert_manifest_rejected(|m| m.threshold /= 2.0);
+}
+
+#[test]
+fn deployment_mixed_from_two_builds_is_malformed() {
+    // The same 300 sets built under two seeds partition identically, so ids,
+    // owners, thresholds and live counts all agree; only the hash draws
+    // differ, and a plan from one build probes the wrong buckets of the
+    // other.
+    let (ds, profile, _) = fixture(300, SEED ^ 32);
+    let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4));
+    let dirs = [SEED ^ 33, SEED ^ 34].map(|seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
+        let dir = scratch("mixed_build");
+        ShardedIndex::build(&index, 3).save(&dir).unwrap();
+        dir
+    });
+    std::fs::copy(
+        dirs[1].join("shard-0001.skx"),
+        dirs[0].join("shard-0001.skx"),
+    )
+    .unwrap();
+    let mixed = ShardedIndex::<CorrelatedIndex>::load(&dirs[0]);
+    let untouched = ShardedIndex::<CorrelatedIndex>::load(&dirs[1]);
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(untouched.is_ok(), "one build's own deployment loads");
+    assert_malformed(mixed, "shard-0001.skx from another build");
+}
+
+#[test]
+fn minhash_banding_word_other_than_the_fixed_one_is_malformed() {
+    // §6: threshold, rows, b1 and b2, then the fixed band_factor (3.0) and
+    // max_bands (4096) words. Any other value must not load.
+    let (ds, _profile, _) = fixture(120, SEED ^ 35);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 36);
+    let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
+    let (_, payload) = saved_kind_and_payload(&index, "minhash_words");
+    let mut r = Reader::new(&payload);
+    for _ in 0..4 {
+        r.get_u64().unwrap();
+    }
+    let band_factor = payload.len() - r.remaining();
+    assert_eq!(r.get_f64().unwrap(), 3.0);
+    let max_bands = payload.len() - r.remaining();
+    assert_eq!(r.get_u64().unwrap(), 4096);
+    for (at, word, what) in [
+        (band_factor, 2.0f64.to_le_bytes(), "band_factor 2.0"),
+        (max_bands, 100u64.to_le_bytes(), "max_bands 100"),
+    ] {
+        let mut corrupt = payload.clone();
+        corrupt[at..at + 8].copy_from_slice(&word);
+        let path = scratch("minhash_words");
+        write_container(&path, kind::MINHASH, &corrupt).unwrap();
+        let result = MinHashLsh::load(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_malformed(result, what);
+    }
 }
 
 /// Saves a kind-1 Correlated `LsfIndex`, replaces its payload with

@@ -29,7 +29,7 @@ use skewsearch::baselines::{
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
     DeadlineExceeded, IndexOptions, LsfIndex, PassSource, ProbeControl, QueryPlan, Repetitions,
-    SetSimilaritySearch, ShardedIndex, SplitIndex, SplitParams,
+    SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -293,18 +293,6 @@ fn dims_outside_the_universe_keep_plans_equivalent_and_sound() {
     assert_plan_equivalent_and_sound(&minhash, &ds, queries, 1, "MinHashLsh");
     let prefix = PrefixFilterIndex::build(&ds, ALPHA / 1.3);
     assert_plan_equivalent_and_sound(&prefix, &ds, queries, 1, "PrefixFilterIndex");
-    let split = SplitIndex::build(
-        &ds,
-        &profile,
-        SplitParams {
-            cut: 60,
-            i1: ALPHA / 1.3,
-            ell: None,
-            options: opts(reps),
-        },
-        &mut rng,
-    );
-    assert_plan_equivalent_and_sound(&split, &ds, queries, 1, "SplitIndex");
 }
 
 #[test]

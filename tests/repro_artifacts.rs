@@ -1,6 +1,7 @@
 //! The reproduction harness regenerates the paper's numbers: this test pins
-//! the quantitative claims EXPERIMENTS.md records, so a regression in any
-//! crate that silently changed an artifact shows up here.
+//! the quantitative claims `repro` prints (`docs/PAPER_MAP.md` maps each to
+//! its section of the paper), so a regression in any crate that silently
+//! changed an artifact shows up here.
 
 use skewsearch::experiments::{fig1, fig2, motivating, sec7, table1};
 
@@ -72,7 +73,7 @@ fn figure2_shows_skew_for_every_dataset() {
 #[test]
 fn motivating_example_numbers() {
     let m = motivating::compute(100_000, 0.5);
-    // Pinned from the analytic computation (see EXPERIMENTS.md):
+    // Pinned from the analytic computation (`repro motivating` prints it):
     // single 0.2706, normalized split 0.2554, literal split ≈ 0.2854.
     assert!((m.rho_single - 0.2706).abs() < 0.002, "{}", m.rho_single);
     assert!((m.rho_split() - 0.2554).abs() < 0.004, "{}", m.rho_split());
@@ -80,5 +81,31 @@ fn motivating_example_numbers() {
         (m.rho_split_literal - 0.2854).abs() < 0.004,
         "{}",
         m.rho_split_literal
+    );
+}
+
+/// The §1 table exactly as `repro motivating` prints it, every digit: a
+/// change to the balance solvers that moves any value shows up here.
+#[test]
+fn motivating_table_is_pinned_byte_for_byte() {
+    let expected = "\
+# Motivating example: harmonic distribution, d=100000, i1=0.50
+quantity\tvalue
+i2 (expected relative intersection)\t0.07721
+i_frequent\t0.07721
+i_rare\t0.00000
+frac_frequent = E|q_f|/E|q|\t0.94020
+frac_rare = E|q_r|/E|q|\t0.05980
+rho_single = log(i1)/log(i2)\t0.27064
+ell (literal formulas)\t0.48142
+rho_split (literal formulas)\t0.28542
+ell (normalized)\t0.49653
+rho_frequent (normalized)\t0.25543
+rho_rare (normalized)\t0.25543
+rho_split = max(rho_f, rho_r)\t0.25543
+";
+    assert_eq!(
+        motivating::compute(100_000, 0.5).table().render_tsv(),
+        expected
     );
 }

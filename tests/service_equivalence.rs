@@ -6,8 +6,9 @@
 //!
 //! Three layers:
 //!
-//! 1. **Read-only, all types** — each of the five index types plus
-//!    `ShardedIndex` at 3 and 8 shards is served to 4 concurrent
+//! 1. **Read-only, all types** — each of the five index types, plus
+//!    `PrefixFilterIndex` (the trait's default plan and probe) and
+//!    `ShardedIndex` at 3 and 8 shards, is served to 4 concurrent
 //!    clients, each comparing every response against the expected answers
 //!    computed in-process before the index moved into the server.
 //! 2. **Interleaved mutations** — a mutation script is applied *through the
@@ -23,10 +24,12 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::baselines::{
+    ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
+};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch, SplitIndex, SplitParams, TaggedMatch,
+    IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch, TaggedMatch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::server::{QueryService, Server, ServerConfig, ServerHooks, ServiceClient};
@@ -177,8 +180,9 @@ fn served_answers_are_byte_identical_for_every_index_type() {
 }
 
 #[test]
-fn served_split_index_matches_direct_calls() {
-    // SplitIndex needs a harmonic profile; it gets its own fixture.
+fn served_default_plan_index_matches_direct_calls() {
+    // `PrefixFilterIndex` keeps the trait's default plan and probe, so it
+    // covers the served path no index-specific walk overrides.
     let profile = BernoulliProfile::harmonic(800, 0.5).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED ^ 2);
     let ds = Dataset::generate(&profile, 150, &mut rng);
@@ -187,18 +191,8 @@ fn served_split_index_matches_direct_calls() {
         .map(|t| correlated_query(ds.vector(t * 7 % ds.n()), &profile, alpha, &mut rng))
         .collect();
     queries.push(SparseVec::empty());
-    let split = SplitIndex::build(
-        &ds,
-        &profile,
-        SplitParams {
-            cut: 20,
-            i1: alpha / 1.4,
-            ell: None,
-            options: opts(6),
-        },
-        &mut rng,
-    );
-    check_served(split, &queries, "SplitIndex");
+    let prefix = PrefixFilterIndex::build(&ds, alpha / 1.4);
+    check_served(prefix, &queries, "PrefixFilterIndex");
 }
 
 #[test]
