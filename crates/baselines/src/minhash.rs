@@ -12,18 +12,23 @@
 //! the workspace): thresholds are converted through the equal-weight
 //! correspondence `J = B/(2−B)` that the paper invokes for fixed-weight
 //! vectors.
+//!
+//! MinHash is a plain baseline: it hashes each band's signature lazily
+//! inside its probe, keeps the trait's default (unplanned) query plan, and
+//! is neither shardable nor mutable. Sharding and plan broadcast belong to
+//! the LSF family, whose per-repetition filter enumeration they exist to
+//! share.
 
 use rand::{Rng, SeedableRng};
 use skewsearch_core::persist::{
-    fnv1a64, kind, load_container, read_bucket_map, write_bucket_map, write_container, Writer,
+    kind, load_container, read_bucket_map, write_bucket_map, write_container, Writer,
 };
 use skewsearch_core::{
-    DeadlineExceeded, Match, PassSource, PersistError, ProbeControl, QueryPlan,
-    SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, PassSource, PersistError, ProbeControl, SetSimilaritySearch,
+    TaggedMatch,
 };
 use skewsearch_datagen::Dataset;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PairwiseU64};
-use skewsearch_rho::rho_minhash;
 use skewsearch_sets::{similarity, SparseVec};
 
 /// Multiplier on the theoretical band count `n^ρ` (≈ `ln(1/δ)` for failure
@@ -41,10 +46,6 @@ pub struct MinHashParams {
     pub b1: f64,
     /// Background Braun-Blanquet similarity (converted to `j₂`).
     pub b2: f64,
-    /// Worker threads [`SetSimilaritySearch::search_batch`] answers a batch
-    /// on (`0` = one per available core). Saved with the index. Batch
-    /// results are identical for any worker count.
-    pub query_threads: usize,
 }
 
 impl MinHashParams {
@@ -53,11 +54,7 @@ impl MinHashParams {
         if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
             return Err(format!("need 0 < b2 < b1 <= 1, got b1={b1} b2={b2}"));
         }
-        Ok(Self {
-            b1,
-            b2,
-            query_threads: 0,
-        })
+        Ok(Self { b1, b2 })
     }
 
     /// The Jaccard thresholds `(j₁, j₂)` after conversion.
@@ -99,16 +96,6 @@ impl Band {
         }
         Some(key)
     }
-
-    /// The band's hash count and min-wise hash coefficients.
-    fn write_hashes(&self, w: &mut Writer) {
-        w.put_u64(self.hashes.len() as u64);
-        for h in &self.hashes {
-            let (a, b) = h.coefficients();
-            w.put_u128(a);
-            w.put_u128(b);
-        }
-    }
 }
 
 /// MinHash LSH index.
@@ -147,98 +134,35 @@ impl MinHashLsh {
         }
     }
 
-    /// The banding plan in use `(rows r, bands L)`.
-    pub fn plan(&self) -> (usize, usize) {
-        (self.rows, self.bands.len())
-    }
-
-    /// The theoretical exponent `ρ = ln j₁ / ln j₂`.
-    pub fn predicted_rho(&self) -> f64 {
-        let (j1, j2) = self.params.jaccard_thresholds();
-        rho_minhash(j1, j2)
-    }
-
     /// The band walk every query surface runs: per band, the query's
-    /// signature — from `source`'s plan, or hashed just before the band —
-    /// and its bucket, feeding each *distinct* candidate to `visit` with its
-    /// discovery coordinate `(band, id)`. Each band probes exactly one
-    /// bucket and ids ascend within it, so `(band, 0, id)` totally orders
-    /// candidate discovery — the tag contract the sharding layer's merge
-    /// protocol needs.
+    /// signature, hashed just before the band, and its bucket, feeding each
+    /// *distinct* candidate to `visit` with its discovery coordinate
+    /// `(band, id)`. Each band probes exactly one bucket and ids ascend
+    /// within it, so `(band, 0, id)` totally orders candidate discovery.
     ///
     /// `visit` returns whether the candidate is a match; under
     /// [`ProbeControl::first_only`] the walk stops after the first one. The
     /// deadline in `ctl` is polled before the first band and between bands.
-    ///
-    /// # Panics
-    /// Panics if a planned plan's pass count differs from the band count.
     pub fn walk(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
         ctl: ProbeControl<'_>,
         mut visit: impl FnMut(u32, u32) -> bool,
     ) -> Result<(), DeadlineExceeded> {
-        let planned = source.planned_passes();
-        if let Some(passes) = planned {
-            assert_eq!(
-                passes.len(),
-                self.bands.len(),
-                "QueryPlan pass count does not match this index's bands"
-            );
-        }
         let mut seen = FxHashSet::default();
         ctl.poll()?;
         for (pass, band) in self.bands.iter().enumerate() {
             if pass > 0 {
                 ctl.poll()?;
             }
-            let signature;
-            let keys = match planned {
-                Some(passes) => &passes[pass][..],
-                None => {
-                    signature = band.signature(source.query());
-                    signature.as_slice()
-                }
-            };
-            for key in keys {
-                let Some(bucket) = band.buckets.get(key) else {
-                    continue;
-                };
-                for &id in bucket {
-                    if seen.insert(id) && visit(pass as u32, id) && ctl.first_only {
-                        return Ok(());
-                    }
+            let bucket = band.signature(q).and_then(|sig| band.buckets.get(&sig));
+            for &id in bucket.into_iter().flatten() {
+                if seen.insert(id) && visit(pass as u32, id) && ctl.first_only {
+                    return Ok(());
                 }
             }
         }
         Ok(())
-    }
-
-    /// Stage 1 of the enumerate→probe→verify pipeline for MinHash: the
-    /// "enumeration" is the `L · r` min-wise hash evaluations producing one
-    /// band signature each, so the plan carries one single-key list per band
-    /// (empty for the empty query, which has no signature).
-    ///
-    /// The plan is valid for this index and for any
-    /// [`Shardable::shard_of_ids`](skewsearch_core::Shardable::shard_of_ids)
-    /// shard of it (shards keep the band hash functions).
-    pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        let passes = self
-            .bands
-            .iter()
-            .map(|band| band.signature(q).map_or_else(Vec::new, |sig| vec![sig]))
-            .collect();
-        QueryPlan::from_passes(q.clone(), passes)
-    }
-
-    /// Distinct candidate count for a query (cost proxy for experiments).
-    pub fn candidate_count(&self, q: &SparseVec) -> usize {
-        let mut count = 0usize;
-        let _ = self.walk(PassSource::Query(q), ProbeControl::ALL, |_, _| {
-            count += 1;
-            true
-        });
-        count
     }
 
     /// Verifies candidate `id` against `q`: its [`Match`] iff the similarity
@@ -265,13 +189,10 @@ impl SetSimilaritySearch for MinHashLsh {
             .collect()
     }
 
-    /// Stage 1: one signature per band — see [`MinHashLsh::plan_query`].
-    fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        MinHashLsh::plan_query(self, q)
-    }
-
     /// [`MinHashLsh::walk`] with the shared verify site as its visitor:
     /// genuine `(band, bucket)` tags (one bucket per band, so `step` is 0).
+    /// A plan from the trait's default `plan_query` carries only the query,
+    /// so both sources hash the signatures band by band.
     fn probe_passes(
         &self,
         source: PassSource<'_>,
@@ -279,7 +200,7 @@ impl SetSimilaritySearch for MinHashLsh {
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         let q = source.query();
         let mut out = Vec::new();
-        self.walk(source, ctl, |pass, id| match self.verified(q, id) {
+        self.walk(q, ctl, |pass, id| match self.verified(q, id) {
             Some(hit) => {
                 out.push(TaggedMatch { pass, step: 0, hit });
                 true
@@ -289,9 +210,9 @@ impl SetSimilaritySearch for MinHashLsh {
         Ok(out)
     }
 
-    /// Runs on [`MinHashParams::query_threads`] workers.
+    /// Runs on one worker per available core.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        skewsearch_core::batch_map(queries, self.params.query_threads, |q| self.search_all(q))
+        skewsearch_core::batch_map(queries, 0, |q| self.search_all(q))
     }
 
     /// Band buckets as posting bytes, stored vectors, and per-band hash
@@ -333,51 +254,6 @@ impl SetSimilaritySearch for MinHashLsh {
     }
 }
 
-impl skewsearch_core::Shardable for MinHashLsh {
-    fn shard_of_ids(&self, ids: &[u32]) -> Self {
-        let local_of = skewsearch_core::shard::local_id_table(ids, self.vectors.len());
-        let bands = self
-            .bands
-            .iter()
-            .map(|band| Band {
-                hashes: band.hashes.clone(),
-                buckets: band
-                    .buckets
-                    .iter()
-                    .filter_map(|(&sig, bucket)| {
-                        skewsearch_core::shard::remap_bucket(bucket, &local_of)
-                            .map(|local| (sig, local))
-                    })
-                    .collect(),
-            })
-            .collect();
-        Self {
-            vectors: ids
-                .iter()
-                .map(|&g| self.vectors[g as usize].clone())
-                .collect(),
-            bands,
-            threshold: self.threshold,
-            rows: self.rows,
-            params: self.params,
-        }
-    }
-
-    fn partition_key(&self, id: u32) -> u64 {
-        skewsearch_core::set_partition_key(&self.vectors[id as usize])
-    }
-
-    /// FNV-1a-64 over the row count and every band's hash coefficients.
-    fn plan_digest(&self) -> u64 {
-        let mut w = Writer::new();
-        w.put_u64(self.rows as u64);
-        for band in &self.bands {
-            band.write_hashes(&mut w);
-        }
-        fnv1a64(&w.into_payload())
-    }
-}
-
 impl skewsearch_core::Persist for MinHashLsh {
     /// Kind-5 container — MinHash's own section type: the thresholds and
     /// banding parameters, the indexed vectors, and per band its min-wise
@@ -391,11 +267,17 @@ impl skewsearch_core::Persist for MinHashLsh {
         w.put_f64(self.params.b2);
         w.put_f64(BAND_FACTOR);
         w.put_u64(MAX_BANDS as u64);
-        w.put_u64(self.params.query_threads as u64);
+        // The worker-count word: batches run on one worker per core, so 0.
+        w.put_u64(0);
         w.put_sets(&self.vectors);
         w.put_u64(self.bands.len() as u64);
         for band in &self.bands {
-            band.write_hashes(&mut w);
+            w.put_u64(band.hashes.len() as u64);
+            for h in &band.hashes {
+                let (a, b) = h.coefficients();
+                w.put_u128(a);
+                w.put_u128(b);
+            }
             write_bucket_map(&mut w, &band.buckets);
         }
         write_container(path, kind::MINHASH, &w.into_payload())
@@ -407,19 +289,23 @@ impl skewsearch_core::Persist for MinHashLsh {
             let rows = r.get_u64()? as usize;
             let b1 = r.get_f64()?;
             let b2 = r.get_f64()?;
-            // The banding words are fixed: a file naming other values would
-            // not save again to the same bytes.
+            // The banding and worker-count words are fixed: a file naming
+            // other values would not save again to the same bytes.
             let band_factor = r.get_f64()?;
             let max_bands = r.get_u64()?;
-            let query_threads = r.get_u64()? as usize;
+            let query_threads = r.get_u64()?;
             if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
                 return Err(PersistError::Malformed(
                     "minhash thresholds violate 0<b2<b1<=1",
                 ));
             }
-            if band_factor != BAND_FACTOR || max_bands != MAX_BANDS as u64 || rows == 0 {
+            if band_factor != BAND_FACTOR
+                || max_bands != MAX_BANDS as u64
+                || query_threads != 0
+                || rows == 0
+            {
                 return Err(PersistError::Malformed(
-                    "minhash rows is 0 or a banding word is not the fixed one",
+                    "minhash rows is 0 or a banding or worker-count word is not the fixed one",
                 ));
             }
             let vectors = r.get_sets()?;
@@ -447,11 +333,7 @@ impl skewsearch_core::Persist for MinHashLsh {
                 bands,
                 threshold,
                 rows,
-                params: MinHashParams {
-                    b1,
-                    b2,
-                    query_threads,
-                },
+                params: MinHashParams { b1, b2 },
             })
         })
     }
@@ -462,6 +344,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use skewsearch_datagen::{correlated_query, BernoulliProfile};
+
+    /// Distinct candidates the band walk surfaces for `q`.
+    fn candidate_count(index: &MinHashLsh, q: &SparseVec) -> usize {
+        let mut count = 0usize;
+        let _ = index.walk(q, ProbeControl::ALL, |_, _| {
+            count += 1;
+            true
+        });
+        count
+    }
 
     #[test]
     fn params_validate_and_plan() {
@@ -513,31 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_probe_matches_fused_search() {
-        let profile = BernoulliProfile::uniform(500, 0.06).unwrap();
-        let mut rng = StdRng::seed_from_u64(75);
-        let ds = Dataset::generate(&profile, 150, &mut rng);
-        let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.2).unwrap(), &mut rng);
-        for t in 0..10 {
-            let q = correlated_query(ds.vector(t * 7), &profile, 0.9, &mut rng);
-            let plan = SetSimilaritySearch::plan_query(&index, &q);
-            assert_eq!(plan.pass_count(), index.plan().1);
-            assert_eq!(
-                SetSimilaritySearch::probe_plan_tagged(&index, &plan),
-                index.search_all_tagged(&q)
-            );
-            assert_eq!(
-                index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
-                index.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
-            );
-        }
-        // Empty query: no signatures, so every planned pass is empty.
-        let plan = SetSimilaritySearch::plan_query(&index, &SparseVec::empty());
-        assert_eq!(plan.key_count(), 0);
-        assert!(index.probe_plan(&plan).is_empty());
-    }
-
-    #[test]
     fn empty_query_finds_nothing() {
         let profile = BernoulliProfile::uniform(50, 0.1).unwrap();
         let mut rng = StdRng::seed_from_u64(73);
@@ -545,7 +412,7 @@ mod tests {
         let params = MinHashParams::new(0.5, 0.1).unwrap();
         let index = MinHashLsh::build(&ds, params, &mut rng);
         assert!(index.search(&SparseVec::empty()).is_none());
-        assert_eq!(index.candidate_count(&SparseVec::empty()), 0);
+        assert_eq!(candidate_count(&index, &SparseVec::empty()), 0);
     }
 
     #[test]
@@ -557,6 +424,6 @@ mod tests {
         let loose = MinHashLsh::build(&ds, MinHashParams::new(0.4, 0.05).unwrap(), &mut rng);
         let q = ds.vector(0).clone();
         // The loose plan uses shorter bands → drastically more candidates.
-        assert!(loose.candidate_count(&q) >= strict.candidate_count(&q));
+        assert!(candidate_count(&loose, &q) >= candidate_count(&strict, &q));
     }
 }

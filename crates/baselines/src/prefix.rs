@@ -78,16 +78,6 @@ impl PrefixFilterIndex {
             }
         }
     }
-
-    /// Distinct candidate count for a query (cost proxy for experiments).
-    pub fn candidate_count(&self, q: &SparseVec) -> usize {
-        let mut count = 0usize;
-        self.probe(q, |_| {
-            count += 1;
-            true
-        });
-        count
-    }
 }
 
 /// The prefix of `x` in rarest-first order for threshold `b₁`:
@@ -161,6 +151,16 @@ mod tests {
         SparseVec::from_unsorted(dims.to_vec())
     }
 
+    /// Distinct candidates the prefix probe surfaces for `q`.
+    fn candidate_count(index: &PrefixFilterIndex, q: &SparseVec) -> usize {
+        let mut count = 0usize;
+        index.probe(q, |_| {
+            count += 1;
+            true
+        });
+        count
+    }
+
     #[test]
     fn prefix_length_formula() {
         // w = 10, b1 = 0.7 → t = 7 → prefix = 4.
@@ -218,8 +218,8 @@ mod tests {
         let mut c_skew = 0usize;
         let mut c_flat = 0usize;
         for t in 0..50 {
-            c_skew += i_skew.candidate_count(ds_skew.vector(t));
-            c_flat += i_flat.candidate_count(ds_flat.vector(t));
+            c_skew += candidate_count(&i_skew, ds_skew.vector(t));
+            c_flat += candidate_count(&i_flat, ds_flat.vector(t));
         }
         assert!(
             (c_skew as f64) < 0.3 * c_flat as f64,
@@ -232,7 +232,7 @@ mod tests {
         let ds = Dataset::from_vectors(vec![v(&[1, 2])], 5);
         let index = PrefixFilterIndex::build(&ds, 0.5);
         assert!(index.search(&SparseVec::empty()).is_none());
-        assert_eq!(index.candidate_count(&SparseVec::empty()), 0);
+        assert_eq!(candidate_count(&index, &SparseVec::empty()), 0);
         assert_eq!(index.len(), 1);
     }
 }

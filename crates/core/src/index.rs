@@ -1162,7 +1162,13 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
             return Err(PersistError::Malformed("base watermark past slot count"));
         }
         let live = alive.iter().filter(|a| **a).count();
+        // `Repetitions::resolve` never gives fewer than one. A file with
+        // none would answer nothing, yet each query would still size its
+        // enumeration rows by the saved depth bound.
         let rep_count = r.get_u64()?;
+        if rep_count == 0 {
+            return Err(PersistError::Malformed("zero repetitions"));
+        }
         let mut reps: Vec<Repetition> = Vec::new();
         for _ in 0..rep_count {
             let level_count = r.get_u64()?;

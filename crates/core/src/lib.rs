@@ -35,13 +35,14 @@
 //! lookups only — byte-identical to the fused search. Every query method is
 //! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`],
 //! and the paper's indexes are thin [`LsfWrapper`]s around [`LsfIndex`]
-//! ([`wrapper`]). Any structure can
-//! additionally be partitioned across shards by [`ShardedIndex`] ([`shard`])
+//! ([`wrapper`]). Planning and sharding belong to this LSF family: an LSF
+//! index can be partitioned across shards by [`ShardedIndex`] ([`shard`])
 //! — a hash partition of the dataset, where one plan per query broadcasts
-//! to all shards — with answers byte-identical to the unsharded structure. Built indexes are durable: [`persist::Persist`]
-//! saves any of them to a versioned, checksummed container file and loads
-//! it back with byte-identical answers, and [`ShardedIndex::save`] writes a
-//! whole deployment (manifest + per-shard files) to a directory.
+//! to all shards — with answers byte-identical to the unsharded index.
+//! Built indexes are durable: [`persist::Persist`] saves any of them to a
+//! versioned, checksummed container file and loads it back with
+//! byte-identical answers, and [`ShardedIndex::save`] writes a whole
+//! deployment (manifest + per-shard files) to a directory.
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};

@@ -9,7 +9,7 @@
 //! dependency, matching the workspace's vendored-deps discipline — so a
 //! built index can be saved once and reloaded with **byte-identical
 //! answers** on every surface (`tests/persist_equivalence.rs` pins this for
-//! all five index types, sharded and mutated included).
+//! all five index types, and for mutated and sharded LSF indexes).
 //!
 //! ## Container layout
 //!
@@ -43,9 +43,10 @@
 //!   [`crate::CorrelatedIndex`], [`crate::AdversarialIndex`], and (in
 //!   `skewsearch-baselines`) `ChosenPathIndex` and `MinHashLsh`.
 //! * [`crate::ShardedIndex::save`] / [`crate::ShardedIndex::load`] — a
-//!   directory of per-shard `.skx` files plus a [`ShardManifest`] recording
-//!   the shard count and the local→global id maps, restoring a sharded
-//!   deployment byte-identically.
+//!   directory of per-shard `.skx` files (LSF-family kinds 1–4: only that
+//!   family shards) plus a [`ShardManifest`] recording the shard count and
+//!   the local→global id maps, restoring a sharded deployment
+//!   byte-identically.
 //! * [`Writer`] / [`Reader`] — the little-endian encoding primitives, public
 //!   so sibling crates (baselines) encode their own section types.
 //! * [`write_container`] / [`load_container`] — the one writer and the one

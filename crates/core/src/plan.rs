@@ -11,8 +11,10 @@
 //! enumeration cost once per shard (`N×` per query).
 //!
 //! [`QueryPlan`] materializes stage 1 as plain owned data: the query vector
-//! plus, per probe pass (LSF repetition / MinHash band), the interned 64-bit
-//! bucket keys in enumeration order. A plan is produced once by
+//! plus, per probe pass (LSF repetition), the interned 64-bit bucket keys in
+//! enumeration order. Only the LSF family plans; every other structure
+//! (MinHash, brute force, prefix filtering) returns an unplanned plan. A
+//! plan is produced once by
 //! [`SetSimilaritySearch::plan_query`](crate::SetSimilaritySearch::plan_query)
 //! and consumed any number of times by
 //! [`SetSimilaritySearch::probe_plan`](crate::SetSimilaritySearch::probe_plan)
@@ -33,8 +35,9 @@ use skewsearch_sets::SparseVec;
 ///   filter enumeration;
 /// * **unplanned** ([`QueryPlan::unplanned`]) — carries only the query;
 ///   consumers fall back to their fused enumerate-and-probe path. This is
-///   the degradation mode for structures without a bucketed probe (brute
-///   force, prefix filtering).
+///   what every structure outside the LSF family returns: MinHash hashes
+///   its band signatures inside its own walk, and brute force and prefix
+///   filtering have no bucketed probe at all.
 ///
 /// The defining contract, pinned by `tests/plan_equivalence.rs` for every
 /// index type in the workspace: probing a plan yields **byte-identical**
@@ -95,7 +98,7 @@ impl QueryPlan {
 
     /// A fully planned query: `passes[p]` holds pass `p`'s interned bucket
     /// keys in enumeration order. The pass count must equal the consuming
-    /// index's pass count (its repetitions / bands) — planned probes check
+    /// index's pass count (its repetitions) — planned probes check
     /// this and panic on a mismatch rather than silently misprobe.
     pub fn from_passes(query: SparseVec, passes: Vec<Vec<u64>>) -> Self {
         Self {

@@ -1,5 +1,5 @@
-//! The sharding layer: partition any index across `N` shards without
-//! changing a single byte of any answer.
+//! The sharding layer: partition an LSF-family index across `N` shards
+//! without changing a single byte of any answer.
 //!
 //! An index can outgrow one allocation and one build. [`ShardedIndex`]
 //! hash-partitions the indexed sets by content ([`set_partition_key`]),
@@ -13,15 +13,15 @@
 //! ## The merge protocol
 //!
 //! The wrapper reconstructs the unsharded index's `search_all` output
-//! **byte-identically** (`tests/shard_equivalence.rs` pins this down for all
-//! five index types). The key fact: every structure here emits matches in
+//! **byte-identically** (`tests/shard_equivalence.rs` pins this down for
+//! the four LSF index types). The key fact: an LSF index emits matches in
 //! first-discovery order, and a candidate's first discovery happens at a
-//! lexicographically minimal `(pass, step)` coordinate — repetition/band,
-//! then filter/bucket — with ids ascending inside one coordinate (bucket
-//! insertion order). So the unsharded output order is exactly "sort
-//! candidates by `(pass, step, id)` of their first discovery". Shards report
-//! that coordinate per match ([`SetSimilaritySearch::probe_passes`]); the
-//! merge remaps local ids to global and sorts by `(pass, step, id)`.
+//! lexicographically minimal `(pass, step)` coordinate — repetition, then
+//! filter — with ids ascending inside one coordinate (bucket insertion
+//! order). So the unsharded output order is exactly "sort candidates by
+//! `(pass, step, id)` of their first discovery". Shards report that
+//! coordinate per match ([`SetSimilaritySearch::probe_passes`]); the merge
+//! remaps local ids to global and sorts by `(pass, step, id)`.
 //! Dedup-before-verify holds within each shard exactly as in the unsharded
 //! index, and since no id lives in two shards, the merge neither dedups nor
 //! re-verifies.
@@ -60,8 +60,10 @@ use skewsearch_hashing::mix;
 use skewsearch_sets::SparseVec;
 
 /// An index that knows how to split itself into dataset shards. Implemented
-/// by every index structure in the workspace (the LSF family and MinHash);
-/// the sharded wrapper is generic over this trait.
+/// by the LSF family alone — [`LsfIndex`] and, through the
+/// [`LsfWrapper`](crate::LsfWrapper) blanket impl, the paper's indexes and
+/// Chosen Path — whose enumerate-once plan broadcast is what sharding
+/// shares; the sharded wrapper is generic over this trait.
 ///
 /// Implementations must uphold the tag contract of
 /// [`SetSimilaritySearch::probe_passes`] with *genuine* probe
@@ -81,13 +83,10 @@ pub trait Shardable: SetSimilaritySearch + Sized {
     /// a shard. Equal sets always land in the same shard.
     fn partition_key(&self, id: u32) -> u64;
 
-    /// Total id slots ever assigned, live or not. For frozen structures this
-    /// is `len()` (the default); mutable structures report retired
-    /// (tombstoned) slots too, and [`ShardedIndex::build`] partitions *all*
-    /// of them so local/global id maps stay dense and monotone.
-    fn slot_count(&self) -> usize {
-        self.len()
-    }
+    /// Total id slots ever assigned, live or retired (tombstoned):
+    /// [`ShardedIndex::build`] partitions *all* of them so local/global id
+    /// maps stay dense and monotone.
+    fn slot_count(&self) -> usize;
 
     /// A digest of what [`SetSimilaritySearch::plan_query`] reads, equal on
     /// every shard of one build (the plan-invariance contract above), so
@@ -107,11 +106,11 @@ pub fn set_partition_key(x: &SparseVec) -> u64 {
 
 /// Builds the global→local id table a shard uses to filter buckets:
 /// `table[g]` is `g`'s local id when the shard owns `g`, `u32::MAX`
-/// otherwise. Shared by every [`Shardable::shard_of_ids`] implementation.
+/// otherwise. [`LsfIndex::shard_of_ids`] filters its buckets with it.
 ///
 /// # Panics
 /// Panics if `ids` is not strictly ascending or contains an id `≥ len`.
-pub fn local_id_table(ids: &[u32], len: usize) -> Vec<u32> {
+pub(crate) fn local_id_table(ids: &[u32], len: usize) -> Vec<u32> {
     assert!(
         ids.windows(2).all(|w| w[0] < w[1]),
         "shard ids must be strictly ascending"
@@ -127,7 +126,7 @@ pub fn local_id_table(ids: &[u32], len: usize) -> Vec<u32> {
 /// a [`local_id_table`]; `None` when the shard owns none of the bucket.
 /// Bucket order (ascending global id) is preserved — the table is monotone —
 /// which is what keeps shard probes in the unsharded discovery order.
-pub fn remap_bucket(bucket: &[u32], local_of: &[u32]) -> Option<Vec<u32>> {
+pub(crate) fn remap_bucket(bucket: &[u32], local_of: &[u32]) -> Option<Vec<u32>> {
     let local: Vec<u32> = bucket
         .iter()
         .map(|&id| local_of[id as usize])
@@ -150,7 +149,8 @@ struct Shard<S> {
 ///
 /// Every query fans out across the shards on one worker per core;
 /// `search_batch` instead runs its queries on one worker per core, each
-/// fanning out on one worker.
+/// fanning out on one worker. Every shard is mutable, so `insert` and
+/// `remove` route to the owning shard.
 ///
 /// # Examples
 ///
@@ -438,13 +438,7 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     /// and assigns the exact global [`SetId`] the unsharded index would,
     /// appended to that shard's id map (which stays monotone — the merge
     /// protocol is untouched).
-    ///
-    /// Errs with [`MutationError::Unsupported`] — before touching anything —
-    /// iff the underlying index type is read-only.
     fn insert(&mut self, set: SparseVec) -> Result<SetId, MutationError> {
-        if !self.supports_mutation() {
-            return Err(MutationError::Unsupported);
-        }
         let global = self.owner.len();
         let shard_ix = (set_partition_key(&set) % self.shards.len() as u64) as usize;
         let shard = &mut self.shards[shard_ix];
@@ -460,9 +454,6 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     /// semantics as the unsharded remove: `Ok(false)` for unassigned or
     /// already-dead ids, and ids are never reused.
     fn remove(&mut self, id: SetId) -> Result<bool, MutationError> {
-        if !self.supports_mutation() {
-            return Err(MutationError::Unsupported);
-        }
         let removed = match self.owner.get(id) {
             Some(&(shard_ix, local)) => self.shards[shard_ix as usize]
                 .index

@@ -298,9 +298,8 @@ pub trait SetSimilaritySearch {
     }
 
     /// Stage 1 of the enumerate→probe→verify pipeline: derives a reusable
-    /// [`QueryPlan`] for `q` — per probe pass (repetition / band), the
-    /// interned bucket keys the probe stage will look up, in enumeration
-    /// order.
+    /// [`QueryPlan`] for `q` — per probe pass (repetition), the interned
+    /// bucket keys the probe stage will look up, in enumeration order.
     ///
     /// **Contract**: probing the plan reproduces the fused search
     /// byte-identically,
@@ -312,10 +311,10 @@ pub trait SetSimilaritySearch {
     /// dataset shard instead of re-enumerating per shard.
     ///
     /// The default implementation returns an *unplanned* plan (query only),
-    /// which every probe answers like its query, so structures without a
-    /// bucketed probe (brute force, prefix filtering) satisfy the contract
-    /// with no override. Index structures override this together with
-    /// [`SetSimilaritySearch::probe_passes`].
+    /// which every probe answers like its query, so structures without an
+    /// enumeration to share (MinHash, brute force, prefix filtering)
+    /// satisfy the contract with no override. The LSF family overrides this
+    /// together with [`SetSimilaritySearch::probe_passes`].
     ///
     /// # Examples
     ///
@@ -425,9 +424,9 @@ pub trait SetSimilaritySearch {
     /// `self.search_all(&queries[i])`.
     ///
     /// The default implementation is the sequential loop. The LSF indexes
-    /// and MinHash override it to run on [`crate::batch::batch_map`] with
-    /// their saved `query_threads` worker count;
-    /// [`crate::shard::ShardedIndex`] runs on one worker per core. Results
+    /// override it to run on [`crate::batch::batch_map`] with their saved
+    /// `query_threads` worker count; MinHash and
+    /// [`crate::shard::ShardedIndex`] run on one worker per core. Results
     /// are **identical for every worker count** — batching is a throughput
     /// optimization, never a semantics change.
     ///

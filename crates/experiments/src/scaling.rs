@@ -18,8 +18,7 @@ use skewsearch_baselines::{
     ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
 };
 use skewsearch_core::{
-    batch_map, CorrelatedIndex, CorrelatedParams, IndexOptions, PassSource, ProbeControl,
-    Repetitions,
+    batch_map, CorrelatedIndex, CorrelatedParams, IndexOptions, ProbeControl, Repetitions,
 };
 use skewsearch_datagen::{correlated_query, skew::least_squares_slope, BernoulliProfile, Dataset};
 
@@ -179,7 +178,7 @@ pub fn run(config: &ScalingConfig) -> Scaling {
             // minhash
             let mut got = false;
             let mut c = 0usize;
-            let _ = mh.walk(PassSource::Query(q), ProbeControl::ALL, |_, id| {
+            let _ = mh.walk(q, ProbeControl::ALL, |_, id| {
                 c += 1;
                 got |= id == target as u32;
                 true

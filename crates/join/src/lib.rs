@@ -49,10 +49,10 @@ fn collect_pairs(per_query: Vec<Vec<skewsearch_core::Match>>) -> Vec<JoinPair> {
 /// collecting all verified pairs at the index's threshold.
 ///
 /// Runs through [`SetSimilaritySearch::search_batch`], so the index sets
-/// the probe side's worker count — the LSF indexes and MinHash their
-/// `query_threads`, a [`ShardedIndex`](skewsearch_core::ShardedIndex) one
-/// worker per core — with results identical to the sequential loop; pairs
-/// are emitted in `r` order.
+/// the probe side's worker count — the LSF indexes their `query_threads`,
+/// MinHash and a [`ShardedIndex`](skewsearch_core::ShardedIndex) one worker
+/// per core — with results identical to the sequential loop; pairs are
+/// emitted in `r` order.
 ///
 /// **Each distinct probe-side query is planned and answered exactly once.**
 /// Duplicate sets in `r` (frequent in real joins, and co-located by

@@ -12,7 +12,8 @@
 //! filesystem walker ([`walk`]) enumerates the workspace without
 //! `cargo metadata`, and each lint ([`lints`]) is a scoped pattern check
 //! over the lexed lines. No `syn`, no network, sub-second runs on both
-//! matrix toolchains.
+//! matrix toolchains. The same lexer also counts code lines per crate
+//! ([`loc`], `cargo run -p xtask -- loc`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +23,7 @@ pub mod diag;
 pub mod engine;
 pub mod lexer;
 pub mod lints;
+pub mod loc;
 pub mod walk;
 
 pub use diag::Diagnostic;

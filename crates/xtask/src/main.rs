@@ -1,8 +1,10 @@
-//! CLI driver: `cargo run -p xtask -- lint [--root <path>]`.
+//! CLI driver: `cargo run -p xtask -- <lint|loc> [--root <path>]`.
 //!
-//! Exits 0 on a clean tree, 1 when any lint finds a violation (printing one
-//! `file:line: [lint-name] message` diagnostic per finding), 2 on usage or
-//! I/O errors.
+//! `lint` exits 0 on a clean tree, 1 when any lint finds a violation
+//! (printing one `file:line: [lint-name] message` diagnostic per finding),
+//! 2 on usage or I/O errors. `loc` prints one `count<TAB>crate` line per
+//! crate and a `total` line (see [`xtask::loc`]), exiting 0, or 2 on usage
+//! or I/O errors.
 
 #![forbid(unsafe_code)]
 
@@ -20,13 +22,13 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root requires a path"),
             },
-            "lint" if command.is_none() => command = Some(arg),
+            "lint" | "loc" if command.is_none() => command = Some(arg),
             _ => return usage(&format!("unrecognized argument `{arg}`")),
         }
     }
-    if command.as_deref() != Some("lint") {
-        return usage("expected the `lint` subcommand");
-    }
+    let Some(command) = command else {
+        return usage("expected the `lint` or `loc` subcommand");
+    };
 
     // Default to the workspace root relative to this crate's manifest, so
     // `cargo run -p xtask -- lint` works from any directory in the repo.
@@ -36,6 +38,22 @@ fn main() -> ExitCode {
             .canonicalize()
             .unwrap_or_else(|_| PathBuf::from("."))
     });
+
+    if command == "loc" {
+        return match xtask::loc::count_workspace(&root) {
+            Err(err) => {
+                eprintln!("error: {err}");
+                ExitCode::from(2)
+            }
+            Ok(counts) => {
+                for (name, count) in &counts {
+                    println!("{count}\t{name}");
+                }
+                println!("{}\ttotal", counts.values().sum::<usize>());
+                ExitCode::SUCCESS
+            }
+        };
+    }
 
     match xtask::lint_workspace(&root) {
         Err(err) => {
@@ -61,6 +79,8 @@ fn main() -> ExitCode {
 }
 
 fn usage(problem: &str) -> ExitCode {
-    eprintln!("error: {problem}\nusage: cargo run -p xtask -- lint [--root <workspace-root>]");
+    eprintln!(
+        "error: {problem}\nusage: cargo run -p xtask -- <lint|loc> [--root <workspace-root>]"
+    );
     ExitCode::from(2)
 }

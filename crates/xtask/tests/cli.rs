@@ -1,6 +1,7 @@
 //! End-to-end exit-code contract of the `xtask lint` binary: 0 on a clean
 //! tree, 1 with findings on stdout, 2 on usage errors. CI keys off these
-//! codes, so they are pinned here against synthetic workspaces.
+//! codes, so they are pinned here against synthetic workspaces, along with
+//! the per-crate counts `xtask loc` prints.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -30,9 +31,9 @@ impl Drop for TempWs {
     }
 }
 
-fn run_lint(root: &Path) -> std::process::Output {
+fn run(command: &str, root: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(["lint", "--root"])
+        .args([command, "--root"])
         .arg(root)
         .output()
         .expect("spawn xtask")
@@ -44,7 +45,7 @@ fn clean_workspace_exits_zero() {
         "clean",
         "#![forbid(unsafe_code)]\n//! Demo crate.\npub fn id(x: u64) -> u64 {\n    x\n}\n",
     );
-    let out = run_lint(&ws.0);
+    let out = run("lint", &ws.0);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(out.stdout.is_empty(), "clean run must print no findings");
 }
@@ -55,7 +56,7 @@ fn violating_workspace_exits_one_with_findings_on_stdout() {
         "dirty",
         "//! Demo crate missing the unsafe ban.\npub fn id() {}\n",
     );
-    let out = run_lint(&ws.0);
+    let out = run("lint", &ws.0);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
     assert!(
@@ -71,4 +72,22 @@ fn bad_usage_exits_two() {
         .output()
         .expect("spawn xtask");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+#[test]
+fn loc_counts_only_code_lines_outside_test_modules() {
+    // Doc comments, indented comments, blank lines and the test module
+    // count for nothing; the six code lines do.
+    let ws = TempWs::new(
+        "loc",
+        "//! Demo crate.\n\n/// A counter.\npub struct Counter(u64);\n\nimpl Counter {\n    \
+         /// Doubles the count.\n    pub fn double(&self) -> u64 {\n        // indented\n        \
+         self.0 * 2\n    }\n}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+    );
+    let out = run("loc", &ws.0);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "6\tdemo\n6\ttotal\n"
+    );
 }

@@ -1,9 +1,9 @@
 //! Batch semantics: for every index type, `search_batch` must return exactly
-//! `queries.iter().map(|q| search_all(q))` at any `query_threads` setting,
-//! under a fixed seed — and `search_best` the highest-similarity match of
-//! `search_all`. Extends `tests/determinism.rs`'s transcript approach: the
-//! batch transcript at 1 and 8 workers is compared byte-for-byte against
-//! the sequential one.
+//! `queries.iter().map(|q| search_all(q))` at any `query_threads` setting
+//! (MinHash has none: it runs on one worker per core), under a fixed seed —
+//! and `search_best` the highest-similarity match of `search_all`. Extends
+//! `tests/determinism.rs`'s transcript approach: the batch transcript at 1
+//! and 8 workers is compared byte-for-byte against the sequential one.
 
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
@@ -125,13 +125,9 @@ fn chosen_path_index_batch_equivalence() {
 #[test]
 fn minhash_batch_equivalence() {
     let (ds, _, queries) = fixture();
-    for threads in thread_counts() {
-        let mut rng = StdRng::seed_from_u64(SEED ^ 5);
-        let mut params = MinHashParams::new(0.6, 0.3).unwrap();
-        params.query_threads = threads;
-        let index = MinHashLsh::build(&ds, params, &mut rng);
-        assert_batch_matches_sequential(&index, &queries, &format!("MinHashLsh t={threads}"));
-    }
+    let mut rng = StdRng::seed_from_u64(SEED ^ 5);
+    let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
+    assert_batch_matches_sequential(&index, &queries, "MinHashLsh");
 }
 
 #[test]

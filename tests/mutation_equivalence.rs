@@ -156,17 +156,11 @@ fn read_only_structures_refuse_mutation() {
     assert!(!prefix.supports_mutation());
     assert_eq!(prefix.insert(v.clone()), Err(MutationError::Unsupported));
 
-    let minhash = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
+    let mut minhash = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
     assert!(!minhash.supports_mutation());
-
-    // A sharded wrapper over a read-only structure refuses mutations too,
-    // before touching any shard — no partial fan-out effects.
-    let mut sharded = ShardedIndex::build(&minhash, 3);
-    assert!(!sharded.supports_mutation());
-    let before = sharded.len();
-    assert_eq!(sharded.insert(v.clone()), Err(MutationError::Unsupported));
-    assert_eq!(sharded.remove(0), Err(MutationError::Unsupported));
-    assert_eq!(sharded.len(), before, "no partial insert");
+    let before = minhash.len();
+    assert_eq!(minhash.insert(v.clone()), Err(MutationError::Unsupported));
+    assert_eq!(minhash.len(), before, "no partial insert");
 }
 
 #[test]

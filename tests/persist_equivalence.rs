@@ -11,13 +11,13 @@
 //! A second block pins the failure contract: truncated files, wrong magic,
 //! unsupported versions, mismatched container kinds, flipped payload bytes,
 //! and checksummed files whose contents disagree (a scheme table shorter
-//! than the profile, a node budget or MinHash banding word other than the
-//! fixed one, a shard manifest that does not match its shards or that holds
-//! a retired pass-slice layout, shards from two builds) must all surface as
-//! typed
-//! [`PersistError`]s — never panics, never a silently
-//! wrong index. A proptest block randomizes the dataset and query stream
-//! over the correlated index round trip.
+//! than the profile, a node budget or MinHash banding or worker-count word
+//! other than the fixed one, an LSF payload with zero repetitions, a shard
+//! manifest that does not match its shards or that holds a retired
+//! pass-slice layout, shards from two builds) must all surface as typed
+//! [`PersistError`]s — never panics, never a silently wrong index. A
+//! proptest block randomizes the dataset and query stream over the
+//! correlated index round trip.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -496,18 +496,6 @@ fn saved_bytes_of_a_fixed_deployment_are_pinned() {
     );
 }
 
-#[test]
-fn sharded_minhash_round_trips() {
-    // The manifest must also work over an index with its own section type
-    // (MinHash, kind 5).
-    let (ds, _profile, queries) = fixture(200, SEED ^ 14);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 15);
-    let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
-    let sharded = ShardedIndex::build(&index, 3);
-    let reloaded = sharded_round_trip(&sharded, "ShardedIndex<MinHashLsh>");
-    assert_same_answers(&sharded, &reloaded, &queries, "ShardedIndex<MinHashLsh>");
-}
-
 /// Saves `index` and splits the file into its container kind (header bytes
 /// 12..16) and its payload (everything after the 32-byte header).
 fn saved_kind_and_payload<I: Persist>(index: &I, label: &str) -> (u32, Vec<u8>) {
@@ -927,8 +915,9 @@ fn deployment_mixed_from_two_builds_is_malformed() {
 
 #[test]
 fn minhash_banding_word_other_than_the_fixed_one_is_malformed() {
-    // §6: threshold, rows, b1 and b2, then the fixed band_factor (3.0) and
-    // max_bands (4096) words. Any other value must not load.
+    // §6: threshold, rows, b1 and b2, then the fixed band_factor (3.0),
+    // max_bands (4096) and query_threads (0) words. Any other value must
+    // not load.
     let (ds, _profile, _) = fixture(120, SEED ^ 35);
     let mut rng = StdRng::seed_from_u64(SEED ^ 36);
     let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
@@ -941,9 +930,12 @@ fn minhash_banding_word_other_than_the_fixed_one_is_malformed() {
     assert_eq!(r.get_f64().unwrap(), 3.0);
     let max_bands = payload.len() - r.remaining();
     assert_eq!(r.get_u64().unwrap(), 4096);
+    let query_threads = payload.len() - r.remaining();
+    assert_eq!(r.get_u64().unwrap(), 0);
     for (at, word, what) in [
         (band_factor, 2.0f64.to_le_bytes(), "band_factor 2.0"),
         (max_bands, 100u64.to_le_bytes(), "max_bands 100"),
+        (query_threads, 4u64.to_le_bytes(), "query_threads 4"),
     ] {
         let mut corrupt = payload.clone();
         corrupt[at..at + 8].copy_from_slice(&word);
@@ -1024,6 +1016,37 @@ fn node_budget_other_than_the_fixed_one_is_malformed() {
             corrupt
         },
         "node budget 100",
+    );
+}
+
+#[test]
+fn lsf_payload_with_zero_repetitions_is_malformed() {
+    // Every build has at least one repetition. A payload cut at the
+    // repetition count, with 0 written there, must not load: its queries
+    // would still enumerate under the saved depth bound.
+    assert_lsf_payload_rejected(
+        |payload| {
+            // §4, walked as `transcode_to_v1` does: scheme tag and
+            // calibration, profile, 13 words, the sets and the liveness
+            // bitmap, then the repetition count.
+            let mut r = Reader::new(payload);
+            r.get_u32().unwrap();
+            CorrelatedScheme::decode_scheme(&mut r).unwrap();
+            r.get_f64_vec().unwrap();
+            for _ in 0..13 {
+                r.get_u64().unwrap();
+            }
+            r.get_u64().unwrap(); // set count
+            r.get_u64_vec().unwrap(); // set offsets
+            r.get_u32_vec().unwrap(); // set dims
+            r.get_bitmap().unwrap();
+            let at = payload.len() - r.remaining();
+            assert_eq!(r.get_u64().unwrap(), 2, "the fixture has 2 repetitions");
+            let mut cut = payload[..at].to_vec();
+            cut.extend_from_slice(&0u64.to_le_bytes());
+            cut
+        },
+        "zero repetitions",
     );
 }
 

@@ -6,14 +6,16 @@
 //! `probe_passes` of the query, tags included.
 //!
 //! Deterministic tests pin the 5 index types; a proptest block randomizes
-//! dataset, correlation target, and repetition count. Queries carrying dims
-//! outside the indexed universe (`p_i = 0`: never sampled, still counted in
-//! `|q|`) must keep the same equivalence on every index type, and answer
-//! only true matches. Degenerate cases ride
-//! along everywhere: the empty query (a plan with all-empty key lists), the
-//! *unplanned* plan (fused fallback), and plan reuse (probing must not
-//! consume the plan). A final test drives plans through the sharded
-//! broadcast, which fans out on one worker per core.
+//! dataset, correlation target, and repetition count. Only the four LSF
+//! index types derive planned plans; MinHash keeps the trait's unplanned
+//! plan, which its band walk probes like the query itself. Queries carrying
+//! dims outside the indexed universe (`p_i = 0`: never sampled, still
+//! counted in `|q|`) must keep the same equivalence on every index type,
+//! and answer only true matches. Degenerate cases ride along everywhere:
+//! the empty query (a plan with all-empty key lists), the *unplanned* plan
+//! (fused fallback), and plan reuse (probing must not consume the plan). A
+//! final test drives plans through the sharded broadcast, which fans out on
+//! one worker per core.
 //!
 //! Both the per-index helper and the sharded test also pin the deadline
 //! granularity of `probe_plan_tagged_deadline` with a counting expiry check:

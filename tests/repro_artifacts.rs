@@ -3,7 +3,7 @@
 //! its section of the paper), so a regression in any crate that silently
 //! changed an artifact shows up here.
 
-use skewsearch::experiments::{fig1, fig2, motivating, sec7, table1};
+use skewsearch::experiments::{fig1, fig2, motivating, scaling, sec7, table1};
 
 #[test]
 fn figure1_red_line_sits_below_blue_line_with_real_gap() {
@@ -108,4 +108,31 @@ rho_split = max(rho_f, rho_r)\t0.25543
         motivating::compute(100_000, 0.5).table().render_tsv(),
         expected
     );
+}
+
+/// A small candidate-scaling sweep exactly as `repro scaling` would print
+/// it: every method's candidate counts, MinHash's band walk included, so a
+/// change to any walk that moves a count shows up here.
+#[test]
+fn scaling_table_is_pinned_byte_for_byte() {
+    let config = scaling::ScalingConfig {
+        ns: vec![250, 500],
+        queries: 12,
+        ..scaling::ScalingConfig::default_skewed()
+    };
+    let expected = "\
+# Candidate scaling: distinct candidates per query vs n
+method\tn\tavg_candidates\trecall
+ours\t250\t41.2\t1.000
+chosen_path\t250\t8.8\t0.917
+minhash\t250\t11.8\t1.000
+prefix\t250\t118.9\t1.000
+brute\t250\t250.0\t1.000
+ours\t500\t44.4\t1.000
+chosen_path\t500\t7.2\t0.917
+minhash\t500\t11.1\t1.000
+prefix\t500\t252.6\t1.000
+brute\t500\t500.0\t1.000
+";
+    assert_eq!(scaling::run(&config).table().render_tsv(), expected);
 }

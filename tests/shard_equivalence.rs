@@ -1,12 +1,12 @@
-//! Sharding semantics: for every index type, a `ShardedIndex` must answer
-//! `search`, `search_all`, `search_all_tagged`, `search_batch`, and
-//! `search_best` **byte-identically** to the unsharded index it was
-//! partitioned from — at every shard count, including degenerate partitions
-//! where some shards are empty.
+//! Sharding semantics: for every shardable index type (the LSF family), a
+//! `ShardedIndex` must answer `search`, `search_all`, `search_all_tagged`,
+//! `search_batch`, and `search_best` **byte-identically** to the unsharded
+//! index it was partitioned from — at every shard count, including
+//! degenerate partitions where some shards are empty.
 //!
-//! Deterministic tests pin the 5 index types × {1, 8} shards grid from the
-//! acceptance criteria; a proptest block then randomizes the dataset,
-//! correlation, and shard count over {1, 3, 8}.
+//! Deterministic tests pin the 4 LSF index types × {1, 8} shards grid; a
+//! proptest block then randomizes the dataset, correlation, and shard count
+//! over {1, 3, 8}.
 //!
 //! The per-query shard fan-out and the batch executor both run on one
 //! worker per core, so on a multicore host these suites run at real
@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
     IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch, Shardable,
@@ -160,15 +160,6 @@ fn chosen_path_index_shard_equivalence() {
 }
 
 #[test]
-fn minhash_shard_equivalence() {
-    let (ds, _, queries) = fixture(250, SEED);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 5);
-    let params = MinHashParams::new(0.6, 0.3).unwrap();
-    let index = MinHashLsh::build(&ds, params, &mut rng);
-    assert_sharded_identical(&index, &queries, &[1, 8], "MinHashLsh");
-}
-
-#[test]
 fn empty_shards_from_tiny_datasets_are_exact() {
     // 5 vectors over 8 shards: at least three shards hold nothing, and the
     // partition must still be byte-identical.
@@ -215,9 +206,9 @@ fn empty_index_shards_find_nothing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized sweep of the acceptance grid: all five index types, shard
-    /// counts drawn from {1, 3, 8}, over random dataset sizes (small enough
-    /// that 8-way partitions regularly produce empty shards).
+    /// Randomized sweep of the acceptance grid: all four LSF index types,
+    /// shard counts drawn from {1, 3, 8}, over random dataset sizes (small
+    /// enough that 8-way partitions regularly produce empty shards).
     #[test]
     fn sharded_equals_unsharded_for_all_index_types(
         seed in 0u64..1_000_000,
@@ -272,8 +263,5 @@ proptest! {
             &mut rng,
         );
         assert_sharded_identical(&chosen_path, queries, &shards, "prop ChosenPathIndex");
-
-        let minhash = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
-        assert_sharded_identical(&minhash, queries, &shards, "prop MinHashLsh");
     }
 }
