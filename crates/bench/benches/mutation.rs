@@ -1,7 +1,8 @@
 //! Mutation throughput and the price of staying queryable: steady-state
-//! insert/remove pairs (tombstone + delta-segment appends, with and without
-//! the auto-compaction schedule), amortized compaction, and query latency on
-//! a heavily mutated index versus its from-scratch rebuild — the gap the
+//! insert/remove pairs (a delta-segment append, then a remove that takes
+//! the set straight back out of its delta buckets; with and without the
+//! auto-compaction schedule), amortized compaction, and query latency on a
+//! heavily mutated index versus its from-scratch rebuild — the gap the
 //! log-structured design trades against O(n) rebuild time.
 //!
 //! Answers are byte-identical across the mutated / compacted / rebuilt rows
@@ -58,10 +59,12 @@ fn bench_mutation(c: &mut Criterion) {
 
     let mut g = c.benchmark_group(format!("mutation_skewed_n{N}"));
 
-    // Steady state: one insert + one remove of the set just inserted. With
-    // the default-sized buffer, compaction amortizes over the pairs; with
-    // the buffer disabled the delta segment and tombstone set only grow —
-    // the row exposes the drift the schedule exists to bound.
+    // Steady state: one insert + one remove of the set just inserted, which
+    // leaves the delta buckets as soon as it is removed. With the
+    // default-sized buffer, compaction still runs every 512 pairs; with the
+    // buffer disabled the delta stays empty between pairs and only the
+    // per-slot tables grow, so the two rows differ by the amortized
+    // compactions.
     for (label, buffer) in [("buffer_1024", 1024), ("unbuffered", usize::MAX)] {
         let index = RefCell::new(build(ds.vectors().to_vec(), &profile, buffer));
         let turn = RefCell::new(0usize);
@@ -80,7 +83,9 @@ fn bench_mutation(c: &mut Criterion) {
         );
     }
 
-    // Explicit compaction, amortized over a burst of mutations.
+    // Explicit compaction, amortized over a burst of mutations. The burst
+    // removes each set right after inserting it, so the delta is empty and
+    // the compaction re-encodes the base alone.
     {
         let index = RefCell::new(build(ds.vectors().to_vec(), &profile, usize::MAX));
         let turn = RefCell::new(0usize);
@@ -104,9 +109,10 @@ fn bench_mutation(c: &mut Criterion) {
     }
 
     // Query latency after a heavy mutation history: 300 build-time removals
-    // and 300 fresh inserts, queried (a) with the delta segment and
-    // tombstones live, (b) after compaction, (c) on a from-scratch rebuild
-    // over the survivors — the floor the log structure is paying against.
+    // and 256 fresh inserts, queried (a) with the delta segment and the
+    // base tombstones live, (b) after compaction, (c) on a from-scratch
+    // rebuild over the survivors — the floor the log structure is paying
+    // against.
     let mutate = |index: &mut LsfIndex<CorrelatedScheme>| {
         for id in 0..300 {
             assert!(index.remove_set(id * 3));

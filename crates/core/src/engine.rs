@@ -21,10 +21,12 @@
 //! "missed filters", never to wrong answers, because candidates are always
 //! verified.
 //!
-//! The DFS runs one *child test* per query dimension at every node, so a
-//! query's enumeration cost is its filter count times about `|x|` tests.
+//! The DFS runs one *child test* per query dimension inside the profile at
+//! every node, so a query's enumeration cost is its filter count times
+//! about `|x|` tests.
 //! [`EnumContext`] prepares everything a test needs that does not depend
-//! on the path, packed into one row per depth and dimension: the
+//! on the path, packed into one row per depth and dimension inside the
+//! profile (a dimension outside it is never sampled, so it gets none): the
 //! dimension's key term `H(i)` ([`PathKey::dim_term`]) and its threshold
 //! pre-scaled for [`LevelHasher::accepts_scaled`]. A test is then one row
 //! read, one key extension, one level hash and one compare, and a node
@@ -102,11 +104,14 @@ pub struct EnumStats {
 /// single-shot callers.
 pub struct EnumContext<'a> {
     x: &'a SparseVec,
-    /// Depth-major child tests: `tests[j · |x| + t]` tests dimension
+    /// Depth-major child tests of the dimensions inside the profile, the
+    /// first `known` of `x`'s: `tests[j · known + t]` tests dimension
     /// `dims[t]` at depth `j`, for `j < max_depth`.
     tests: Vec<ChildTest>,
-    /// `masses[t] = log₂(1/p_{dims[t]})`.
+    /// `masses[t] = log₂(1/p_{dims[t]})`, for `t < known`.
     masses: Vec<f64>,
+    /// How many of `x`'s dimensions lie inside the profile: the row stride.
+    known: usize,
     max_depth: usize,
 }
 
@@ -131,7 +136,9 @@ impl<'a> EnumContext<'a> {
     ///
     /// A dimension `≥ profile.d()` has `p_i = 0`: it gets threshold 0, so no
     /// path ever samples it, while it still counts in `|x|` (the scheme's
-    /// weight, and verification).
+    /// weight, and verification). Such dimensions sort last in `x`, and no
+    /// row is built for them: the rows number `max_depth` times the
+    /// dimensions inside the profile, however many lie outside.
     pub fn new<S: ThresholdScheme>(
         x: &'a SparseVec,
         profile: &BernoulliProfile,
@@ -141,31 +148,29 @@ impl<'a> EnumContext<'a> {
         let weight = x.weight();
         let dims = x.dims();
         let known = dims.partition_point(|&i| (i as usize) < profile.d());
-        let terms: Vec<u128> = dims.iter().map(|&i| PathKey::dim_term(i)).collect();
-        let mut tests = Vec::with_capacity(max_depth * dims.len());
+        let terms: Vec<u128> = dims[..known]
+            .iter()
+            .map(|&i| PathKey::dim_term(i))
+            .collect();
+        let mut tests = Vec::with_capacity(max_depth * known);
         for depth in 0..max_depth {
             for (t, (&i, &term)) in dims.iter().zip(&terms).enumerate() {
-                let threshold = if t < known {
-                    scheme.threshold(weight, depth, i) * LevelHasher::SCALE
-                } else {
-                    0.0
-                };
                 tests.push(ChildTest {
                     term,
-                    threshold,
+                    threshold: scheme.threshold(weight, depth, i) * LevelHasher::SCALE,
                     t: t as u32,
                 });
             }
         }
-        let mut masses: Vec<f64> = dims[..known]
+        let masses = dims[..known]
             .iter()
             .map(|&i| profile.log2_inv_p(i))
             .collect();
-        masses.resize(dims.len(), 0.0);
         Self {
             x,
             tests,
             masses,
+            known,
             max_depth,
         }
     }
@@ -261,17 +266,20 @@ fn dfs<S: ThresholdScheme>(
     let level = ctx.hashers.level(depth);
     let cache = ctx.cache;
     let dims = cache.x.dims();
-    let mut tests = &cache.tests[depth * dims.len()..(depth + 1) * dims.len()];
-    while !tests.is_empty() {
+    let known = cache.known;
+    let mut tests = &cache.tests[depth * known..(depth + 1) * known];
+    // The dimensions outside the profile have no rows, yet each would be
+    // one more child to test, with threshold 0, which rejects every hash:
+    // while any is left, the budget is checked as it would be before it.
+    let outside = dims.len() > known;
+    while !tests.is_empty() || outside {
         if ctx.stats.nodes >= ctx.node_budget {
             ctx.stats.truncated = true;
             return;
         }
         // The next child the hash accepts. A rejected child changes no
         // state, so the budget check above holds for every child the scan
-        // passes over, as it would if each were checked in turn. A
-        // threshold of 0 (a dimension outside the profile) rejects every
-        // hash.
+        // passes over, as it would if each were checked in turn.
         let accepted = tests
             .iter()
             .position(|test| level.accepts_scaled(key.extend_term(test.term), test.threshold));
@@ -429,6 +437,24 @@ mod tests {
         }
     }
 
+    /// A tiny deterministic scheme: every threshold is 1 (always extend),
+    /// and a path completes once its mass reaches `log2_n` bits.
+    struct AlwaysExtend {
+        log2_n: f64,
+    }
+
+    impl ThresholdScheme for AlwaysExtend {
+        fn threshold(&self, _w: usize, _j: usize, _i: u32) -> f64 {
+            1.0
+        }
+        fn is_complete(&self, mass: f64, _d: usize) -> bool {
+            mass >= self.log2_n
+        }
+        fn depth_bound(&self) -> usize {
+            16
+        }
+    }
+
     /// The enumeration as the recursion of §3 states it, kept as the
     /// engine's oracle: the path scan first, then the scheme's unscaled
     /// threshold and the level hash of `key.extend(i)` as a unit-interval
@@ -568,6 +594,35 @@ mod tests {
     }
 
     #[test]
+    fn dims_outside_the_profile_build_no_rows() {
+        let p = profile();
+        let scheme = CorrelatedScheme::new(0.7, 256, &p);
+        let depth = scheme.depth_bound();
+        let mut rng = StdRng::seed_from_u64(48);
+        let x = VectorSampler::new(&p).sample(&mut rng);
+        let known = x.dims().len();
+        let mut dims = x.into_dims();
+        dims.extend(p.d() as u32..p.d() as u32 + 10_000);
+        let padded = SparseVec::from_unsorted(dims);
+        let ctx = EnumContext::new(&padded, &p, &scheme, depth);
+        assert_eq!(ctx.tests.len(), depth * known);
+        assert_eq!(ctx.tests.capacity(), depth * known);
+        assert_eq!(ctx.masses.len(), known);
+        // The padded query still enumerates what the reference does.
+        let h = stack(49, depth);
+        let stats = assert_matches_reference(&padded, &p, &scheme, &h, DEFAULT_NODE_BUDGET);
+        assert!(stats.emitted > 0, "non-vacuous");
+
+        // A budget the last in-profile child exhausts: the dims outside,
+        // rowless, still count as children left to test, so the reference
+        // and the engine both report truncation.
+        let one = BernoulliProfile::uniform(1, 1.0 / 16.0).unwrap();
+        let x = SparseVec::from_unsorted(vec![0, 5, 6]);
+        let stats = assert_matches_reference(&x, &one, &AlwaysExtend { log2_n: 4.0 }, &h, 1);
+        assert_eq!((stats.emitted, stats.truncated), (1, true));
+    }
+
+    #[test]
     fn node_budget_truncates() {
         let p = BernoulliProfile::uniform(64, 0.45).unwrap();
         // b1 small → huge thresholds → wide tree; tiny budget must truncate.
@@ -636,22 +691,6 @@ mod tests {
 
     #[test]
     fn mass_accumulation_matches_product_rule() {
-        // Build a tiny deterministic scenario: all thresholds 1 (always
-        // extend) by using b1 tiny weight... instead use a scheme wrapper.
-        struct AlwaysExtend {
-            log2_n: f64,
-        }
-        impl ThresholdScheme for AlwaysExtend {
-            fn threshold(&self, _w: usize, _j: usize, _i: u32) -> f64 {
-                1.0
-            }
-            fn is_complete(&self, mass: f64, _d: usize) -> bool {
-                mass >= self.log2_n
-            }
-            fn depth_bound(&self) -> usize {
-                8
-            }
-        }
         // Two dims with p = 1/4 each (2 bits of mass): n = 16 ⇒ need 4 bits
         // ⇒ exactly paths of length 2: (0,1) and (1,0).
         let p = BernoulliProfile::uniform(2, 0.25).unwrap();
@@ -669,20 +708,6 @@ mod tests {
     fn rarer_bits_terminate_paths_earlier() {
         // With very rare dims (large mass), paths complete at depth 1;
         // with common dims they must go deeper — the skew-adaptive rule.
-        struct AlwaysExtend {
-            log2_n: f64,
-        }
-        impl ThresholdScheme for AlwaysExtend {
-            fn threshold(&self, _w: usize, _j: usize, _i: u32) -> f64 {
-                1.0
-            }
-            fn is_complete(&self, mass: f64, _d: usize) -> bool {
-                mass >= self.log2_n
-            }
-            fn depth_bound(&self) -> usize {
-                16
-            }
-        }
         let rare = BernoulliProfile::uniform(3, 1.0 / 1024.0).unwrap(); // 10 bits each
         let scheme = AlwaysExtend { log2_n: 10.0 };
         let h = stack(15, 16);

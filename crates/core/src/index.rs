@@ -42,6 +42,7 @@ use skewsearch_datagen::BernoulliProfile;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, PathKey, TabulationU128};
 use skewsearch_sets::similarity::{self, SetSignature};
 use skewsearch_sets::SparseVec;
+use std::collections::hash_map::Entry;
 use table::SetTable;
 
 /// How many independent repetitions to build.
@@ -164,11 +165,19 @@ pub struct QueryStats {
 /// byte-identical to a rebuild. Build, compaction, dataset
 /// sharding and loading each encode a base segment through one
 /// [`PostingsEncoder`].
+///
+/// `delta_keys` records, for each live delta-resident slot, the delta
+/// buckets its id sits in, so removing the slot takes the id out of them at
+/// once: only a removed *base* set stays in its buckets, tombstoned, until
+/// compaction re-encodes the base.
 struct Repetition {
     hashers: PathHasherStack,
     interner: TabulationU128,
     base: CompressedPostings,
     delta: FxHashMap<u64, Vec<u32>>,
+    /// The bucket keys of delta slot `base_len + i` at index `i`; empty
+    /// once the slot is removed.
+    delta_keys: Vec<Vec<u64>>,
 }
 
 impl Repetition {
@@ -205,6 +214,54 @@ impl Repetition {
         }
         w.put_u64_slice(&self.interner.to_words());
     }
+
+    /// Appends the next delta slot, `id`, to the delta buckets of `keys`
+    /// and records them for [`Repetition::prune_delta`].
+    fn push_delta(&mut self, id: u32, keys: &[u64]) {
+        for &key in keys {
+            self.delta.entry(key).or_default().push(id);
+        }
+        self.delta_keys.push(keys.to_vec());
+    }
+
+    /// Takes delta slot `id`, recorded at `delta_keys[at]`, out of every
+    /// delta bucket it sits in, dropping a bucket that empties. Ids ascend
+    /// within a bucket, so a binary search finds it.
+    fn prune_delta(&mut self, at: usize, id: u32) {
+        for key in std::mem::take(&mut self.delta_keys[at]) {
+            if let Entry::Occupied(mut bucket) = self.delta.entry(key) {
+                if let Ok(pos) = bucket.get().binary_search(&id) {
+                    bucket.get_mut().remove(pos);
+                }
+                if bucket.get().is_empty() {
+                    bucket.remove();
+                }
+            }
+        }
+    }
+}
+
+/// The `delta_keys` of a [`Repetition`] whose delta segment is `delta`:
+/// the map inverted for the live slots of `alive` past `base_len`, each
+/// record shrunk to fit, as [`Repetition::push_delta`] leaves it. Load and
+/// dataset sharding rebuild the records this way, so a loaded or sharded
+/// index prunes exactly like its source.
+fn delta_key_records(
+    delta: &FxHashMap<u64, Vec<u32>>,
+    base_len: usize,
+    alive: &[bool],
+) -> Vec<Vec<u64>> {
+    let mut records = vec![Vec::new(); alive.len() - base_len];
+    // lint:allow(nondeterministic-iter, a record lists the buckets to delete one id from, and deleting it does not depend on their order)
+    for (&key, bucket) in delta {
+        for &id in bucket {
+            if alive[id as usize] {
+                records[id as usize - base_len].push(key);
+            }
+        }
+    }
+    records.iter_mut().for_each(Vec::shrink_to_fit);
+    records
 }
 
 /// The bucket walk of one pass of [`LsfIndex::walk`]: looks `keys` up in
@@ -421,6 +478,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 interner: TabulationU128::sample(&mut stack_rng),
                 base: CompressedPostings::new(),
                 delta: FxHashMap::default(),
+                delta_keys: Vec::new(),
             };
             pairs.clear();
             for (id, x) in vectors.iter().enumerate() {
@@ -618,8 +676,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// its [`Match`] iff the slot is live and the similarity clears the
     /// index's threshold. Stage 3's single verification site, shared by
     /// every search/probe entry point — which makes it the single place
-    /// tombstones are filtered: a removed set may still be probed out of a
-    /// stale bucket, but it can never be answered.
+    /// tombstones are filtered: a removed base set may still be probed out
+    /// of a stale bucket until compaction, but it can never be answered.
     ///
     /// A live candidate whose signature bound is below the threshold is
     /// turned away without an intersection; the bound is never below the
@@ -674,7 +732,9 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// that are not inline singletons) and a load-factor-aware estimate
     /// for the uncompressed delta maps;
     /// `aux_bytes` covers hash coefficients, interner tables, the
-    /// tombstone bitmap and the set signatures (32 bytes per slot).
+    /// tombstone bitmap, the set signatures (32 bytes per slot) and the
+    /// live delta slots' bucket-key records (8 bytes per key, none for an
+    /// index without inserts since its last compaction).
     /// Deterministic for a deterministic build — which is what lets
     /// `benches/postings.rs` compare substrates.
     pub fn memory_stats(&self) -> MemoryStats {
@@ -694,6 +754,12 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 .sum::<usize>();
             aux += TabulationU128::WORDS * std::mem::size_of::<u64>();
             aux += rep.hashers.levels().len() * 3 * std::mem::size_of::<u128>();
+            aux += rep.delta_keys.capacity() * std::mem::size_of::<Vec<u64>>();
+            aux += rep
+                .delta_keys
+                .iter()
+                .map(|keys| keys.capacity() * std::mem::size_of::<u64>())
+                .sum::<usize>();
         }
         aux += self.alive.capacity();
         aux += self.sets.signature_bytes();
@@ -709,9 +775,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     ///
     /// Enumerates `F(set)` once per repetition with the index's **existing**
     /// hash stacks — exactly the work one vector costs at build time — and
-    /// appends the new id to each matching delta bucket. The id is
-    /// `slot_count()` before the call; ids ascend with insertion order and
-    /// are never reused. May trigger an automatic [`LsfIndex::compact`]
+    /// appends the new id to each matching delta bucket, recording the
+    /// buckets so that [`LsfIndex::remove_set`] can take it out again. The
+    /// id is `slot_count()` before the call; ids ascend with insertion order
+    /// and are never reused. May trigger an automatic [`LsfIndex::compact`]
     /// (answer-invariant) once [`IndexOptions::mutation_buffer`] mutations
     /// have accumulated.
     ///
@@ -725,9 +792,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         let context = self.enum_context(&set);
         for rep in &mut self.reps {
             rep.enumerate_keys(&context, &self.scheme, &mut filters, &mut keys);
-            for &key in &keys {
-                rep.delta.entry(key).or_default().push(id as u32);
-            }
+            rep.push_delta(id as u32, &keys);
         }
         self.sets.push(set);
         self.alive.push(true);
@@ -737,28 +802,36 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         id
     }
 
-    /// Tombstones slot `id`: `true` iff a live set was removed (the
+    /// Removes slot `id`: `true` iff a live set was removed (the
     /// infallible core of [`SetSimilaritySearch::remove`]). Unassigned and
     /// already-dead ids return `false`; removal never panics and a retired
     /// id never comes back.
     ///
-    /// The tombstone is honored immediately at the single verification
-    /// site (`verified`) — the dead set can still be *probed* (its bucket
-    /// entries linger until the next [`LsfIndex::compact`]) but can never
-    /// be answered.
+    /// A set inserted since the last [`LsfIndex::compact`] leaves its delta
+    /// buckets at once, through the bucket keys its insert recorded, so no
+    /// query probes it again. A base set is tombstoned: it can still be
+    /// *probed* (its base entries linger until the next compaction), but
+    /// the single verification site (`verified`) never answers it. Neither
+    /// enumerates anything.
     pub fn remove_set(&mut self, id: usize) -> bool {
         if id >= self.alive.len() || !self.alive[id] {
             return false;
         }
         self.alive[id] = false;
+        if id >= self.base_len {
+            for rep in &mut self.reps {
+                rep.prune_delta(id - self.base_len, id as u32);
+            }
+        }
         self.live -= 1;
         self.pending += 1;
         self.maybe_compact();
         true
     }
 
-    /// Merges the delta segments into the base segments and prunes
-    /// tombstoned ids from every bucket. A no-op when nothing is pending.
+    /// Merges the delta segments into the base segments, prunes tombstoned
+    /// ids from every bucket and drops the delta slots' bucket-key records.
+    /// A no-op when nothing is pending.
     ///
     /// **Answer-invariant**: each bucket key is merged independently — base
     /// survivors (ascending ids) followed by that key's delta ids (also
@@ -784,10 +857,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             // minus dead ids, which is what keeps compaction
             // answer-invariant.
             // lint:allow(nondeterministic-iter, the delta keys are collected and sorted before the merge — the encoding is independent of the map's iteration order)
-            let mut delta_keys: Vec<u64> = rep.delta.keys().copied().collect();
-            delta_keys.sort_unstable();
+            let mut keys: Vec<u64> = rep.delta.keys().copied().collect();
+            keys.sort_unstable();
             let mut enc = PostingsEncoder::new();
-            let push_delta = |enc: &mut PostingsEncoder, key: u64| {
+            let merge_bucket = |enc: &mut PostingsEncoder, key: u64| {
                 if let Some(bucket) = rep.delta.get(&key) {
                     for &id in bucket {
                         if alive[id as usize] {
@@ -798,8 +871,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             };
             let mut di = 0usize;
             for (key, cursor) in rep.base.iter() {
-                while di < delta_keys.len() && delta_keys[di] < key {
-                    push_delta(&mut enc, delta_keys[di]);
+                while di < keys.len() && keys[di] < key {
+                    merge_bucket(&mut enc, keys[di]);
                     di += 1;
                 }
                 for id in cursor {
@@ -807,17 +880,18 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                         enc.push(key, id);
                     }
                 }
-                if di < delta_keys.len() && delta_keys[di] == key {
-                    push_delta(&mut enc, key);
+                if di < keys.len() && keys[di] == key {
+                    merge_bucket(&mut enc, key);
                     di += 1;
                 }
             }
-            while di < delta_keys.len() {
-                push_delta(&mut enc, delta_keys[di]);
+            while di < keys.len() {
+                merge_bucket(&mut enc, keys[di]);
                 di += 1;
             }
             rep.base = enc.finish();
             rep.delta = FxHashMap::default();
+            rep.delta_keys = Vec::new();
         }
         for (slot, &alive) in self.alive.iter().enumerate() {
             if !alive {
@@ -864,9 +938,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// primitive — see [`crate::shard`]). The shard keeps every
     /// repetition's hash stack and interner, with each bucket filtered down
     /// to the shard's ids; bucket order (ascending global id) is preserved
-    /// under the monotone remap. Its storage statistics and set signatures
-    /// are recomputed; the per-vector truncation counters are a build-time
-    /// artifact of the parent and are zeroed.
+    /// under the monotone remap. Its storage statistics, set signatures and
+    /// delta slots' bucket-key records are recomputed, so the shard prunes
+    /// a removed delta set as its source would; the per-vector truncation
+    /// counters are a build-time artifact of the parent and are zeroed.
     ///
     /// # Panics
     /// Panics if `ids` is not strictly ascending or contains an id `≥ len()`.
@@ -888,6 +963,11 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 })
                 .collect()
         };
+        // Liveness follows each global id; the local segment boundary is
+        // where the shard's ids cross the parent's (`ids` ascends, so
+        // partition_point finds it).
+        let alive: Vec<bool> = ids.iter().map(|&g| self.alive[g as usize]).collect();
+        let base_len = ids.partition_point(|&g| (g as usize) < self.base_len);
         // The base segment decodes bucket by bucket (key-ordered, ids
         // ascending) into a reused scratch buffer, remaps, and re-encodes —
         // the monotone remap preserves both encoder invariants.
@@ -906,22 +986,19 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                         }
                     }
                 }
+                let delta = remap(&rep.delta);
                 Repetition {
                     hashers: rep.hashers.clone(),
                     interner: rep.interner.clone(),
                     base: enc.finish(),
-                    delta: remap(&rep.delta),
+                    delta_keys: delta_key_records(&delta, base_len, &alive),
+                    delta,
                 }
             })
             .collect();
-        // Mutation state restricted to the shard's slots: liveness follows
-        // each global id; the local segment boundary is where the shard's
-        // ids cross the parent's (`ids` ascends, so partition_point finds
-        // it); the pending count is the shard's share of unpruned
-        // tombstones plus its delta entries — conservative is fine, the
-        // count only gates when compaction *may* run, never what it yields.
-        let alive: Vec<bool> = ids.iter().map(|&g| self.alive[g as usize]).collect();
-        let base_len = ids.partition_point(|&g| (g as usize) < self.base_len);
+        // The pending count is the shard's share of unpruned tombstones
+        // plus its delta entries — conservative is fine, the count only
+        // gates when compaction *may* run, never what it yields.
         let pending = if self.pending == 0 {
             0
         } else {
@@ -1108,9 +1185,11 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// the query path relies on (offset tables monotone, ids in range and
     /// ascending, varint streams well-formed, the scheme's per-dimension
     /// table one entry per profile dimension, hasher stacks exactly
-    /// `depth_bound` deep, delta ids past the base watermark). Never
-    /// panics: corrupt bytes yield a [`PersistError`]. Most callers want
-    /// [`Persist::load`] instead.
+    /// `depth_bound` deep, delta ids past the base watermark). The payload
+    /// does not carry the delta slots' bucket-key records: they are rebuilt
+    /// from the delta segments, so the loaded index prunes removes as the
+    /// saved one did. Never panics: corrupt bytes yield a [`PersistError`].
+    /// Most callers want [`Persist::load`] instead.
     pub fn read_payload(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let tag = r.get_u32()?;
         if tag != S::SCHEME_TAG {
@@ -1196,6 +1275,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
                 hashers: PathHasherStack::from_levels(levels),
                 interner,
                 base,
+                delta_keys: delta_key_records(&delta, base_len, &alive),
                 delta,
             });
         }
@@ -1555,6 +1635,76 @@ mod tests {
         let (cands, _) = index.distinct_candidates(&q);
         assert!(!cands.contains(&(victim as u32)), "compaction prunes");
         assert!(index.search_all(&q).iter().all(|m| m.id != victim));
+    }
+
+    /// Sets inserted and removed before compaction leave their delta
+    /// buckets at once: every query then touches exactly the postings it
+    /// touches after `compact()`. A removed base set stays a candidate
+    /// until compaction.
+    #[test]
+    fn removed_delta_sets_are_pruned_before_compaction() {
+        let (ds, profile, _rng) = small_setup();
+        let mut index = build_fixed(ds.vectors()[..150].to_vec(), &profile, usize::MAX);
+        let inserted: Vec<usize> = (150..170)
+            .map(|t| index.insert_set(ds.vector(t).clone()))
+            .collect();
+        let queries: Vec<SparseVec> = inserted.iter().map(|&t| ds.vector(t).clone()).collect();
+        // Every inserted set is a candidate of its own query until removed.
+        for (q, &id) in queries.iter().zip(&inserted) {
+            assert!(index.distinct_candidates(q).0.contains(&(id as u32)));
+        }
+        let removed: Vec<usize> = inserted.iter().copied().filter(|id| id % 3 != 0).collect();
+        for &id in &removed {
+            assert!(index.remove_set(id));
+        }
+        let before: Vec<(Vec<u32>, QueryStats)> = queries
+            .iter()
+            .map(|q| index.distinct_candidates(q))
+            .collect();
+        assert!(before
+            .iter()
+            .all(|(ids, _)| removed.iter().all(|&id| !ids.contains(&(id as u32)))));
+        // Compaction drops the kept slots' bucket-key records from `aux_bytes`.
+        let aux = index.memory_stats().aux_bytes;
+        index.compact();
+        assert!(index.memory_stats().aux_bytes < aux);
+        for (t, (q, want)) in queries.iter().zip(&before).enumerate() {
+            assert_eq!(&index.distinct_candidates(q), want, "query {t}");
+        }
+
+        // Compaction moved the survivors into the base: removing one
+        // tombstones it, a candidate until the next compaction, while a set
+        // inserted and removed since leaves its buckets at once.
+        let (kept, q_kept) = (inserted[0] as u32, &queries[0]);
+        let q_fresh = ds.vector(170);
+        let fresh = index.insert_set(q_fresh.clone()) as u32;
+        assert!(index.distinct_candidates(q_fresh).0.contains(&fresh));
+        assert!(index.remove_set(kept as usize) && index.remove_set(fresh as usize));
+        assert!(index.distinct_candidates(q_kept).0.contains(&kept));
+        assert!(!index.distinct_candidates(q_fresh).0.contains(&fresh));
+        index.compact();
+        assert!(!index.distinct_candidates(q_kept).0.contains(&kept));
+    }
+
+    /// A dataset shard rebuilds the delta slots' bucket-key records, so it
+    /// prunes a removed delta set exactly like its source.
+    #[test]
+    fn dataset_shards_prune_like_their_source() {
+        let (ds, profile, _rng) = small_setup();
+        let mut index = build_fixed(ds.vectors()[..150].to_vec(), &profile, usize::MAX);
+        for t in 150..160 {
+            index.insert_set(ds.vector(t).clone());
+        }
+        assert!(index.remove_set(152));
+        let all: Vec<u32> = (0..index.slot_count() as u32).collect();
+        let mut shard = index.shard_of_ids(&all);
+        for id in [150, 155, 159] {
+            assert!(index.remove_set(id) && shard.remove_set(id));
+        }
+        for t in 145..160 {
+            let q = ds.vector(t);
+            assert_eq!(shard.distinct_candidates(q), index.distinct_candidates(q));
+        }
     }
 
     #[test]

@@ -450,9 +450,11 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         Ok(global)
     }
 
-    /// Tombstones the set in the shard the owner table names. Same
-    /// semantics as the unsharded remove: `Ok(false)` for unassigned or
-    /// already-dead ids, and ids are never reused.
+    /// Removes the set from the shard the owner table names, through that
+    /// shard's own remove: a set inserted since the shard's last compaction
+    /// leaves its delta buckets at once, and a base set is tombstoned until
+    /// then. Same semantics as the unsharded remove: `Ok(false)` for
+    /// unassigned or already-dead ids, and ids are never reused.
     fn remove(&mut self, id: SetId) -> Result<bool, MutationError> {
         let removed = match self.owner.get(id) {
             Some(&(shard_ix, local)) => self.shards[shard_ix as usize]

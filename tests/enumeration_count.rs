@@ -83,10 +83,11 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
 
     // ---- Mutations keep the once-per-query contract ----
     // One insert enumerates the new set's filters exactly once per
-    // repetition — R calls — while removal is tombstone-only and compaction
-    // reuses the stored keys: neither enumerates at all. With
-    // `mutation_buffer = 2` the remove below also crosses the auto-compaction
-    // threshold, so the zero-count covers compaction too.
+    // repetition — R calls — while removal and compaction reuse the stored
+    // keys: a removed base set is tombstoned, a removed delta set leaves the
+    // buckets its insert recorded, and neither enumerates at all. With
+    // `mutation_buffer = 3` the base remove below also crosses the
+    // auto-compaction threshold, so the zero-count covers compaction too.
     let mut mutated = CorrelatedIndex::build(
         &ds,
         &profile,
@@ -94,7 +95,7 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
             .unwrap()
             .with_options(IndexOptions {
                 repetitions: Repetitions::Fixed(REPS),
-                mutation_buffer: 2,
+                mutation_buffer: 3,
                 ..IndexOptions::default()
             }),
         &mut rng,
@@ -102,6 +103,10 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
     let (id, delta) = enumerations_during(|| mutated.insert(ds.vector(0).clone()));
     assert_eq!(id, Ok(ds.n()));
     assert_eq!(delta, REPS as u64, "insert enumerates once per repetition");
+    let (removed, delta) = enumerations_during(|| mutated.remove(ds.n()));
+    assert_eq!(removed, Ok(true));
+    assert_eq!(mutated.compaction_count(), 0, "the set was delta-resident");
+    assert_eq!(delta, 0, "removing a delta-resident set never enumerates");
     let (removed, delta) = enumerations_during(|| mutated.remove(3));
     assert_eq!(removed, Ok(true));
     assert_eq!(delta, 0, "remove + auto-compaction never enumerate");

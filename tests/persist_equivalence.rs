@@ -297,6 +297,44 @@ fn mutated_index_round_trips() {
 }
 
 #[test]
+fn reloaded_index_prunes_removed_delta_sets_like_its_source() {
+    // A remove takes a delta-resident set out of its delta buckets through
+    // the bucket keys its insert recorded; a load rebuilds those records.
+    // So removing the same delta-resident sets from an index and from its
+    // reloaded copy must leave both saving the same bytes — fewer than
+    // before the removes.
+    let (ds, profile, queries) = fixture(220, SEED ^ 12);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 13);
+    let scheme = CorrelatedScheme::new(ALPHA, 200, &profile);
+    let mut original = LsfIndex::build(
+        ds.vectors()[..200].to_vec(),
+        profile.clone(),
+        scheme,
+        ALPHA / 1.3,
+        opts(6),
+        &mut rng,
+    );
+    for v in &ds.vectors()[200..] {
+        original.insert(v.clone()).unwrap();
+    }
+    assert_eq!(original.remove(5), Ok(true), "a base set, tombstoned");
+    assert_eq!(original.remove(203), Ok(true), "a delta set, pruned");
+    let mut reloaded = assert_round_trip(&original, &queries, "churned LsfIndex");
+    let (_, saved) = saved_kind_and_payload(&original, "churned");
+    for id in [200, 207, 211, 219] {
+        assert_eq!(original.remove(id), Ok(true));
+        assert_eq!(reloaded.remove(id), Ok(true));
+    }
+    let (_, pruned) = saved_kind_and_payload(&original, "pruned original");
+    assert!(
+        saved_kind_and_payload(&reloaded, "pruned reloaded").1 == pruned,
+        "the reloaded copy pruned unlike its source"
+    );
+    assert!(pruned.len() < saved.len(), "the removes pruned nothing");
+    assert_same_answers(&original, &reloaded, &queries, "pruned after reload");
+}
+
+#[test]
 fn mutated_then_compacted_index_round_trips_as_format_v2() {
     // Compaction re-encodes the merged segment through the compressed
     // postings encoder — the second of the two encode sites. A compacted
