@@ -60,7 +60,8 @@ where
 /// batches, but it also means any batch of ≤ 8 items lands on a single
 /// worker. Callers fanning out over a *small number of expensive items* — the
 /// sharded index's per-query fan-out across `N ≤ 8` shards is the motivating
-/// case — pass `claim_chunk = 1` so every shard probe gets its own worker.
+/// case, an LSF build's `R` repetitions another — pass `claim_chunk = 1` so
+/// every item gets its own worker.
 /// Output is identical for every `(threads, claim_chunk)` pair.
 pub fn batch_map_chunked<Q, T, F>(items: &[Q], threads: usize, claim_chunk: usize, f: F) -> Vec<T>
 where

@@ -28,7 +28,9 @@
 //! on the path, packed into one row per depth and dimension inside the
 //! profile (a dimension outside it is never sampled, so it gets none): the
 //! dimension's key term `H(i)` ([`PathKey::dim_term`]) and its threshold
-//! pre-scaled for [`LevelHasher::accepts_scaled`]. A test is then one row
+//! pre-scaled for [`LevelHasher::accepts_scaled`]. A depth's rows are
+//! built the first time the DFS enters that depth, so a deep scheme costs
+//! rows only for the depths a vector's paths reach. A test is then one row
 //! read, one key extension, one level hash and one compare, and a node
 //! scans its rows for the next child the hash accepts in a loop that
 //! touches nothing else. The dimension, its mass and the
@@ -44,6 +46,7 @@ use crate::scheme::ThresholdScheme;
 use skewsearch_datagen::BernoulliProfile;
 use skewsearch_hashing::{LevelHasher, PathHasherStack, PathKey};
 use skewsearch_sets::SparseVec;
+use std::sync::OnceLock;
 
 /// Per-vector node budget (expansion attempts across the DFS) that every
 /// [`crate::LsfIndex`] enumerates under; a saved index records it, and a
@@ -93,7 +96,7 @@ pub struct EnumStats {
 
 /// Precomputed enumeration inputs for one vector: every scheme threshold
 /// `s(x, j, i)`, per-dimension mass `log₂(1/p_i)` and key term `H(i)` the
-/// DFS can touch, evaluated once up front.
+/// DFS can touch, each evaluated at most once.
 ///
 /// Thresholds and masses depend only on the vector, the profile, and the
 /// scheme — **not** on the repetition's hash stack — so a query builds this
@@ -102,15 +105,28 @@ pub struct EnumStats {
 /// ROADMAP called for). [`LsfIndex::walk`](crate::LsfIndex::walk) does
 /// exactly that; [`enumerate_filters`] builds a throwaway context for
 /// single-shot callers.
+///
+/// The thresholds of depth `j` are built the first time a DFS over this
+/// context enters depth `j`, from the scheme passed to
+/// [`enumerate_filters_with`]; a context therefore serves one scheme. The
+/// rows a context holds number the depths its DFS entered times the
+/// dimensions inside the profile, and a path never holds more dimensions
+/// than that, so however deep the scheme, they number at most
+/// `(|x| + 1) · |x|`. The context stays `Sync`: a depth's rows are built
+/// once and never written again.
 pub struct EnumContext<'a> {
     x: &'a SparseVec,
-    /// Depth-major child tests of the dimensions inside the profile, the
-    /// first `known` of `x`'s: `tests[j · known + t]` tests dimension
-    /// `dims[t]` at depth `j`, for `j < max_depth`.
-    tests: Vec<ChildTest>,
+    /// `rows[j]`, once the DFS has entered depth `j`: the child tests of
+    /// the dimensions inside the profile, the first `known` of `x`'s —
+    /// `rows[j][t]` tests dimension `dims[t]` at depth `j`. A path holds
+    /// distinct dimensions inside the profile, so no DFS enters a depth
+    /// past `known`: there are `min(max_depth, known + 1)` slots.
+    rows: Box<[OnceLock<Box<[ChildTest]>>]>,
+    /// `terms[t] = H(dims[t])`, for `t < known`.
+    terms: Vec<u128>,
     /// `masses[t] = log₂(1/p_{dims[t]})`, for `t < known`.
     masses: Vec<f64>,
-    /// How many of `x`'s dimensions lie inside the profile: the row stride.
+    /// How many of `x`'s dimensions lie inside the profile.
     known: usize,
     max_depth: usize,
 }
@@ -130,45 +146,32 @@ struct ChildTest {
 }
 
 impl<'a> EnumContext<'a> {
-    /// Evaluates all thresholds and masses for `x` up to `max_depth` (use the
-    /// hasher stack's depth, which index builds size to
-    /// [`ThresholdScheme::depth_bound`]).
+    /// Prepares `x`'s masses and key terms for paths up to `max_depth` (use
+    /// the hasher stack's depth, which index builds size to
+    /// [`ThresholdScheme::depth_bound`]). No threshold is evaluated here:
+    /// each depth's are, when a DFS first enters it.
     ///
     /// A dimension `≥ profile.d()` has `p_i = 0`: it gets threshold 0, so no
     /// path ever samples it, while it still counts in `|x|` (the scheme's
     /// weight, and verification). Such dimensions sort last in `x`, and no
-    /// row is built for them: the rows number `max_depth` times the
-    /// dimensions inside the profile, however many lie outside.
-    pub fn new<S: ThresholdScheme>(
-        x: &'a SparseVec,
-        profile: &BernoulliProfile,
-        scheme: &S,
-        max_depth: usize,
-    ) -> Self {
-        let weight = x.weight();
+    /// row is built for them, however many lie outside.
+    pub fn new(x: &'a SparseVec, profile: &BernoulliProfile, max_depth: usize) -> Self {
         let dims = x.dims();
         let known = dims.partition_point(|&i| (i as usize) < profile.d());
-        let terms: Vec<u128> = dims[..known]
+        let terms = dims[..known]
             .iter()
             .map(|&i| PathKey::dim_term(i))
             .collect();
-        let mut tests = Vec::with_capacity(max_depth * known);
-        for depth in 0..max_depth {
-            for (t, (&i, &term)) in dims.iter().zip(&terms).enumerate() {
-                tests.push(ChildTest {
-                    term,
-                    threshold: scheme.threshold(weight, depth, i) * LevelHasher::SCALE,
-                    t: t as u32,
-                });
-            }
-        }
         let masses = dims[..known]
             .iter()
             .map(|&i| profile.log2_inv_p(i))
             .collect();
         Self {
             x,
-            tests,
+            rows: (0..max_depth.min(known + 1))
+                .map(|_| OnceLock::new())
+                .collect(),
+            terms,
             masses,
             known,
             max_depth,
@@ -178,6 +181,34 @@ impl<'a> EnumContext<'a> {
     /// The vector this context was built for.
     pub fn vector(&self) -> &SparseVec {
         self.x
+    }
+
+    /// The child tests of depth `depth`, built from `scheme` on first use.
+    fn row<S: ThresholdScheme>(&self, scheme: &S, depth: usize) -> &[ChildTest] {
+        self.rows[depth].get_or_init(|| {
+            let weight = self.x.weight();
+            self.x
+                .dims()
+                .iter()
+                .zip(&self.terms)
+                .enumerate()
+                .map(|(t, (&i, &term))| ChildTest {
+                    term,
+                    threshold: scheme.threshold(weight, depth, i) * LevelHasher::SCALE,
+                    t: t as u32,
+                })
+                .collect()
+        })
+    }
+
+    /// Child tests built so far, over every depth.
+    #[cfg(test)]
+    fn rows_built(&self) -> usize {
+        self.rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|row| row.len())
+            .sum()
     }
 }
 
@@ -198,15 +229,16 @@ pub fn enumerate_filters<S: ThresholdScheme>(
     node_budget: usize,
     out: &mut Vec<PathKey>,
 ) -> EnumStats {
-    let context = EnumContext::new(x, profile, scheme, hashers.max_depth());
+    let context = EnumContext::new(x, profile, hashers.max_depth());
     enumerate_filters_with(&context, scheme, hashers, node_budget, out)
 }
 
 /// Enumerates `F(x)` from a prebuilt [`EnumContext`] — byte-identical output
 /// to [`enumerate_filters`], without re-evaluating thresholds or masses.
 ///
-/// `scheme` supplies only the (cheap) completion rule; the per-`(j, i)`
-/// thresholds come from the context.
+/// `scheme` supplies the completion rule, and the per-`(j, i)` thresholds
+/// of each depth the context has not built yet; pass the same scheme for
+/// every enumeration over one context.
 ///
 /// # Panics
 /// Panics if `hashers` is deeper than the context was built for.
@@ -267,7 +299,7 @@ fn dfs<S: ThresholdScheme>(
     let cache = ctx.cache;
     let dims = cache.x.dims();
     let known = cache.known;
-    let mut tests = &cache.tests[depth * known..(depth + 1) * known];
+    let mut tests = cache.row(ctx.scheme, depth);
     // The dimensions outside the profile have no rows, yet each would be
     // one more child to test, with threshold 0, which rejects every hash:
     // while any is left, the budget is checked as it would be before it.
@@ -424,7 +456,7 @@ mod tests {
         let scheme = CorrelatedScheme::new(0.7, 256, &p);
         let mut rng = StdRng::seed_from_u64(99);
         let x = VectorSampler::new(&p).sample(&mut rng);
-        let ctx = EnumContext::new(&x, &p, &scheme, scheme.depth_bound());
+        let ctx = EnumContext::new(&x, &p, scheme.depth_bound());
         assert_eq!(ctx.vector(), &x);
         for seed in 20..26 {
             let h = stack(seed, scheme.depth_bound());
@@ -467,6 +499,8 @@ mod tests {
         node_budget: usize,
         out: Vec<PathKey>,
         stats: EnumStats,
+        /// How many depths the recursion entered: one past the deepest.
+        depths: usize,
     }
 
     fn reference_dfs<S: ThresholdScheme>(
@@ -476,6 +510,7 @@ mod tests {
         path: &mut Vec<u32>,
     ) {
         let depth = path.len();
+        r.depths = r.depths.max(depth + 1);
         for &i in r.x.dims() {
             if r.stats.nodes >= r.node_budget {
                 r.stats.truncated = true;
@@ -515,14 +550,14 @@ mod tests {
         }
     }
 
-    /// `F(x)` and its statistics by the reference recursion.
-    fn reference_enumerate<S: ThresholdScheme>(
-        x: &SparseVec,
-        profile: &BernoulliProfile,
-        scheme: &S,
-        hashers: &PathHasherStack,
+    /// The reference recursion run over `x`.
+    fn reference_run<'a, S: ThresholdScheme>(
+        x: &'a SparseVec,
+        profile: &'a BernoulliProfile,
+        scheme: &'a S,
+        hashers: &'a PathHasherStack,
         node_budget: usize,
-    ) -> (Vec<PathKey>, EnumStats) {
+    ) -> Reference<'a, S> {
         let mut r = Reference {
             x,
             profile,
@@ -531,8 +566,23 @@ mod tests {
             node_budget,
             out: Vec::new(),
             stats: EnumStats::default(),
+            depths: 0,
         };
-        reference_dfs(&mut r, PathKey::EMPTY, 0.0, &mut Vec::new());
+        if !x.is_empty() {
+            reference_dfs(&mut r, PathKey::EMPTY, 0.0, &mut Vec::new());
+        }
+        r
+    }
+
+    /// `F(x)` and its statistics by the reference recursion.
+    fn reference_enumerate<S: ThresholdScheme>(
+        x: &SparseVec,
+        profile: &BernoulliProfile,
+        scheme: &S,
+        hashers: &PathHasherStack,
+        node_budget: usize,
+    ) -> (Vec<PathKey>, EnumStats) {
+        let r = reference_run(x, profile, scheme, hashers, node_budget);
         (r.out, r.stats)
     }
 
@@ -593,6 +643,27 @@ mod tests {
         assert!(capped.depth_capped);
     }
 
+    /// Enumerates `x` over a fresh context and returns the rows it built,
+    /// with the depths the reference recursion entered.
+    fn rows_built_and_depths_entered<S: ThresholdScheme>(
+        x: &SparseVec,
+        profile: &BernoulliProfile,
+        scheme: &S,
+        hashers: &PathHasherStack,
+    ) -> (usize, usize) {
+        let ctx = EnumContext::new(x, profile, hashers.max_depth());
+        assert!(
+            ctx.rows.len() <= x.dims().len() + 1,
+            "a slot per depth a path can reach"
+        );
+        assert_eq!(ctx.rows_built(), 0, "no row before the DFS");
+        let mut out = Vec::new();
+        enumerate_filters_with(&ctx, scheme, hashers, DEFAULT_NODE_BUDGET, &mut out);
+        let reference = reference_run(x, profile, scheme, hashers, DEFAULT_NODE_BUDGET);
+        assert_eq!(out, reference.out);
+        (ctx.rows_built(), reference.depths)
+    }
+
     #[test]
     fn dims_outside_the_profile_build_no_rows() {
         let p = profile();
@@ -604,12 +675,15 @@ mod tests {
         let mut dims = x.into_dims();
         dims.extend(p.d() as u32..p.d() as u32 + 10_000);
         let padded = SparseVec::from_unsorted(dims);
-        let ctx = EnumContext::new(&padded, &p, &scheme, depth);
-        assert_eq!(ctx.tests.len(), depth * known);
-        assert_eq!(ctx.tests.capacity(), depth * known);
+        let ctx = EnumContext::new(&padded, &p, depth);
         assert_eq!(ctx.masses.len(), known);
-        // The padded query still enumerates what the reference does.
+        // Rows are built for the depths the DFS entered, and only for the
+        // dims inside the profile.
         let h = stack(49, depth);
+        let (rows, depths) = rows_built_and_depths_entered(&padded, &p, &scheme, &h);
+        assert!((1..=depth).contains(&depths), "{depths} of {depth} depths");
+        assert_eq!(rows, depths * known);
+        // The padded query still enumerates what the reference does.
         let stats = assert_matches_reference(&padded, &p, &scheme, &h, DEFAULT_NODE_BUDGET);
         assert!(stats.emitted > 0, "non-vacuous");
 
@@ -620,6 +694,24 @@ mod tests {
         let x = SparseVec::from_unsorted(vec![0, 5, 6]);
         let stats = assert_matches_reference(&x, &one, &AlwaysExtend { log2_n: 4.0 }, &h, 1);
         assert_eq!((stats.emitted, stats.truncated), (1, true));
+    }
+
+    #[test]
+    fn a_deep_chosen_path_scheme_builds_rows_only_for_depths_entered() {
+        // k = 4096 for n = 2: built up front, a 50-dim query's rows would
+        // number k × 50 (6.5 MB); a path holds at most 50 dims, so the DFS
+        // enters at most 51 depths.
+        let k = 1 << 12;
+        let b2 = (-(2f64.ln()) / (k as f64 - 0.5)).exp();
+        let scheme = ChosenPathScheme::new(1.0, b2, 2);
+        assert_eq!(scheme.k(), k);
+        let p = profile();
+        let x = SparseVec::from_unsorted((0..50).collect());
+        let h = stack(50, k);
+        let (rows, depths) = rows_built_and_depths_entered(&x, &p, &scheme, &h);
+        assert!(depths > 1, "non-vacuous: the DFS went below the root");
+        assert_eq!(rows, depths * 50);
+        assert!(depths <= 51, "{rows} rows, against {} up front", k * 50);
     }
 
     #[test]

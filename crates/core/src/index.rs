@@ -24,7 +24,7 @@
 //!   ([`similarity::braun_blanquet_bound`]) is already below the threshold —
 //!   most candidates share a filter with the query but few clear the bar.
 
-use crate::batch::batch_map;
+use crate::batch::{batch_map, batch_map_chunked};
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
     fnv1a64, kind, load_container, read_bucket_map, read_postings, write_bucket_map,
@@ -86,6 +86,8 @@ pub struct IndexOptions {
     /// on — and with it every join over this index. `0` = one worker per
     /// available core. Saved with the index. Batch results are
     /// **identical** for any worker count — see [`crate::batch::batch_map`].
+    /// It governs queries only: [`LsfIndex::build`] always runs on one
+    /// worker per core.
     pub query_threads: usize,
     /// How many pending mutations (inserts + removals since the last
     /// compaction) the delta segment absorbs before the index compacts
@@ -107,7 +109,7 @@ impl Default for IndexOptions {
 }
 
 /// Aggregate statistics from building an index.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Repetitions built.
     pub repetitions: usize,
@@ -239,6 +241,93 @@ impl Repetition {
             }
         }
     }
+}
+
+/// One repetition as [`build_repetition`] leaves it, with the ids its
+/// share of the build's [`BuildStats`] counts.
+struct BuiltRepetition {
+    rep: Repetition,
+    /// Ids whose enumeration hit the node budget, ascending.
+    truncated: Vec<u32>,
+    /// Ids whose enumeration hit the depth cap, ascending.
+    depth_capped: Vec<u32>,
+}
+
+/// Builds the repetition whose hash stack and interner are drawn from
+/// `seed`: enumerates `F(x)` for every vector, interns the keys and encodes
+/// the base segment from the `(key, id)` pairs. It reads nothing but its
+/// arguments, so [`LsfIndex::build`] runs one per worker.
+fn build_repetition<S: ThresholdScheme>(
+    seed: u64,
+    vectors: &[SparseVec],
+    profile: &BernoulliProfile,
+    scheme: &S,
+) -> BuiltRepetition {
+    let depth = scheme.depth_bound();
+    let mut stack_rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rep = Repetition {
+        hashers: PathHasherStack::sample(&mut stack_rng, depth),
+        interner: TabulationU128::sample(&mut stack_rng),
+        base: CompressedPostings::new(),
+        delta: FxHashMap::default(),
+        delta_keys: Vec::new(),
+    };
+    let (mut truncated, mut depth_capped) = (Vec::new(), Vec::new());
+    let (mut filters, mut keys) = (Vec::new(), Vec::new());
+    let mut pairs: Vec<(u64, u32)> = Vec::new();
+    for (id, x) in vectors.iter().enumerate() {
+        let id = id as u32;
+        let context = EnumContext::new(x, profile, depth);
+        let stats = rep.enumerate_keys(&context, scheme, &mut filters, &mut keys);
+        if stats.truncated {
+            truncated.push(id);
+        }
+        if stats.depth_capped {
+            depth_capped.push(id);
+        }
+        pairs.extend(keys.iter().map(|&key| (key, id)));
+    }
+    // Sorted as `(key, id)`, ids ascend within each key — the encoder's
+    // contract. No two pairs are equal (the encoder asserts it), so an
+    // unstable sort gives the order a stable sort by key of the id-ordered
+    // pairs would.
+    pairs.sort_unstable();
+    let mut enc = PostingsEncoder::new();
+    for &(key, id) in &pairs {
+        enc.push(key, id);
+    }
+    rep.base = enc.finish();
+    BuiltRepetition {
+        rep,
+        truncated,
+        depth_capped,
+    }
+}
+
+/// The repetitions of a build, in order, and the [`BuildStats`] they sum
+/// to: a vector counts as truncated or depth-capped if it was in any
+/// repetition.
+fn merge_repetitions(built: Vec<BuiltRepetition>) -> (Vec<Repetition>, BuildStats) {
+    let mut stats = BuildStats {
+        repetitions: built.len(),
+        ..BuildStats::default()
+    };
+    let mut truncated: FxHashSet<u32> = FxHashSet::default();
+    let mut depth_capped: FxHashSet<u32> = FxHashSet::default();
+    let reps = built
+        .into_iter()
+        .map(|b| {
+            stats.total_filters += b.rep.base.posting_count();
+            stats.distinct_buckets += b.rep.base.bucket_count();
+            stats.max_bucket = stats.max_bucket.max(b.rep.base.max_bucket_len());
+            truncated.extend(b.truncated);
+            depth_capped.extend(b.depth_capped);
+            b.rep
+        })
+        .collect();
+    stats.truncated_vectors = truncated.len();
+    stats.depth_capped_vectors = depth_capped.len();
+    (reps, stats)
 }
 
 /// The `delta_keys` of a [`Repetition`] whose delta segment is `delta`:
@@ -418,7 +507,16 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// `verify_threshold` is the Braun-Blanquet bar `b₁` candidates must
     /// clear.
     ///
-    /// Deterministic under a fixed `rng` seed.
+    /// The repetitions are built on one worker per available core, one
+    /// repetition per worker at a time (§3's preprocessing is independent
+    /// per hash-stack draw). A worker holds the `(key, id)` pairs of the one
+    /// repetition it is encoding, so the build's peak memory grows by at
+    /// most that much per extra core. [`IndexOptions::query_threads`] does
+    /// not apply here.
+    ///
+    /// Deterministic under a fixed `rng` seed, for any core count: the `R`
+    /// stack seeds are drawn from `rng` in order before any worker starts,
+    /// and each repetition depends only on its seed and the sets.
     ///
     /// # Examples
     ///
@@ -457,59 +555,16 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             "verification threshold must lie in [0,1]"
         );
         let n = vectors.len();
-        let r = options.repetitions.resolve(n);
-        let depth = scheme.depth_bound();
-        let mut build_stats = BuildStats {
-            repetitions: r,
-            ..BuildStats::default()
-        };
-        let mut truncated: FxHashSet<u32> = FxHashSet::default();
-        let mut depth_capped: FxHashSet<u32> = FxHashSet::default();
-        let (mut filters, mut keys) = (Vec::new(), Vec::new());
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-
         // Each repetition gets an independent stack seeded from the caller's
-        // RNG; builds stay deterministic under a fixed seed.
-        let mut reps = Vec::with_capacity(r);
-        for _ in 0..r {
-            let mut stack_rng = rand::rngs::StdRng::seed_from_u64(rng.random::<u64>());
-            let mut rep = Repetition {
-                hashers: PathHasherStack::sample(&mut stack_rng, depth),
-                interner: TabulationU128::sample(&mut stack_rng),
-                base: CompressedPostings::new(),
-                delta: FxHashMap::default(),
-                delta_keys: Vec::new(),
-            };
-            pairs.clear();
-            for (id, x) in vectors.iter().enumerate() {
-                let id = id as u32;
-                let context = EnumContext::new(x, &profile, &scheme, depth);
-                let stats = rep.enumerate_keys(&context, &scheme, &mut filters, &mut keys);
-                if stats.truncated {
-                    truncated.insert(id);
-                }
-                if stats.depth_capped {
-                    depth_capped.insert(id);
-                }
-                pairs.extend(keys.iter().map(|&key| (key, id)));
-            }
-            // Sorted as `(key, id)`, ids ascend within each key — the
-            // encoder's contract. No two pairs are equal (the encoder
-            // asserts it), so an unstable sort gives the order a stable
-            // sort by key of the id-ordered pairs would.
-            build_stats.total_filters += pairs.len();
-            pairs.sort_unstable();
-            let mut enc = PostingsEncoder::new();
-            for &(key, id) in &pairs {
-                enc.push(key, id);
-            }
-            rep.base = enc.finish();
-            build_stats.distinct_buckets += rep.base.bucket_count();
-            build_stats.max_bucket = build_stats.max_bucket.max(rep.base.max_bucket_len());
-            reps.push(rep);
-        }
-        build_stats.truncated_vectors = truncated.len();
-        build_stats.depth_capped_vectors = depth_capped.len();
+        // RNG, drawn in order, and depends on nothing else: the workers may
+        // build them in any order and the index is the same.
+        let seeds: Vec<u64> = (0..options.repetitions.resolve(n))
+            .map(|_| rng.random::<u64>())
+            .collect();
+        let built = batch_map_chunked(&seeds, 0, 1, |&seed| {
+            build_repetition(seed, &vectors, &profile, &scheme)
+        });
+        let (reps, build_stats) = merge_repetitions(built);
 
         Self {
             profile,
@@ -616,7 +671,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// The enumeration inputs of `q`, hoisted once per query.
     fn enum_context<'q>(&self, q: &'q SparseVec) -> EnumContext<'q> {
-        EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound())
+        EnumContext::new(q, &self.profile, self.scheme.depth_bound())
     }
 
     /// Stage 1 of the pipeline: enumerates `F(q)` under every repetition's
@@ -1413,6 +1468,43 @@ mod tests {
         assert!(st.distinct_buckets > 0);
         assert!(st.max_bucket >= 1);
         assert!(st.avg_filters_per_vector(ds.n()) > 0.0);
+    }
+
+    /// A build's repetitions depend on their seeds alone: mapped on the
+    /// calling thread or on three workers, the per-repetition builder
+    /// gives the hash stacks, base postings and stats `LsfIndex::build`
+    /// gave on one worker per core.
+    #[test]
+    fn the_worker_count_cannot_change_a_build() {
+        let (ds, profile, _) = small_setup();
+        let index = build_correlated(&ds, &profile, 0.7, 5, &mut StdRng::seed_from_u64(22));
+        let mut rng = StdRng::seed_from_u64(22);
+        let seeds: Vec<u64> = (0..5).map(|_| rng.random::<u64>()).collect();
+        let build = |&seed: &u64| build_repetition(seed, ds.vectors(), &profile, index.scheme());
+        let stack = |rep: &Repetition| {
+            let mut w = Writer::new();
+            rep.write_hash_stack(&mut w);
+            w.into_payload()
+        };
+        let postings = |rep: &Repetition| -> Vec<(u64, Vec<u32>)> {
+            rep.base
+                .iter()
+                .map(|(key, ids)| (key, ids.collect()))
+                .collect()
+        };
+        for built in [
+            seeds.iter().map(build).collect(),
+            batch_map_chunked(&seeds, 3, 1, build),
+        ] {
+            let (reps, stats) = merge_repetitions(built);
+            assert_eq!(stats, *index.build_stats());
+            assert_eq!(reps.len(), index.reps.len());
+            for (pass, (rep, built)) in index.reps.iter().zip(&reps).enumerate() {
+                assert_eq!(stack(built), stack(rep), "pass {pass}");
+                assert_eq!(postings(built), postings(rep), "pass {pass}");
+            }
+        }
+        assert!(index.build_stats().total_filters > 0, "non-vacuous");
     }
 
     #[test]
