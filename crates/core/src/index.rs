@@ -30,7 +30,7 @@ use crate::persist::{
     fnv1a64, kind, load_container, read_bucket_map, read_postings, write_bucket_map,
     write_container, write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
 };
-use crate::plan::QueryPlan;
+use crate::plan::{QueryPlan, QueryPlanner};
 use crate::postings::{CompressedPostings, PostingsEncoder};
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
@@ -43,6 +43,7 @@ use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, PathKey, Tabulat
 use skewsearch_sets::similarity::{self, SetSignature};
 use skewsearch_sets::SparseVec;
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 use table::SetTable;
 
 /// How many independent repetitions to build.
@@ -149,8 +150,102 @@ pub struct QueryStats {
     pub repetitions_probed: usize,
 }
 
-/// One repetition: an independently drawn hash stack, its key interner, and
-/// its inverted index over interned 64-bit bucket keys.
+/// One repetition's hash-stack draw: the level hashes that sample its paths
+/// and the interner from 128-bit path keys to 64-bit bucket keys. Drawn at
+/// build from the repetition's seed and never changed after.
+struct HashStack {
+    hashers: PathHasherStack,
+    interner: TabulationU128,
+}
+
+impl HashStack {
+    /// Enumerates `F(x)` for `context`'s vector under this hash stack into
+    /// `filters` and replaces `keys` with the interned bucket keys, in
+    /// enumeration order — the one enumerate-and-intern step of build,
+    /// planning and the lazy probe. Every index enumerates under
+    /// [`DEFAULT_NODE_BUDGET`].
+    fn enumerate_keys<S: ThresholdScheme>(
+        &self,
+        context: &EnumContext<'_>,
+        scheme: &S,
+        filters: &mut Vec<PathKey>,
+        keys: &mut Vec<u64>,
+    ) -> EnumStats {
+        filters.clear();
+        let stats =
+            enumerate_filters_with(context, scheme, &self.hashers, DEFAULT_NODE_BUDGET, filters);
+        keys.clear();
+        keys.extend(filters.iter().map(|k| self.interner.hash(k.raw())));
+        stats
+    }
+
+    /// The level-hash coefficients and interner words, as the payload
+    /// carries them.
+    fn write(&self, w: &mut Writer) {
+        let levels = self.hashers.levels();
+        w.put_u64(levels.len() as u64);
+        for level in levels {
+            let (a1, a2, b) = level.coefficients();
+            w.put_u128(a1);
+            w.put_u128(a2);
+            w.put_u128(b);
+        }
+        w.put_u64_slice(&self.interner.to_words());
+    }
+
+    /// Heap bytes: the interner's tables and three 128-bit coefficients
+    /// per level.
+    fn heap_bytes(&self) -> usize {
+        TabulationU128::WORDS * std::mem::size_of::<u64>()
+            + self.hashers.levels().len() * 3 * std::mem::size_of::<u128>()
+    }
+}
+
+/// What planning reads, all of it fixed once the index is built: the
+/// profile, the scheme and every repetition's [`HashStack`], in repetition
+/// order. An index, its [`LsfIndex::shard_of_ids`] shards and a query
+/// service share one through an [`Arc`]. A mutation touches only the
+/// [`Repetition`]s, so a plan is the same before and after it.
+struct LsfPlanner<S> {
+    profile: BernoulliProfile,
+    scheme: S,
+    stacks: Vec<HashStack>,
+}
+
+impl<S: ThresholdScheme> LsfPlanner<S> {
+    /// The enumeration inputs of `q`, hoisted once per query.
+    fn enum_context<'q>(&self, q: &'q SparseVec) -> EnumContext<'q> {
+        EnumContext::new(q, &self.profile, self.scheme.depth_bound())
+    }
+
+    /// The interned bucket keys of `F(q)` under every repetition's stack,
+    /// one list per repetition, in enumeration order.
+    fn passes(&self, q: &SparseVec) -> Vec<Vec<u64>> {
+        let context = self.enum_context(q);
+        let mut filters = Vec::new();
+        self.stacks
+            .iter()
+            .map(|stack| {
+                let mut keys = Vec::new();
+                stack.enumerate_keys(&context, &self.scheme, &mut filters, &mut keys);
+                keys
+            })
+            .collect()
+    }
+}
+
+impl<S: ThresholdScheme> QueryPlanner for LsfPlanner<S> {
+    fn plan(&self, q: &SparseVec) -> QueryPlan {
+        QueryPlan::from_passes(q.clone(), self.passes(q))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.stacks.iter().map(HashStack::heap_bytes).sum()
+    }
+}
+
+/// One repetition's inverted index over interned 64-bit bucket keys; its
+/// hash stack lives in the index's [`LsfPlanner`].
 ///
 /// The inverted index is log-structured: `base` is the immutable **base
 /// segment** (filled at build time or by [`LsfIndex::compact`]), stored as
@@ -173,8 +268,6 @@ pub struct QueryStats {
 /// once: only a removed *base* set stays in its buckets, tombstoned, until
 /// compaction re-encodes the base.
 struct Repetition {
-    hashers: PathHasherStack,
-    interner: TabulationU128,
     base: CompressedPostings,
     delta: FxHashMap<u64, Vec<u32>>,
     /// The bucket keys of delta slot `base_len + i` at index `i`; empty
@@ -183,47 +276,14 @@ struct Repetition {
 }
 
 impl Repetition {
-    /// Enumerates `F(x)` for `context`'s vector under this repetition's hash
-    /// stack into `filters` and replaces `keys` with the interned bucket
-    /// keys, in enumeration order — the one enumerate-and-intern step of
-    /// build, insert, planning and the lazy probe. Every index enumerates
-    /// under [`DEFAULT_NODE_BUDGET`].
-    fn enumerate_keys<S: ThresholdScheme>(
-        &self,
-        context: &EnumContext<'_>,
-        scheme: &S,
-        filters: &mut Vec<PathKey>,
-        keys: &mut Vec<u64>,
-    ) -> EnumStats {
-        filters.clear();
-        let stats =
-            enumerate_filters_with(context, scheme, &self.hashers, DEFAULT_NODE_BUDGET, filters);
-        keys.clear();
-        keys.extend(filters.iter().map(|k| self.interner.hash(k.raw())));
-        stats
-    }
-
-    /// The level-hash coefficients and interner words, as the payload
-    /// carries them.
-    fn write_hash_stack(&self, w: &mut Writer) {
-        let levels = self.hashers.levels();
-        w.put_u64(levels.len() as u64);
-        for level in levels {
-            let (a1, a2, b) = level.coefficients();
-            w.put_u128(a1);
-            w.put_u128(a2);
-            w.put_u128(b);
-        }
-        w.put_u64_slice(&self.interner.to_words());
-    }
-
     /// Appends the next delta slot, `id`, to the delta buckets of `keys`
-    /// and records them for [`Repetition::prune_delta`].
-    fn push_delta(&mut self, id: u32, keys: &[u64]) {
-        for &key in keys {
+    /// and records them, shrunk to fit, for [`Repetition::prune_delta`].
+    fn push_delta(&mut self, id: u32, mut keys: Vec<u64>) {
+        for &key in &keys {
             self.delta.entry(key).or_default().push(id);
         }
-        self.delta_keys.push(keys.to_vec());
+        keys.shrink_to_fit();
+        self.delta_keys.push(keys);
     }
 
     /// Takes delta slot `id`, recorded at `delta_keys[at]`, out of every
@@ -246,6 +306,7 @@ impl Repetition {
 /// One repetition as [`build_repetition`] leaves it, with the ids its
 /// share of the build's [`BuildStats`] counts.
 struct BuiltRepetition {
+    stack: HashStack,
     rep: Repetition,
     /// Ids whose enumeration hit the node budget, ascending.
     truncated: Vec<u32>,
@@ -265,12 +326,9 @@ fn build_repetition<S: ThresholdScheme>(
 ) -> BuiltRepetition {
     let depth = scheme.depth_bound();
     let mut stack_rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut rep = Repetition {
+    let stack = HashStack {
         hashers: PathHasherStack::sample(&mut stack_rng, depth),
         interner: TabulationU128::sample(&mut stack_rng),
-        base: CompressedPostings::new(),
-        delta: FxHashMap::default(),
-        delta_keys: Vec::new(),
     };
     let (mut truncated, mut depth_capped) = (Vec::new(), Vec::new());
     let (mut filters, mut keys) = (Vec::new(), Vec::new());
@@ -278,7 +336,7 @@ fn build_repetition<S: ThresholdScheme>(
     for (id, x) in vectors.iter().enumerate() {
         let id = id as u32;
         let context = EnumContext::new(x, profile, depth);
-        let stats = rep.enumerate_keys(&context, scheme, &mut filters, &mut keys);
+        let stats = stack.enumerate_keys(&context, scheme, &mut filters, &mut keys);
         if stats.truncated {
             truncated.push(id);
         }
@@ -296,38 +354,41 @@ fn build_repetition<S: ThresholdScheme>(
     for &(key, id) in &pairs {
         enc.push(key, id);
     }
-    rep.base = enc.finish();
     BuiltRepetition {
-        rep,
+        stack,
+        rep: Repetition {
+            base: enc.finish(),
+            delta: FxHashMap::default(),
+            delta_keys: Vec::new(),
+        },
         truncated,
         depth_capped,
     }
 }
 
-/// The repetitions of a build, in order, and the [`BuildStats`] they sum
-/// to: a vector counts as truncated or depth-capped if it was in any
-/// repetition.
-fn merge_repetitions(built: Vec<BuiltRepetition>) -> (Vec<Repetition>, BuildStats) {
+/// The hash stacks and repetitions of a build, in order, and the
+/// [`BuildStats`] they sum to: a vector counts as truncated or depth-capped
+/// if it was in any repetition.
+fn merge_repetitions(built: Vec<BuiltRepetition>) -> (Vec<HashStack>, Vec<Repetition>, BuildStats) {
     let mut stats = BuildStats {
         repetitions: built.len(),
         ..BuildStats::default()
     };
     let mut truncated: FxHashSet<u32> = FxHashSet::default();
     let mut depth_capped: FxHashSet<u32> = FxHashSet::default();
-    let reps = built
-        .into_iter()
-        .map(|b| {
-            stats.total_filters += b.rep.base.posting_count();
-            stats.distinct_buckets += b.rep.base.bucket_count();
-            stats.max_bucket = stats.max_bucket.max(b.rep.base.max_bucket_len());
-            truncated.extend(b.truncated);
-            depth_capped.extend(b.depth_capped);
-            b.rep
-        })
-        .collect();
+    let (mut stacks, mut reps) = (Vec::new(), Vec::new());
+    for b in built {
+        stats.total_filters += b.rep.base.posting_count();
+        stats.distinct_buckets += b.rep.base.bucket_count();
+        stats.max_bucket = stats.max_bucket.max(b.rep.base.max_bucket_len());
+        truncated.extend(b.truncated);
+        depth_capped.extend(b.depth_capped);
+        stacks.push(b.stack);
+        reps.push(b.rep);
+    }
     stats.truncated_vectors = truncated.len();
     stats.depth_capped_vectors = depth_capped.len();
-    (reps, stats)
+    (stacks, reps, stats)
 }
 
 /// The `delta_keys` of a [`Repetition`] whose delta segment is `delta`:
@@ -473,11 +534,14 @@ enum PassKeys<'a> {
 /// [`crate::AdversarialIndex`], [`crate::CorrelatedIndex`], and the Chosen
 /// Path baseline.
 pub struct LsfIndex<S: ThresholdScheme> {
-    profile: BernoulliProfile,
+    /// The profile, scheme and hash stacks: everything planning reads,
+    /// shared with the index's shards and with the callers of
+    /// [`SetSimilaritySearch::planner`].
+    planner: Arc<LsfPlanner<S>>,
     /// The indexed sets and their signatures. Signatures derive from the
     /// sets, so they are never persisted: every constructor recomputes them.
     sets: SetTable,
-    scheme: S,
+    /// The inverted indexes, one per stack of `planner`, in the same order.
     reps: Vec<Repetition>,
     verify_threshold: f64,
     query_threads: usize,
@@ -564,12 +628,15 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         let built = batch_map_chunked(&seeds, 0, 1, |&seed| {
             build_repetition(seed, &vectors, &profile, &scheme)
         });
-        let (reps, build_stats) = merge_repetitions(built);
+        let (stacks, reps, build_stats) = merge_repetitions(built);
 
         Self {
-            profile,
+            planner: Arc::new(LsfPlanner {
+                profile,
+                scheme,
+                stacks,
+            }),
             sets: SetTable::new(vectors),
-            scheme,
             reps,
             verify_threshold,
             query_threads: options.query_threads,
@@ -590,7 +657,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// The scheme driving this index.
     pub fn scheme(&self) -> &S {
-        &self.scheme
+        &self.planner.scheme
     }
 
     /// The indexed vectors.
@@ -600,7 +667,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// The profile the index was built against.
     pub fn profile(&self) -> &BernoulliProfile {
-        &self.profile
+        &self.planner.profile
     }
 
     /// The probe walk every query surface runs: per repetition, the
@@ -642,7 +709,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 );
                 PassKeys::Planned(passes)
             }
-            None => PassKeys::Lazy(self.enum_context(source.query())),
+            None => PassKeys::Lazy(self.planner.enum_context(source.query())),
         };
         // Go on unless `visit` reported the match a first-only probe wants.
         let mut visit = |pass, step, id| !(visit(pass, step, id) && ctl.first_only);
@@ -658,7 +725,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             let keys: &[u64] = match &pass_keys {
                 PassKeys::Planned(passes) => &passes[pass],
                 PassKeys::Lazy(context) => {
-                    rep.enumerate_keys(context, &self.scheme, &mut filters, &mut enumerated);
+                    let (stack, scheme) = (&self.planner.stacks[pass], &self.planner.scheme);
+                    stack.enumerate_keys(context, scheme, &mut filters, &mut enumerated);
                     &enumerated
                 }
             };
@@ -669,20 +737,16 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         Ok(stats)
     }
 
-    /// The enumeration inputs of `q`, hoisted once per query.
-    fn enum_context<'q>(&self, q: &'q SparseVec) -> EnumContext<'q> {
-        EnumContext::new(q, &self.profile, self.scheme.depth_bound())
-    }
-
     /// Stage 1 of the pipeline: enumerates `F(q)` under every repetition's
     /// hash stack — thresholds and masses hoisted once into an
     /// [`EnumContext`] — and interns the path keys into the per-repetition
     /// 64-bit bucket keys, packaged as a reusable [`QueryPlan`].
     ///
     /// The plan is valid for this index and for any
-    /// [`LsfIndex::shard_of_ids`] shard of it (shards keep the parent's hash
-    /// stacks and interners, so the plan is shard-invariant — the fact the
-    /// sharding layer's enumerate-once broadcast rests on).
+    /// [`LsfIndex::shard_of_ids`] shard of it (shards share the parent's
+    /// planner, so the plan is shard-invariant — the fact the sharding
+    /// layer's enumerate-once broadcast rests on), and it is the plan of
+    /// the planner [`SetSimilaritySearch::planner`] returns.
     ///
     /// Unlike the fused probe, planning always enumerates **all**
     /// repetitions up front (no early exit) — that is the price of
@@ -713,18 +777,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// assert_eq!(index.probe_plan(&plan), index.search_all(data.vector(0)));
     /// ```
     pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        let context = self.enum_context(q);
-        let mut filters = Vec::new();
-        let passes = self
-            .reps
-            .iter()
-            .map(|rep| {
-                let mut keys = Vec::new();
-                rep.enumerate_keys(&context, &self.scheme, &mut filters, &mut keys);
-                keys
-            })
-            .collect();
-        QueryPlan::from_passes(q.clone(), passes)
+        self.planner.plan(q)
     }
 
     /// Verifies candidate `id` against `q`, whose signature is `q_sig`:
@@ -786,7 +839,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// word per bucket, the derived directory and the arena of the buckets
     /// that are not inline singletons) and a load-factor-aware estimate
     /// for the uncompressed delta maps;
-    /// `aux_bytes` covers hash coefficients, interner tables, the
+    /// `aux_bytes` covers the planner's hash coefficients and interner
+    /// tables ([`QueryPlanner::heap_bytes`]), the
     /// tombstone bitmap, the set signatures (32 bytes per slot) and the
     /// live delta slots' bucket-key records (8 bytes per key, none for an
     /// index without inserts since its last compaction).
@@ -807,8 +861,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 .values()
                 .map(|b| b.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>();
-            aux += TabulationU128::WORDS * std::mem::size_of::<u64>();
-            aux += rep.hashers.levels().len() * 3 * std::mem::size_of::<u128>();
             aux += rep.delta_keys.capacity() * std::mem::size_of::<Vec<u64>>();
             aux += rep
                 .delta_keys
@@ -816,6 +868,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 .map(|keys| keys.capacity() * std::mem::size_of::<u64>())
                 .sum::<usize>();
         }
+        aux += self.planner.heap_bytes();
         aux += self.alive.capacity();
         aux += self.sets.signature_bytes();
         MemoryStats {
@@ -828,12 +881,13 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// Incrementally indexes `set` in the delta segments and returns its
     /// slot id (the infallible core of [`SetSimilaritySearch::insert`]).
     ///
-    /// Enumerates `F(set)` once per repetition with the index's **existing**
-    /// hash stacks — exactly the work one vector costs at build time — and
-    /// appends the new id to each matching delta bucket, recording the
-    /// buckets so that [`LsfIndex::remove_set`] can take it out again. The
-    /// id is `slot_count()` before the call; ids ascend with insertion order
-    /// and are never reused. May trigger an automatic [`LsfIndex::compact`]
+    /// Plans `set` — enumerates `F(set)` once per repetition with the
+    /// index's **existing** hash stacks, exactly the work one vector costs
+    /// at build time — and pushes the planned keys into the delta segments,
+    /// the one insert path, which [`SetSimilaritySearch::insert_planned`]
+    /// takes with keys planned beforehand. The new set's id is
+    /// `slot_count()` before the call; ids ascend with insertion order and
+    /// are never reused. May trigger an automatic [`LsfIndex::compact`]
     /// (answer-invariant) once [`IndexOptions::mutation_buffer`] mutations
     /// have accumulated.
     ///
@@ -842,12 +896,27 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// (under the monotone slot-id renumbering; pinned by
     /// `tests/mutation_equivalence.rs`).
     pub fn insert_set(&mut self, set: SparseVec) -> usize {
+        let passes = self.planner.passes(&set);
+        self.insert_passes(set, passes)
+    }
+
+    /// The one insert path: appends `set` as slot `slot_count()` to the
+    /// delta bucket of each of its planned keys, `passes[r]` in repetition
+    /// `r`, records the buckets so that [`LsfIndex::remove_set`] can take
+    /// it out again, and returns the slot id. Enumerates nothing.
+    ///
+    /// # Panics
+    /// Panics, before changing any state, if the pass count differs from
+    /// the repetition count (keys planned by a foreign index).
+    fn insert_passes(&mut self, set: SparseVec, passes: Vec<Vec<u64>>) -> usize {
+        assert_eq!(
+            passes.len(),
+            self.reps.len(),
+            "QueryPlan pass count does not match this index's repetitions"
+        );
         let id = self.slot_count();
-        let (mut filters, mut keys) = (Vec::new(), Vec::new());
-        let context = self.enum_context(&set);
-        for rep in &mut self.reps {
-            rep.enumerate_keys(&context, &self.scheme, &mut filters, &mut keys);
-            rep.push_delta(id as u32, &keys);
+        for (rep, keys) in self.reps.iter_mut().zip(passes) {
+            rep.push_delta(id as u32, keys);
         }
         self.sets.push(set);
         self.alive.push(true);
@@ -990,20 +1059,18 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// Clones out a shard owning only the vectors with the given **global**
     /// ids (ascending), remapped to local ids `0..ids.len()` (the sharding
-    /// primitive — see [`crate::shard`]). The shard keeps every
-    /// repetition's hash stack and interner, with each bucket filtered down
-    /// to the shard's ids; bucket order (ascending global id) is preserved
-    /// under the monotone remap. Its storage statistics, set signatures and
+    /// primitive — see [`crate::shard`]). The shard shares the parent's
+    /// planner — the same [`Arc`], not a copy of its hash stacks — and
+    /// keeps every repetition with each bucket filtered down to the shard's
+    /// ids; bucket order (ascending global id) is preserved under the
+    /// monotone remap. Its storage statistics, set signatures and
     /// delta slots' bucket-key records are recomputed, so the shard prunes
     /// a removed delta set as its source would; the per-vector truncation
     /// counters are a build-time artifact of the parent and are zeroed.
     ///
     /// # Panics
     /// Panics if `ids` is not strictly ascending or contains an id `≥ len()`.
-    pub fn shard_of_ids(&self, ids: &[u32]) -> Self
-    where
-        S: Clone,
-    {
+    pub fn shard_of_ids(&self, ids: &[u32]) -> Self {
         let local_of = crate::shard::local_id_table(ids, self.slot_count());
         let vectors: Vec<SparseVec> = ids
             .iter()
@@ -1043,8 +1110,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 }
                 let delta = remap(&rep.delta);
                 Repetition {
-                    hashers: rep.hashers.clone(),
-                    interner: rep.interner.clone(),
                     base: enc.finish(),
                     delta_keys: delta_key_records(&delta, base_len, &alive),
                     delta,
@@ -1078,9 +1143,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             depth_capped_vectors: 0,
         };
         Self {
-            profile: self.profile.clone(),
+            planner: Arc::clone(&self.planner),
             sets: SetTable::new(vectors),
-            scheme: self.scheme.clone(),
             reps,
             verify_threshold: self.verify_threshold,
             query_threads: self.query_threads,
@@ -1095,7 +1159,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     }
 }
 
-impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
+impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
     /// Implements the trait's dedup-then-verify contract: [`LsfIndex::walk`]
     /// deduplicates candidate ids across repetitions *before* the similarity
     /// computation, and matches are pushed in first-discovery probe order.
@@ -1106,10 +1170,11 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
             .collect()
     }
 
-    /// Stage 1: full enumeration + interning, one key list per repetition —
-    /// see [`LsfIndex::plan_query`].
-    fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        LsfIndex::plan_query(self, q)
+    /// The index's own planner, shared rather than copied: stage 1, full
+    /// enumeration + interning, one key list per repetition — see
+    /// [`LsfIndex::plan_query`].
+    fn planner(&self) -> Option<Arc<dyn QueryPlanner>> {
+        Some(self.planner.clone())
     }
 
     /// [`LsfIndex::walk`] with the shared verify site as its visitor: genuine
@@ -1147,6 +1212,19 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
         set: SparseVec,
     ) -> Result<crate::traits::SetId, crate::traits::MutationError> {
         Ok(self.insert_set(set))
+    }
+
+    /// Pushes a planned plan's keys into the delta segments without
+    /// enumerating — the path [`LsfIndex::insert_set`] takes once it has
+    /// planned; an unplanned plan takes `insert_set` itself.
+    fn insert_planned(
+        &mut self,
+        plan: QueryPlan,
+    ) -> Result<crate::traits::SetId, crate::traits::MutationError> {
+        Ok(match plan.into_parts() {
+            (set, Some(passes)) => self.insert_passes(set, passes),
+            (set, None) => self.insert_set(set),
+        })
     }
 
     /// Infallible delegation to [`LsfIndex::remove_set`].
@@ -1210,8 +1288,8 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         w.put_sets(self.vectors());
         w.put_bitmap(&self.alive);
         w.put_u64(self.reps.len() as u64);
-        for rep in &self.reps {
-            rep.write_hash_stack(w);
+        for (stack, rep) in self.planner.stacks.iter().zip(&self.reps) {
+            stack.write(w);
             write_postings(w, &rep.base);
             write_bucket_map(w, &rep.delta);
         }
@@ -1220,8 +1298,8 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// The payload's leading fields: scheme tag, calibration, profile.
     fn write_calibration(&self, w: &mut Writer) {
         w.put_u32(S::SCHEME_TAG);
-        self.scheme.encode_scheme(w);
-        w.put_f64_slice(self.profile.ps());
+        self.planner.scheme.encode_scheme(w);
+        w.put_f64_slice(self.planner.profile.ps());
     }
 
     /// [`crate::Shardable::plan_digest`]: FNV-1a-64 over the calibration and
@@ -1229,8 +1307,8 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     pub(crate) fn plan_digest(&self) -> u64 {
         let mut w = Writer::new();
         self.write_calibration(&mut w);
-        for rep in &self.reps {
-            rep.write_hash_stack(&mut w);
+        for stack in &self.planner.stacks {
+            stack.write(&mut w);
         }
         fnv1a64(&w.into_payload())
     }
@@ -1303,7 +1381,7 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         if rep_count == 0 {
             return Err(PersistError::Malformed("zero repetitions"));
         }
-        let mut reps: Vec<Repetition> = Vec::new();
+        let (mut stacks, mut reps) = (Vec::new(), Vec::new());
         for _ in 0..rep_count {
             let level_count = r.get_u64()?;
             if level_count != scheme.depth_bound() as u64 {
@@ -1326,18 +1404,23 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
             ))?;
             let base = read_postings(r, n, 0)?;
             let delta = read_bucket_map(r, n, base_len as u32)?;
-            reps.push(Repetition {
+            stacks.push(HashStack {
                 hashers: PathHasherStack::from_levels(levels),
                 interner,
+            });
+            reps.push(Repetition {
                 base,
                 delta_keys: delta_key_records(&delta, base_len, &alive),
                 delta,
             });
         }
         Ok(Self {
-            profile,
+            planner: Arc::new(LsfPlanner {
+                profile,
+                scheme,
+                stacks,
+            }),
             sets: SetTable::new(vectors),
-            scheme,
             reps,
             verify_threshold,
             query_threads,
@@ -1481,9 +1564,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let seeds: Vec<u64> = (0..5).map(|_| rng.random::<u64>()).collect();
         let build = |&seed: &u64| build_repetition(seed, ds.vectors(), &profile, index.scheme());
-        let stack = |rep: &Repetition| {
+        let stack = |stack: &HashStack| {
             let mut w = Writer::new();
-            rep.write_hash_stack(&mut w);
+            stack.write(&mut w);
             w.into_payload()
         };
         let postings = |rep: &Repetition| -> Vec<(u64, Vec<u32>)> {
@@ -1496,11 +1579,15 @@ mod tests {
             seeds.iter().map(build).collect(),
             batch_map_chunked(&seeds, 3, 1, build),
         ] {
-            let (reps, stats) = merge_repetitions(built);
+            let (stacks, reps, stats) = merge_repetitions(built);
             assert_eq!(stats, *index.build_stats());
             assert_eq!(reps.len(), index.reps.len());
             for (pass, (rep, built)) in index.reps.iter().zip(&reps).enumerate() {
-                assert_eq!(stack(built), stack(rep), "pass {pass}");
+                assert_eq!(
+                    stack(&stacks[pass]),
+                    stack(&index.planner.stacks[pass]),
+                    "pass {pass}"
+                );
                 assert_eq!(postings(built), postings(rep), "pass {pass}");
             }
         }

@@ -32,7 +32,9 @@
 //! sequential loop. Queries run an explicit enumerate→probe→verify pipeline:
 //! [`SetSimilaritySearch::plan_query`] derives a reusable [`QueryPlan`]
 //! ([`plan`]) that [`SetSimilaritySearch::probe_plan`] consumes with bucket
-//! lookups only — byte-identical to the fused search. Every query method is
+//! lookups only — byte-identical to the fused search — and
+//! [`SetSimilaritySearch::planner`] hands out the planning state itself, a
+//! [`QueryPlanner`] that plans without touching the index. Every query method is
 //! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`],
 //! and the paper's indexes are thin [`LsfWrapper`]s around [`LsfIndex`]
 //! ([`wrapper`]). Planning and sharding belong to this LSF family: an LSF
@@ -89,7 +91,7 @@ pub use engine::{
 };
 pub use index::{BuildStats, IndexOptions, LsfIndex, QueryStats, Repetitions};
 pub use persist::{Persist, PersistError, PersistScheme, ShardManifest, ShardManifestEntry};
-pub use plan::QueryPlan;
+pub use plan::{QueryPlan, QueryPlanner};
 pub use postings::{CompressedPostings, PostingsCursor, PostingsEncoder, PostingsError};
 pub use scheme::{AdversarialScheme, ChosenPathScheme, CorrelatedScheme, ThresholdScheme};
 pub use shard::{set_partition_key, Shardable, ShardedIndex};

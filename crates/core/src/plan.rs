@@ -22,8 +22,35 @@
 //! Because it is nothing but a `SparseVec` and a `Vec<Vec<u64>>`, a future
 //! network fan-out can serialize it verbatim and ship `(plan, shard)` pairs
 //! instead of re-enumerating remotely.
+//!
+//! A [`QueryPlanner`] is stage 1 apart from its index: the LSF family hands
+//! out its planning state, which no mutation touches, so a caller can plan
+//! without holding the index at all — the query service plans outside its
+//! lock and holds the lock only to probe or to push an insert's keys.
 
 use skewsearch_sets::SparseVec;
+
+/// Stage 1 of the pipeline as a shareable value, returned by
+/// [`SetSimilaritySearch::planner`](crate::SetSimilaritySearch::planner).
+///
+/// A planner reads only state fixed at build time — for the LSF family the
+/// profile, the scheme, and each repetition's hash stack and key interner,
+/// which §3 draws "once and for all" — and never the postings or sets that
+/// `insert`, `remove` and `compact` change. So it may plan while its index
+/// is being mutated, and its plans are exactly the index's own:
+/// `planner.plan(q) == index.plan_query(q)` before and after any mutation
+/// (`tests/plan_equivalence.rs`). A plan for a set can be handed to
+/// [`SetSimilaritySearch::insert_planned`](crate::SetSimilaritySearch::insert_planned)
+/// as well as to a probe.
+pub trait QueryPlanner: Send + Sync {
+    /// The plan of `q`: one key list per repetition, in enumeration order.
+    fn plan(&self, q: &SparseVec) -> QueryPlan;
+
+    /// Resident heap bytes of the planning state (hash coefficients and
+    /// interner tables), part of its index's
+    /// [`MemoryStats::aux_bytes`](crate::MemoryStats::aux_bytes).
+    fn heap_bytes(&self) -> usize;
+}
 
 /// A precomputed probe plan for one query: the owned query vector plus the
 /// interned bucket keys to probe, per pass, in enumeration order.
@@ -115,6 +142,12 @@ impl QueryPlan {
     /// The per-pass key lists, or `None` for an unplanned plan.
     pub fn passes(&self) -> Option<&[Vec<u64>]> {
         self.passes.as_deref()
+    }
+
+    /// The query and the per-pass key lists, by value — what an insert of
+    /// the planned set consumes.
+    pub fn into_parts(self) -> (SparseVec, Option<Vec<Vec<u64>>>) {
+        (self.query, self.passes)
     }
 
     /// True iff this plan carries precomputed keys (stage 2 can skip

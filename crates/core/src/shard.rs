@@ -33,17 +33,19 @@
 //!
 //! ## The plan broadcast (enumerate once, probe everywhere)
 //!
-//! Shards share the parent's hash stacks and key interners, so a query's
-//! filter set `F(q)` — and hence its [`QueryPlan`](crate::QueryPlan) — is
-//! **shard-invariant**. The wrapper therefore runs the pipeline's stage 1
-//! exactly once per query ([`SetSimilaritySearch::plan_query`] on one shard)
-//! and broadcasts the resulting plan to every shard's probe, which only
-//! touches the shard's inverted index: one enumeration per query at any
-//! shard count and, because a plan is plain owned data, exactly what a
-//! cross-machine fan-out would serialize and ship. Only bucket probing and
-//! verification run per shard. `tests/enumeration_count.rs` pins the
+//! Shards share the parent's planner (its hash stacks and key interners,
+//! through one `Arc`), so a query's filter set `F(q)`, and hence its
+//! [`QueryPlan`], is **shard-invariant**. The wrapper therefore runs the
+//! pipeline's stage 1 exactly once per query, with the first shard's
+//! planner — which is also the wrapper's [`SetSimilaritySearch::planner`],
+//! so a caller may plan ahead and hand the plan in — and broadcasts the
+//! resulting plan to every shard's probe, which only touches the shard's
+//! inverted index: one enumeration per query at any shard count and,
+//! because a plan is plain owned data, exactly what a cross-machine fan-out
+//! would serialize and ship. Only bucket probing and verification run per
+//! shard. `tests/enumeration_count.rs` pins the
 //! exactly-one-enumeration claim with the counting hook
-//! [`crate::engine::enumeration_count`].
+//! [`crate::engine::enumeration_count`], served requests included.
 
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::index::LsfIndex;
@@ -51,13 +53,15 @@ use crate::persist::{
     kind, load_container, write_container, Persist, PersistError, PersistScheme, ShardManifest,
     ShardManifestEntry,
 };
+use crate::plan::{QueryPlan, QueryPlanner};
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
-    DeadlineExceeded, Match, MutationError, PassSource, ProbeControl, SetId, SetSimilaritySearch,
-    TaggedMatch,
+    DeadlineExceeded, Match, MemoryStats, MutationError, PassSource, ProbeControl, SetId,
+    SetSimilaritySearch, TaggedMatch,
 };
 use skewsearch_hashing::mix;
 use skewsearch_sets::SparseVec;
+use std::sync::Arc;
 
 /// An index that knows how to split itself into dataset shards. Implemented
 /// by the LSF family alone — [`LsfIndex`] and, through the
@@ -229,16 +233,17 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         self.shards.iter().map(|s| s.index.len()).collect()
     }
 
-    /// The one fan-out behind every query surface: plans the query once, on
-    /// the first shard — plans are shard-invariant (the [`Shardable`]
-    /// plan-invariance contract), so even a shard owning zero vectors
-    /// derives the parent's plan — probes that one plan on every shard
-    /// under `ctl` (`threads` workers, claim chunk 1, so each shard probe
-    /// can take its own worker), remaps ids to global, and sorts by
-    /// `(pass, step, id)` back into the unsharded discovery order: exactly
-    /// one `F(q)` enumeration per query, no matter the shard count. Under
-    /// `first_only`, only the first match overall is kept, the
-    /// `(pass, step, id)`-minimum of the shards' own first hits.
+    /// The one fan-out behind every query surface: takes the plan of a
+    /// planned `source`, or else plans the query once, on the first shard —
+    /// plans are shard-invariant (the [`Shardable`] plan-invariance
+    /// contract), so even a shard owning zero vectors derives the parent's
+    /// plan — probes that one plan on every shard under `ctl` (`threads`
+    /// workers, claim chunk 1, so each shard probe can take its own
+    /// worker), remaps ids to global, and sorts by `(pass, step, id)` back
+    /// into the unsharded discovery order: at most one `F(q)` enumeration
+    /// per query, no matter the shard count. Under `first_only`, only the
+    /// first match overall is kept, the `(pass, step, id)`-minimum of the
+    /// shards' own first hits.
     ///
     /// The deadline is polled before planning, then by every shard at its
     /// own pass boundaries; if *any* shard reports [`DeadlineExceeded`] the
@@ -246,14 +251,21 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
     /// drop matches.
     fn fan_out(
         &self,
-        q: &SparseVec,
+        source: PassSource<'_>,
         ctl: ProbeControl<'_>,
         threads: usize,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         ctl.poll()?;
-        let plan = self.shards[0].index.plan_query(q);
+        let planned;
+        let plan = match source {
+            PassSource::Plan(plan) if plan.is_planned() => plan,
+            _ => {
+                planned = self.shards[0].index.plan_query(source.query());
+                &planned
+            }
+        };
         let per_shard = batch_map_chunked(&self.shards, threads, 1, |shard| {
-            shard.index.probe_passes(PassSource::Plan(&plan), ctl)
+            shard.index.probe_passes(PassSource::Plan(plan), ctl)
         });
         let mut all: Vec<TaggedMatch> = Vec::new();
         for (shard, tagged) in self.shards.iter().zip(per_shard) {
@@ -412,14 +424,20 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     /// The shard fan-out (see [`ShardedIndex`]'s merge protocol): the merged
     /// tags are the *unsharded* index's global `(pass, step)` coordinates,
     /// and a first-only probe runs no shard past its own first verified hit.
-    /// Shards re-derive their keys from the source's query — a plan from
-    /// one shard is not a plan for the whole deployment.
+    /// A planned plan goes to every shard as it is — by the plan-invariance
+    /// contract it is every shard's own plan — and any other source is
+    /// planned once, on the first shard.
     fn probe_passes(
         &self,
         source: PassSource<'_>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        self.fan_out(source.query(), ctl, 0)
+        self.fan_out(source, ctl, 0)
+    }
+
+    /// The first shard's planner, which plans for every shard.
+    fn planner(&self) -> Option<Arc<dyn QueryPlanner>> {
+        self.shards.first().and_then(|shard| shard.index.planner())
     }
 
     /// Parallelizes across *queries* on one worker per core (the shard
@@ -428,21 +446,30 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     /// `queries.iter().map(|q| self.search_all(q))` regardless.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         batch_map(queries, 0, |q| {
-            let all = self.fan_out(q, ProbeControl::ALL, 1).unwrap_or_default();
+            let all = self
+                .fan_out(PassSource::Query(q), ProbeControl::ALL, 1)
+                .unwrap_or_default();
             all.into_iter().map(|t| t.hit).collect()
         })
     }
 
+    /// [`SetSimilaritySearch::insert_planned`] of the unplanned plan of
+    /// `set`: the owning shard plans it.
+    fn insert(&mut self, set: SparseVec) -> Result<SetId, MutationError> {
+        self.insert_planned(QueryPlan::unplanned(set))
+    }
+
     /// Routes the insert to the shard its content hash selects (the same
-    /// routing [`ShardedIndex::build`] uses, so duplicates still co-locate)
-    /// and assigns the exact global [`SetId`] the unsharded index would,
+    /// routing [`ShardedIndex::build`] uses, so duplicates still co-locate),
+    /// hands that shard the plan — valid for it by plan invariance — and
+    /// assigns the exact global [`SetId`] the unsharded index would,
     /// appended to that shard's id map (which stays monotone — the merge
     /// protocol is untouched).
-    fn insert(&mut self, set: SparseVec) -> Result<SetId, MutationError> {
+    fn insert_planned(&mut self, plan: QueryPlan) -> Result<SetId, MutationError> {
         let global = self.owner.len();
-        let shard_ix = (set_partition_key(&set) % self.shards.len() as u64) as usize;
+        let shard_ix = (set_partition_key(plan.query()) % self.shards.len() as u64) as usize;
         let shard = &mut self.shards[shard_ix];
-        let local = shard.index.insert(set)?;
+        let local = shard.index.insert_planned(plan)?;
         assert_eq!(local, shard.id_map.len(), "shard-local ids must stay dense");
         shard.id_map.push(global as u32);
         self.owner.push((shard_ix as u32, local as u32));
@@ -474,14 +501,27 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     }
 
     /// Sum of the shards' accounting plus the wrapper's own tables: the
-    /// owner table and each shard's id map, both in `aux_bytes`.
-    fn memory_stats(&self) -> crate::traits::MemoryStats {
-        let mut total = crate::traits::MemoryStats::default();
+    /// owner table and each shard's id map, both in `aux_bytes`. A planner
+    /// that shards share — every shard of one [`ShardedIndex::build`] —
+    /// counts once; shards loaded from files each hold their own.
+    fn memory_stats(&self) -> MemoryStats {
+        let mut total = MemoryStats::default();
+        let mut planners: Vec<Arc<dyn QueryPlanner>> = Vec::new();
         for shard in &self.shards {
             let s = shard.index.memory_stats();
             total.posting_bytes += s.posting_bytes;
             total.vector_bytes += s.vector_bytes;
             total.aux_bytes += s.aux_bytes + shard.id_map.capacity() * std::mem::size_of::<u32>();
+            if let Some(planner) = shard.index.planner() {
+                if planners
+                    .iter()
+                    .any(|p| std::ptr::addr_eq(Arc::as_ptr(p), Arc::as_ptr(&planner)))
+                {
+                    total.aux_bytes -= planner.heap_bytes();
+                } else {
+                    planners.push(planner);
+                }
+            }
         }
         total.aux_bytes += self.owner.capacity() * std::mem::size_of::<(u32, u32)>();
         total
@@ -497,7 +537,7 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     }
 }
 
-impl<S: ThresholdScheme + PersistScheme + Clone> Shardable for LsfIndex<S> {
+impl<S: ThresholdScheme + PersistScheme + 'static> Shardable for LsfIndex<S> {
     fn shard_of_ids(&self, ids: &[u32]) -> Self {
         LsfIndex::shard_of_ids(self, ids)
     }
@@ -611,11 +651,21 @@ mod tests {
         );
     }
 
+    /// Sharded `aux_bytes` are the shards' own plus the owner table and
+    /// the id maps, with the planner every shard shares with its parent
+    /// counted once instead of once per shard.
     #[test]
     fn memory_stats_count_the_owner_table_and_every_id_map() {
         let (index, _) = fixture(3);
+        let parent = index.planner().expect("an LSF index plans");
+        let planner = parent.heap_bytes();
+        assert!(planner > 0);
         for shards in [1, 3, 8] {
             let sharded = ShardedIndex::build(&index, shards);
+            for shard in &sharded.shards {
+                let own = shard.index.planner().expect("a shard plans");
+                assert!(std::ptr::addr_eq(Arc::as_ptr(&own), Arc::as_ptr(&parent)));
+            }
             let inner: usize = sharded
                 .shards
                 .iter()
@@ -624,7 +674,7 @@ mod tests {
             let id_maps: usize = sharded.shards.iter().map(|s| s.id_map.capacity() * 4).sum();
             assert!(id_maps >= index.slot_count() * 4);
             assert_eq!(
-                sharded.memory_stats().aux_bytes - inner,
+                sharded.memory_stats().aux_bytes + (shards - 1) * planner - inner,
                 sharded.owner.capacity() * 8 + id_maps,
                 "shards={shards}"
             );

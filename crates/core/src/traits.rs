@@ -1,8 +1,9 @@
 //! The public search interface shared by the paper's structure and all
 //! baselines.
 
-use crate::plan::QueryPlan;
+use crate::plan::{QueryPlan, QueryPlanner};
 use skewsearch_sets::SparseVec;
+use std::sync::Arc;
 
 /// Stable identifier of an indexed set, as returned by
 /// [`SetSimilaritySearch::insert`] and consumed by
@@ -310,11 +311,11 @@ pub trait SetSimilaritySearch {
     /// the sharding layer enumerates once and ships the same plan to every
     /// dataset shard instead of re-enumerating per shard.
     ///
-    /// The default implementation returns an *unplanned* plan (query only),
-    /// which every probe answers like its query, so structures without an
-    /// enumeration to share (MinHash, brute force, prefix filtering)
-    /// satisfy the contract with no override. The LSF family overrides this
-    /// together with [`SetSimilaritySearch::probe_passes`].
+    /// The default asks [`SetSimilaritySearch::planner`]: the LSF family
+    /// and a [`crate::shard::ShardedIndex`] of it plan with their planner,
+    /// and every other structure (MinHash, brute force, prefix filtering),
+    /// having no enumeration to share, returns an *unplanned* plan (query
+    /// only), which every probe answers like its query.
     ///
     /// # Examples
     ///
@@ -339,7 +340,21 @@ pub trait SetSimilaritySearch {
     /// assert_eq!(index.probe_plan_tagged(&plan), index.search_all_tagged(&q));
     /// ```
     fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        QueryPlan::unplanned(q.clone())
+        match self.planner() {
+            Some(planner) => planner.plan(q),
+            None => QueryPlan::unplanned(q.clone()),
+        }
+    }
+
+    /// The structure's stage 1 as a shareable value, if it plans: a
+    /// [`QueryPlanner`] whose `plan(q)` equals
+    /// [`SetSimilaritySearch::plan_query`] now and after any mutation, and
+    /// which needs no access to the structure — so a server can plan
+    /// without holding its index lock. The LSF family returns its planner,
+    /// a [`crate::shard::ShardedIndex`] that of its first shard; the
+    /// default is `None` (nothing to plan).
+    fn planner(&self) -> Option<Arc<dyn QueryPlanner>> {
+        None
     }
 
     /// Stages 2+3 of the pipeline: probes the inverted index with a
@@ -480,6 +495,23 @@ pub trait SetSimilaritySearch {
     fn insert(&mut self, set: SparseVec) -> Result<SetId, MutationError> {
         let _ = set;
         Err(MutationError::Unsupported)
+    }
+
+    /// [`SetSimilaritySearch::insert`] of `plan.query()`, with its filters
+    /// already enumerated: `plan` comes from this structure's
+    /// [`SetSimilaritySearch::planner`] (or its `plan_query`), and the
+    /// LSF family pushes the planned keys without enumerating — the same
+    /// id, buckets and saved bytes as `insert`. An unplanned plan is
+    /// inserted like its query.
+    ///
+    /// The default is `insert(plan.query())`.
+    ///
+    /// # Panics
+    /// The LSF family panics, before changing any state, on a planned plan
+    /// whose pass count differs from its repetition count (a plan from a
+    /// foreign index).
+    fn insert_planned(&mut self, plan: QueryPlan) -> Result<SetId, MutationError> {
+        self.insert(plan.into_parts().0)
     }
 
     /// Removes the set with id `id`. `Ok(true)` when a live set was removed,

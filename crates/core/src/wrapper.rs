@@ -13,7 +13,7 @@ use crate::index::LsfIndex;
 use crate::persist::{
     load_container, write_container, Persist, PersistError, PersistScheme, Reader, Writer,
 };
-use crate::plan::QueryPlan;
+use crate::plan::{QueryPlan, QueryPlanner};
 use crate::scheme::ThresholdScheme;
 use crate::shard::Shardable;
 use crate::traits::{
@@ -23,12 +23,13 @@ use crate::traits::{
 use skewsearch_sets::SparseVec;
 use std::ops::DerefMut;
 use std::path::Path;
+use std::sync::Arc;
 
 /// An index that is an [`LsfIndex`] plus fields of its own — everything a
 /// wrapper states beyond `Deref`/`DerefMut` to its embedded index.
 pub trait LsfWrapper: DerefMut<Target = LsfIndex<<Self as LsfWrapper>::Scheme>> + Sized {
     /// The embedded index's threshold scheme.
-    type Scheme: ThresholdScheme + PersistScheme + Clone;
+    type Scheme: ThresholdScheme + PersistScheme + 'static;
 
     /// The wrapper's `.skx` container kind (see [`crate::persist::kind`]).
     const KIND: u32;
@@ -51,8 +52,8 @@ impl<W: LsfWrapper> SetSimilaritySearch for W {
         (**self).search_all(q)
     }
 
-    fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        (**self).plan_query(q)
+    fn planner(&self) -> Option<Arc<dyn QueryPlanner>> {
+        (**self).planner()
     }
 
     fn probe_passes(
@@ -70,6 +71,10 @@ impl<W: LsfWrapper> SetSimilaritySearch for W {
     /// Mutable: the embedded index's log-structured insert.
     fn insert(&mut self, set: SparseVec) -> Result<SetId, MutationError> {
         (**self).insert(set)
+    }
+
+    fn insert_planned(&mut self, plan: QueryPlan) -> Result<SetId, MutationError> {
+        (**self).insert_planned(plan)
     }
 
     fn remove(&mut self, id: SetId) -> Result<bool, MutationError> {

@@ -133,11 +133,6 @@ impl Server {
         self.addr
     }
 
-    /// The served service handle (shared index + stats).
-    pub fn service(&self) -> QueryService {
-        self.inner.service.clone()
-    }
-
     /// Stops accepting, drains the admission queue, and joins every thread.
     ///
     /// Keep-alive connections block their worker until the peer closes, so

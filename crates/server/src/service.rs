@@ -10,6 +10,16 @@
 //! exercise them through real sockets while the golden-file tests pin the
 //! exact bytes.
 //!
+//! **Lock scope.** Planning reads nothing a mutation changes, so a served
+//! index with a [`SetSimilaritySearch::planner`] (the LSF family, alone or
+//! sharded) is planned outside the lock: `/search` enumerates `F(q)` first
+//! and holds the read lock only to probe the plan, and `/insert` enumerates
+//! the set's filters first and holds the write lock only to push the
+//! planned keys (and for any compaction the insert triggers). The service
+//! takes the planner once, at [`QueryService::new`]. An index without a
+//! planner is planned under the read lock and inserted under the write
+//! lock, as a whole.
+//!
 //! **Deadlines.** A request's optional `deadline_ms` arms an absolute
 //! expiry at request-read time. The expiry is checked at every pipeline
 //! stage boundary: before planning (an already-expired deadline returns
@@ -29,7 +39,7 @@
 use crate::histogram::LatencyHistogram;
 use crate::json::Json;
 use crate::wire::{dims_from_json, matches_to_json, ErrorKind, ServiceError};
-use skewsearch_core::{MutationError, SetSimilaritySearch};
+use skewsearch_core::{MutationError, QueryPlanner, SetSimilaritySearch};
 use skewsearch_sets::SparseVec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -173,18 +183,27 @@ impl Response {
 }
 
 /// Routes and executes requests against a [`SharedIndex`]. Cheap to clone;
-/// clones share the index and the stats.
+/// clones share the index, its planner and the stats.
 #[derive(Clone)]
 pub struct QueryService {
     index: SharedIndex,
+    /// The served index's planner, taken once: it plans for the index
+    /// after any mutation, so requests plan with it outside the lock.
+    planner: Option<Arc<dyn QueryPlanner>>,
     stats: Arc<ServiceStats>,
 }
 
 impl QueryService {
-    /// A service over `index` with fresh stats.
+    /// A service over `index` with fresh stats. Takes the index's
+    /// [`SetSimilaritySearch::planner`] once, so the boxed index must not
+    /// be replaced behind the lock: the old index's plans would probe the
+    /// new one.
     pub fn new(index: SharedIndex) -> Self {
+        // See `read_index` on poisoning.
+        let planner = index.read().unwrap_or_else(|e| e.into_inner()).planner();
         QueryService {
             index,
+            planner,
             stats: Arc::new(ServiceStats::default()),
         }
     }
@@ -193,11 +212,6 @@ impl QueryService {
     /// through this same handle).
     pub fn stats(&self) -> Arc<ServiceStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// The shared index handle.
-    pub fn index(&self) -> SharedIndex {
-        Arc::clone(&self.index)
     }
 
     /// Routes one request. `started` is when the server finished reading
@@ -378,7 +392,8 @@ impl QueryService {
     /// The enumerate→probe→verify pipeline for one query under a deadline:
     /// expiry is checked before planning (stage 1 never starts on an
     /// already-dead request), then threaded through the probe at the
-    /// index's own granularity.
+    /// index's own granularity. With a planner, stage 1 runs before the
+    /// read lock is taken, and the lock is held only for the probe.
     fn answer(
         &self,
         q: &SparseVec,
@@ -391,8 +406,9 @@ impl QueryService {
                 "deadline expired before planning",
             ));
         }
+        let planned = self.planner.as_ref().map(|planner| planner.plan(q));
         let guard = self.read_index();
-        let plan = guard.plan_query(q);
+        let plan = planned.unwrap_or_else(|| guard.plan_query(q));
         guard
             .probe_plan_tagged_deadline(&plan, expired)
             .map_err(|_| {
@@ -406,7 +422,14 @@ impl QueryService {
         let dims = require_dims(&parsed)?;
         ServiceStats::bump(&self.stats.inserts);
         let set = SparseVec::from_unsorted(dims);
-        match self.write_index().insert(set) {
+        let inserted = match &self.planner {
+            Some(planner) => {
+                let plan = planner.plan(&set);
+                self.write_index().insert_planned(plan)
+            }
+            None => self.write_index().insert(set),
+        };
+        match inserted {
             Ok(id) => Ok(Response::ok(&Json::obj(vec![("id", Json::Num(id as u64))]))),
             Err(MutationError::Unsupported) => Err(ServiceError::new(
                 ErrorKind::ReadOnly,

@@ -4,7 +4,10 @@
 //! enumeration engine, one per repetition — regardless of shard count.
 //! The join layer's distinct-query dedup is counted the same way, and so
 //! are the builds: an index build enumerates each set once per repetition,
-//! and sharding an index enumerates nothing.
+//! and sharding an index enumerates nothing. Served requests keep the
+//! count: a `/search` of a sharded deployment and an `/insert`, sharded or
+//! not, enumerate `R` — planned once by the service, before it takes a
+//! lock, and never again under it.
 //!
 //! The counter is process-global, so everything here lives in **one** test
 //! function: integration tests in one binary run on concurrent threads, and
@@ -18,6 +21,7 @@ use skewsearch::core::{
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::join::{similarity_join, JoinPair};
+use skewsearch::server::{share, QueryService, Server, ServerConfig, ServerHooks, ServiceClient};
 use skewsearch::sets::SparseVec;
 
 const ALPHA: f64 = 0.7;
@@ -54,6 +58,7 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
         .collect();
     // Reference answers, computed outside every measured region.
     let expected: Vec<_> = queries.iter().map(|q| index.search_all(q)).collect();
+    let expected_tagged: Vec<_> = queries.iter().map(|q| index.search_all_tagged(q)).collect();
 
     // Baseline: the unsharded fused search_all enumerates once per
     // repetition — R calls — per query.
@@ -130,6 +135,47 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
         );
     }
     drop(mirror);
+
+    // Served requests: the service plans with the served index's planner
+    // before it takes a lock. A sharded `/search` enumerates R there and
+    // the shards probe that plan without enumerating again; an `/insert`
+    // enumerates R there and only pushes keys under the write lock (and
+    // compacts, with `mutation_buffer = 3`, enumerating nothing).
+    let dims = |v: &SparseVec| v.iter().collect::<Vec<u32>>();
+    let serve = |served: QueryService| {
+        Server::bind(
+            "127.0.0.1:0",
+            served,
+            ServerConfig::default(),
+            ServerHooks::default(),
+        )
+        .expect("bind")
+    };
+    let server = serve(QueryService::new(share(ShardedIndex::build(&index, 4))));
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+    for (q, expect) in queries.iter().zip(&expected_tagged) {
+        let (got, delta) = enumerations_during(|| client.search(&dims(q), None));
+        assert_eq!(&got.expect("served search"), expect);
+        assert_eq!(delta, REPS as u64, "a served sharded /search plans once");
+    }
+    let (id, delta) = enumerations_during(|| client.insert(&dims(ds.vector(2))));
+    assert_eq!(id.expect("served insert"), ds.n());
+    assert_eq!(delta, REPS as u64, "a served sharded /insert plans once");
+    drop(client);
+    server.shutdown();
+
+    // One mutation pending: the second served insert reaches the buffer of
+    // 3 and compacts under the write lock.
+    assert_eq!(mutated.pending_mutations(), 1);
+    let server = serve(QueryService::new(share(mutated)));
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+    for (k, t) in [2usize, 3, 4].into_iter().enumerate() {
+        let (id, delta) = enumerations_during(|| client.insert(&dims(ds.vector(t))));
+        assert_eq!(id.expect("served insert"), ds.n() + 2 + k);
+        assert_eq!(delta, REPS as u64, "a served /insert plans once");
+    }
+    drop(client);
+    server.shutdown();
 
     // Joins: duplicate probe-side sets are answered once per *distinct*
     // query — 5 distinct queries repeated 3× each cost 5·R enumerations.

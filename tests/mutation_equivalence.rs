@@ -12,6 +12,10 @@
 //! `tests/service_equivalence.rs` reuses it to prove the same contract
 //! *through the network service*.
 //!
+//! An insert planned ahead — `insert_planned(planner.plan(set))`, the path
+//! the query service takes to keep enumeration out of its write lock — is
+//! the same insert: the same ids, answers, memory and saved bytes.
+//!
 //! Deterministic tests pin a fixed interleaving plus the degenerate cases
 //! from the issue (remove-then-reinsert, removing never-assigned ids,
 //! emptying an index entirely, querying exactly at the compaction
@@ -21,7 +25,11 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{BruteForce, MinHashLsh, MinHashParams, PrefixFilterIndex};
-use skewsearch::core::{MutationError, SetSimilaritySearch, ShardedIndex};
+use skewsearch::core::persist::Writer;
+use skewsearch::core::{
+    CorrelatedScheme, LsfIndex, MutationError, SetSimilaritySearch, ShardedIndex,
+};
+use skewsearch::datagen::Dataset;
 
 mod common;
 use common::mutation::{
@@ -193,6 +201,95 @@ fn mutated_sharded_indexes_match_at_every_shard_count() {
         let label = format!("post-mutation shards={shards}");
         let sharded = ShardedIndex::build(&reference, shards);
         assert_answers_like_rebuild(&sharded, &oracle, &compact_of, &queries, &label);
+    }
+}
+
+/// Applies a script like `run_trait`, but inserts each set as a plan from
+/// the planner taken before the first op.
+fn run_planned<I: SetSimilaritySearch>(index: &mut I, ds: &Dataset, ops: &[Op]) {
+    let planner = index.planner().expect("the LSF family plans");
+    for &op in ops {
+        match op {
+            Op::Insert(p) => {
+                let plan = planner.plan(ds.vector(p));
+                assert_eq!(index.insert_planned(plan), Ok(p), "dense ids");
+            }
+            Op::Remove(slot) => {
+                assert!(index.remove(slot).is_ok());
+            }
+            Op::Compact => {}
+        }
+    }
+}
+
+/// Every file `index.save` writes, by name, read back from a fresh
+/// directory that is removed afterwards.
+fn saved_files(
+    index: &ShardedIndex<LsfIndex<CorrelatedScheme>>,
+    label: &str,
+) -> Vec<(String, Vec<u8>)> {
+    let dir = std::env::temp_dir().join(format!(
+        "skewsearch_planned_inserts_{}_{label}",
+        std::process::id()
+    ));
+    index.save(&dir).expect("save the deployment");
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("list the deployment")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read a saved file"))
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove the deployment");
+    files.sort();
+    files
+}
+
+/// A history applied through `insert_planned(planner.plan(set))`, with the
+/// planner taken before it, answers, accounts and saves byte-identically to
+/// the same history applied through `insert` — unsharded, across
+/// auto-compactions, and at every shard count.
+#[test]
+fn planned_inserts_answer_and_save_like_inserts() {
+    let (ds, profile) = pool(0x5EED ^ 5, 200);
+    let n_build = 160;
+    let (ops, survivors) = resolve(&fixed_script(), n_build, ds.n());
+    let queries = queries_for(&ds, &profile, 0xFACE, 14);
+    let (oracle, compact_of) = oracle_for(&survivors, &ds, &profile);
+    let payload = |index: &LsfIndex<CorrelatedScheme>| {
+        let mut w = Writer::new();
+        index.write_payload(&mut w);
+        w.into_payload()
+    };
+
+    let mut inserted = build_fixed(ds.vectors()[..n_build].to_vec(), &profile, 5);
+    run_trait(&mut inserted, &ds, &ops);
+    let mut planned = build_fixed(ds.vectors()[..n_build].to_vec(), &profile, 5);
+    run_planned(&mut planned, &ds, &ops);
+    assert!(
+        planned.compaction_count() > 0,
+        "the history crossed compactions"
+    );
+    assert!(planned.pending_mutations() > 0, "and ends with a delta");
+    assert_eq!(payload(&planned), payload(&inserted));
+    assert_eq!(planned.memory_stats(), inserted.memory_stats());
+    assert_answers_like_rebuild(&planned, &oracle, &compact_of, &queries, "planned");
+
+    let base = build_fixed(ds.vectors()[..n_build].to_vec(), &profile, usize::MAX);
+    for shards in SHARD_COUNTS {
+        let label = format!("shards={shards}");
+        let mut inserted = ShardedIndex::build(&base, shards);
+        run_trait(&mut inserted, &ds, &ops);
+        let mut planned = ShardedIndex::build(&base, shards);
+        run_planned(&mut planned, &ds, &ops);
+        assert_eq!(
+            saved_files(&planned, &format!("planned_{shards}")),
+            saved_files(&inserted, &format!("inserted_{shards}")),
+            "{label}"
+        );
+        assert_eq!(planned.memory_stats(), inserted.memory_stats(), "{label}");
+        assert_answers_like_rebuild(&planned, &oracle, &compact_of, &queries, &label);
     }
 }
 

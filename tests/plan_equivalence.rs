@@ -17,6 +17,11 @@
 //! final test drives plans through the sharded broadcast, which fans out on
 //! one worker per core.
 //!
+//! A structure's planner is its stage 1 apart from the structure: for the
+//! four LSF types and a sharded deployment, `planner().plan(q)` equals
+//! `plan_query(q)`, before and after mutations; every other structure has
+//! no planner and plans unplanned.
+//!
 //! Both the per-index helper and the sharded test also pin the deadline
 //! granularity of `probe_plan_tagged_deadline` with a counting expiry check:
 //! a check that never fires must leave the answer untouched, the LSF family
@@ -127,6 +132,10 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
         let ctx = format!("{label} q={i}");
         let plan = index.plan_query(q);
         assert_eq!(plan.query(), q, "{ctx}");
+        match index.planner() {
+            Some(planner) => assert_eq!(planner.plan(q), plan, "{ctx} planner"),
+            None => assert!(!plan.is_planned(), "{ctx} no planner, no plan"),
+        }
         assert_deadline_granularity(index, &plan, min_polls, &ctx);
         assert_eq!(index.probe_plan(&plan), index.search_all(q), "{ctx}");
         assert_eq!(
@@ -354,6 +363,107 @@ fn broadcast_probes_match_at_configured_worker_counts() {
             .map(|q| index.search_all(q))
             .collect::<Vec<_>>()
     );
+}
+
+/// `planner().plan(q) == plan_query(q)` for `index`, query by query, and
+/// planned whenever the structure has a planner.
+fn assert_planner_plans_like_plan_query<I: SetSimilaritySearch>(
+    index: &I,
+    queries: &[SparseVec],
+    label: &str,
+) {
+    let planner = index.planner().expect("the LSF family has a planner");
+    for (i, q) in queries.iter().enumerate() {
+        let plan = planner.plan(q);
+        assert!(plan.is_planned(), "{label} q={i}");
+        assert_eq!(plan, index.plan_query(q), "{label} q={i}");
+    }
+}
+
+#[test]
+fn planners_plan_like_plan_query_before_and_after_mutations() {
+    let (ds, profile, queries) = fixture(200, SEED ^ 10);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 10);
+    let reps = 4;
+    let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
+    let mut lsf = LsfIndex::build(
+        ds.vectors()[..150].to_vec(),
+        profile.clone(),
+        scheme,
+        ALPHA / 1.3,
+        IndexOptions {
+            repetitions: Repetitions::Fixed(reps),
+            mutation_buffer: 7,
+            ..IndexOptions::default()
+        },
+        &mut rng,
+    );
+    assert_planner_plans_like_plan_query(&lsf, &queries, "LsfIndex");
+    let correlated = CorrelatedIndex::build(
+        &ds,
+        &profile,
+        CorrelatedParams::new(ALPHA)
+            .unwrap()
+            .with_options(opts(reps)),
+        &mut rng,
+    );
+    assert_planner_plans_like_plan_query(&correlated, &queries, "CorrelatedIndex");
+    let adversarial = AdversarialIndex::build(
+        &ds,
+        &profile,
+        AdversarialParams::new(ALPHA / 1.3)
+            .unwrap()
+            .with_options(opts(reps)),
+        &mut rng,
+    );
+    assert_planner_plans_like_plan_query(&adversarial, &queries, "AdversarialIndex");
+    let chosen_path = ChosenPathIndex::build(
+        &ds,
+        &profile,
+        ChosenPathParams::for_correlated_model(&profile, ALPHA, 1.0 / 1.3)
+            .unwrap()
+            .with_options(opts(reps)),
+        &mut rng,
+    );
+    assert_planner_plans_like_plan_query(&chosen_path, &queries, "ChosenPathIndex");
+
+    // A 3-shard deployment plans with its first shard's planner, which is
+    // the source index's own: the same plans as the unsharded index.
+    let mut sharded = ShardedIndex::build(&correlated, 3);
+    assert_planner_plans_like_plan_query(&sharded, &queries, "3 shards");
+    let planner = sharded.planner().expect("a sharded LSF index plans");
+    for q in &queries {
+        assert_eq!(planner.plan(q), correlated.plan_query(q), "3 shards");
+    }
+
+    // A planner taken before mutations keeps planning exactly what the
+    // mutated index plans, across inserts, removes and compactions.
+    let before: Vec<QueryPlan> = queries.iter().map(|q| lsf.plan_query(q)).collect();
+    let planner = lsf.planner().expect("an LSF index plans");
+    for t in 150..200 {
+        lsf.insert_planned(planner.plan(ds.vector(t))).unwrap();
+        sharded.insert(ds.vector(t - 150).clone()).unwrap();
+        if t % 3 == 0 {
+            assert_eq!(lsf.remove(t - 100), Ok(true));
+        }
+    }
+    assert!(
+        lsf.compaction_count() > 0,
+        "the mutations crossed a compaction"
+    );
+    for (q, plan) in queries.iter().zip(&before) {
+        assert_eq!(&planner.plan(q), plan);
+        assert_eq!(&lsf.plan_query(q), plan);
+    }
+    assert_planner_plans_like_plan_query(&lsf, &queries, "mutated LsfIndex");
+    assert_planner_plans_like_plan_query(&sharded, &queries, "mutated 3 shards");
+
+    // Everything else has no planner.
+    let minhash = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.3).unwrap(), &mut rng);
+    assert!(minhash.planner().is_none());
+    assert!(BruteForce::new(ds.vectors().to_vec(), 0.5)
+        .planner()
+        .is_none());
 }
 
 proptest! {
