@@ -15,17 +15,13 @@
 //!
 //! MinHash is a plain baseline: it hashes each band's signature lazily
 //! inside its probe, keeps the trait's default (unplanned) query plan, and
-//! is neither shardable nor mutable. Sharding and plan broadcast belong to
-//! the LSF family, whose per-repetition filter enumeration they exist to
-//! share.
+//! is neither shardable, mutable nor persistable. Sharding and plan
+//! broadcast belong to the LSF family, whose per-repetition filter
+//! enumeration they exist to share, and so do the `.skx` containers.
 
 use rand::{Rng, SeedableRng};
-use skewsearch_core::persist::{
-    kind, load_container, read_bucket_map, write_bucket_map, write_container, Writer,
-};
 use skewsearch_core::{
-    DeadlineExceeded, Match, PassSource, PersistError, ProbeControl, SetSimilaritySearch,
-    TaggedMatch,
+    DeadlineExceeded, Match, PassSource, ProbeControl, SetSimilaritySearch, TaggedMatch,
 };
 use skewsearch_datagen::Dataset;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PairwiseU64};
@@ -103,8 +99,6 @@ pub struct MinHashLsh {
     vectors: Vec<SparseVec>,
     bands: Vec<Band>,
     threshold: f64,
-    rows: usize,
-    params: MinHashParams,
 }
 
 impl MinHashLsh {
@@ -129,8 +123,6 @@ impl MinHashLsh {
             vectors: dataset.vectors().to_vec(),
             bands,
             threshold: params.b1,
-            rows: r,
-            params,
         }
     }
 
@@ -251,91 +243,6 @@ impl SetSimilaritySearch for MinHashLsh {
 
     fn len(&self) -> usize {
         self.vectors.len()
-    }
-}
-
-impl skewsearch_core::Persist for MinHashLsh {
-    /// Kind-5 container — MinHash's own section type: the thresholds and
-    /// banding parameters, the indexed vectors, and per band its min-wise
-    /// hash coefficients plus its signature buckets (the shared sorted
-    /// posting-map encoding) — see `docs/PERSISTENCE.md` §6.
-    fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
-        let mut w = Writer::new();
-        w.put_f64(self.threshold);
-        w.put_u64(self.rows as u64);
-        w.put_f64(self.params.b1);
-        w.put_f64(self.params.b2);
-        w.put_f64(BAND_FACTOR);
-        w.put_u64(MAX_BANDS as u64);
-        // The worker-count word: batches run on one worker per core, so 0.
-        w.put_u64(0);
-        w.put_sets(&self.vectors);
-        w.put_u64(self.bands.len() as u64);
-        for band in &self.bands {
-            w.put_u64(band.hashes.len() as u64);
-            for h in &band.hashes {
-                let (a, b) = h.coefficients();
-                w.put_u128(a);
-                w.put_u128(b);
-            }
-            write_bucket_map(&mut w, &band.buckets);
-        }
-        write_container(path, kind::MINHASH, &w.into_payload())
-    }
-
-    fn load(path: &std::path::Path) -> Result<Self, PersistError> {
-        load_container(path, kind::MINHASH, |r| {
-            let threshold = r.get_f64()?;
-            let rows = r.get_u64()? as usize;
-            let b1 = r.get_f64()?;
-            let b2 = r.get_f64()?;
-            // The banding and worker-count words are fixed: a file naming
-            // other values would not save again to the same bytes.
-            let band_factor = r.get_f64()?;
-            let max_bands = r.get_u64()?;
-            let query_threads = r.get_u64()?;
-            if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
-                return Err(PersistError::Malformed(
-                    "minhash thresholds violate 0<b2<b1<=1",
-                ));
-            }
-            if band_factor != BAND_FACTOR
-                || max_bands != MAX_BANDS as u64
-                || query_threads != 0
-                || rows == 0
-            {
-                return Err(PersistError::Malformed(
-                    "minhash rows is 0 or a banding or worker-count word is not the fixed one",
-                ));
-            }
-            let vectors = r.get_sets()?;
-            let n = vectors.len();
-            let band_count = r.get_u64()?;
-            let mut bands: Vec<Band> = Vec::new();
-            for _ in 0..band_count {
-                let hash_count = r.get_u64()? as usize;
-                if hash_count != rows {
-                    return Err(PersistError::Malformed(
-                        "band hash count does not match the row count",
-                    ));
-                }
-                let mut hashes = Vec::with_capacity(rows.min(1024));
-                for _ in 0..hash_count {
-                    let a = r.get_u128()?;
-                    let b = r.get_u128()?;
-                    hashes.push(PairwiseU64::from_coefficients(a, b));
-                }
-                let buckets = read_bucket_map(r, n, 0)?;
-                bands.push(Band { hashes, buckets });
-            }
-            Ok(Self {
-                vectors,
-                bands,
-                threshold,
-                rows,
-                params: MinHashParams { b1, b2 },
-            })
-        })
     }
 }
 

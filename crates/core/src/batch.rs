@@ -58,10 +58,11 @@ where
 ///
 /// The default [`CLAIM_CHUNK`] of 8 amortizes cursor traffic over large query
 /// batches, but it also means any batch of ≤ 8 items lands on a single
-/// worker. Callers fanning out over a *small number of expensive items* — the
-/// sharded index's per-query fan-out across `N ≤ 8` shards is the motivating
-/// case, an LSF build's `R` repetitions another — pass `claim_chunk = 1` so
-/// every item gets its own worker.
+/// worker. Callers fanning out over a *small number of expensive items* — an
+/// LSF build's `R` repetitions, or [`crate::ShardedIndex::build`]'s shards —
+/// pass `claim_chunk = 1` so every item gets its own worker. The spawn and
+/// join cost about 0.1 ms on two workers, so such items must cost more than
+/// that: one query's shard probes do not.
 /// Output is identical for every `(threads, claim_chunk)` pair.
 pub fn batch_map_chunked<Q, T, F>(items: &[Q], threads: usize, claim_chunk: usize, f: F) -> Vec<T>
 where

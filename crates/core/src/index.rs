@@ -27,8 +27,8 @@
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
-    fnv1a64, kind, load_container, read_bucket_map, read_postings, write_bucket_map,
-    write_container, write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
+    kind, load_container, read_bucket_map, read_postings, write_bucket_map, write_container,
+    write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
 };
 use crate::plan::{QueryPlan, QueryPlanner};
 use crate::postings::{CompressedPostings, PostingsEncoder};
@@ -1302,15 +1302,23 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         w.put_f64_slice(self.planner.profile.ps());
     }
 
-    /// [`crate::Shardable::plan_digest`]: FNV-1a-64 over the calibration and
-    /// every repetition's hash stack, the payload bytes planning reads.
-    pub(crate) fn plan_digest(&self) -> u64 {
-        let mut w = Writer::new();
-        self.write_calibration(&mut w);
-        for stack in &self.planner.stacks {
-            stack.write(&mut w);
+    /// [`crate::Shardable::adopt_planner`]: the two plan from identical
+    /// state when the payload bytes planning reads — the calibration and
+    /// every repetition's hash stack — are equal.
+    pub(crate) fn adopt_planner(&mut self, first: &Self) -> bool {
+        let planning_bytes = |index: &Self| {
+            let mut w = Writer::new();
+            index.write_calibration(&mut w);
+            for stack in &index.planner.stacks {
+                stack.write(&mut w);
+            }
+            w.into_payload()
+        };
+        let same = planning_bytes(self) == planning_bytes(first);
+        if same {
+            self.planner = Arc::clone(&first.planner);
         }
-        fnv1a64(&w.into_payload())
+        same
     }
 
     /// Decodes an index from a payload written by

@@ -9,7 +9,7 @@
 //! dependency, matching the workspace's vendored-deps discipline — so a
 //! built index can be saved once and reloaded with **byte-identical
 //! answers** on every surface (`tests/persist_equivalence.rs` pins this for
-//! all five index types, and for mutated and sharded LSF indexes).
+//! all four LSF index types, and for mutated and sharded LSF indexes).
 //!
 //! ## Container layout
 //!
@@ -41,7 +41,7 @@
 //!
 //! * [`Persist`] — `save(&Path)` / `load(&Path)` on [`crate::LsfIndex`],
 //!   [`crate::CorrelatedIndex`], [`crate::AdversarialIndex`], and (in
-//!   `skewsearch-baselines`) `ChosenPathIndex` and `MinHashLsh`.
+//!   `skewsearch-baselines`) `ChosenPathIndex`: the LSF family alone.
 //! * [`crate::ShardedIndex::save`] / [`crate::ShardedIndex::load`] — a
 //!   directory of per-shard `.skx` files (LSF-family kinds 1–4: only that
 //!   family shards) plus a [`ShardManifest`] recording the shard count and
@@ -85,9 +85,8 @@ pub mod kind {
     pub const ADVERSARIAL: u32 = 3;
     /// A Chosen Path index (`b₂`, then the LSF payload).
     pub const CHOSEN_PATH: u32 = 4;
-    /// A MinHash LSH index (its own section type: band hash coefficients +
-    /// band buckets).
-    pub const MINHASH: u32 = 5;
+    // Kind 5 held a MinHash LSH index. It is retired and never reused, so a
+    // kind-5 file fails every load with `WrongKind`.
     /// A [`crate::ShardedIndex`] manifest (threshold, live count, owner
     /// table, per-shard files + id maps — see [`super::ShardManifest`]).
     pub const MANIFEST: u32 = 6;
@@ -126,7 +125,7 @@ pub enum PersistError {
     /// The container's format version is not one this reader understands.
     UnsupportedVersion(u32),
     /// The container holds a different structure than the caller asked for
-    /// (e.g. loading a MinHash file as a `CorrelatedIndex`).
+    /// (e.g. loading a Chosen Path file as a `CorrelatedIndex`).
     WrongKind {
         /// The kind the caller expected (see [`kind`]).
         expected: u32,
@@ -545,7 +544,7 @@ impl<'a> Reader<'a> {
 /// stream), and the concatenated bucket ids. Sorting the keys makes the
 /// encoding independent of the map's iteration order — and since probes
 /// only ever `get` by key, rebuild insertion order is answer-invariant too.
-/// Shared by the LSF repetitions and the MinHash band tables.
+/// The LSF delta segments use it (and, in format v1, the base segments).
 pub fn write_bucket_map(w: &mut Writer, map: &FxHashMap<u64, Vec<u32>>) {
     // lint:allow(nondeterministic-iter, the keys are collected and sorted before any byte is written — the encoding is independent of the map's iteration order)
     let mut keys: Vec<u64> = map.keys().copied().collect();
@@ -1036,9 +1035,9 @@ mod tests {
         assert_eq!(read(kind::LSF).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
         // Wrong kind.
         assert!(matches!(
-            read(kind::MINHASH),
+            read(kind::CORRELATED),
             Err(PersistError::WrongKind {
-                expected: kind::MINHASH,
+                expected: kind::CORRELATED,
                 found: kind::LSF
             })
         ));

@@ -6,9 +6,9 @@
 //! which keeps shards balanced even under the skewed distributions this
 //! workspace targets and co-locates duplicate sets. Each shard is a full
 //! index over its slice with local ids and the parent's hash stacks: memory
-//! stays `≈ |S|` plus the per-shard stacks, and every candidate lives in
-//! exactly one shard, so each is verified once. LSF-Join makes the same
-//! partitioning observation for the join setting.
+//! stays `≈ |S|` plus one set of stacks, which the shards share, and every
+//! candidate lives in exactly one shard, so each is verified once. LSF-Join
+//! makes the same partitioning observation for the join setting.
 //!
 //! ## The merge protocol
 //!
@@ -26,16 +26,20 @@
 //! index, and since no id lives in two shards, the merge neither dedups nor
 //! re-verifies.
 //!
-//! Cross-shard fan-out and shard construction both run on the existing
-//! work-stealing executor ([`crate::batch::batch_map_chunked`] with a claim
-//! chunk of 1, so a handful of expensive shard probes actually spread across
-//! workers).
+//! One query probes its shards in order on the calling thread: a shard
+//! probe costs less than spawning and joining a worker (about 0.1 ms on
+//! two), so the executor would only slow a query down. `search_batch` runs
+//! its queries on the work-stealing executor ([`crate::batch::batch_map`]),
+//! and [`ShardedIndex::build`] builds its shards on it
+//! ([`crate::batch::batch_map_chunked`] with a claim chunk of 1, one shard
+//! per claim).
 //!
 //! ## The plan broadcast (enumerate once, probe everywhere)
 //!
 //! Shards share the parent's planner (its hash stacks and key interners,
-//! through one `Arc`), so a query's filter set `F(q)`, and hence its
-//! [`QueryPlan`], is **shard-invariant**. The wrapper therefore runs the
+//! through one `Arc`; a loaded deployment's shards adopt the first
+//! shard's), so a query's filter set `F(q)`, and hence its [`QueryPlan`],
+//! is **shard-invariant**. The wrapper therefore runs the
 //! pipeline's stage 1 exactly once per query, with the first shard's
 //! planner — which is also the wrapper's [`SetSimilaritySearch::planner`],
 //! so a caller may plan ahead and hand the plan in — and broadcasts the
@@ -92,10 +96,13 @@ pub trait Shardable: SetSimilaritySearch + Sized {
     /// maps stay dense and monotone.
     fn slot_count(&self) -> usize;
 
-    /// A digest of what [`SetSimilaritySearch::plan_query`] reads, equal on
-    /// every shard of one build (the plan-invariance contract above), so
-    /// [`ShardedIndex::load`] rejects shards of two builds. Not saved.
-    fn plan_digest(&self) -> u64;
+    /// Makes `self` plan with `first`'s planner if the two plan from
+    /// identical state, as every shard of one build does (the
+    /// plan-invariance contract above), and returns whether they do; `self`
+    /// is unchanged otherwise. [`ShardedIndex::load`] calls it on every
+    /// shard after the first, so a loaded deployment holds one planner, as
+    /// a built one does, and shards of two builds are rejected.
+    fn adopt_planner(&mut self, first: &Self) -> bool;
 }
 
 /// Stable 64-bit content hash of a set, for dataset partitioning: mixes each
@@ -151,10 +158,9 @@ struct Shard<S> {
 /// unsharded index — same matches, same similarities, same order, for
 /// `search`, `search_all`, and `search_batch`.
 ///
-/// Every query fans out across the shards on one worker per core;
-/// `search_batch` instead runs its queries on one worker per core, each
-/// fanning out on one worker. Every shard is mutable, so `insert` and
-/// `remove` route to the owning shard.
+/// A query probes the shards in order on the calling thread;
+/// `search_batch` runs its queries on one worker per core. Every shard is
+/// mutable, so `insert` and `remove` route to the owning shard.
 ///
 /// # Examples
 ///
@@ -232,54 +238,6 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.index.len()).collect()
     }
-
-    /// The one fan-out behind every query surface: takes the plan of a
-    /// planned `source`, or else plans the query once, on the first shard —
-    /// plans are shard-invariant (the [`Shardable`] plan-invariance
-    /// contract), so even a shard owning zero vectors derives the parent's
-    /// plan — probes that one plan on every shard under `ctl` (`threads`
-    /// workers, claim chunk 1, so each shard probe can take its own
-    /// worker), remaps ids to global, and sorts by `(pass, step, id)` back
-    /// into the unsharded discovery order: at most one `F(q)` enumeration
-    /// per query, no matter the shard count. Under `first_only`, only the
-    /// first match overall is kept, the `(pass, step, id)`-minimum of the
-    /// shards' own first hits.
-    ///
-    /// The deadline is polled before planning, then by every shard at its
-    /// own pass boundaries; if *any* shard reports [`DeadlineExceeded`] the
-    /// whole query does — a merge over a partial shard set would silently
-    /// drop matches.
-    fn fan_out(
-        &self,
-        source: PassSource<'_>,
-        ctl: ProbeControl<'_>,
-        threads: usize,
-    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        ctl.poll()?;
-        let planned;
-        let plan = match source {
-            PassSource::Plan(plan) if plan.is_planned() => plan,
-            _ => {
-                planned = self.shards[0].index.plan_query(source.query());
-                &planned
-            }
-        };
-        let per_shard = batch_map_chunked(&self.shards, threads, 1, |shard| {
-            shard.index.probe_passes(PassSource::Plan(plan), ctl)
-        });
-        let mut all: Vec<TaggedMatch> = Vec::new();
-        for (shard, tagged) in self.shards.iter().zip(per_shard) {
-            all.extend(tagged?.into_iter().map(|mut t| {
-                t.hit.id = shard.id_map[t.hit.id] as usize;
-                t
-            }));
-        }
-        all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
-        if ctl.first_only {
-            all.truncate(1);
-        }
-        Ok(all)
-    }
 }
 
 impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
@@ -349,10 +307,12 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     }
 
     /// Restores a deployment saved by [`ShardedIndex::save`]: reads and
-    /// validates `dir/manifest.skx`, loads every shard file it lists, and
-    /// checks the manifest against the loaded shards. Fails with a typed
-    /// [`PersistError`] on a corrupt manifest, a missing or corrupt shard
-    /// file, or a manifest that disagrees with its shards (the checks of
+    /// validates `dir/manifest.skx`, loads every shard file it lists, has
+    /// each shard after the first adopt the first shard's planner
+    /// ([`Shardable::adopt_planner`]), and checks the manifest against the
+    /// loaded shards. Fails with a typed [`PersistError`] on a corrupt
+    /// manifest, a missing or corrupt shard file, shards of two builds, or
+    /// a manifest that disagrees with its shards (the checks of
     /// `docs/PERSISTENCE.md` §7.1) — never panics.
     pub fn load(dir: &std::path::Path) -> Result<Self, PersistError> {
         let manifest = load_container(
@@ -360,10 +320,16 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
             kind::MANIFEST,
             ShardManifest::decode,
         )?;
-        let mut shards = Vec::with_capacity(manifest.shards.len());
+        let mut shards: Vec<Shard<S>> = Vec::with_capacity(manifest.shards.len());
         for entry in manifest.shards {
+            let mut index = S::load(&dir.join(&entry.file))?;
+            if let Some(first) = shards.first() {
+                if !index.adopt_planner(&first.index) {
+                    return Err(PersistError::Malformed("shards come from different builds"));
+                }
+            }
             shards.push(Shard {
-                index: S::load(&dir.join(&entry.file))?,
+                index,
                 id_map: entry.id_map,
             });
         }
@@ -378,17 +344,13 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     }
 
     /// The invariants [`ShardedIndex::build`] establishes, checked on a
-    /// loaded deployment: every shard has one [`Shardable::plan_digest`] and
-    /// the manifest's threshold; each id map is strictly ascending and as
-    /// long as its shard's slot count; the owner table, `next_id` long, is
-    /// their exact inverse; the shards' live counts sum to `len`.
+    /// loaded deployment: there is a shard; every shard has the manifest's
+    /// threshold; each id map is strictly ascending and as long as its
+    /// shard's slot count; the owner table, `next_id` long, is their exact
+    /// inverse; the shards' live counts sum to `len`.
     fn check_manifest(&self, next_id: usize) -> Result<(), PersistError> {
-        let Some(first) = self.shards.first() else {
+        if self.shards.is_empty() {
             return Err(PersistError::Malformed("manifest lists no shards"));
-        };
-        let digest = first.index.plan_digest();
-        if self.shards.iter().any(|s| s.index.plan_digest() != digest) {
-            return Err(PersistError::Malformed("shards come from different builds"));
         }
         let mut ok = self.owner.len() == next_id;
         let (mut slots, mut live) = (0usize, 0usize);
@@ -421,18 +383,49 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
             .collect()
     }
 
-    /// The shard fan-out (see [`ShardedIndex`]'s merge protocol): the merged
-    /// tags are the *unsharded* index's global `(pass, step)` coordinates,
-    /// and a first-only probe runs no shard past its own first verified hit.
-    /// A planned plan goes to every shard as it is — by the plan-invariance
-    /// contract it is every shard's own plan — and any other source is
-    /// planned once, on the first shard.
+    /// The one fan-out behind every query surface (see [`ShardedIndex`]'s
+    /// merge protocol). A planned plan goes to every shard as it is — by
+    /// the plan-invariance contract it is every shard's own plan — and any
+    /// other source is planned once, on the first shard, which derives the
+    /// parent's plan even when it owns no vector: at most one `F(q)`
+    /// enumeration per query, no matter the shard count. The shards probe
+    /// that plan in order on the calling thread; their ids are remapped to
+    /// global and the matches sorted by `(pass, step, id)`, so the merged
+    /// tags are the *unsharded* index's coordinates. A first-only probe
+    /// runs no shard past its own first verified hit and keeps the
+    /// `(pass, step, id)`-minimum of those hits.
+    ///
+    /// The deadline is polled before planning, then by every shard at its
+    /// own pass boundaries; if *any* shard reports [`DeadlineExceeded`] the
+    /// whole query does — a merge over a partial shard set would silently
+    /// drop matches.
     fn probe_passes(
         &self,
         source: PassSource<'_>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        self.fan_out(source, ctl, 0)
+        ctl.poll()?;
+        let planned;
+        let plan = match source {
+            PassSource::Plan(plan) if plan.is_planned() => plan,
+            _ => {
+                planned = self.shards[0].index.plan_query(source.query());
+                &planned
+            }
+        };
+        let mut all: Vec<TaggedMatch> = Vec::new();
+        for shard in &self.shards {
+            let tagged = shard.index.probe_passes(PassSource::Plan(plan), ctl)?;
+            all.extend(tagged.into_iter().map(|mut t| {
+                t.hit.id = shard.id_map[t.hit.id] as usize;
+                t
+            }));
+        }
+        all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
+        if ctl.first_only {
+            all.truncate(1);
+        }
+        Ok(all)
     }
 
     /// The first shard's planner, which plans for every shard.
@@ -440,17 +433,10 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         self.shards.first().and_then(|shard| shard.index.planner())
     }
 
-    /// Parallelizes across *queries* on one worker per core (the shard
-    /// fan-out inside each query stays sequential to avoid nested
-    /// oversubscription); results equal
+    /// Parallelizes across *queries* on one worker per core; results equal
     /// `queries.iter().map(|q| self.search_all(q))` regardless.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        batch_map(queries, 0, |q| {
-            let all = self
-                .fan_out(PassSource::Query(q), ProbeControl::ALL, 1)
-                .unwrap_or_default();
-            all.into_iter().map(|t| t.hit).collect()
-        })
+        batch_map(queries, 0, |q| self.search_all(q))
     }
 
     /// [`SetSimilaritySearch::insert_planned`] of the unplanned plan of
@@ -502,8 +488,8 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
 
     /// Sum of the shards' accounting plus the wrapper's own tables: the
     /// owner table and each shard's id map, both in `aux_bytes`. A planner
-    /// that shards share — every shard of one [`ShardedIndex::build`] —
-    /// counts once; shards loaded from files each hold their own.
+    /// that shards share — every shard of one [`ShardedIndex::build`] or
+    /// [`ShardedIndex::load`] — counts once.
     fn memory_stats(&self) -> MemoryStats {
         let mut total = MemoryStats::default();
         let mut planners: Vec<Arc<dyn QueryPlanner>> = Vec::new();
@@ -550,8 +536,8 @@ impl<S: ThresholdScheme + PersistScheme + 'static> Shardable for LsfIndex<S> {
         LsfIndex::slot_count(self)
     }
 
-    fn plan_digest(&self) -> u64 {
-        LsfIndex::plan_digest(self)
+    fn adopt_planner(&mut self, first: &Self) -> bool {
+        LsfIndex::adopt_planner(self, first)
     }
 }
 
@@ -652,19 +638,23 @@ mod tests {
     }
 
     /// Sharded `aux_bytes` are the shards' own plus the owner table and
-    /// the id maps, with the planner every shard shares with its parent
-    /// counted once instead of once per shard.
+    /// the id maps, with the planner every shard shares counted once
+    /// instead of once per shard: the parent's, in a built deployment, and
+    /// the first shard's, which the others adopt, in a loaded one.
     #[test]
     fn memory_stats_count_the_owner_table_and_every_id_map() {
         let (index, _) = fixture(3);
-        let parent = index.planner().expect("an LSF index plans");
-        let planner = parent.heap_bytes();
-        assert!(planner > 0);
-        for shards in [1, 3, 8] {
-            let sharded = ShardedIndex::build(&index, shards);
+        let check = |sharded: &ShardedIndex<LsfIndex<CorrelatedScheme>>,
+                     shared: &Arc<dyn QueryPlanner>| {
+            let shards = sharded.shard_count();
+            let planner = shared.heap_bytes();
+            assert!(planner > 0);
             for shard in &sharded.shards {
                 let own = shard.index.planner().expect("a shard plans");
-                assert!(std::ptr::addr_eq(Arc::as_ptr(&own), Arc::as_ptr(&parent)));
+                assert!(
+                    std::ptr::addr_eq(Arc::as_ptr(&own), Arc::as_ptr(shared)),
+                    "shards={shards}"
+                );
             }
             let inner: usize = sharded
                 .shards
@@ -678,7 +668,43 @@ mod tests {
                 sharded.owner.capacity() * 8 + id_maps,
                 "shards={shards}"
             );
+        };
+        let parent = index.planner().expect("an LSF index plans");
+        for shards in [1, 3, 8] {
+            check(&ShardedIndex::build(&index, shards), &parent);
         }
+        let dir = std::env::temp_dir().join(format!(
+            "skewsearch_shard_unit_planner_{}",
+            std::process::id()
+        ));
+        ShardedIndex::build(&index, 3).save(&dir).unwrap();
+        let loaded = ShardedIndex::<LsfIndex<CorrelatedScheme>>::load(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let loaded = loaded.expect("a saved deployment loads");
+        check(&loaded, &loaded.planner().expect("a deployment plans"));
+    }
+
+    /// A query probes its shards in order on the calling thread: every
+    /// deadline poll, the fan-out's own and each shard's, happens there.
+    #[test]
+    fn a_query_polls_every_shard_on_the_calling_thread() {
+        let (index, queries) = fixture(6);
+        let sharded = ShardedIndex::build(&index, 4);
+        let polls = std::sync::Mutex::new(Vec::new());
+        let expired = || {
+            polls.lock().unwrap().push(std::thread::current().id());
+            false
+        };
+        for q in &queries {
+            assert_eq!(
+                sharded.probe_plan_tagged_deadline(&sharded.plan_query(q), &expired),
+                Ok(index.search_all_tagged(q))
+            );
+        }
+        let polls = polls.into_inner().unwrap();
+        // Each of the 4 shards polls at least once per repetition.
+        assert!(polls.len() >= queries.len() * 4 * 6);
+        assert!(polls.iter().all(|&id| id == std::thread::current().id()));
     }
 
     #[test]

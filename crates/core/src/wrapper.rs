@@ -111,8 +111,8 @@ impl<W: LsfWrapper> Shardable for W {
         (**self).slot_count()
     }
 
-    fn plan_digest(&self) -> u64 {
-        (**self).plan_digest()
+    fn adopt_planner(&mut self, first: &Self) -> bool {
+        (**self).adopt_planner(first)
     }
 }
 

@@ -1,9 +1,9 @@
 //! `repro save` / `repro load` — the cross-process persistence smoke.
 //!
-//! `save` builds a deterministic suite of indexes — a [`CorrelatedIndex`],
-//! a [`MinHashLsh`] baseline, and a sharded correlated deployment — writes
-//! them under a directory via the [`Persist`] trait and
-//! [`ShardedIndex::save`], then prints every answer surface as TSV.
+//! `save` builds a deterministic suite of indexes — a [`CorrelatedIndex`]
+//! and a sharded correlated deployment — writes them under a directory via
+//! the [`Persist`] trait and [`ShardedIndex::save`], then prints every
+//! answer surface as TSV.
 //! `load`, run in a **fresh process**, reopens the same files, regenerates
 //! the identical query stream from the seed (the builds and the queries use
 //! independent seeded RNG streams, so skipping the builds does not perturb
@@ -14,7 +14,6 @@
 use crate::table::{fmt, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skewsearch_baselines::{MinHashLsh, MinHashParams};
 use skewsearch_core::{
     CorrelatedIndex, CorrelatedParams, IndexOptions, Match, Persist, PersistError, Repetitions,
     SetSimilaritySearch, ShardedIndex,
@@ -79,7 +78,7 @@ impl PersistConfig {
 }
 
 /// Builds the index suite, saves it under `dir` (`correlated.skx`,
-/// `minhash.skx`, `sharded/`), and returns the answer table.
+/// `sharded/`), and returns the answer table.
 pub fn save(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
     let (profile, ds) = config.dataset();
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xB01D);
@@ -96,23 +95,15 @@ pub fn save(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
             .with_options(opts),
         &mut rng,
     );
-    let (b1m, b2m) = skewsearch_rho::expected_similarities(&profile, config.alpha);
-    let minhash = MinHashLsh::build(
-        &ds,
-        // lint:allow(no-panic-in-lib, experiment driver — an invalid experiment config is a fatal setup error reported by panicking)
-        MinHashParams::new((b1m / 1.3).max(b2m * 1.01), b2m).unwrap(),
-        &mut rng,
-    );
     let sharded = ShardedIndex::build(&correlated, config.shards);
 
     std::fs::create_dir_all(dir)?;
     correlated.save(&dir.join("correlated.skx"))?;
-    minhash.save(&dir.join("minhash.skx"))?;
     sharded.save(&dir.join("sharded"))?;
-    report_memory(config, &correlated, &minhash);
+    report_memory(config, &correlated);
 
     let queries = config.query_stream(&profile, &ds);
-    Ok(answers(&correlated, &minhash, &sharded, &queries))
+    Ok(answers(&correlated, &sharded, &queries))
 }
 
 /// Loads the suite saved by [`save`] from `dir` and returns the answer table
@@ -121,29 +112,24 @@ pub fn save(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
 pub fn load(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
     let (profile, ds) = config.dataset();
     let correlated = CorrelatedIndex::load(&dir.join("correlated.skx"))?;
-    let minhash = MinHashLsh::load(&dir.join("minhash.skx"))?;
     let sharded = ShardedIndex::<CorrelatedIndex>::load(&dir.join("sharded"))?;
-    report_memory(config, &correlated, &minhash);
+    report_memory(config, &correlated);
     let queries = config.query_stream(&profile, &ds);
-    Ok(answers(&correlated, &minhash, &sharded, &queries))
+    Ok(answers(&correlated, &sharded, &queries))
 }
 
-/// Logs the accounted resident footprint of each index to **stderr**.
+/// Logs the accounted resident footprint of the index to **stderr**.
 /// This deliberately stays out of the returned [`Table`]: CI diffs the
 /// save/load TSV byte-for-byte, and capacity-based byte counts legitimately
 /// differ between a freshly built index and one reloaded from disk (the
 /// reload allocates exactly-sized arrays).
-fn report_memory(config: &PersistConfig, correlated: &CorrelatedIndex, minhash: &MinHashLsh) {
-    for (name, stats) in [
-        ("correlated", correlated.memory_stats()),
-        ("minhash", minhash.memory_stats()),
-    ] {
-        eprintln!(
-            "[memory] {name}: {stats} — {:.1} B/set over n={}",
-            stats.bytes_per_set(config.scale),
-            config.scale,
-        );
-    }
+fn report_memory(config: &PersistConfig, correlated: &CorrelatedIndex) {
+    let stats = correlated.memory_stats();
+    eprintln!(
+        "[memory] correlated: {stats} — {:.1} B/set over n={}",
+        stats.bytes_per_set(config.scale),
+        config.scale,
+    );
 }
 
 /// One row per (index, query): the best match, the full `search_all` id
@@ -151,7 +137,6 @@ fn report_memory(config: &PersistConfig, correlated: &CorrelatedIndex, minhash: 
 /// save and load paths so the two outputs diff cleanly.
 fn answers(
     correlated: &CorrelatedIndex,
-    minhash: &MinHashLsh,
     sharded: &ShardedIndex<CorrelatedIndex>,
     queries: &[SparseVec],
 ) -> Table {
@@ -160,7 +145,6 @@ fn answers(
         &["index", "query", "best", "all_ids", "batch_matches"],
     );
     surface_rows(&mut t, "correlated", correlated, queries);
-    surface_rows(&mut t, "minhash", minhash, queries);
     surface_rows(&mut t, "sharded", sharded, queries);
     t
 }

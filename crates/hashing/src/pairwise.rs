@@ -32,19 +32,6 @@ impl PairwiseU64 {
         }
     }
 
-    /// Builds from explicit coefficients (for tests / reproducibility /
-    /// persistence).
-    pub const fn from_coefficients(a: u128, b: u128) -> Self {
-        Self { a, b }
-    }
-
-    /// The coefficients `(a, b)` this function was drawn with. Together with
-    /// [`PairwiseU64::from_coefficients`] this round-trips the function
-    /// exactly, which is what the on-disk index format relies on.
-    pub const fn coefficients(&self) -> (u128, u128) {
-        (self.a, self.b)
-    }
-
     /// Hashes to a full 64-bit value.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
@@ -116,7 +103,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_coefficients() {
-        let h = PairwiseU64::from_coefficients(12345, 999);
+        let h = PairwiseU64 { a: 12345, b: 999 };
         assert_eq!(h.hash(7), h.hash(7));
     }
 

@@ -9,10 +9,10 @@
 //! `save(load(x)) == x`.
 //!
 //! A second block pins the failure contract: truncated files, wrong magic,
-//! unsupported versions, mismatched container kinds, flipped payload bytes,
-//! and checksummed files whose contents disagree (a scheme table shorter
-//! than the profile, a node budget or MinHash banding or worker-count word
-//! other than the fixed one, an LSF payload with zero repetitions, a shard
+//! unsupported versions, mismatched container kinds (the retired kind 5
+//! included), flipped payload bytes, and checksummed files whose contents
+//! disagree (a scheme table shorter than the profile, a node budget other
+//! than the fixed one, an LSF payload with zero repetitions, a shard
 //! manifest that does not match its shards or that holds a retired
 //! pass-slice layout, shards from two builds) must all surface as typed
 //! [`PersistError`]s — never panics, never a silently wrong index. A
@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::persist::{fnv1a64, kind, write_bucket_map, write_container, Reader, Writer};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
@@ -233,15 +233,6 @@ fn chosen_path_index_round_trips() {
     let reloaded = assert_round_trip(&index, &queries, "ChosenPathIndex");
     assert_eq!(reloaded.k(), index.k());
     assert_eq!(reloaded.predicted_rho(), index.predicted_rho());
-}
-
-#[test]
-fn minhash_round_trips() {
-    let (ds, profile, queries) = fixture(200, SEED ^ 8);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 9);
-    let _ = profile;
-    let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
-    assert_round_trip(&index, &queries, "MinHashLsh");
 }
 
 #[test]
@@ -695,14 +686,44 @@ fn future_version_is_rejected() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Rewrites the container kind (header bytes 12..16) of the file at `path`;
+/// the checksum covers only the payload, so the file stays valid.
+fn rewrite_kind(path: &Path, kind: u32) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[12..16].copy_from_slice(&kind.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
 #[test]
 fn wrong_container_kind_is_rejected() {
-    let (path, _index) = saved_correlated();
+    let (path, index) = saved_correlated();
     assert!(matches!(
         AdversarialIndex::load(&path),
         Err(PersistError::WrongKind { .. })
     ));
+    // Kind 5, MinHash's retired container, is never reused: a file naming
+    // it fails like any other wrong kind, alone or as a deployment's shard.
+    rewrite_kind(&path, 5);
+    assert!(matches!(
+        CorrelatedIndex::load(&path),
+        Err(PersistError::WrongKind {
+            expected: kind::CORRELATED,
+            found: 5
+        })
+    ));
     let _ = std::fs::remove_file(&path);
+    let dir = scratch("retired_kind");
+    ShardedIndex::build(&index, 2).save(&dir).unwrap();
+    rewrite_kind(&dir.join("shard-0001.skx"), 5);
+    let result = ShardedIndex::<CorrelatedIndex>::load(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(matches!(
+        result,
+        Err(PersistError::WrongKind {
+            expected: kind::CORRELATED,
+            found: 5
+        })
+    ));
 }
 
 #[test]
@@ -949,40 +970,6 @@ fn deployment_mixed_from_two_builds_is_malformed() {
     }
     assert!(untouched.is_ok(), "one build's own deployment loads");
     assert_malformed(mixed, "shard-0001.skx from another build");
-}
-
-#[test]
-fn minhash_banding_word_other_than_the_fixed_one_is_malformed() {
-    // §6: threshold, rows, b1 and b2, then the fixed band_factor (3.0),
-    // max_bands (4096) and query_threads (0) words. Any other value must
-    // not load.
-    let (ds, _profile, _) = fixture(120, SEED ^ 35);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 36);
-    let index = MinHashLsh::build(&ds, MinHashParams::new(0.6, 0.1).unwrap(), &mut rng);
-    let (_, payload) = saved_kind_and_payload(&index, "minhash_words");
-    let mut r = Reader::new(&payload);
-    for _ in 0..4 {
-        r.get_u64().unwrap();
-    }
-    let band_factor = payload.len() - r.remaining();
-    assert_eq!(r.get_f64().unwrap(), 3.0);
-    let max_bands = payload.len() - r.remaining();
-    assert_eq!(r.get_u64().unwrap(), 4096);
-    let query_threads = payload.len() - r.remaining();
-    assert_eq!(r.get_u64().unwrap(), 0);
-    for (at, word, what) in [
-        (band_factor, 2.0f64.to_le_bytes(), "band_factor 2.0"),
-        (max_bands, 100u64.to_le_bytes(), "max_bands 100"),
-        (query_threads, 4u64.to_le_bytes(), "query_threads 4"),
-    ] {
-        let mut corrupt = payload.clone();
-        corrupt[at..at + 8].copy_from_slice(&word);
-        let path = scratch("minhash_words");
-        write_container(&path, kind::MINHASH, &corrupt).unwrap();
-        let result = MinHashLsh::load(&path);
-        let _ = std::fs::remove_file(&path);
-        assert_malformed(result, what);
-    }
 }
 
 /// Saves a kind-1 Correlated `LsfIndex`, replaces its payload with

@@ -14,8 +14,8 @@
 //! and answer only true matches. Degenerate cases ride along everywhere:
 //! the empty query (a plan with all-empty key lists), the *unplanned* plan
 //! (fused fallback), and plan reuse (probing must not consume the plan). A
-//! final test drives plans through the sharded broadcast, which fans out on
-//! one worker per core.
+//! final test drives plans through the sharded broadcast, which probes the
+//! shards in order on the calling thread.
 //!
 //! A structure's planner is its stage 1 apart from the structure: for the
 //! four LSF types and a sharded deployment, `planner().plan(q)` equals
@@ -64,7 +64,7 @@ fn opts(reps: usize) -> IndexOptions {
 }
 
 /// An expiry check that counts its polls and fires from poll `fire_at` on
-/// (`u64::MAX`: never). Atomic, so sharded fan-out workers can share it.
+/// (`u64::MAX`: never). Atomic, since a probe takes the check as `Sync`.
 struct CountingDeadline {
     polls: AtomicU64,
     fire_at: u64,
@@ -331,8 +331,8 @@ fn empty_index_plans_and_probes_to_nothing() {
 
 #[test]
 fn broadcast_probes_match_at_configured_worker_counts() {
-    // The sharded fan-out consumes one plan from one worker per core;
-    // results must be identical to the unsharded index's.
+    // The sharded fan-out probes one plan on every shard; results must be
+    // identical to the unsharded index's.
     let (ds, profile, queries) = fixture(200, SEED ^ 7);
     let mut rng = StdRng::seed_from_u64(SEED ^ 7);
     let reps = 5;

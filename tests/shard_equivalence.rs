@@ -8,9 +8,9 @@
 //! proptest block then randomizes the dataset, correlation, and shard count
 //! over {1, 3, 8}.
 //!
-//! The per-query shard fan-out and the batch executor both run on one
-//! worker per core, so on a multicore host these suites run at real
-//! parallelism.
+//! A query probes its shards in order on the calling thread, and
+//! `search_batch` runs its queries on one worker per core, so on a
+//! multicore host the batch surfaces run at real parallelism.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
