@@ -80,11 +80,4 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.search(&v(&[1])).is_none());
     }
-
-    #[test]
-    fn search_best_returns_maximum() {
-        let b = BruteForce::new(vec![v(&[1, 2]), v(&[1, 2, 3])], 0.1);
-        let q = v(&[1, 2, 3]);
-        assert_eq!(b.search_best(&q).unwrap().id, 1);
-    }
 }

@@ -4,8 +4,10 @@
 //!
 //! * [`ChosenPathIndex`] — Christiani & Pagh's Chosen Path \[18\], the
 //!   non-adaptive ancestor of the paper's structure (constant thresholds,
-//!   fixed depth, with-replacement). Realized on the same path engine as the
-//!   core indexes so comparisons are apples-to-apples (Figure 1's blue line).
+//!   fixed depth, with-replacement). It is `LsfIndex<ChosenPathScheme>`, the
+//!   same engine as the core indexes, so comparisons are apples-to-apples
+//!   (Figure 1's blue line); its type and parameters live in
+//!   `skewsearch-core` beside the scheme and are re-exported here.
 //! * [`MinHashLsh`] — classic MinHash banding \[13, 14\], the baseline Chosen
 //!   Path itself improves on (§1.2).
 //! * [`PrefixFilterIndex`] — exact prefix filtering \[11\], the canonical

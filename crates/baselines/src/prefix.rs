@@ -21,9 +21,9 @@ use skewsearch_sets::{similarity, SparseVec};
 /// Exact prefix-filtering index.
 pub struct PrefixFilterIndex {
     vectors: Vec<SparseVec>,
-    /// rank[dim] = position in the rarest-first global order.
+    /// rank\[dim\] = position in the rarest-first global order.
     rank: Vec<u32>,
-    /// posting[dim] = ids whose *prefix* contains `dim`.
+    /// posting\[dim\] = ids whose *prefix* contains `dim`.
     postings: Vec<Vec<u32>>,
     threshold: f64,
 }

@@ -33,7 +33,7 @@ fn build(
     mutation_buffer: usize,
 ) -> LsfIndex<CorrelatedScheme> {
     let mut rng = StdRng::seed_from_u64(0xBE7C);
-    LsfIndex::build(
+    LsfIndex::with_scheme(
         vectors,
         profile.clone(),
         CorrelatedScheme::new(ALPHA, N, profile),

@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch_bench::bench_dataset;
 use skewsearch_core::{
-    CorrelatedIndex, CorrelatedParams, IndexOptions, Persist, Repetitions, SetSimilaritySearch,
-    ShardedIndex,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, Persist, Repetitions,
+    SetSimilaritySearch, ShardedIndex,
 };
 
 const ALPHA: f64 = 2.0 / 3.0;
@@ -54,11 +54,11 @@ fn bench_persist(c: &mut Criterion) {
     // Report the on-disk size as a log line, NOT in the group name: a name
     // that embeds the byte count changes whenever the encoding does, which
     // breaks `cargo bench -- --save-baseline` comparisons across commits.
+    let resident = index.memory_stats().total();
     eprintln!(
-        "persist_skewed_n{N}: file={bytes}B ({:.1} B/set), resident={}B ({:.1} B/set)",
+        "persist_skewed_n{N}: file={bytes}B ({:.1} B/set), resident={resident}B ({:.1} B/set)",
         bytes as f64 / N as f64,
-        index.memory_bytes(),
-        index.memory_bytes() as f64 / N as f64,
+        resident as f64 / N as f64,
     );
 
     let mut g = c.benchmark_group(format!("persist_skewed_n{N}"));
@@ -79,7 +79,7 @@ fn bench_persist(c: &mut Criterion) {
         |b, sharded| b.iter(|| black_box(sharded).save(&shard_dir).unwrap()),
     );
     g.bench_with_input(BenchmarkId::new("load_sharded", N), &shard_dir, |b, dir| {
-        b.iter(|| black_box(ShardedIndex::<CorrelatedIndex>::load(dir).unwrap()))
+        b.iter(|| black_box(ShardedIndex::<CorrelatedScheme>::load(dir).unwrap()))
     });
     g.finish();
 

@@ -8,9 +8,7 @@
 //! match the Chosen Path bound.
 
 use crate::index::{IndexOptions, LsfIndex};
-use crate::persist::{PersistError, Reader, Writer};
 use crate::scheme::AdversarialScheme;
-use crate::wrapper::LsfWrapper;
 use rand::Rng;
 use skewsearch_datagen::{BernoulliProfile, Dataset};
 use skewsearch_rho::rho_adversarial_query;
@@ -46,12 +44,10 @@ impl AdversarialParams {
 
 /// The paper's §5 data structure: skew-adaptive LSF with thresholds
 /// `s(x, j, i) = 1/(b₁|x| − j)` and the product stopping rule — an
-/// [`LsfIndex`] under the [`AdversarialScheme`], which it dereferences to.
-pub struct AdversarialIndex {
-    inner: LsfIndex<AdversarialScheme>,
-}
+/// [`LsfIndex`] under the [`AdversarialScheme`].
+pub type AdversarialIndex = LsfIndex<AdversarialScheme>;
 
-impl AdversarialIndex {
+impl LsfIndex<AdversarialScheme> {
     /// Preprocesses the dataset (Theorem 2: `O(d n^{1+ρᵤ+ε})` expected time,
     /// `O(n^{1+ρᵤ+ε} + dn)` expected space).
     pub fn build<R: Rng + ?Sized>(
@@ -61,15 +57,14 @@ impl AdversarialIndex {
         rng: &mut R,
     ) -> Self {
         let scheme = AdversarialScheme::new(params.b1, dataset.n().max(2), profile);
-        let inner = LsfIndex::build(
+        LsfIndex::with_scheme(
             dataset.vectors().to_vec(),
             profile.clone(),
             scheme,
             params.b1,
             params.options,
             rng,
-        );
-        Self { inner }
+        )
     }
 
     /// The predicted per-query exponent `ρ(q)` of Theorem 2, from the item
@@ -84,47 +79,14 @@ impl AdversarialIndex {
     pub fn predicted_rho(&self, q: &SparseVec) -> f64 {
         let ps: Vec<f64> = q
             .iter()
-            .filter_map(|i| self.inner.profile().ps().get(i as usize).copied())
+            .filter_map(|i| self.profile().ps().get(i as usize).copied())
             .collect();
-        let b1 = self.inner.scheme().b1() * (q.weight() as f64 / ps.len() as f64);
+        let b1 = self.scheme().b1() * (q.weight() as f64 / ps.len() as f64);
         if b1 < 1.0 {
             rho_adversarial_query(&ps, b1)
         } else {
             0.0
         }
-    }
-}
-
-impl std::ops::Deref for AdversarialIndex {
-    type Target = LsfIndex<AdversarialScheme>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.inner
-    }
-}
-
-impl std::ops::DerefMut for AdversarialIndex {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.inner
-    }
-}
-
-impl LsfWrapper for AdversarialIndex {
-    type Scheme = AdversarialScheme;
-    const KIND: u32 = crate::persist::kind::ADVERSARIAL;
-
-    fn rewrap(&self, inner: LsfIndex<AdversarialScheme>) -> Self {
-        Self { inner }
-    }
-
-    /// Nothing: the wrapper adds no state of its own, so only the container
-    /// kind distinguishes its file from a bare LSF index.
-    fn encode_fields(&self, _: &mut Writer) {}
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            inner: LsfIndex::read_payload(r)?,
-        })
     }
 }
 

@@ -8,9 +8,7 @@
 //! `O(d · n^{ρ+ε})` with `Σ p^{1+ρ}/p̂ = Σ p`.
 
 use crate::index::{IndexOptions, LsfIndex};
-use crate::persist::{PersistError, Reader, Writer};
 use crate::scheme::CorrelatedScheme;
-use crate::wrapper::LsfWrapper;
 use rand::Rng;
 use skewsearch_datagen::{BernoulliProfile, Dataset};
 use skewsearch_rho::rho_correlated;
@@ -61,14 +59,11 @@ pub struct ModelDiagnostics {
 }
 
 /// The paper's §6 data structure for α-correlated queries (Theorem 1): an
-/// [`LsfIndex`] under the [`CorrelatedScheme`], which it dereferences to.
-pub struct CorrelatedIndex {
-    inner: LsfIndex<CorrelatedScheme>,
-    alpha: f64,
-    diagnostics: ModelDiagnostics,
-}
+/// [`LsfIndex`] under the [`CorrelatedScheme`], which holds `α` and the
+/// model diagnostics.
+pub type CorrelatedIndex = LsfIndex<CorrelatedScheme>;
 
-impl CorrelatedIndex {
+impl LsfIndex<CorrelatedScheme> {
     /// Preprocesses the dataset. Violations of the §6 model assumptions
     /// (`Cα ≥ 15`, `p_i ≤ α/2`) do not fail the build — the structure still
     /// works, with weaker guarantees — but are reported via
@@ -79,109 +74,31 @@ impl CorrelatedIndex {
         params: CorrelatedParams,
         rng: &mut R,
     ) -> Self {
-        let n = dataset.n().max(2);
-        let alpha = params.alpha;
-        let c = profile.c_constant(n);
-        let mut warnings = Vec::new();
-        if c * alpha < 15.0 {
-            warnings.push(format!(
-                "Lemma 11 assumes Cα ≥ 15; here Cα = {:.2} — success probability \
-                 may fall below the advertised bound",
-                c * alpha
-            ));
-        }
-        let max_p = profile.max_p();
-        if max_p > alpha / 2.0 {
-            warnings.push(format!(
-                "§6 assumes all p_i ≤ α/2 = {:.3}; max p_i = {max_p:.3}",
-                alpha / 2.0
-            ));
-        }
-        let scheme = CorrelatedScheme::new(alpha, n, profile);
-        let inner = LsfIndex::build(
+        let scheme = CorrelatedScheme::new(params.alpha, dataset.n().max(2), profile);
+        LsfIndex::with_scheme(
             dataset.vectors().to_vec(),
             profile.clone(),
             scheme,
-            alpha / B1_DIVISOR,
+            params.alpha / B1_DIVISOR,
             params.options,
             rng,
-        );
-        Self {
-            inner,
-            alpha,
-            diagnostics: ModelDiagnostics { c, warnings },
-        }
+        )
     }
 
     /// The target correlation `α`.
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.scheme().alpha()
     }
 
     /// Model-assumption diagnostics collected at build time.
     pub fn diagnostics(&self) -> &ModelDiagnostics {
-        &self.diagnostics
+        self.scheme().diagnostics()
     }
 
     /// Theorem 1's predicted exponent ρ for this profile and α
     /// (`Σ p^{1+ρ}/p̂ = Σ p`). Analytical; the search never needs it.
     pub fn predicted_rho(&self) -> f64 {
-        rho_correlated(self.inner.profile(), self.alpha)
-    }
-}
-
-impl std::ops::Deref for CorrelatedIndex {
-    type Target = LsfIndex<CorrelatedScheme>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.inner
-    }
-}
-
-impl std::ops::DerefMut for CorrelatedIndex {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.inner
-    }
-}
-
-impl LsfWrapper for CorrelatedIndex {
-    type Scheme = CorrelatedScheme;
-    const KIND: u32 = crate::persist::kind::CORRELATED;
-
-    fn rewrap(&self, inner: LsfIndex<CorrelatedScheme>) -> Self {
-        Self {
-            inner,
-            alpha: self.alpha,
-            diagnostics: self.diagnostics.clone(),
-        }
-    }
-
-    /// `α`, then the model diagnostics (`C` + warnings).
-    fn encode_fields(&self, w: &mut Writer) {
-        w.put_f64(self.alpha);
-        w.put_f64(self.diagnostics.c);
-        w.put_u64(self.diagnostics.warnings.len() as u64);
-        for warning in &self.diagnostics.warnings {
-            w.put_str(warning);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let alpha = r.get_f64()?;
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(PersistError::Malformed("correlated alpha out of (0,1]"));
-        }
-        let c = r.get_f64()?;
-        let warning_count = r.get_u64()?;
-        let mut warnings = Vec::new();
-        for _ in 0..warning_count {
-            warnings.push(r.get_string()?);
-        }
-        Ok(Self {
-            inner: LsfIndex::read_payload(r)?,
-            alpha,
-            diagnostics: ModelDiagnostics { c, warnings },
-        })
+        rho_correlated(self.profile(), self.alpha())
     }
 }
 

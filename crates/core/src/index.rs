@@ -27,7 +27,7 @@
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
-    kind, load_container, read_bucket_map, read_postings, write_bucket_map, write_container,
+    load_container, read_bucket_map, read_postings, write_bucket_map, write_container,
     write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
 };
 use crate::plan::{QueryPlan, QueryPlanner};
@@ -87,7 +87,7 @@ pub struct IndexOptions {
     /// on — and with it every join over this index. `0` = one worker per
     /// available core. Saved with the index. Batch results are
     /// **identical** for any worker count — see [`crate::batch::batch_map`].
-    /// It governs queries only: [`LsfIndex::build`] always runs on one
+    /// It governs queries only: [`LsfIndex::with_scheme`] always runs on one
     /// worker per core.
     pub query_threads: usize,
     /// How many pending mutations (inserts + removals since the last
@@ -317,7 +317,7 @@ struct BuiltRepetition {
 /// Builds the repetition whose hash stack and interner are drawn from
 /// `seed`: enumerates `F(x)` for every vector, interns the keys and encodes
 /// the base segment from the `(key, id)` pairs. It reads nothing but its
-/// arguments, so [`LsfIndex::build`] runs one per worker.
+/// arguments, so [`LsfIndex::with_scheme`] runs one per worker.
 fn build_repetition<S: ThresholdScheme>(
     seed: u64,
     vectors: &[SparseVec],
@@ -530,9 +530,10 @@ enum PassKeys<'a> {
 }
 
 /// A locality-sensitive filtering index over a dataset, generic in the
-/// [`ThresholdScheme`]. This is the shared machinery behind
-/// [`crate::AdversarialIndex`], [`crate::CorrelatedIndex`], and the Chosen
-/// Path baseline.
+/// [`ThresholdScheme`]: the one index type. [`crate::CorrelatedIndex`],
+/// [`crate::AdversarialIndex`] and [`crate::ChosenPathIndex`] are aliases
+/// of it under their schemes, each with its own `build` from a dataset and
+/// parameters; [`LsfIndex::with_scheme`] builds one under any scheme.
 pub struct LsfIndex<S: ThresholdScheme> {
     /// The profile, scheme and hash stacks: everything planning reads,
     /// shared with the index's shards and with the callers of
@@ -593,7 +594,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
     /// let data = Dataset::generate(&profile, 200, &mut rng);
     /// let scheme = CorrelatedScheme::new(0.8, data.n(), &profile);
-    /// let index = LsfIndex::build(
+    /// let index = LsfIndex::with_scheme(
     ///     data.vectors().to_vec(),
     ///     profile.clone(),
     ///     scheme,
@@ -606,7 +607,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// let hit = index.search(data.vector(0)).expect("self-query hits");
     /// assert!(hit.similarity >= index.threshold());
     /// ```
-    pub fn build<R: Rng + ?Sized>(
+    pub fn with_scheme<R: Rng + ?Sized>(
         vectors: Vec<SparseVec>,
         profile: BernoulliProfile,
         scheme: S,
@@ -660,7 +661,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         &self.planner.scheme
     }
 
-    /// The indexed vectors.
+    /// The indexed vectors, by slot; a removed slot holds the empty set.
     pub fn vectors(&self) -> &[SparseVec] {
         self.sets.sets()
     }
@@ -737,49 +738,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         Ok(stats)
     }
 
-    /// Stage 1 of the pipeline: enumerates `F(q)` under every repetition's
-    /// hash stack — thresholds and masses hoisted once into an
-    /// [`EnumContext`] — and interns the path keys into the per-repetition
-    /// 64-bit bucket keys, packaged as a reusable [`QueryPlan`].
-    ///
-    /// The plan is valid for this index and for any
-    /// [`LsfIndex::shard_of_ids`] shard of it (shards share the parent's
-    /// planner, so the plan is shard-invariant — the fact the sharding
-    /// layer's enumerate-once broadcast rests on), and it is the plan of
-    /// the planner [`SetSimilaritySearch::planner`] returns.
-    ///
-    /// Unlike the fused probe, planning always enumerates **all**
-    /// repetitions up front (no early exit) — that is the price of
-    /// reusability, repaid as soon as a second consumer probes the plan.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rand::{rngs::StdRng, SeedableRng};
-    /// use skewsearch_core::{CorrelatedScheme, IndexOptions, LsfIndex, SetSimilaritySearch};
-    /// use skewsearch_datagen::{BernoulliProfile, Dataset};
-    ///
-    /// let mut rng = StdRng::seed_from_u64(2);
-    /// let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
-    /// let data = Dataset::generate(&profile, 120, &mut rng);
-    /// let scheme = CorrelatedScheme::new(0.8, data.n(), &profile);
-    /// let index = LsfIndex::build(
-    ///     data.vectors().to_vec(),
-    ///     profile.clone(),
-    ///     scheme,
-    ///     0.8 / 1.3,
-    ///     IndexOptions::default(),
-    ///     &mut rng,
-    /// );
-    /// let plan = index.plan_query(data.vector(0));
-    /// // One key list per repetition, probing reproduces the fused search.
-    /// assert_eq!(plan.pass_count(), index.repetition_count());
-    /// assert_eq!(index.probe_plan(&plan), index.search_all(data.vector(0)));
-    /// ```
-    pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        self.planner.plan(q)
-    }
-
     /// Verifies candidate `id` against `q`, whose signature is `q_sig`:
     /// its [`Match`] iff the slot is live and the similarity clears the
     /// index's threshold. Stage 3's single verification site, shared by
@@ -831,51 +789,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// Number of probe passes (= built repetitions).
     pub fn repetition_count(&self) -> usize {
         self.reps.len()
-    }
-
-    /// Resident heap bytes of this index by role — the accounting behind
-    /// the memory-diet target. `posting_bytes` is exact for the compressed
-    /// base segments (four flat arrays measured by capacity: keys, one
-    /// word per bucket, the derived directory and the arena of the buckets
-    /// that are not inline singletons) and a load-factor-aware estimate
-    /// for the uncompressed delta maps;
-    /// `aux_bytes` covers the planner's hash coefficients and interner
-    /// tables ([`QueryPlanner::heap_bytes`]), the
-    /// tombstone bitmap, the set signatures (32 bytes per slot) and the
-    /// live delta slots' bucket-key records (8 bytes per key, none for an
-    /// index without inserts since its last compaction).
-    /// Deterministic for a deterministic build — which is what lets
-    /// `benches/postings.rs` compare substrates.
-    pub fn memory_stats(&self) -> MemoryStats {
-        let mut posting = 0usize;
-        let mut aux = 0usize;
-        for rep in &self.reps {
-            posting += rep.base.heap_bytes();
-            // Delta estimate: per-slot map overhead (key + Vec header +
-            // control byte) plus each bucket's id storage.
-            posting += rep.delta.capacity()
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>() + 1);
-            posting += rep
-                .delta
-                // lint:allow(nondeterministic-iter, sum of bucket capacities is an order-independent reduction)
-                .values()
-                .map(|b| b.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>();
-            aux += rep.delta_keys.capacity() * std::mem::size_of::<Vec<u64>>();
-            aux += rep
-                .delta_keys
-                .iter()
-                .map(|keys| keys.capacity() * std::mem::size_of::<u64>())
-                .sum::<usize>();
-        }
-        aux += self.planner.heap_bytes();
-        aux += self.alive.capacity();
-        aux += self.sets.signature_bytes();
-        MemoryStats {
-            posting_bytes: posting,
-            vector_bytes: self.sets.set_bytes(),
-            aux_bytes: aux,
-        }
     }
 
     /// Incrementally indexes `set` in the delta segments and returns its
@@ -935,8 +848,9 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// buckets at once, through the bucket keys its insert recorded, so no
     /// query probes it again. A base set is tombstoned: it can still be
     /// *probed* (its base entries linger until the next compaction), but
-    /// the single verification site (`verified`) never answers it. Neither
-    /// enumerates anything.
+    /// the single verification site (`verified`) never answers it. Either
+    /// way the slot's set is released at once, becoming the empty set.
+    /// Neither enumerates anything.
     pub fn remove_set(&mut self, id: usize) -> bool {
         if id >= self.alive.len() || !self.alive[id] {
             return false;
@@ -947,6 +861,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 rep.prune_delta(id - self.base_len, id as u32);
             }
         }
+        self.sets.clear(id);
         self.live -= 1;
         self.pending += 1;
         self.maybe_compact();
@@ -967,6 +882,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     ///
     /// Dead slots' vector payloads are released, signatures zeroed with them
     /// (slot ids are never reused, so the slots themselves remain, empty).
+    /// [`LsfIndex::remove_set`] releases each as it goes; this loop is for
+    /// a file saved before it did, which can still hold a dead slot's set.
     pub fn compact(&mut self) {
         if self.pending == 0 {
             return;
@@ -1171,8 +1088,9 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
     }
 
     /// The index's own planner, shared rather than copied: stage 1, full
-    /// enumeration + interning, one key list per repetition — see
-    /// [`LsfIndex::plan_query`].
+    /// enumeration + interning, one key list per repetition, with no early
+    /// exit. Its plan is valid for this index and for any
+    /// [`LsfIndex::shard_of_ids`] shard of it, which share the planner.
     fn planner(&self) -> Option<Arc<dyn QueryPlanner>> {
         Some(self.planner.clone())
     }
@@ -1236,9 +1154,49 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
         true
     }
 
-    /// Genuine accounting — see [`LsfIndex::memory_stats`].
+    /// Resident heap bytes of this index by role — the accounting behind
+    /// the memory-diet target. `posting_bytes` is exact for the compressed
+    /// base segments (four flat arrays measured by capacity: keys, one
+    /// word per bucket, the derived directory and the arena of the buckets
+    /// that are not inline singletons) and a load-factor-aware estimate
+    /// for the uncompressed delta maps;
+    /// `aux_bytes` covers the planner's hash coefficients and interner
+    /// tables ([`QueryPlanner::heap_bytes`]), the
+    /// tombstone bitmap, the set signatures (32 bytes per slot) and the
+    /// live delta slots' bucket-key records (8 bytes per key, none for an
+    /// index without inserts since its last compaction).
+    /// Deterministic for a deterministic build — which is what lets
+    /// `benches/postings.rs` compare substrates.
     fn memory_stats(&self) -> MemoryStats {
-        LsfIndex::memory_stats(self)
+        let mut posting = 0usize;
+        let mut aux = 0usize;
+        for rep in &self.reps {
+            posting += rep.base.heap_bytes();
+            // Delta estimate: per-slot map overhead (key + Vec header +
+            // control byte) plus each bucket's id storage.
+            posting += rep.delta.capacity()
+                * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>() + 1);
+            posting += rep
+                .delta
+                // lint:allow(nondeterministic-iter, sum of bucket capacities is an order-independent reduction)
+                .values()
+                .map(|b| b.capacity() * std::mem::size_of::<u32>())
+                .sum::<usize>();
+            aux += rep.delta_keys.capacity() * std::mem::size_of::<Vec<u64>>();
+            aux += rep
+                .delta_keys
+                .iter()
+                .map(|keys| keys.capacity() * std::mem::size_of::<u64>())
+                .sum::<usize>();
+        }
+        aux += self.planner.heap_bytes();
+        aux += self.alive.capacity();
+        aux += self.sets.signature_bytes();
+        MemoryStats {
+            posting_bytes: posting,
+            vector_bytes: self.sets.set_bytes(),
+            aux_bytes: aux,
+        }
     }
 
     fn threshold(&self) -> f64 {
@@ -1263,13 +1221,12 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
 // recomputes them and the format does not carry them.
 
 impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
-    /// Appends this index's complete state to `w` as the kind-1 payload of
-    /// `docs/PERSISTENCE.md` §4: base segments as format-v2 compressed
-    /// postings (sorted keys + byte offsets + the delta/varint arena,
-    /// derived by [`CompressedPostings::v2_parts`]), delta segments as
-    /// bucket maps. Public because the wrapper indexes in
-    /// `skewsearch-baselines` embed this payload after their own fields;
-    /// most callers want [`Persist::save`] instead.
+    /// Appends this index's complete state to `w` as the LSF payload of
+    /// `docs/PERSISTENCE.md` §4, which a container of the scheme's kind
+    /// carries after the scheme's fields: base segments as format-v2
+    /// compressed postings (sorted keys + byte offsets + the delta/varint
+    /// arena, derived by [`CompressedPostings::v2_parts`]), delta segments
+    /// as bucket maps. Most callers want [`Persist::save`] instead.
     pub fn write_payload(&self, w: &mut Writer) {
         self.write_calibration(w);
         w.put_f64(self.verify_threshold);
@@ -1302,12 +1259,18 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         w.put_f64_slice(self.planner.profile.ps());
     }
 
-    /// [`crate::Shardable::adopt_planner`]: the two plan from identical
-    /// state when the payload bytes planning reads — the calibration and
-    /// every repetition's hash stack — are equal.
+    /// Makes `self` plan with `first`'s planner if the two hold identical
+    /// planning state, as every shard of one build does, and returns
+    /// whether they do; `self` is unchanged otherwise. They do when the
+    /// saved bytes of that state are equal: the scheme's fields, the
+    /// calibration and every repetition's hash stack.
+    /// [`crate::ShardedIndex::load`] calls it on every shard after the
+    /// first, so a loaded deployment holds one planner, as a built one
+    /// does, and shards of two builds are rejected.
     pub(crate) fn adopt_planner(&mut self, first: &Self) -> bool {
         let planning_bytes = |index: &Self| {
             let mut w = Writer::new();
+            index.scheme().encode_fields(&mut w);
             index.write_calibration(&mut w);
             for stack in &index.planner.stacks {
                 stack.write(&mut w);
@@ -1329,16 +1292,17 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
     /// `depth_bound` deep, delta ids past the base watermark). The payload
     /// does not carry the delta slots' bucket-key records: they are rebuilt
     /// from the delta segments, so the loaded index prunes removes as the
-    /// saved one did. Never panics: corrupt bytes yield a [`PersistError`].
-    /// Most callers want [`Persist::load`] instead.
-    pub fn read_payload(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+    /// saved one did. The scheme takes `fields`, decoded from the
+    /// container's prefix. Never panics: corrupt bytes yield a
+    /// [`PersistError`].
+    fn read_payload(r: &mut Reader<'_>, fields: S::Fields) -> Result<Self, PersistError> {
         let tag = r.get_u32()?;
         if tag != S::SCHEME_TAG {
             return Err(PersistError::Malformed(
                 "scheme tag does not match the requested scheme type",
             ));
         }
-        let scheme = S::decode_scheme(r)?;
+        let scheme = S::decode_scheme(r, fields)?;
         let ps = r.get_f64_vec()?;
         let profile = BernoulliProfile::new(ps)
             .map_err(|_| PersistError::Malformed("profile probabilities out of range"))?;
@@ -1444,14 +1408,20 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
 }
 
 impl<S: ThresholdScheme + PersistScheme> Persist for LsfIndex<S> {
+    /// A container of the scheme's kind: the scheme's fields, then the LSF
+    /// payload (`docs/PERSISTENCE.md` §5).
     fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
         let mut w = Writer::new();
+        self.scheme().encode_fields(&mut w);
         self.write_payload(&mut w);
-        write_container(path, kind::LSF, &w.into_payload())
+        write_container(path, S::KIND, &w.into_payload())
     }
 
     fn load(path: &std::path::Path) -> Result<Self, PersistError> {
-        load_container(path, kind::LSF, Self::read_payload)
+        load_container(path, S::KIND, |r| {
+            let fields = S::decode_fields(r)?;
+            Self::read_payload(r, fields)
+        })
     }
 }
 
@@ -1477,7 +1447,7 @@ mod tests {
         rng: &mut StdRng,
     ) -> LsfIndex<CorrelatedScheme> {
         let scheme = CorrelatedScheme::new(alpha, ds.n(), profile);
-        LsfIndex::build(
+        LsfIndex::with_scheme(
             ds.vectors().to_vec(),
             profile.clone(),
             scheme,
@@ -1563,7 +1533,7 @@ mod tests {
 
     /// A build's repetitions depend on their seeds alone: mapped on the
     /// calling thread or on three workers, the per-repetition builder
-    /// gives the hash stacks, base postings and stats `LsfIndex::build`
+    /// gives the hash stacks, base postings and stats `LsfIndex::with_scheme`
     /// gave on one worker per core.
     #[test]
     fn the_worker_count_cannot_change_a_build() {
@@ -1661,7 +1631,12 @@ mod tests {
                 index.search_all_tagged(&q),
                 "query {t}"
             );
-            assert_eq!(index.probe_plan(&plan), index.search_all(&q));
+            let hits: Vec<Match> = index
+                .probe_plan_tagged(&plan)
+                .into_iter()
+                .map(|t| t.hit)
+                .collect();
+            assert_eq!(hits, index.search_all(&q));
             assert_eq!(
                 index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
                 index.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
@@ -1672,7 +1647,7 @@ mod tests {
         let plan = index.plan_query(&SparseVec::empty());
         assert_eq!(plan.pass_count(), index.repetition_count());
         assert_eq!(plan.key_count(), 0);
-        assert!(index.probe_plan(&plan).is_empty());
+        assert!(index.probe_plan_tagged(&plan).is_empty());
     }
 
     #[test]
@@ -1724,7 +1699,7 @@ mod tests {
     ) -> LsfIndex<CorrelatedScheme> {
         let scheme = CorrelatedScheme::new(0.8, 300, profile);
         let mut rng = StdRng::seed_from_u64(0xB111D);
-        LsfIndex::build(
+        LsfIndex::with_scheme(
             vectors,
             profile.clone(),
             scheme,
@@ -1816,7 +1791,10 @@ mod tests {
         assert!(index.search_all(&q).iter().all(|m| m.id != victim));
         assert!(index.search(&q).map(|m| m.id) != Some(victim));
         let plan = index.plan_query(&q);
-        assert!(index.probe_plan(&plan).iter().all(|m| m.id != victim));
+        assert!(index
+            .probe_plan_tagged(&plan)
+            .iter()
+            .all(|t| t.hit.id != victim));
         // After compaction the stale bucket entries are gone too.
         index.compact();
         let (cands, _) = index.distinct_candidates(&q);
@@ -1871,6 +1849,51 @@ mod tests {
         assert!(!index.distinct_candidates(q_fresh).0.contains(&fresh));
         index.compact();
         assert!(!index.distinct_candidates(q_kept).0.contains(&kept));
+    }
+
+    /// A remove releases its slot's set at once, delta-resident or base:
+    /// each lowers `vector_bytes` by exactly the set's dims and takes only
+    /// that set out of the answers, and the index still saves the bytes it
+    /// loads back.
+    #[test]
+    fn removes_release_their_sets_at_once() {
+        let (ds, profile, _rng) = small_setup();
+        let mut index = build_fixed(ds.vectors()[..150].to_vec(), &profile, usize::MAX);
+        let inserted = index.insert_set(ds.vector(150).clone());
+        let queries = [ds.vector(150).clone(), ds.vector(3).clone()];
+        let path = std::env::temp_dir().join(format!(
+            "skewsearch_index_unit_release_{}.skx",
+            std::process::id()
+        ));
+        for victim in [inserted, 3] {
+            let dims = index.vectors()[victim].weight();
+            let bytes = index.memory_stats().vector_bytes;
+            let answers: Vec<Vec<TaggedMatch>> =
+                queries.iter().map(|q| index.search_all_tagged(q)).collect();
+            assert!(answers.iter().flatten().any(|t| t.hit.id == victim));
+            assert!(index.remove_set(victim));
+            assert_eq!(index.vectors()[victim].weight(), 0, "slot {victim}");
+            assert_eq!(
+                bytes - index.memory_stats().vector_bytes,
+                dims * std::mem::size_of::<u32>(),
+                "slot {victim}"
+            );
+            for (q, before) in queries.iter().zip(answers) {
+                let kept: Vec<TaggedMatch> =
+                    before.into_iter().filter(|t| t.hit.id != victim).collect();
+                assert_eq!(index.search_all_tagged(q), kept, "slot {victim}");
+            }
+            index.save(&path).unwrap();
+            let saved = std::fs::read(&path).unwrap();
+            let loaded = LsfIndex::<CorrelatedScheme>::load(&path).unwrap();
+            loaded.save(&path).unwrap();
+            assert!(std::fs::read(&path).unwrap() == saved, "slot {victim}");
+            for q in &queries {
+                assert_eq!(loaded.search_all_tagged(q), index.search_all_tagged(q));
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(index.pending_mutations(), 3);
     }
 
     /// A dataset shard rebuilds the delta slots' bucket-key records, so it
@@ -2053,7 +2076,8 @@ mod tests {
         let mut w = Writer::new();
         index.write_payload(&mut w);
         let payload = w.into_payload();
-        let loaded = LsfIndex::<CorrelatedScheme>::read_payload(&mut Reader::new(&payload))
+        let fields = (index.alpha(), index.diagnostics().clone());
+        let loaded = LsfIndex::<CorrelatedScheme>::read_payload(&mut Reader::new(&payload), fields)
             .expect("own payload loads");
         assert_bound_rejects_most("loaded", bound_outcomes(&loaded, &queries));
 
@@ -2100,7 +2124,7 @@ mod tests {
         let profile = BernoulliProfile::uniform(50, 0.2).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let scheme = CorrelatedScheme::new(0.5, 2, &profile);
-        let index: LsfIndex<CorrelatedScheme> = LsfIndex::build(
+        let index: LsfIndex<CorrelatedScheme> = LsfIndex::with_scheme(
             vec![],
             profile.clone(),
             scheme,

@@ -19,32 +19,37 @@
 //!
 //! ## Entry points
 //!
-//! * [`CorrelatedIndex`] — Theorem 1: queries `q ~ D_α(x)`; thresholds
-//!   biased by `p̂_i = p_i(1−α) + α`, verification at `α/1.3`.
-//! * [`AdversarialIndex`] — Theorem 2: arbitrary queries at threshold `b₁`;
-//!   thresholds `1/(b₁|x| − j)`, per-query cost exponent `ρ(q)`.
-//! * [`LsfIndex`] + [`ThresholdScheme`] — the generic engine, also used by
-//!   the Chosen Path baseline in `skewsearch-baselines`.
+//! * [`LsfIndex`] + [`ThresholdScheme`] — the one engine; every index is an
+//!   `LsfIndex<S>` under its scheme `S`, which also holds the few fields the
+//!   scheme's analysis reads.
+//! * [`CorrelatedIndex`] = `LsfIndex<CorrelatedScheme>` — Theorem 1:
+//!   queries `q ~ D_α(x)`; thresholds biased by `p̂_i = p_i(1−α) + α`,
+//!   verification at `α/1.3`.
+//! * [`AdversarialIndex`] = `LsfIndex<AdversarialScheme>` — Theorem 2:
+//!   arbitrary queries at threshold `b₁`; thresholds `1/(b₁|x| − j)`,
+//!   per-query cost exponent `ρ(q)`.
+//! * [`ChosenPathIndex`] = `LsfIndex<ChosenPathScheme>` — the Chosen Path
+//!   baseline the paper generalizes (constant thresholds, fixed depth),
+//!   also re-exported by `skewsearch-baselines`.
 //!
 //! All structures implement [`SetSimilaritySearch`], including its batch
 //! interface: [`SetSimilaritySearch::search_batch`] answers a query slice on
 //! a work-stealing thread pool ([`batch`]) with results identical to the
 //! sequential loop. Queries run an explicit enumerate→probe→verify pipeline:
 //! [`SetSimilaritySearch::plan_query`] derives a reusable [`QueryPlan`]
-//! ([`plan`]) that [`SetSimilaritySearch::probe_plan`] consumes with bucket
-//! lookups only — byte-identical to the fused search — and
+//! ([`plan`]) that [`SetSimilaritySearch::probe_plan_tagged`] consumes with
+//! bucket lookups only — byte-identical to the fused search — and
 //! [`SetSimilaritySearch::planner`] hands out the planning state itself, a
 //! [`QueryPlanner`] that plans without touching the index. Every query method is
-//! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`],
-//! and the paper's indexes are thin [`LsfWrapper`]s around [`LsfIndex`]
-//! ([`wrapper`]). Planning and sharding belong to this LSF family: an LSF
-//! index can be partitioned across shards by [`ShardedIndex`] ([`shard`])
+//! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`].
+//! Planning and sharding belong to the LSF family: an `LsfIndex<S>` can be
+//! partitioned across shards by a [`ShardedIndex<S>`] ([`shard`])
 //! — a hash partition of the dataset, where one plan per query broadcasts
 //! to all shards — with answers byte-identical to the unsharded index.
 //! Built indexes are durable: [`persist::Persist`] saves any of them to a
-//! versioned, checksummed container file and loads it back with
-//! byte-identical answers, and [`ShardedIndex::save`] writes a whole
-//! deployment (manifest + per-shard files) to a directory.
+//! versioned, checksummed container file of its scheme's kind and loads it
+//! back with byte-identical answers, and [`ShardedIndex::save`] writes a
+//! whole deployment (manifest + per-shard files) to a directory.
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -71,6 +76,7 @@
 
 pub mod adversarial;
 pub mod batch;
+pub mod chosen_path;
 pub mod correlated;
 pub mod engine;
 pub mod index;
@@ -80,10 +86,10 @@ pub mod postings;
 pub mod scheme;
 pub mod shard;
 pub mod traits;
-pub mod wrapper;
 
 pub use adversarial::{AdversarialIndex, AdversarialParams};
 pub use batch::{batch_map, batch_map_chunked, distinct_slots};
+pub use chosen_path::{ChosenPathIndex, ChosenPathParams};
 pub use correlated::{CorrelatedIndex, CorrelatedParams, ModelDiagnostics};
 pub use engine::{
     enumerate_filters, enumerate_filters_with, enumeration_count, EnumContext, EnumStats,
@@ -94,9 +100,8 @@ pub use persist::{Persist, PersistError, PersistScheme, ShardManifest, ShardMani
 pub use plan::{QueryPlan, QueryPlanner};
 pub use postings::{CompressedPostings, PostingsCursor, PostingsEncoder, PostingsError};
 pub use scheme::{AdversarialScheme, ChosenPathScheme, CorrelatedScheme, ThresholdScheme};
-pub use shard::{set_partition_key, Shardable, ShardedIndex};
+pub use shard::{set_partition_key, ShardedIndex};
 pub use traits::{
     DeadlineExceeded, Match, MemoryStats, MutationError, PassSource, ProbeControl, SetId,
     SetSimilaritySearch, TaggedMatch,
 };
-pub use wrapper::LsfWrapper;

@@ -9,7 +9,7 @@
 //! dependency, matching the workspace's vendored-deps discipline — so a
 //! built index can be saved once and reloaded with **byte-identical
 //! answers** on every surface (`tests/persist_equivalence.rs` pins this for
-//! all four LSF index types, and for mutated and sharded LSF indexes).
+//! all three LSF index types, and for mutated and sharded LSF indexes).
 //!
 //! ## Container layout
 //!
@@ -39,12 +39,14 @@
 //!
 //! ## Entry points
 //!
-//! * [`Persist`] — `save(&Path)` / `load(&Path)` on [`crate::LsfIndex`],
-//!   [`crate::CorrelatedIndex`], [`crate::AdversarialIndex`], and (in
-//!   `skewsearch-baselines`) `ChosenPathIndex`: the LSF family alone.
+//! * [`Persist`] — `save(&Path)` / `load(&Path)` on [`crate::LsfIndex`]
+//!   under each of the three schemes: [`crate::CorrelatedIndex`],
+//!   [`crate::AdversarialIndex`] and [`crate::ChosenPathIndex`], the LSF
+//!   family alone. The container kind is the scheme's
+//!   ([`PersistScheme::KIND`]).
 //! * [`crate::ShardedIndex::save`] / [`crate::ShardedIndex::load`] — a
-//!   directory of per-shard `.skx` files (LSF-family kinds 1–4: only that
-//!   family shards) plus a [`ShardManifest`] recording the shard count and
+//!   directory of per-shard `.skx` files (kinds 2–4: only the LSF family
+//!   shards) plus a [`ShardManifest`] recording the shard count and
 //!   the local→global id maps, restoring a sharded deployment
 //!   byte-identically.
 //! * [`Writer`] / [`Reader`] — the little-endian encoding primitives, public
@@ -76,14 +78,14 @@ pub const FORMAT_VERSION: u32 = 2;
 /// kind before touching the payload, so loading a file as the wrong type
 /// fails with [`PersistError::WrongKind`] instead of misinterpreting bytes.
 pub mod kind {
-    /// A bare [`crate::LsfIndex`] (any scheme; the scheme tag is inside the
-    /// payload).
-    pub const LSF: u32 = 1;
+    // Kind 1 held an `LsfIndex` without its scheme's fields, which only
+    // tests wrote. It is retired and never reused, so a kind-1 file fails
+    // every load with `WrongKind`.
     /// A [`crate::CorrelatedIndex`] (α + diagnostics, then the LSF payload).
     pub const CORRELATED: u32 = 2;
     /// An [`crate::AdversarialIndex`] (the LSF payload verbatim).
     pub const ADVERSARIAL: u32 = 3;
-    /// A Chosen Path index (`b₂`, then the LSF payload).
+    /// A [`crate::ChosenPathIndex`] (`b₂`, then the LSF payload).
     pub const CHOSEN_PATH: u32 = 4;
     // Kind 5 held a MinHash LSH index. It is retired and never reused, so a
     // kind-5 file fails every load with `WrongKind`.
@@ -788,25 +790,43 @@ pub trait Persist: Sized {
     fn load(path: &Path) -> Result<Self, PersistError>;
 }
 
-/// A [`crate::ThresholdScheme`] that can round-trip its calibration through
-/// a payload. Implemented by the three concrete schemes; [`crate::LsfIndex`]
-/// is persistable exactly when its scheme is.
+/// A [`crate::ThresholdScheme`] that can round-trip through a container:
+/// its own fields ahead of the LSF payload, and its calibration inside it.
+/// Implemented by the three concrete schemes; [`crate::LsfIndex`] is
+/// persistable exactly when its scheme is, in a container of the scheme's
+/// [`PersistScheme::KIND`].
 pub trait PersistScheme: Sized {
     /// Scheme tag written into the LSF payload (1 = adversarial,
     /// 2 = correlated, 3 = chosen path). Distinct per implementor, so a
     /// payload can never be decoded under the wrong scheme.
     const SCHEME_TAG: u32;
 
+    /// The container kind an index under this scheme saves as (see
+    /// [`kind`]): loading a file of another kind fails with
+    /// [`PersistError::WrongKind`].
+    const KIND: u32;
+
+    /// The fields the scheme keeps beyond its calibration, which planning
+    /// never reads (α and the model diagnostics, nothing, `b₂`).
+    type Fields;
+
+    /// Appends the scheme's fields: the prefix its container payload
+    /// carries before the LSF payload (`docs/PERSISTENCE.md` §5).
+    fn encode_fields(&self, w: &mut Writer);
+
+    /// Decodes the prefix [`PersistScheme::encode_fields`] wrote.
+    fn decode_fields(r: &mut Reader<'_>) -> Result<Self::Fields, PersistError>;
+
     /// Appends the scheme's calibration to `w`.
     fn encode_scheme(&self, w: &mut Writer);
 
     /// Decodes a calibration previously written by
-    /// [`PersistScheme::encode_scheme`].
-    fn decode_scheme(r: &mut Reader<'_>) -> Result<Self, PersistError>;
+    /// [`PersistScheme::encode_scheme`] into the scheme with `fields`.
+    fn decode_scheme(r: &mut Reader<'_>, fields: Self::Fields) -> Result<Self, PersistError>;
 
     /// The length of the calibration's per-dimension table, if it has one.
-    /// [`crate::LsfIndex::read_payload`] rejects a table that is not one
-    /// entry per dimension of the profile decoded after it.
+    /// [`Persist::load`] rejects a table that is not one entry per
+    /// dimension of the profile decoded after it.
     fn table_len(&self) -> Option<usize> {
         None
     }
@@ -1028,17 +1048,17 @@ mod tests {
     #[test]
     fn container_header_is_validated_field_by_field() {
         let path = temp_path("header");
-        write_container(&path, kind::LSF, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        write_container(&path, kind::ADVERSARIAL, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         let read = |kind| load_container(&path, kind, |r| Ok(r.get_u64()?.to_le_bytes()));
 
         // Round trip.
-        assert_eq!(read(kind::LSF).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(read(kind::ADVERSARIAL).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
         // Wrong kind.
         assert!(matches!(
             read(kind::CORRELATED),
             Err(PersistError::WrongKind {
                 expected: kind::CORRELATED,
-                found: kind::LSF
+                found: kind::ADVERSARIAL
             })
         ));
 
@@ -1047,33 +1067,42 @@ mod tests {
         let mut bad = original.clone();
         bad[0] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(read(kind::LSF), Err(PersistError::BadMagic)));
+        assert!(matches!(
+            read(kind::ADVERSARIAL),
+            Err(PersistError::BadMagic)
+        ));
         // Unsupported version.
         let mut bad = original.clone();
         bad[8] = 99;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            read(kind::LSF),
+            read(kind::ADVERSARIAL),
             Err(PersistError::UnsupportedVersion(99))
         ));
         // Truncated payload.
         std::fs::write(&path, &original[..original.len() - 1]).unwrap();
-        assert!(matches!(read(kind::LSF), Err(PersistError::Truncated)));
+        assert!(matches!(
+            read(kind::ADVERSARIAL),
+            Err(PersistError::Truncated)
+        ));
         // Header shorter than 32 bytes.
         std::fs::write(&path, &original[..16]).unwrap();
-        assert!(matches!(read(kind::LSF), Err(PersistError::Truncated)));
+        assert!(matches!(
+            read(kind::ADVERSARIAL),
+            Err(PersistError::Truncated)
+        ));
         // Flipped payload byte fails the checksum.
         let mut bad = original.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            read(kind::LSF),
+            read(kind::ADVERSARIAL),
             Err(PersistError::ChecksumMismatch)
         ));
         // Missing file is an Io error.
         std::fs::remove_file(&path).unwrap();
-        assert!(matches!(read(kind::LSF), Err(PersistError::Io(_))));
+        assert!(matches!(read(kind::ADVERSARIAL), Err(PersistError::Io(_))));
     }
 
     #[test]

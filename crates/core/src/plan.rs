@@ -17,7 +17,7 @@
 //! plan is produced once by
 //! [`SetSimilaritySearch::plan_query`](crate::SetSimilaritySearch::plan_query)
 //! and consumed any number of times by
-//! [`SetSimilaritySearch::probe_plan`](crate::SetSimilaritySearch::probe_plan)
+//! [`SetSimilaritySearch::probe_plan_tagged`](crate::SetSimilaritySearch::probe_plan_tagged)
 //! — by the index that planned it, or by any dataset shard of that index.
 //! Because it is nothing but a `SparseVec` and a `Vec<Vec<u64>>`, a future
 //! network fan-out can serialize it verbatim and ship `(plan, shard)` pairs
@@ -69,7 +69,7 @@ pub trait QueryPlanner: Send + Sync {
 /// The defining contract, pinned by `tests/plan_equivalence.rs` for every
 /// index type in the workspace: probing a plan yields **byte-identical**
 /// results to the fused search it was split out of,
-/// `index.probe_plan(&index.plan_query(q)) == index.search_all(q)`.
+/// `index.probe_plan_tagged(&index.plan_query(q)) == index.search_all_tagged(q)`.
 ///
 /// Plans are additionally **mutation-invariant**: a plan depends only on
 /// the index's hash stacks, key interners, and scheme — never on its
@@ -101,8 +101,8 @@ pub trait QueryPlanner: Send + Sync {
 /// let plan = index.plan_query(&q);
 /// assert!(plan.is_planned());
 /// // … stages 2+3 as often as needed, byte-identical to the fused path.
-/// assert_eq!(index.probe_plan(&plan), index.search_all(&q));
-/// assert_eq!(index.probe_plan(&plan), index.probe_plan(&plan));
+/// assert_eq!(index.probe_plan_tagged(&plan), index.search_all_tagged(&q));
+/// assert_eq!(index.probe_plan_tagged(&plan), index.probe_plan_tagged(&plan));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryPlan {

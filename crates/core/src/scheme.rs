@@ -9,6 +9,7 @@
 //! `∏_{i∈v} p_i ≤ 1/n`, which we track as accumulated mass
 //! `Σ_{i∈v} log₂(1/p_i) ≥ log₂ n`; Chosen Path instead uses a fixed depth.
 
+use crate::correlated::ModelDiagnostics;
 use skewsearch_datagen::BernoulliProfile;
 
 /// A threshold scheme: sampling thresholds plus stopping rule.
@@ -98,11 +99,19 @@ pub struct CorrelatedScheme {
     one_plus_delta: f64,
     log2_n: f64,
     depth_bound: usize,
+    /// The target correlation `α`.
+    alpha: f64,
+    /// Which §6 model assumptions the build's profile and `n` violate.
+    diagnostics: ModelDiagnostics,
 }
 
 impl CorrelatedScheme {
     /// Creates the scheme for correlation `alpha` over `n` vectors from
     /// `profile`. `C` is derived from the profile: `C = Σp / ln n`.
+    ///
+    /// Violations of the §6 model assumptions (`Cα ≥ 15`, `p_i ≤ α/2`) do
+    /// not fail — the structure still works, with weaker guarantees — but
+    /// are recorded in [`CorrelatedScheme::diagnostics`].
     pub fn new(alpha: f64, n: usize, profile: &BernoulliProfile) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
@@ -111,6 +120,21 @@ impl CorrelatedScheme {
         assert!(n >= 2, "need n >= 2");
         let w = profile.sum_p();
         let c = profile.c_constant(n);
+        let mut warnings = Vec::new();
+        if c * alpha < 15.0 {
+            warnings.push(format!(
+                "Lemma 11 assumes Cα ≥ 15; here Cα = {:.2} — success probability \
+                 may fall below the advertised bound",
+                c * alpha
+            ));
+        }
+        let max_p = profile.max_p();
+        if max_p > alpha / 2.0 {
+            warnings.push(format!(
+                "§6 assumes all p_i ≤ α/2 = {:.3}; max p_i = {max_p:.3}",
+                alpha / 2.0
+            ));
+        }
         let delta = 3.0 / (alpha * c).sqrt();
         let phat_w = profile
             .ps()
@@ -123,12 +147,25 @@ impl CorrelatedScheme {
             one_plus_delta: 1.0 + delta,
             log2_n,
             depth_bound: product_rule_depth_bound(log2_n, profile),
+            alpha,
+            diagnostics: ModelDiagnostics { c, warnings },
         }
     }
 
     /// The boost `1 + δ = 1 + 3/√(αC)` from Lemma 11.
     pub fn one_plus_delta(&self) -> f64 {
         self.one_plus_delta
+    }
+
+    /// The target correlation `α`.
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// The model-assumption diagnostics collected by
+    /// [`CorrelatedScheme::new`].
+    pub fn diagnostics(&self) -> &ModelDiagnostics {
+        &self.diagnostics
     }
 }
 
@@ -161,6 +198,8 @@ impl ThresholdScheme for CorrelatedScheme {
 pub struct ChosenPathScheme {
     b1: f64,
     k: usize,
+    /// The background similarity `b₂` that `k` was derived from.
+    b2: f64,
 }
 
 impl ChosenPathScheme {
@@ -173,7 +212,7 @@ impl ChosenPathScheme {
         );
         assert!(n >= 2);
         let k = ((n as f64).ln() / (1.0 / b2).ln()).ceil().max(1.0) as usize;
-        Self { b1, k }
+        Self { b1, k, b2 }
     }
 
     /// The fixed path depth `k`.
@@ -184,6 +223,11 @@ impl ChosenPathScheme {
     /// The verification threshold `b₁`.
     pub fn b1(&self) -> f64 {
         self.b1
+    }
+
+    /// The background similarity `b₂`.
+    pub fn b2(&self) -> f64 {
+        self.b2
     }
 }
 
@@ -230,14 +274,26 @@ pub const MAX_DEPTH_CAP: usize = 256;
 // --- persistence -----------------------------------------------------------
 //
 // Schemes are plain calibration data, so persisting one is just writing its
-// fields. The impls live here (not in `persist.rs`) because the fields are
-// private; each scheme gets a distinct tag so a payload can never be decoded
-// under the wrong scheme (see `docs/PERSISTENCE.md` §4).
+// fields: those planning never reads ahead of the LSF payload, in the
+// container of the scheme's kind (`docs/PERSISTENCE.md` §5), and the
+// calibration inside it (§3). The impls live here (not in `persist.rs`)
+// because the fields are private; each scheme gets a distinct tag so a
+// payload can never be decoded under the wrong scheme (§4).
 
-use crate::persist::{PersistError, PersistScheme, Reader, Writer};
+use crate::persist::{kind, PersistError, PersistScheme, Reader, Writer};
 
 impl PersistScheme for AdversarialScheme {
     const SCHEME_TAG: u32 = 1;
+    const KIND: u32 = kind::ADVERSARIAL;
+
+    /// None: the scheme's calibration is all it holds.
+    type Fields = ();
+
+    fn encode_fields(&self, _: &mut Writer) {}
+
+    fn decode_fields(_: &mut Reader<'_>) -> Result<(), PersistError> {
+        Ok(())
+    }
 
     fn encode_scheme(&self, w: &mut Writer) {
         w.put_f64(self.b1);
@@ -245,7 +301,7 @@ impl PersistScheme for AdversarialScheme {
         w.put_u64(self.depth_bound as u64);
     }
 
-    fn decode_scheme(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+    fn decode_scheme(r: &mut Reader<'_>, (): ()) -> Result<Self, PersistError> {
         let b1 = r.get_f64()?;
         let log2_n = r.get_f64()?;
         let depth_bound = r.get_u64()? as usize;
@@ -270,6 +326,34 @@ impl PersistScheme for AdversarialScheme {
 
 impl PersistScheme for CorrelatedScheme {
     const SCHEME_TAG: u32 = 2;
+    const KIND: u32 = kind::CORRELATED;
+
+    /// `α` and the model diagnostics.
+    type Fields = (f64, ModelDiagnostics);
+
+    /// `α`, then the model diagnostics (`C` + warnings).
+    fn encode_fields(&self, w: &mut Writer) {
+        w.put_f64(self.alpha);
+        w.put_f64(self.diagnostics.c);
+        w.put_u64(self.diagnostics.warnings.len() as u64);
+        for warning in &self.diagnostics.warnings {
+            w.put_str(warning);
+        }
+    }
+
+    fn decode_fields(r: &mut Reader<'_>) -> Result<Self::Fields, PersistError> {
+        let alpha = r.get_f64()?;
+        if !(alpha > 0.0 && alpha <= 1.0) {
+            return Err(PersistError::Malformed("correlated alpha out of (0,1]"));
+        }
+        let c = r.get_f64()?;
+        let warning_count = r.get_u64()?;
+        let mut warnings = Vec::new();
+        for _ in 0..warning_count {
+            warnings.push(r.get_string()?);
+        }
+        Ok((alpha, ModelDiagnostics { c, warnings }))
+    }
 
     fn encode_scheme(&self, w: &mut Writer) {
         w.put_f64(self.one_plus_delta);
@@ -278,7 +362,10 @@ impl PersistScheme for CorrelatedScheme {
         w.put_f64_slice(&self.phat_w);
     }
 
-    fn decode_scheme(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+    fn decode_scheme(
+        r: &mut Reader<'_>,
+        (alpha, diagnostics): Self::Fields,
+    ) -> Result<Self, PersistError> {
         let one_plus_delta = r.get_f64()?;
         let log2_n = r.get_f64()?;
         let depth_bound = r.get_u64()? as usize;
@@ -302,6 +389,8 @@ impl PersistScheme for CorrelatedScheme {
             one_plus_delta,
             log2_n,
             depth_bound,
+            alpha,
+            diagnostics,
         })
     }
 
@@ -313,13 +402,29 @@ impl PersistScheme for CorrelatedScheme {
 
 impl PersistScheme for ChosenPathScheme {
     const SCHEME_TAG: u32 = 3;
+    const KIND: u32 = kind::CHOSEN_PATH;
+
+    /// The background threshold `b₂`, which only the predicted `ρ` reads.
+    type Fields = f64;
+
+    fn encode_fields(&self, w: &mut Writer) {
+        w.put_f64(self.b2);
+    }
+
+    fn decode_fields(r: &mut Reader<'_>) -> Result<f64, PersistError> {
+        let b2 = r.get_f64()?;
+        if !(b2 > 0.0 && b2 < 1.0) {
+            return Err(PersistError::Malformed("b2 must lie in (0, 1)"));
+        }
+        Ok(b2)
+    }
 
     fn encode_scheme(&self, w: &mut Writer) {
         w.put_f64(self.b1);
         w.put_u64(self.k as u64);
     }
 
-    fn decode_scheme(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+    fn decode_scheme(r: &mut Reader<'_>, b2: f64) -> Result<Self, PersistError> {
         let b1 = r.get_f64()?;
         let k = r.get_u64()? as usize;
         if !(b1 > 0.0 && b1 <= 1.0) {
@@ -331,7 +436,7 @@ impl PersistScheme for ChosenPathScheme {
         if k == 0 || k > 1 << 20 {
             return Err(PersistError::Malformed("chosen-path depth out of range"));
         }
-        Ok(Self { b1, k })
+        Ok(Self { b1, k, b2 })
     }
 }
 

@@ -1,10 +1,11 @@
-//! The sharding layer: partition an LSF-family index across `N` shards
+//! The sharding layer: partition an [`LsfIndex`] across `N` shards
 //! without changing a single byte of any answer.
 //!
-//! An index can outgrow one allocation and one build. [`ShardedIndex`]
-//! hash-partitions the indexed sets by content ([`set_partition_key`]),
-//! which keeps shards balanced even under the skewed distributions this
-//! workspace targets and co-locates duplicate sets. Each shard is a full
+//! An index can outgrow one allocation and one build. [`ShardedIndex`],
+//! generic over the index's scheme, hash-partitions the indexed sets by
+//! content ([`set_partition_key`]), which keeps shards balanced even under
+//! the skewed distributions this workspace targets and co-locates
+//! duplicate sets. Each shard is a full
 //! index over its slice with local ids and the parent's hash stacks: memory
 //! stays `≈ |S|` plus one set of stacks, which the shards share, and every
 //! candidate lives in exactly one shard, so each is verified once. LSF-Join
@@ -13,8 +14,8 @@
 //! ## The merge protocol
 //!
 //! The wrapper reconstructs the unsharded index's `search_all` output
-//! **byte-identically** (`tests/shard_equivalence.rs` pins this down for
-//! the four LSF index types). The key fact: an LSF index emits matches in
+//! **byte-identically** (`tests/shard_equivalence.rs` pins this down under
+//! each of the three schemes). The key fact: an LSF index emits matches in
 //! first-discovery order, and a candidate's first discovery happens at a
 //! lexicographically minimal `(pass, step)` coordinate — repetition, then
 //! filter — with ids ascending inside one coordinate (bucket insertion
@@ -67,44 +68,6 @@ use skewsearch_hashing::mix;
 use skewsearch_sets::SparseVec;
 use std::sync::Arc;
 
-/// An index that knows how to split itself into dataset shards. Implemented
-/// by the LSF family alone — [`LsfIndex`] and, through the
-/// [`LsfWrapper`](crate::LsfWrapper) blanket impl, the paper's indexes and
-/// Chosen Path — whose enumerate-once plan broadcast is what sharding
-/// shares; the sharded wrapper is generic over this trait.
-///
-/// Implementations must uphold the tag contract of
-/// [`SetSimilaritySearch::probe_passes`] with *genuine* probe
-/// coordinates — the byte-identical merge guarantee of [`ShardedIndex`]
-/// holds only then — and the **plan-invariance contract**: shards keep the
-/// parent's probe-plan structure, i.e.
-/// `self.shard_of_ids(ids).plan_query(q) == self.plan_query(q)` for every
-/// query. The wrapper's enumerate-once broadcast plans on one shard and
-/// probes the same [`crate::QueryPlan`] on all of them; a shard that redrew hash
-/// stacks would silently probe the wrong buckets.
-pub trait Shardable: SetSimilaritySearch + Sized {
-    /// Clones out a shard owning only the vectors with the given global ids
-    /// (strictly ascending), remapped to local ids `0..ids.len()`.
-    fn shard_of_ids(&self, ids: &[u32]) -> Self;
-
-    /// Stable content-hash of the indexed vector `id`, used to assign it to
-    /// a shard. Equal sets always land in the same shard.
-    fn partition_key(&self, id: u32) -> u64;
-
-    /// Total id slots ever assigned, live or retired (tombstoned):
-    /// [`ShardedIndex::build`] partitions *all* of them so local/global id
-    /// maps stay dense and monotone.
-    fn slot_count(&self) -> usize;
-
-    /// Makes `self` plan with `first`'s planner if the two plan from
-    /// identical state, as every shard of one build does (the
-    /// plan-invariance contract above), and returns whether they do; `self`
-    /// is unchanged otherwise. [`ShardedIndex::load`] calls it on every
-    /// shard after the first, so a loaded deployment holds one planner, as
-    /// a built one does, and shards of two builds are rejected.
-    fn adopt_planner(&mut self, first: &Self) -> bool;
-}
-
 /// Stable 64-bit content hash of a set, for dataset partitioning: mixes each
 /// dimension through [`mix::splitmix64`] and folds with [`mix::combine64`],
 /// so the key depends only on the set's contents (not its id), and duplicate
@@ -148,15 +111,19 @@ pub(crate) fn remap_bucket(bucket: &[u32], local_of: &[u32]) -> Option<Vec<u32>>
 
 /// One shard plus the local → global id map the merge globalizes its
 /// answers with.
-struct Shard<S> {
-    index: S,
+struct Shard<S: ThresholdScheme> {
+    index: LsfIndex<S>,
     id_map: Vec<u32>,
 }
 
-/// A sharded index: `N` shards of an underlying [`Shardable`] index, merged
-/// behind [`SetSimilaritySearch`] with answers **byte-identical** to the
+/// A sharded index: `N` shards of an [`LsfIndex<S>`], merged behind
+/// [`SetSimilaritySearch`] with answers **byte-identical** to the
 /// unsharded index — same matches, same similarities, same order, for
 /// `search`, `search_all`, and `search_batch`.
+///
+/// Each shard is an [`LsfIndex::shard_of_ids`] of the source, so it shares
+/// the source's planner: `shard.plan_query(q) == index.plan_query(q)` for
+/// every query, the plan invariance the enumerate-once broadcast rests on.
 ///
 /// A query probes the shards in order on the calling thread;
 /// `search_batch` runs its queries on one worker per core. Every shard is
@@ -182,7 +149,7 @@ struct Shard<S> {
 /// let q = correlated_query(data.vector(3), &profile, 0.8, &mut rng);
 /// assert_eq!(sharded.search_all(&q), index.search_all(&q));
 /// ```
-pub struct ShardedIndex<S> {
+pub struct ShardedIndex<S: ThresholdScheme> {
     shards: Vec<Shard<S>>,
     threshold: f64,
     len: usize,
@@ -193,24 +160,26 @@ pub struct ShardedIndex<S> {
     owner: Vec<(u32, u32)>,
 }
 
-impl<S: Shardable + Send + Sync> ShardedIndex<S> {
-    /// Partitions `index` into `shards` shards by set content. Shard
-    /// construction fans out on the work-stealing executor.
+impl<S: ThresholdScheme + 'static> ShardedIndex<S> {
+    /// Partitions `index` into `shards` shards by the content of each
+    /// slot's set ([`set_partition_key`]). Shard construction fans out on
+    /// the work-stealing executor.
     ///
     /// Shard counts exceeding the vector count produce empty shards, which
     /// are valid and simply contribute nothing.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn build(index: &S, shards: usize) -> Self {
+    pub fn build(index: &LsfIndex<S>, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        // Every slot is routed, tombstoned ones included: that keeps each
-        // shard's local↔global map dense and monotone, so a mutated source
-        // index shards exactly like a frozen one.
+        // Every slot is routed, tombstoned ones included (a removed slot
+        // holds the empty set): that keeps each shard's local↔global map
+        // dense and monotone, so a mutated source index shards exactly like
+        // a frozen one.
         let slot_count = index.slot_count();
         let mut ids: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for id in 0..slot_count as u32 {
-            ids[(index.partition_key(id) % shards as u64) as usize].push(id);
+        for (id, set) in index.vectors().iter().enumerate() {
+            ids[(set_partition_key(set) % shards as u64) as usize].push(id as u32);
         }
         let mut owner = vec![(0, 0); slot_count];
         for (shard_ix, ids) in ids.iter().enumerate() {
@@ -240,7 +209,7 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
     }
 }
 
-impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
+impl<S: ThresholdScheme + PersistScheme + 'static> ShardedIndex<S> {
     /// Saves the whole deployment into `dir` (created if missing): one
     /// container file per shard (`shard-0000.skx`, `shard-0001.skx`, …) plus
     /// a `manifest.skx` recording the threshold, watermark, owner table, and
@@ -255,7 +224,9 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     ///
     /// ```
     /// use rand::{rngs::StdRng, SeedableRng};
-    /// use skewsearch_core::{CorrelatedIndex, CorrelatedParams, SetSimilaritySearch, ShardedIndex};
+    /// use skewsearch_core::{
+    ///     CorrelatedIndex, CorrelatedParams, CorrelatedScheme, SetSimilaritySearch, ShardedIndex,
+    /// };
     /// use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
     ///
     /// let mut rng = StdRng::seed_from_u64(21);
@@ -274,7 +245,7 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     ///     std::process::id()
     /// ));
     /// sharded.save(&dir).unwrap();
-    /// let restored: ShardedIndex<CorrelatedIndex> = ShardedIndex::load(&dir).unwrap();
+    /// let restored: ShardedIndex<CorrelatedScheme> = ShardedIndex::load(&dir).unwrap();
     /// std::fs::remove_dir_all(&dir).unwrap();
     ///
     /// let q = correlated_query(data.vector(4), &profile, 0.8, &mut rng);
@@ -307,10 +278,10 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     }
 
     /// Restores a deployment saved by [`ShardedIndex::save`]: reads and
-    /// validates `dir/manifest.skx`, loads every shard file it lists, has
-    /// each shard after the first adopt the first shard's planner
-    /// ([`Shardable::adopt_planner`]), and checks the manifest against the
-    /// loaded shards. Fails with a typed [`PersistError`] on a corrupt
+    /// validates `dir/manifest.skx`, loads every shard file it lists (each
+    /// a container of the scheme's kind), has each shard after the first
+    /// adopt the first shard's planner when their planning state is
+    /// byte-identical, and checks the manifest against the loaded shards. Fails with a typed [`PersistError`] on a corrupt
     /// manifest, a missing or corrupt shard file, shards of two builds, or
     /// a manifest that disagrees with its shards (the checks of
     /// `docs/PERSISTENCE.md` §7.1) — never panics.
@@ -322,7 +293,7 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
         )?;
         let mut shards: Vec<Shard<S>> = Vec::with_capacity(manifest.shards.len());
         for entry in manifest.shards {
-            let mut index = S::load(&dir.join(&entry.file))?;
+            let mut index = LsfIndex::<S>::load(&dir.join(&entry.file))?;
             if let Some(first) = shards.first() {
                 if !index.adopt_planner(&first.index) {
                     return Err(PersistError::Malformed("shards come from different builds"));
@@ -375,7 +346,7 @@ impl<S: Shardable + Persist + Send + Sync> ShardedIndex<S> {
     }
 }
 
-impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
+impl<S: ThresholdScheme + 'static> SetSimilaritySearch for ShardedIndex<S> {
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
         self.search_all_tagged(q)
             .into_iter()
@@ -481,9 +452,9 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
         Ok(removed)
     }
 
-    /// Mutable exactly when every shard's underlying index is.
+    /// Every shard is a mutable LSF index.
     fn supports_mutation(&self) -> bool {
-        self.shards.iter().all(|s| s.index.supports_mutation())
+        true
     }
 
     /// Sum of the shards' accounting plus the wrapper's own tables: the
@@ -523,24 +494,6 @@ impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
     }
 }
 
-impl<S: ThresholdScheme + PersistScheme + 'static> Shardable for LsfIndex<S> {
-    fn shard_of_ids(&self, ids: &[u32]) -> Self {
-        LsfIndex::shard_of_ids(self, ids)
-    }
-
-    fn partition_key(&self, id: u32) -> u64 {
-        set_partition_key(&self.vectors()[id as usize])
-    }
-
-    fn slot_count(&self) -> usize {
-        LsfIndex::slot_count(self)
-    }
-
-    fn adopt_planner(&mut self, first: &Self) -> bool {
-        LsfIndex::adopt_planner(self, first)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,7 +507,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5AAD);
         let ds = Dataset::generate(&profile, 160, &mut rng);
         let scheme = CorrelatedScheme::new(0.8, ds.n(), &profile);
-        let index = LsfIndex::build(
+        let index = LsfIndex::with_scheme(
             ds.vectors().to_vec(),
             profile.clone(),
             scheme,
@@ -644,8 +597,7 @@ mod tests {
     #[test]
     fn memory_stats_count_the_owner_table_and_every_id_map() {
         let (index, _) = fixture(3);
-        let check = |sharded: &ShardedIndex<LsfIndex<CorrelatedScheme>>,
-                     shared: &Arc<dyn QueryPlanner>| {
+        let check = |sharded: &ShardedIndex<CorrelatedScheme>, shared: &Arc<dyn QueryPlanner>| {
             let shards = sharded.shard_count();
             let planner = shared.heap_bytes();
             assert!(planner > 0);
@@ -678,7 +630,7 @@ mod tests {
             std::process::id()
         ));
         ShardedIndex::build(&index, 3).save(&dir).unwrap();
-        let loaded = ShardedIndex::<LsfIndex<CorrelatedScheme>>::load(&dir);
+        let loaded = ShardedIndex::<CorrelatedScheme>::load(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
         let loaded = loaded.expect("a saved deployment loads");
         check(&loaded, &loaded.planner().expect("a deployment plans"));

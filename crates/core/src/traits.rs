@@ -261,14 +261,6 @@ pub trait SetSimilaritySearch {
         first.unwrap_or_default().first().map(|t| t.hit)
     }
 
-    /// Returns the *highest-similarity* verified candidate at or above the
-    /// threshold (useful when several vectors pass).
-    fn search_best(&self, q: &SparseVec) -> Option<Match> {
-        self.search_all(q)
-            .into_iter()
-            .max_by(|a, b| a.similarity.total_cmp(&b.similarity))
-    }
-
     /// All distinct vectors the structure can verify at or above the
     /// threshold.
     ///
@@ -278,8 +270,7 @@ pub trait SetSimilaritySearch {
     /// candidate is verified exactly once — and matches appear in
     /// first-discovery probe order (repetitions/bands in build order, then
     /// filter enumeration order, then bucket insertion order). Callers must
-    /// not rely on any similarity ordering; use
-    /// [`SetSimilaritySearch::search_best`] for the maximum.
+    /// not rely on any similarity ordering.
     fn search_all(&self, q: &SparseVec) -> Vec<Match>;
 
     /// [`SetSimilaritySearch::search_all`] with discovery tags: the same
@@ -336,8 +327,8 @@ pub trait SetSimilaritySearch {
     /// let q = correlated_query(data.vector(5), &profile, 0.8, &mut rng);
     /// let plan = index.plan_query(&q);
     /// // One enumeration, any number of probes — always the fused answer.
-    /// assert_eq!(index.probe_plan(&plan), index.search_all(&q));
     /// assert_eq!(index.probe_plan_tagged(&plan), index.search_all_tagged(&q));
+    /// assert_eq!(index.probe_plan_tagged(&plan), index.probe_plan_tagged(&plan));
     /// ```
     fn plan_query(&self, q: &SparseVec) -> QueryPlan {
         match self.planner() {
@@ -358,21 +349,10 @@ pub trait SetSimilaritySearch {
     }
 
     /// Stages 2+3 of the pipeline: probes the inverted index with a
-    /// precomputed [`QueryPlan`] and verifies the surfaced candidates —
-    /// exactly `search_all(plan.query())`, without re-enumerating the
-    /// query's filters when the plan is planned. The tag projection of
-    /// [`SetSimilaritySearch::probe_plan_tagged`].
-    fn probe_plan(&self, plan: &QueryPlan) -> Vec<Match> {
-        self.probe_plan_tagged(plan)
-            .into_iter()
-            .map(|t| t.hit)
-            .collect()
-    }
-
-    /// The tagged probe stage: consumes a [`QueryPlan`] and returns exactly
-    /// `search_all_tagged(plan.query())`. For a planned plan, index
-    /// structures touch only the inverted index (bucket lookups +
-    /// verification) — never the enumeration engine.
+    /// precomputed [`QueryPlan`], verifies the surfaced candidates, and
+    /// returns exactly `search_all_tagged(plan.query())`. For a planned
+    /// plan, index structures touch only the inverted index (bucket lookups
+    /// + verification) — never the enumeration engine.
     fn probe_plan_tagged(&self, plan: &QueryPlan) -> Vec<TaggedMatch> {
         let all = self.probe_passes(PassSource::Plan(plan), ProbeControl::ALL);
         all.unwrap_or_default()
@@ -412,8 +392,8 @@ pub trait SetSimilaritySearch {
     /// The default polls the deadline once and tags
     /// [`SetSimilaritySearch::search_all`] as a single pass with one match
     /// per step — correct for every structure, coarse for long probes.
-    /// [`crate::LsfIndex`] (and through it the paper's indexes), MinHash,
-    /// and [`crate::shard::ShardedIndex`] override it with their own walk.
+    /// [`crate::LsfIndex`] (and so the paper's indexes), MinHash, and
+    /// [`crate::shard::ShardedIndex`] override it with their own walk.
     fn probe_passes(
         &self,
         source: PassSource<'_>,
@@ -481,7 +461,7 @@ pub trait SetSimilaritySearch {
     /// [`MutationError::Unsupported`] without touching the structure, so
     /// baselines without an incremental build (brute force, prefix
     /// filtering, MinHash) satisfy the trait unchanged. Mutable structures
-    /// ([`crate::LsfIndex`] and its wrappers, [`crate::shard::ShardedIndex`])
+    /// ([`crate::LsfIndex`] under every scheme, [`crate::shard::ShardedIndex`])
     /// override it with the log-structured delta-segment insert.
     ///
     /// **Contract for overriders**: when
@@ -532,17 +512,12 @@ pub trait SetSimilaritySearch {
     }
 
     /// Resident heap bytes of this structure, broken down by role (see
-    /// [`MemoryStats`]). The default reports all-zero stats, meaning "not
-    /// accounted" — the indexes in this workspace override it; divide by
-    /// [`SetSimilaritySearch::len`] (or use [`MemoryStats::bytes_per_set`])
-    /// for the bytes/set budget.
+    /// [`MemoryStats`]; [`MemoryStats::total`] sums them). The default
+    /// reports all-zero stats, meaning "not accounted" — the indexes in
+    /// this workspace override it; divide by [`SetSimilaritySearch::len`]
+    /// (or use [`MemoryStats::bytes_per_set`]) for the bytes/set budget.
     fn memory_stats(&self) -> MemoryStats {
         MemoryStats::default()
-    }
-
-    /// Total resident heap bytes — `memory_stats().total()`.
-    fn memory_bytes(&self) -> usize {
-        self.memory_stats().total()
     }
 
     /// The verification threshold `b₁`.
@@ -609,6 +584,8 @@ mod tests {
         ];
         let all: Vec<_> = queries.iter().map(|q| s.search_all(q)).collect();
         assert_eq!(s.search_batch(&queries), all);
+        assert!(!s.is_empty());
+        assert_eq!(s.len(), 3);
     }
 
     #[test]
@@ -644,7 +621,6 @@ mod tests {
             let plan = s.plan_query(&q);
             assert!(!plan.is_planned(), "default plan is unplanned");
             assert_eq!(plan.query(), &q);
-            assert_eq!(s.probe_plan(&plan), s.search_all(&q));
             assert_eq!(s.probe_plan_tagged(&plan), s.search_all_tagged(&q));
             assert_eq!(
                 s.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
@@ -674,22 +650,5 @@ mod tests {
             s.probe_plan_tagged_deadline(&plan, &|| true),
             Err(DeadlineExceeded)
         );
-    }
-
-    #[test]
-    fn search_best_picks_maximum() {
-        let s = TwoVec {
-            data: vec![
-                SparseVec::from_unsorted(vec![1, 2, 3, 4]),
-                SparseVec::from_unsorted(vec![1, 2, 3]),
-            ],
-            t: 0.1,
-        };
-        let q = SparseVec::from_unsorted(vec![1, 2, 3]);
-        let best = s.search_best(&q).unwrap();
-        assert_eq!(best.id, 1);
-        assert_eq!(best.similarity, 1.0);
-        assert!(!s.is_empty());
-        assert_eq!(s.len(), 2);
     }
 }

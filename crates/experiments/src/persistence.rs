@@ -15,8 +15,8 @@ use crate::table::{fmt, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use skewsearch_core::{
-    CorrelatedIndex, CorrelatedParams, IndexOptions, Match, Persist, PersistError, Repetitions,
-    SetSimilaritySearch, ShardedIndex,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, Match, Persist,
+    PersistError, Repetitions, SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch_sets::SparseVec;
@@ -112,7 +112,7 @@ pub fn save(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
 pub fn load(config: &PersistConfig, dir: &Path) -> Result<Table, PersistError> {
     let (profile, ds) = config.dataset();
     let correlated = CorrelatedIndex::load(&dir.join("correlated.skx"))?;
-    let sharded = ShardedIndex::<CorrelatedIndex>::load(&dir.join("sharded"))?;
+    let sharded = ShardedIndex::<CorrelatedScheme>::load(&dir.join("sharded"))?;
     report_memory(config, &correlated);
     let queries = config.query_stream(&profile, &ds);
     Ok(answers(&correlated, &sharded, &queries))
@@ -137,7 +137,7 @@ fn report_memory(config: &PersistConfig, correlated: &CorrelatedIndex) {
 /// save and load paths so the two outputs diff cleanly.
 fn answers(
     correlated: &CorrelatedIndex,
-    sharded: &ShardedIndex<CorrelatedIndex>,
+    sharded: &ShardedIndex<CorrelatedScheme>,
     queries: &[SparseVec],
 ) -> Table {
     let mut t = Table::new(

@@ -87,6 +87,6 @@ fn main() {
     // For scale: what one exact scan costs.
     let q = correlated_query(data.vector(0), &profile, alpha, &mut rng);
     let t = Instant::now();
-    let _ = brute.search_best(&q);
+    let _ = brute.search_all(&q);
     println!("one exact brute-force scan: {:?}", t.elapsed());
 }

@@ -1,8 +1,7 @@
 //! Batch semantics: for every index type, `search_batch` must return exactly
 //! `queries.iter().map(|q| search_all(q))` at any `query_threads` setting
-//! (MinHash has none: it runs on one worker per core), under a fixed seed —
-//! and `search_best` the highest-similarity match of `search_all`. Extends
-//! `tests/determinism.rs`'s transcript approach: the batch transcript at 1
+//! (MinHash has none: it runs on one worker per core), under a fixed seed.
+//! Extends `tests/determinism.rs`'s transcript approach: the batch transcript at 1
 //! and 8 workers is compared byte-for-byte against the sequential one.
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -42,9 +41,7 @@ fn opts(query_threads: usize) -> IndexOptions {
 }
 
 /// Asserts the batch contract for one structure: trait-level `search_batch`
-/// equals the sequential per-query loop, element for element, and each
-/// query's `search_best` is a match of its `search_all` list with no match
-/// above it.
+/// equals the sequential per-query loop, element for element.
 fn assert_batch_matches_sequential<I: SetSimilaritySearch>(
     index: &I,
     queries: &[SparseVec],
@@ -52,17 +49,6 @@ fn assert_batch_matches_sequential<I: SetSimilaritySearch>(
 ) {
     let sequential: Vec<_> = queries.iter().map(|q| index.search_all(q)).collect();
     assert_eq!(index.search_batch(queries), sequential, "{label}");
-    for (q, all) in queries.iter().zip(&sequential) {
-        let best = index.search_best(q);
-        assert_eq!(best.is_some(), !all.is_empty(), "{label}");
-        if let Some(best) = best {
-            assert!(all.contains(&best), "{label}");
-            assert!(
-                all.iter().all(|m| m.similarity <= best.similarity),
-                "{label}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -71,7 +57,7 @@ fn lsf_index_batch_equivalence() {
     for threads in thread_counts() {
         let mut rng = StdRng::seed_from_u64(SEED);
         let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-        let index = LsfIndex::build(
+        let index = LsfIndex::with_scheme(
             ds.vectors().to_vec(),
             profile.clone(),
             scheme,

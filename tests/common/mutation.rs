@@ -49,7 +49,7 @@ pub fn build_fixed(
 ) -> LsfIndex<CorrelatedScheme> {
     let scheme = CorrelatedScheme::new(ALPHA, 300, profile);
     let mut rng = StdRng::seed_from_u64(BUILD_SEED);
-    LsfIndex::build(
+    LsfIndex::with_scheme(
         vectors,
         profile.clone(),
         scheme,
@@ -226,9 +226,9 @@ pub fn assert_answers_like_rebuild<I: SetSimilaritySearch>(
         // answers exactly like the fused search over the same live sets.
         let plan = index.plan_query(q);
         assert_eq!(
-            remap(&index.probe_plan(&plan), compact_of),
-            dense(&oracle.search_all(q)),
-            "{ctx}: probe_plan"
+            remap_tagged(&index.probe_plan_tagged(&plan), compact_of),
+            dense_tagged(&oracle.search_all_tagged(q)),
+            "{ctx}: probe_plan_tagged"
         );
     }
     let batch: Vec<Vec<(usize, u64)>> = index
@@ -242,17 +242,6 @@ pub fn assert_answers_like_rebuild<I: SetSimilaritySearch>(
         .map(|ms| dense(ms))
         .collect();
     assert_eq!(batch, oracle_batch, "{label}: search_batch");
-    let best: Vec<Option<(usize, u64)>> = queries
-        .iter()
-        .map(|q| index.search_best(q))
-        .map(|m| m.map(|m| (compact_of[&m.id], m.similarity.to_bits())))
-        .collect();
-    let oracle_best: Vec<Option<(usize, u64)>> = queries
-        .iter()
-        .map(|q| oracle.search_best(q))
-        .map(|m| m.map(|m| (m.id, m.similarity.to_bits())))
-        .collect();
-    assert_eq!(best, oracle_best, "{label}: search_best");
 }
 
 /// Rebuilds the oracle over a script's survivors and returns it with the

@@ -169,7 +169,7 @@ fn mutated_index_joins_like_its_rebuild_and_shards_exactly() {
     // draws the same hash stacks (see tests/mutation_equivalence.rs).
     let build = |vectors: Vec<SparseVec>| {
         let mut rng = StdRng::seed_from_u64(0x10BB);
-        LsfIndex::build(
+        LsfIndex::with_scheme(
             vectors,
             profile.clone(),
             CorrelatedScheme::new(alpha, 300, &profile),

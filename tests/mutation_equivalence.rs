@@ -1,7 +1,7 @@
 //! The mutability contract, pinned end to end: after **any** interleaving of
 //! `insert` / `remove` / `compact` / queries, a log-structured index answers
 //! every surface — `search`, `search_all`, `search_all_tagged`,
-//! `search_batch`, `search_best`, and `plan_query` + `probe_plan` —
+//! `search_batch`, and `plan_query` + `probe_plan_tagged` —
 //! **byte-identically** to an index built from scratch over the surviving
 //! sets (under the monotone slot → compact-id renumbering), and a
 //! `ShardedIndex` mutated through the trait API answers byte-identically to
@@ -137,7 +137,7 @@ fn degenerate_mutation_sequences() {
     assert!(index.search(&q).is_none());
     assert!(index.search_all(&q).is_empty());
     assert!(index.search_all_tagged(&q).is_empty());
-    assert!(index.probe_plan(&index.plan_query(&q)).is_empty());
+    assert!(index.probe_plan_tagged(&index.plan_query(&q)).is_empty());
     assert_eq!(index.search_batch(std::slice::from_ref(&q)), vec![vec![]]);
     index.compact();
     assert!(index.search_all(&q).is_empty());
@@ -224,10 +224,7 @@ fn run_planned<I: SetSimilaritySearch>(index: &mut I, ds: &Dataset, ops: &[Op]) 
 
 /// Every file `index.save` writes, by name, read back from a fresh
 /// directory that is removed afterwards.
-fn saved_files(
-    index: &ShardedIndex<LsfIndex<CorrelatedScheme>>,
-    label: &str,
-) -> Vec<(String, Vec<u8>)> {
+fn saved_files(index: &ShardedIndex<CorrelatedScheme>, label: &str) -> Vec<(String, Vec<u8>)> {
     let dir = std::env::temp_dir().join(format!(
         "skewsearch_planned_inserts_{}_{label}",
         std::process::id()

@@ -1,6 +1,6 @@
 //! Persistence semantics: for every index type, `load(save(index))` must
 //! answer **byte-identically** to the original on every surface — `search`,
-//! `search_all`, `search_all_tagged`, `search_batch`, `search_best`, and
+//! `search_all`, `search_all_tagged`, `search_batch`, and
 //! `similarity_join` — including indexes that were mutated before being
 //! saved, and whole sharded deployments at every shard count.
 //!
@@ -9,8 +9,8 @@
 //! `save(load(x)) == x`.
 //!
 //! A second block pins the failure contract: truncated files, wrong magic,
-//! unsupported versions, mismatched container kinds (the retired kind 5
-//! included), flipped payload bytes, and checksummed files whose contents
+//! unsupported versions, mismatched container kinds (the retired kinds 1
+//! and 5 included), flipped payload bytes, and checksummed files whose contents
 //! disagree (a scheme table shorter than the profile, a node budget other
 //! than the fixed one, an LSF payload with zero repetitions, a shard
 //! manifest that does not match its shards or that holds a retired
@@ -25,9 +25,9 @@ use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::persist::{fnv1a64, kind, write_bucket_map, write_container, Reader, Writer};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
-    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Persist,
-    PersistError, PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest,
-    ShardManifestEntry, Shardable, ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, ModelDiagnostics,
+    Persist, PersistError, PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest,
+    ShardManifestEntry, ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::hashing::FxHashMap;
@@ -93,11 +93,6 @@ fn assert_same_answers<I: SetSimilaritySearch>(
             original.search_all_tagged(q),
             "{label} q={i}"
         );
-        assert_eq!(
-            reloaded.search_best(q),
-            original.search_best(q),
-            "{label} q={i}"
-        );
     }
     assert_eq!(
         reloaded.search_batch(queries),
@@ -152,7 +147,7 @@ fn dir_contents(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
 /// Round-trips a sharded deployment through a scratch directory, and
 /// checks that re-saving the reloaded deployment writes the same files,
 /// byte for byte.
-fn sharded_round_trip<S: Shardable + Persist + Send + Sync>(
+fn sharded_round_trip<S: ThresholdScheme + PersistScheme + 'static>(
     sharded: &ShardedIndex<S>,
     label: &str,
 ) -> ShardedIndex<S> {
@@ -183,7 +178,7 @@ fn lsf_index_round_trips() {
     let (ds, profile, queries) = fixture(250, SEED);
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let index = LsfIndex::build(
+    let index = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
@@ -244,7 +239,7 @@ fn mutated_index_round_trips() {
     let (ds, profile, queries) = fixture(220, SEED ^ 10);
     let mut rng = StdRng::seed_from_u64(SEED ^ 11);
     let scheme = CorrelatedScheme::new(ALPHA, 200, &profile);
-    let mut index = LsfIndex::build(
+    let mut index = LsfIndex::with_scheme(
         ds.vectors()[..200].to_vec(),
         profile.clone(),
         scheme,
@@ -297,7 +292,7 @@ fn reloaded_index_prunes_removed_delta_sets_like_its_source() {
     let (ds, profile, queries) = fixture(220, SEED ^ 12);
     let mut rng = StdRng::seed_from_u64(SEED ^ 13);
     let scheme = CorrelatedScheme::new(ALPHA, 200, &profile);
-    let mut original = LsfIndex::build(
+    let mut original = LsfIndex::with_scheme(
         ds.vectors()[..200].to_vec(),
         profile.clone(),
         scheme,
@@ -334,7 +329,7 @@ fn mutated_then_compacted_index_round_trips_as_format_v2() {
     let (ds, profile, queries) = fixture(220, SEED ^ 20);
     let mut rng = StdRng::seed_from_u64(SEED ^ 21);
     let scheme = CorrelatedScheme::new(ALPHA, 200, &profile);
-    let mut index = LsfIndex::build(
+    let mut index = LsfIndex::with_scheme(
         ds.vectors()[..200].to_vec(),
         profile.clone(),
         scheme,
@@ -368,7 +363,7 @@ fn mutated_then_compacted_index_round_trips_as_format_v2() {
     assert_same_answers(&index, &reloaded, &queries, "compacted v2");
     // The capacity-based accounting survives the round trip exactly: both
     // sides hold shrunk-to-fit arrays rebuilt from the same postings.
-    assert!(index.memory_bytes() > 0);
+    assert!(index.memory_stats().total() > 0);
     assert_eq!(
         reloaded.memory_stats().posting_bytes,
         index.memory_stats().posting_bytes,
@@ -381,13 +376,13 @@ fn legacy_v1_files_still_load() {
     // The v1 fallback: a file whose base segments use the §2.1 bucket-map
     // layout (version 1 in the header) must load into the compressed
     // substrate and answer byte-identically. The index is saved at the
-    // current version and its payload transcoded to v1 by the spec alone
-    // (docs/PERSISTENCE.md §2.1, §4), so this also checks that the spec is
-    // complete enough to decode from.
+    // current version, a kind-2 container, and its payload transcoded to v1
+    // by the spec alone (docs/PERSISTENCE.md §2.1, §4, §5), so this also
+    // checks that the spec is complete enough to decode from.
     let (ds, profile, queries) = fixture(200, SEED ^ 22);
     let mut rng = StdRng::seed_from_u64(SEED ^ 23);
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let mut index = LsfIndex::build(
+    let mut index = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
@@ -405,7 +400,7 @@ fn legacy_v1_files_still_load() {
     let path = scratch("legacy_v1");
     index.save(&path).unwrap();
     let current = std::fs::read(&path).unwrap();
-    write_container(&path, kind::LSF, &transcode_to_v1(&current[32..])).unwrap();
+    write_container(&path, kind::CORRELATED, &transcode_to_v1(&current[32..])).unwrap();
     // The checksum covers only the payload, so stamping version 1 into
     // header bytes 8..12 keeps the file valid.
     let mut v1 = std::fs::read(&path).unwrap();
@@ -424,17 +419,19 @@ fn legacy_v1_files_still_load() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Rewrites a current-version kind-1 `LsfIndex<CorrelatedScheme>` payload in
-/// the v1 layout: every §4 field copied through, except that each base
-/// segment goes from §2.2 postings to a §2.1 bucket map.
+/// Rewrites a current-version kind-2 `CorrelatedIndex` payload in the v1
+/// layout: the scheme's §5 fields and every §4 field copied through, except
+/// that each base segment goes from §2.2 postings to a §2.1 bucket map.
 fn transcode_to_v1(payload: &[u8]) -> Vec<u8> {
     let mut r = Reader::new(payload);
     let mut w = Writer::new();
-    // Scheme tag and calibration, then the profile.
-    w.put_u32(r.get_u32().unwrap());
-    CorrelatedScheme::decode_scheme(&mut r)
-        .unwrap()
-        .encode_scheme(&mut w);
+    // The scheme's fields, its tag and calibration, then the profile.
+    let fields = CorrelatedScheme::decode_fields(&mut r).unwrap();
+    let tag = r.get_u32().unwrap();
+    let scheme = CorrelatedScheme::decode_scheme(&mut r, fields).unwrap();
+    scheme.encode_fields(&mut w);
+    w.put_u32(tag);
+    scheme.encode_scheme(&mut w);
     w.put_f64_slice(&r.get_f64_vec().unwrap());
     // verify_threshold, six counters, six build stats: 13 words.
     for _ in 0..13 {
@@ -525,53 +522,94 @@ fn saved_bytes_of_a_fixed_deployment_are_pinned() {
     );
 }
 
-/// Saves `index` and splits the file into its container kind (header bytes
-/// 12..16) and its payload (everything after the 32-byte header).
-fn saved_kind_and_payload<I: Persist>(index: &I, label: &str) -> (u32, Vec<u8>) {
+/// The saved bytes of a fixed `AdversarialIndex` (kind 3) and a fixed
+/// `ChosenPathIndex` (kind 4), pinned by length and FNV-1a checksum. Each is
+/// built like the fixture of `tests/postings_codec.rs`'s
+/// `saved_bytes_of_a_fixed_index_are_pinned`, whose pin covers kind 2.
+#[test]
+fn saved_bytes_of_fixed_adversarial_and_chosen_path_files_are_pinned() {
+    let fixture = || {
+        let profile = BernoulliProfile::blocks(&[(60, 0.2), (900, 0.01)]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5EED_0020);
+        let ds = Dataset::generate(&profile, 300, &mut rng);
+        (ds, profile, rng)
+    };
+    let (ds, profile, mut rng) = fixture();
+    let params = AdversarialParams::new(0.5).unwrap().with_options(opts(4));
+    let adversarial = AdversarialIndex::build(&ds, &profile, params, &mut rng);
+    let (ds, profile, mut rng) = fixture();
+    let params = ChosenPathParams::new(0.5, 0.1)
+        .unwrap()
+        .with_options(opts(4));
+    let chosen_path = ChosenPathIndex::build(&ds, &profile, params, &mut rng);
+    let pin = |bytes: Vec<u8>| (bytes.len(), fnv1a64(&bytes));
+    assert_eq!(
+        [
+            pin(saved_file(&adversarial, "adversarial_pin")),
+            pin(saved_file(&chosen_path, "chosen_path_pin")),
+        ],
+        [
+            (321_464, 0xee1f_37f0_4741_2717),
+            (287_216, 0x67ff_e9f2_f78d_7162)
+        ]
+    );
+}
+
+/// The bytes `index` saves.
+fn saved_file<I: Persist>(index: &I, label: &str) -> Vec<u8> {
     let path = scratch(label);
     index.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+/// Saves `index` and splits the file into its container kind (header bytes
+/// 12..16) and its payload (everything after the 32-byte header).
+fn saved_kind_and_payload<I: Persist>(index: &I, label: &str) -> (u32, Vec<u8>) {
+    let bytes = saved_file(index, label);
     let kind = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
     (kind, bytes[32..].to_vec())
 }
 
-/// A wrapper file is its own container kind, and its payload is the
-/// wrapper's own fields followed by the kind-1 payload of a twin `LsfIndex`
-/// built over `ds` from the wrapper's build seed, scheme, and threshold.
-fn assert_wrapper_layout<W: Persist + SetSimilaritySearch, S>(
-    wrapper: &W,
+/// An index's file is its scheme's container kind, and its payload is the
+/// scheme's own fields followed by the LSF payload of a twin built over
+/// `ds` by `LsfIndex::with_scheme` from the index's build seed, scheme, and
+/// threshold.
+fn assert_container_layout<S>(
+    index: &LsfIndex<S>,
     (ds, profile, build_seed): (&Dataset, &BernoulliProfile, u64),
     scheme: S,
     own_fields: Writer,
     expected_kind: u32,
     label: &str,
 ) where
-    S: ThresholdScheme + PersistScheme + Sync,
+    S: ThresholdScheme + PersistScheme + 'static,
 {
-    let twin = LsfIndex::build(
+    let twin = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
-        wrapper.threshold(),
+        index.threshold(),
         opts(4),
         &mut StdRng::seed_from_u64(build_seed),
     );
-    let (wrapper_kind, wrapper_payload) = saved_kind_and_payload(wrapper, label);
-    let (twin_kind, twin_payload) = saved_kind_and_payload(&twin, label);
-    assert_eq!(wrapper_kind, expected_kind, "{label} container kind");
-    assert_eq!(twin_kind, kind::LSF, "{label} twin container kind");
-    let expected = [own_fields.into_payload(), twin_payload].concat();
+    let (index_kind, index_payload) = saved_kind_and_payload(index, label);
+    assert_eq!(index_kind, expected_kind, "{label} container kind");
+    let mut lsf_payload = Writer::new();
+    twin.write_payload(&mut lsf_payload);
+    let expected = [own_fields.into_payload(), lsf_payload.into_payload()].concat();
     assert!(
-        wrapper_payload == expected,
+        index_payload == expected,
         "{label} payload is not its own fields + the twin's LSF payload"
     );
 }
 
 #[test]
 fn wrapper_containers_frame_the_lsf_payload() {
-    // docs/PERSISTENCE.md §5, byte for byte: each wrapper is rebuilt as a
-    // twin `LsfIndex` from the same build seed, scheme, and threshold.
+    // docs/PERSISTENCE.md §5, byte for byte: each alias's `build` is
+    // repeated as a twin `LsfIndex::with_scheme` from the same build seed,
+    // scheme, and threshold.
     let (ds, profile, _) = fixture(150, SEED ^ 30);
     let build_seed = SEED ^ 31;
     let n = ds.n();
@@ -593,7 +631,7 @@ fn wrapper_containers_frame_the_lsf_payload() {
     for warning in warnings {
         fields.put_str(warning);
     }
-    assert_wrapper_layout(
+    assert_container_layout(
         &correlated,
         source,
         CorrelatedScheme::new(ALPHA, n, &profile),
@@ -610,7 +648,7 @@ fn wrapper_containers_frame_the_lsf_payload() {
         AdversarialParams::new(b1).unwrap().with_options(opts(4)),
         &mut StdRng::seed_from_u64(build_seed),
     );
-    assert_wrapper_layout(
+    assert_container_layout(
         &adversarial,
         source,
         AdversarialScheme::new(b1, n, &profile),
@@ -629,7 +667,7 @@ fn wrapper_containers_frame_the_lsf_payload() {
     );
     let mut fields = Writer::new();
     fields.put_f64(b2);
-    assert_wrapper_layout(
+    assert_container_layout(
         &chosen_path,
         source,
         ChosenPathScheme::new(b1, b2, n),
@@ -701,6 +739,16 @@ fn wrong_container_kind_is_rejected() {
         AdversarialIndex::load(&path),
         Err(PersistError::WrongKind { .. })
     ));
+    // Kind 1, an `LsfIndex` without its scheme's fields, is retired: a
+    // file naming it fails like any other wrong kind.
+    rewrite_kind(&path, 1);
+    assert!(matches!(
+        CorrelatedIndex::load(&path),
+        Err(PersistError::WrongKind {
+            expected: kind::CORRELATED,
+            found: 1
+        })
+    ));
     // Kind 5, MinHash's retired container, is never reused: a file naming
     // it fails like any other wrong kind, alone or as a deployment's shard.
     rewrite_kind(&path, 5);
@@ -715,7 +763,7 @@ fn wrong_container_kind_is_rejected() {
     let dir = scratch("retired_kind");
     ShardedIndex::build(&index, 2).save(&dir).unwrap();
     rewrite_kind(&dir.join("shard-0001.skx"), 5);
-    let result = ShardedIndex::<CorrelatedIndex>::load(&dir);
+    let result = ShardedIndex::<CorrelatedScheme>::load(&dir);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(matches!(
         result,
@@ -774,7 +822,7 @@ fn manifest_missing_shard_file_is_io_error() {
     sharded.save(&dir).unwrap();
     std::fs::remove_file(dir.join("shard-0001.skx")).unwrap();
     assert!(matches!(
-        ShardedIndex::<CorrelatedIndex>::load(&dir),
+        ShardedIndex::<CorrelatedScheme>::load(&dir),
         Err(PersistError::Io(_))
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -844,7 +892,7 @@ fn assert_manifest_payload_rejected(corrupt: impl FnOnce(&mut Vec<u8>, &[usize])
     assert!(manifest.encode() == payload, "§7 decodes the manifest");
     corrupt(&mut payload, &entries);
     write_container(&path, kind::MANIFEST, &payload).unwrap();
-    let result = ShardedIndex::<CorrelatedIndex>::load(&dir);
+    let result = ShardedIndex::<CorrelatedScheme>::load(&dir);
     let _ = std::fs::remove_dir_all(&dir);
     assert_malformed(result, "manifest");
 }
@@ -963,8 +1011,8 @@ fn deployment_mixed_from_two_builds_is_malformed() {
         dirs[0].join("shard-0001.skx"),
     )
     .unwrap();
-    let mixed = ShardedIndex::<CorrelatedIndex>::load(&dirs[0]);
-    let untouched = ShardedIndex::<CorrelatedIndex>::load(&dirs[1]);
+    let mixed = ShardedIndex::<CorrelatedScheme>::load(&dirs[0]);
+    let untouched = ShardedIndex::<CorrelatedScheme>::load(&dirs[1]);
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -972,15 +1020,15 @@ fn deployment_mixed_from_two_builds_is_malformed() {
     assert_malformed(mixed, "shard-0001.skx from another build");
 }
 
-/// Saves a kind-1 Correlated `LsfIndex`, replaces its payload with
-/// `corrupt(payload)`, re-frames that as a valid container and requires the
-/// load to fail with `Malformed`.
+/// Saves a kind-2 Correlated `LsfIndex`, replaces the LSF payload after the
+/// scheme's fields with `corrupt(payload)`, re-frames the fields and that
+/// as a valid container and requires the load to fail with `Malformed`.
 fn assert_lsf_payload_rejected(corrupt: impl FnOnce(&[u8]) -> Vec<u8>, what: &str) {
     let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED ^ 26);
     let ds = Dataset::generate(&profile, 120, &mut rng);
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let index = LsfIndex::build(
+    let index = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
@@ -990,16 +1038,28 @@ fn assert_lsf_payload_rejected(corrupt: impl FnOnce(&[u8]) -> Vec<u8>, what: &st
     );
     let path = scratch("lsf_payload");
     index.save(&path).unwrap();
-    let payload = corrupt(&std::fs::read(&path).unwrap()[32..]);
-    write_container(&path, kind::LSF, &payload).unwrap();
+    let saved = std::fs::read(&path).unwrap()[32..].to_vec();
+    let mut r = Reader::new(&saved);
+    CorrelatedScheme::decode_fields(&mut r).unwrap();
+    let (fields, lsf_payload) = saved.split_at(saved.len() - r.remaining());
+    let payload = [fields.to_vec(), corrupt(lsf_payload)].concat();
+    write_container(&path, kind::CORRELATED, &payload).unwrap();
     let result = LsfIndex::<CorrelatedScheme>::load(&path);
     let _ = std::fs::remove_file(&path);
     assert_malformed(result, what);
 }
 
+/// Reads a Correlated scheme tag and calibration (§3) off an LSF payload.
+/// The scheme's fields ride ahead of the payload (§5), and decoding the
+/// calibration does not read them, so any stand in.
+fn read_correlated_calibration(r: &mut Reader<'_>) {
+    assert_eq!(r.get_u32().unwrap(), CorrelatedScheme::SCHEME_TAG);
+    CorrelatedScheme::decode_scheme(r, (ALPHA, ModelDiagnostics::default())).unwrap();
+}
+
 #[test]
 fn correlated_table_shorter_than_the_profile_is_malformed() {
-    // A kind-1 Correlated payload whose p̂ table is cut to 10 entries over
+    // A Correlated LSF payload whose p̂ table is cut to 10 entries over
     // d = 400: a query on any dim past the cut would index past the table,
     // so the load must fail instead.
     assert_lsf_payload_rejected(
@@ -1030,8 +1090,7 @@ fn node_budget_other_than_the_fixed_one_is_malformed() {
             // §4: scheme tag and calibration, profile, verify threshold,
             // then the node-budget word.
             let mut r = Reader::new(payload);
-            r.get_u32().unwrap();
-            CorrelatedScheme::decode_scheme(&mut r).unwrap();
+            read_correlated_calibration(&mut r);
             r.get_f64_vec().unwrap();
             r.get_f64().unwrap();
             let at = payload.len() - r.remaining();
@@ -1055,8 +1114,7 @@ fn lsf_payload_with_zero_repetitions_is_malformed() {
             // calibration, profile, 13 words, the sets and the liveness
             // bitmap, then the repetition count.
             let mut r = Reader::new(payload);
-            r.get_u32().unwrap();
-            CorrelatedScheme::decode_scheme(&mut r).unwrap();
+            read_correlated_calibration(&mut r);
             r.get_f64_vec().unwrap();
             for _ in 0..13 {
                 r.get_u64().unwrap();

@@ -1,13 +1,14 @@
 //! Pipeline semantics: for every index type, the split query path —
-//! `plan_query` (stage 1: enumerate + intern) followed by `probe_plan` /
-//! `probe_plan_tagged` / a first-only `probe_passes` of the plan (stages
-//! 2+3: bucket probing + verification) — must answer **byte-identically**
-//! to the fused `search_all` / `search_all_tagged` / first-only
-//! `probe_passes` of the query, tags included.
+//! `plan_query` (stage 1: enumerate + intern) followed by
+//! `probe_plan_tagged` (or its matches alone) / a first-only `probe_passes`
+//! of the plan (stages 2+3: bucket probing + verification) — must answer
+//! **byte-identically** to the fused `search_all_tagged` / `search_all` /
+//! first-only `probe_passes` of the query, tags included.
 //!
-//! Deterministic tests pin the 5 index types; a proptest block randomizes
-//! dataset, correlation target, and repetition count. Only the four LSF
-//! index types derive planned plans; MinHash keeps the trait's unplanned
+//! Deterministic tests pin the 5 index builds (`LsfIndex::with_scheme`, the
+//! three schemes' aliases and MinHash); a proptest block randomizes dataset,
+//! correlation target, and repetition count. Only the four LSF builds
+//! derive planned plans; MinHash keeps the trait's unplanned
 //! plan, which its band walk probes like the query itself. Queries carrying
 //! dims outside the indexed universe (`p_i = 0`: never sampled, still
 //! counted in `|q|`) must keep the same equivalence on every index type,
@@ -18,7 +19,7 @@
 //! shards in order on the calling thread.
 //!
 //! A structure's planner is its stage 1 apart from the structure: for the
-//! four LSF types and a sharded deployment, `planner().plan(q)` equals
+//! four LSF builds and a sharded deployment, `planner().plan(q)` equals
 //! `plan_query(q)`, before and after mutations; every other structure has
 //! no planner and plans unplanned.
 //!
@@ -35,8 +36,8 @@ use skewsearch::baselines::{
 };
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    DeadlineExceeded, IndexOptions, LsfIndex, PassSource, ProbeControl, QueryPlan, Repetitions,
-    SetSimilaritySearch, ShardedIndex,
+    DeadlineExceeded, IndexOptions, LsfIndex, Match, PassSource, ProbeControl, QueryPlan,
+    Repetitions, SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -137,7 +138,12 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
             None => assert!(!plan.is_planned(), "{ctx} no planner, no plan"),
         }
         assert_deadline_granularity(index, &plan, min_polls, &ctx);
-        assert_eq!(index.probe_plan(&plan), index.search_all(q), "{ctx}");
+        let hits: Vec<Match> = index
+            .probe_plan_tagged(&plan)
+            .into_iter()
+            .map(|t| t.hit)
+            .collect();
+        assert_eq!(hits, index.search_all(q), "{ctx}");
         assert_eq!(
             index.probe_plan_tagged(&plan),
             index.search_all_tagged(q),
@@ -149,7 +155,11 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
             "{ctx}"
         );
         // A plan is not consumed by probing: the second probe must agree.
-        assert_eq!(index.probe_plan(&plan), index.probe_plan(&plan), "{ctx}");
+        assert_eq!(
+            index.probe_plan_tagged(&plan),
+            index.probe_plan_tagged(&plan),
+            "{ctx}"
+        );
         // Unplanned plans degrade to the fused path, never to a wrong answer.
         let unplanned = QueryPlan::unplanned(q.clone());
         assert!(!unplanned.is_planned(), "{ctx}");
@@ -167,7 +177,7 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
         0,
         "{label} empty query plans 0 keys"
     );
-    assert!(index.probe_plan(&empty_plan).is_empty(), "{label}");
+    assert!(index.probe_plan_tagged(&empty_plan).is_empty(), "{label}");
 }
 
 #[test]
@@ -175,7 +185,7 @@ fn lsf_index_plan_equivalence() {
     let (ds, profile, queries) = fixture(250, SEED);
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let index = LsfIndex::build(
+    let index = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
@@ -261,7 +271,7 @@ fn dims_outside_the_universe_keep_plans_equivalent_and_sound() {
     let reps = 4;
 
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let lsf = LsfIndex::build(
+    let lsf = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
@@ -311,7 +321,7 @@ fn empty_index_plans_and_probes_to_nothing() {
     let profile = BernoulliProfile::uniform(50, 0.2).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED ^ 6);
     let scheme = CorrelatedScheme::new(0.5, 2, &profile);
-    let index: LsfIndex<CorrelatedScheme> = LsfIndex::build(
+    let index: LsfIndex<CorrelatedScheme> = LsfIndex::with_scheme(
         vec![],
         profile,
         scheme,
@@ -322,7 +332,7 @@ fn empty_index_plans_and_probes_to_nothing() {
     let q = SparseVec::from_unsorted(vec![1, 2, 3]);
     let plan = index.plan_query(&q);
     assert_eq!(plan.pass_count(), index.repetition_count());
-    assert!(index.probe_plan(&plan).is_empty());
+    assert!(index.probe_plan_tagged(&plan).is_empty());
     assert_eq!(
         index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
         Ok(vec![])
@@ -386,7 +396,7 @@ fn planners_plan_like_plan_query_before_and_after_mutations() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 10);
     let reps = 4;
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let mut lsf = LsfIndex::build(
+    let mut lsf = LsfIndex::with_scheme(
         ds.vectors()[..150].to_vec(),
         profile.clone(),
         scheme,
@@ -489,7 +499,7 @@ proptest! {
         let queries = &queries[..];
 
         let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-        let lsf = LsfIndex::build(
+        let lsf = LsfIndex::with_scheme(
             ds.vectors().to_vec(),
             profile.clone(),
             scheme,

@@ -137,7 +137,7 @@ fn served_answers_are_byte_identical_for_every_index_type() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
 
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let lsf = LsfIndex::build(
+    let lsf = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,

@@ -1,10 +1,11 @@
-//! Sharding semantics: for every shardable index type (the LSF family), a
+//! Sharding semantics: for every scheme of the LSF family, a
 //! `ShardedIndex` must answer `search`, `search_all`, `search_all_tagged`,
-//! `search_batch`, and `search_best` **byte-identically** to the unsharded
-//! index it was partitioned from — at every shard count, including
-//! degenerate partitions where some shards are empty.
+//! and `search_batch` **byte-identically** to the unsharded index it was
+//! partitioned from — at every shard count, including degenerate
+//! partitions where some shards are empty.
 //!
-//! Deterministic tests pin the 4 LSF index types × {1, 8} shards grid; a
+//! Deterministic tests pin the 4 LSF builds (`LsfIndex::with_scheme` and
+//! each scheme's alias) × {1, 8} shards grid; a
 //! proptest block then randomizes the dataset, correlation, and shard count
 //! over {1, 3, 8}.
 //!
@@ -17,8 +18,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch, Shardable,
-    ShardedIndex,
+    IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch,
+    ShardedIndex, ThresholdScheme,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -46,8 +47,8 @@ fn opts(reps: usize) -> IndexOptions {
 
 /// The core assertion: every trait entry point of the sharded wrapper equals
 /// the unsharded index's answer, byte for byte.
-fn assert_sharded_identical<I: Shardable + Send + Sync>(
-    index: &I,
+fn assert_sharded_identical<S: ThresholdScheme + 'static>(
+    index: &LsfIndex<S>,
     queries: &[SparseVec],
     shard_counts: &[usize],
     label: &str,
@@ -59,7 +60,6 @@ fn assert_sharded_identical<I: Shardable + Send + Sync>(
         .iter()
         .map(|q| index.probe_passes(PassSource::Query(q), ProbeControl::FIRST))
         .collect();
-    let best: Vec<_> = queries.iter().map(|q| index.search_best(q)).collect();
     for &shards in shard_counts {
         let sharded = ShardedIndex::build(index, shards);
         let ctx = format!("{label} shards={shards}");
@@ -76,8 +76,6 @@ fn assert_sharded_identical<I: Shardable + Send + Sync>(
             );
         }
         assert_eq!(sharded.search_batch(queries), all, "{ctx}");
-        let sharded_best: Vec<_> = queries.iter().map(|q| sharded.search_best(q)).collect();
-        assert_eq!(sharded_best, best, "{ctx}");
     }
 }
 
@@ -86,7 +84,7 @@ fn lsf_index_shard_equivalence() {
     let (ds, profile, queries) = fixture(250, SEED);
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
     let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-    let index = LsfIndex::build(
+    let index = LsfIndex::with_scheme(
         ds.vectors().to_vec(),
         profile.clone(),
         scheme,
@@ -106,7 +104,7 @@ fn mutated_lsf_index_shard_equivalence() {
     let (ds, profile, queries) = fixture(250, SEED ^ 8);
     let mut rng = StdRng::seed_from_u64(SEED ^ 9);
     let scheme = CorrelatedScheme::new(ALPHA, 220, &profile);
-    let mut index = LsfIndex::build(
+    let mut index = LsfIndex::with_scheme(
         ds.vectors()[..220].to_vec(),
         profile.clone(),
         scheme,
@@ -188,7 +186,7 @@ fn empty_index_shards_find_nothing() {
     let profile = BernoulliProfile::uniform(50, 0.2).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED ^ 7);
     let scheme = CorrelatedScheme::new(0.5, 2, &profile);
-    let index: LsfIndex<CorrelatedScheme> = LsfIndex::build(
+    let index: LsfIndex<CorrelatedScheme> = LsfIndex::with_scheme(
         vec![],
         profile,
         scheme,
@@ -228,7 +226,7 @@ proptest! {
         let queries = &queries[..];
 
         let scheme = CorrelatedScheme::new(ALPHA, ds.n(), &profile);
-        let lsf = LsfIndex::build(
+        let lsf = LsfIndex::with_scheme(
             ds.vectors().to_vec(),
             profile.clone(),
             scheme,
