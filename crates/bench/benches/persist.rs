@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch_bench::bench_dataset;
 use skewsearch_core::{
-    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, Persist, Repetitions,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, Repetitions,
     SetSimilaritySearch, ShardedIndex,
 };
 

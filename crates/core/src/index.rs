@@ -28,7 +28,7 @@ use crate::batch::{batch_map, batch_map_chunked};
 use crate::engine::{enumerate_filters_with, EnumContext, EnumStats, DEFAULT_NODE_BUDGET};
 use crate::persist::{
     load_container, read_bucket_map, read_postings, write_bucket_map, write_container,
-    write_postings, Persist, PersistError, PersistScheme, Reader, Writer,
+    write_postings, PersistError, PersistScheme, Reader, Writer,
 };
 use crate::plan::{QueryPlan, QueryPlanner};
 use crate::postings::{CompressedPostings, PostingsEncoder};
@@ -1221,14 +1221,70 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
 // recomputes them and the format does not carry them.
 
 impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
-    /// Appends this index's complete state to `w` as the LSF payload of
-    /// `docs/PERSISTENCE.md` §4, which a container of the scheme's kind
-    /// carries after the scheme's fields: base segments as format-v2
+    /// Writes the index to one container file at `path`, of the scheme's
+    /// kind (atomically: temp file + rename). Its payload is the scheme's
+    /// fields, tag and calibration, then the LSF payload
+    /// (`docs/PERSISTENCE.md` §4–§5).
+    ///
+    /// The contract, pinned by `tests/persist_equivalence.rs`: for any built
+    /// (and possibly mutated) index, `save` then [`LsfIndex::load`] yields an
+    /// index whose every answer surface — `search`, `search_all`,
+    /// `search_all_tagged`, `search_batch`, plans, joins — is
+    /// **byte-identical** to the original's, and which keeps mutating from
+    /// exactly the original's mutation-log watermark (same next id, same
+    /// pending count, same compaction behavior).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rand::{rngs::StdRng, SeedableRng};
+    /// use skewsearch_core::{CorrelatedIndex, CorrelatedParams, SetSimilaritySearch};
+    /// use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
+    ///
+    /// let mut rng = StdRng::seed_from_u64(9);
+    /// let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
+    /// let data = Dataset::generate(&profile, 120, &mut rng);
+    /// let index = CorrelatedIndex::build(
+    ///     &data,
+    ///     &profile,
+    ///     CorrelatedParams::new(0.8).unwrap(),
+    ///     &mut rng,
+    /// );
+    ///
+    /// let path = std::env::temp_dir().join(format!(
+    ///     "skewsearch_doctest_persist_{}.skx",
+    ///     std::process::id()
+    /// ));
+    /// index.save(&path).unwrap();
+    /// let restored = CorrelatedIndex::load(&path).unwrap();
+    /// std::fs::remove_file(&path).unwrap();
+    ///
+    /// let q = correlated_query(data.vector(5), &profile, 0.8, &mut rng);
+    /// assert_eq!(restored.search_all(&q), index.search_all(&q));
+    /// assert_eq!(restored.threshold(), index.threshold());
+    /// ```
+    pub fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
+        let mut w = Writer::new();
+        self.write_payload(&mut w);
+        write_container(path, S::KIND, &w.into_payload())
+    }
+
+    /// Reads an index back from a file written by [`LsfIndex::save`].
+    /// Fails with a typed [`PersistError`] on corrupt, truncated, or
+    /// wrong-kind files — never panics.
+    pub fn load(path: &std::path::Path) -> Result<Self, PersistError> {
+        load_container(path, S::KIND, Self::read_payload)
+    }
+
+    /// Appends this index's complete state to `w` as its container's
+    /// payload: the scheme's [`PersistScheme::encode`], then the LSF
+    /// payload of `docs/PERSISTENCE.md` §4 — base segments as format-v2
     /// compressed postings (sorted keys + byte offsets + the delta/varint
     /// arena, derived by [`CompressedPostings::v2_parts`]), delta segments
-    /// as bucket maps. Most callers want [`Persist::save`] instead.
-    pub fn write_payload(&self, w: &mut Writer) {
-        self.write_calibration(w);
+    /// as bucket maps.
+    fn write_payload(&self, w: &mut Writer) {
+        self.planner.scheme.encode(w);
+        w.put_f64_slice(self.planner.profile.ps());
         w.put_f64(self.verify_threshold);
         w.put_u64(DEFAULT_NODE_BUDGET as u64);
         w.put_u64(self.query_threads as u64);
@@ -1252,26 +1308,19 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
         }
     }
 
-    /// The payload's leading fields: scheme tag, calibration, profile.
-    fn write_calibration(&self, w: &mut Writer) {
-        w.put_u32(S::SCHEME_TAG);
-        self.planner.scheme.encode_scheme(w);
-        w.put_f64_slice(self.planner.profile.ps());
-    }
-
     /// Makes `self` plan with `first`'s planner if the two hold identical
     /// planning state, as every shard of one build does, and returns
     /// whether they do; `self` is unchanged otherwise. They do when the
-    /// saved bytes of that state are equal: the scheme's fields, the
-    /// calibration and every repetition's hash stack.
+    /// saved bytes of that state are equal: the scheme's encoding, the
+    /// profile and every repetition's hash stack.
     /// [`crate::ShardedIndex::load`] calls it on every shard after the
     /// first, so a loaded deployment holds one planner, as a built one
     /// does, and shards of two builds are rejected.
     pub(crate) fn adopt_planner(&mut self, first: &Self) -> bool {
         let planning_bytes = |index: &Self| {
             let mut w = Writer::new();
-            index.scheme().encode_fields(&mut w);
-            index.write_calibration(&mut w);
+            index.planner.scheme.encode(&mut w);
+            w.put_f64_slice(index.planner.profile.ps());
             for stack in &index.planner.stacks {
                 stack.write(&mut w);
             }
@@ -1286,23 +1335,16 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
 
     /// Decodes an index from a payload written by
     /// [`LsfIndex::write_payload`], validating every structural invariant
-    /// the query path relies on (offset tables monotone, ids in range and
-    /// ascending, varint streams well-formed, the scheme's per-dimension
-    /// table one entry per profile dimension, hasher stacks exactly
-    /// `depth_bound` deep, delta ids past the base watermark). The payload
-    /// does not carry the delta slots' bucket-key records: they are rebuilt
-    /// from the delta segments, so the loaded index prunes removes as the
-    /// saved one did. The scheme takes `fields`, decoded from the
-    /// container's prefix. Never panics: corrupt bytes yield a
-    /// [`PersistError`].
-    fn read_payload(r: &mut Reader<'_>, fields: S::Fields) -> Result<Self, PersistError> {
-        let tag = r.get_u32()?;
-        if tag != S::SCHEME_TAG {
-            return Err(PersistError::Malformed(
-                "scheme tag does not match the requested scheme type",
-            ));
-        }
-        let scheme = S::decode_scheme(r, fields)?;
+    /// the query path relies on (the scheme's own checks, offset tables
+    /// monotone, ids in range and ascending, varint streams well-formed,
+    /// the scheme's per-dimension table one entry per profile dimension,
+    /// hasher stacks exactly `depth_bound` deep, delta ids past the base
+    /// watermark). The payload does not carry the delta slots' bucket-key
+    /// records: they are rebuilt from the delta segments, so the loaded
+    /// index prunes removes as the saved one did. Never panics: corrupt
+    /// bytes yield a [`PersistError`].
+    fn read_payload(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let scheme = S::decode(r)?;
         let ps = r.get_f64_vec()?;
         let profile = BernoulliProfile::new(ps)
             .map_err(|_| PersistError::Malformed("profile probabilities out of range"))?;
@@ -1403,24 +1445,6 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
             pending,
             mutation_buffer,
             compactions,
-        })
-    }
-}
-
-impl<S: ThresholdScheme + PersistScheme> Persist for LsfIndex<S> {
-    /// A container of the scheme's kind: the scheme's fields, then the LSF
-    /// payload (`docs/PERSISTENCE.md` §5).
-    fn save(&self, path: &std::path::Path) -> Result<(), PersistError> {
-        let mut w = Writer::new();
-        self.scheme().encode_fields(&mut w);
-        self.write_payload(&mut w);
-        write_container(path, S::KIND, &w.into_payload())
-    }
-
-    fn load(path: &std::path::Path) -> Result<Self, PersistError> {
-        load_container(path, S::KIND, |r| {
-            let fields = S::decode_fields(r)?;
-            Self::read_payload(r, fields)
         })
     }
 }
@@ -2076,8 +2100,7 @@ mod tests {
         let mut w = Writer::new();
         index.write_payload(&mut w);
         let payload = w.into_payload();
-        let fields = (index.alpha(), index.diagnostics().clone());
-        let loaded = LsfIndex::<CorrelatedScheme>::read_payload(&mut Reader::new(&payload), fields)
+        let loaded = LsfIndex::<CorrelatedScheme>::read_payload(&mut Reader::new(&payload))
             .expect("own payload loads");
         assert_bound_rejects_most("loaded", bound_outcomes(&loaded, &queries));
 

@@ -46,10 +46,11 @@
 //! partitioned across shards by a [`ShardedIndex<S>`] ([`shard`])
 //! — a hash partition of the dataset, where one plan per query broadcasts
 //! to all shards — with answers byte-identical to the unsharded index.
-//! Built indexes are durable: [`persist::Persist`] saves any of them to a
-//! versioned, checksummed container file of its scheme's kind and loads it
-//! back with byte-identical answers, and [`ShardedIndex::save`] writes a
-//! whole deployment (manifest + per-shard files) to a directory.
+//! Built indexes are durable: [`LsfIndex::save`] writes any of them to a
+//! versioned, checksummed container file of its scheme's kind and
+//! [`LsfIndex::load`] reads it back with byte-identical answers, and
+//! [`ShardedIndex::save`] writes a whole deployment (manifest + per-shard
+//! files) to a directory.
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -96,7 +97,7 @@ pub use engine::{
     DEFAULT_NODE_BUDGET,
 };
 pub use index::{BuildStats, IndexOptions, LsfIndex, QueryStats, Repetitions};
-pub use persist::{Persist, PersistError, PersistScheme, ShardManifest, ShardManifestEntry};
+pub use persist::{PersistError, PersistScheme, ShardManifest, ShardManifestEntry};
 pub use plan::{QueryPlan, QueryPlanner};
 pub use postings::{CompressedPostings, PostingsCursor, PostingsEncoder, PostingsError};
 pub use scheme::{AdversarialScheme, ChosenPathScheme, CorrelatedScheme, ThresholdScheme};

@@ -39,18 +39,21 @@
 //!
 //! ## Entry points
 //!
-//! * [`Persist`] — `save(&Path)` / `load(&Path)` on [`crate::LsfIndex`]
-//!   under each of the three schemes: [`crate::CorrelatedIndex`],
+//! * [`crate::LsfIndex::save`] / [`crate::LsfIndex::load`] — one container
+//!   file under each of the three schemes: [`crate::CorrelatedIndex`],
 //!   [`crate::AdversarialIndex`] and [`crate::ChosenPathIndex`], the LSF
 //!   family alone. The container kind is the scheme's
-//!   ([`PersistScheme::KIND`]).
+//!   ([`PersistScheme::KIND`]), and the scheme's codec
+//!   ([`PersistScheme::encode`] / [`PersistScheme::decode`]) writes the
+//!   payload's head.
 //! * [`crate::ShardedIndex::save`] / [`crate::ShardedIndex::load`] — a
 //!   directory of per-shard `.skx` files (kinds 2–4: only the LSF family
 //!   shards) plus a [`ShardManifest`] recording the shard count and
 //!   the local→global id maps, restoring a sharded deployment
 //!   byte-identically.
 //! * [`Writer`] / [`Reader`] — the little-endian encoding primitives, public
-//!   so sibling crates (baselines) encode their own section types.
+//!   because [`PersistScheme`]'s codec and [`ShardManifest`]'s take them, so
+//!   a test or tool can decode a payload by the spec.
 //! * [`write_container`] / [`load_container`] — the one writer and the one
 //!   loader every `.skx` kind goes through. The format version is known
 //!   only here: the loader hands it to decoders inside the [`Reader`], and
@@ -101,8 +104,8 @@ pub mod kind {
 /// # Examples
 ///
 /// ```
-/// use skewsearch_core::persist::{Persist, PersistError};
-/// use skewsearch_core::{CorrelatedIndex};
+/// use skewsearch_core::persist::PersistError;
+/// use skewsearch_core::CorrelatedIndex;
 ///
 /// // Loading a file that is not a container fails with BadMagic.
 /// let path = std::env::temp_dir().join(format!(
@@ -740,92 +743,30 @@ pub fn load_container<T>(
     Ok(value)
 }
 
-/// A structure that can round-trip through one `.skx` container file.
-///
-/// The contract, pinned by `tests/persist_equivalence.rs`: for any built
-/// (and possibly mutated) index, `save` then `load` yields an index whose
-/// every answer surface — `search`, `search_all`, `search_all_tagged`,
-/// `search_batch`, plans, joins — is **byte-identical** to the original's,
-/// and which keeps mutating from exactly the original's mutation-log
-/// watermark (same next id, same pending count, same compaction behavior).
-///
-/// # Examples
-///
-/// ```
-/// use rand::{rngs::StdRng, SeedableRng};
-/// use skewsearch_core::persist::Persist;
-/// use skewsearch_core::{CorrelatedIndex, CorrelatedParams, SetSimilaritySearch};
-/// use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
-///
-/// let mut rng = StdRng::seed_from_u64(9);
-/// let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
-/// let data = Dataset::generate(&profile, 120, &mut rng);
-/// let index = CorrelatedIndex::build(
-///     &data,
-///     &profile,
-///     CorrelatedParams::new(0.8).unwrap(),
-///     &mut rng,
-/// );
-///
-/// let path = std::env::temp_dir().join(format!(
-///     "skewsearch_doctest_persist_{}.skx",
-///     std::process::id()
-/// ));
-/// index.save(&path).unwrap();
-/// let restored = CorrelatedIndex::load(&path).unwrap();
-/// std::fs::remove_file(&path).unwrap();
-///
-/// let q = correlated_query(data.vector(5), &profile, 0.8, &mut rng);
-/// assert_eq!(restored.search_all(&q), index.search_all(&q));
-/// assert_eq!(restored.threshold(), index.threshold());
-/// ```
-pub trait Persist: Sized {
-    /// Writes the structure to one container file at `path` (atomically:
-    /// temp file + rename).
-    fn save(&self, path: &Path) -> Result<(), PersistError>;
-
-    /// Reads the structure back from a file written by
-    /// [`Persist::save`]. Fails with a typed [`PersistError`] on corrupt,
-    /// truncated, or wrong-kind files.
-    fn load(path: &Path) -> Result<Self, PersistError>;
-}
-
-/// A [`crate::ThresholdScheme`] that can round-trip through a container:
-/// its own fields ahead of the LSF payload, and its calibration inside it.
-/// Implemented by the three concrete schemes; [`crate::LsfIndex`] is
-/// persistable exactly when its scheme is, in a container of the scheme's
-/// [`PersistScheme::KIND`].
+/// A [`crate::ThresholdScheme`] that can round-trip through a container.
+/// Implemented by the three concrete schemes; [`crate::LsfIndex`] saves and
+/// loads exactly when its scheme does, in a container of the scheme's
+/// [`PersistScheme::KIND`] whose payload opens with the bytes of
+/// [`PersistScheme::encode`].
 pub trait PersistScheme: Sized {
-    /// Scheme tag written into the LSF payload (1 = adversarial,
-    /// 2 = correlated, 3 = chosen path). Distinct per implementor, so a
-    /// payload can never be decoded under the wrong scheme.
-    const SCHEME_TAG: u32;
-
     /// The container kind an index under this scheme saves as (see
     /// [`kind`]): loading a file of another kind fails with
     /// [`PersistError::WrongKind`].
     const KIND: u32;
 
-    /// The fields the scheme keeps beyond its calibration, which planning
-    /// never reads (α and the model diagnostics, nothing, `b₂`).
-    type Fields;
+    /// Appends the scheme: its own fields, which planning never reads
+    /// (`docs/PERSISTENCE.md` §5), then its tag word and its calibration
+    /// (§3). The tag is distinct per scheme (1 = adversarial,
+    /// 2 = correlated, 3 = chosen path).
+    fn encode(&self, w: &mut Writer);
 
-    /// Appends the scheme's fields: the prefix its container payload
-    /// carries before the LSF payload (`docs/PERSISTENCE.md` §5).
-    fn encode_fields(&self, w: &mut Writer);
-
-    /// Decodes the prefix [`PersistScheme::encode_fields`] wrote.
-    fn decode_fields(r: &mut Reader<'_>) -> Result<Self::Fields, PersistError>;
-
-    /// Appends the scheme's calibration to `w`.
-    fn encode_scheme(&self, w: &mut Writer);
-
-    /// Decodes a calibration previously written by
-    /// [`PersistScheme::encode_scheme`] into the scheme with `fields`.
-    fn decode_scheme(r: &mut Reader<'_>, fields: Self::Fields) -> Result<Self, PersistError>;
+    /// Decodes and validates what [`PersistScheme::encode`] wrote. A tag
+    /// word naming another scheme is [`PersistError::Malformed`], so a
+    /// payload can never be decoded under the wrong scheme.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError>;
 
     /// The length of the calibration's per-dimension table, if it has one.
-    /// [`Persist::load`] rejects a table that is not one entry per
+    /// [`crate::LsfIndex::load`] rejects a table that is not one entry per
     /// dimension of the profile decoded after it.
     fn table_len(&self) -> Option<usize> {
         None
@@ -893,9 +834,14 @@ pub struct ShardManifest {
     pub shards: Vec<ShardManifestEntry>,
 }
 
-/// Reads a `u32` field whose value is fixed: the words that once told
-/// pass-slice shards from dataset shards (`docs/PERSISTENCE.md` §7).
-fn expect_u32(r: &mut Reader<'_>, fixed: u32, what: &'static str) -> Result<(), PersistError> {
+/// Reads a `u32` field whose value is fixed: a scheme's tag word (§3) and
+/// the words that once told pass-slice shards from dataset shards
+/// (`docs/PERSISTENCE.md` §7).
+pub(crate) fn expect_u32(
+    r: &mut Reader<'_>,
+    fixed: u32,
+    what: &'static str,
+) -> Result<(), PersistError> {
     if r.get_u32()? == fixed {
         Ok(())
     } else {

@@ -274,34 +274,30 @@ pub const MAX_DEPTH_CAP: usize = 256;
 // --- persistence -----------------------------------------------------------
 //
 // Schemes are plain calibration data, so persisting one is just writing its
-// fields: those planning never reads ahead of the LSF payload, in the
-// container of the scheme's kind (`docs/PERSISTENCE.md` §5), and the
-// calibration inside it (§3). The impls live here (not in `persist.rs`)
-// because the fields are private; each scheme gets a distinct tag so a
-// payload can never be decoded under the wrong scheme (§4).
+// fields: those planning never reads (`docs/PERSISTENCE.md` §5), then a tag
+// word and the calibration (§3), which head the payload of the scheme's
+// container kind. The impls live here (not in `persist.rs`) because the
+// fields are private; each scheme writes a distinct tag so a payload can
+// never be decoded under the wrong scheme.
 
-use crate::persist::{kind, PersistError, PersistScheme, Reader, Writer};
+use crate::persist::{expect_u32, kind, PersistError, PersistScheme, Reader, Writer};
+
+/// Why a scheme's decoder rejects a tag word that is not its own.
+const WRONG_TAG: &str = "scheme tag does not match the requested scheme type";
 
 impl PersistScheme for AdversarialScheme {
-    const SCHEME_TAG: u32 = 1;
     const KIND: u32 = kind::ADVERSARIAL;
 
-    /// None: the scheme's calibration is all it holds.
-    type Fields = ();
-
-    fn encode_fields(&self, _: &mut Writer) {}
-
-    fn decode_fields(_: &mut Reader<'_>) -> Result<(), PersistError> {
-        Ok(())
-    }
-
-    fn encode_scheme(&self, w: &mut Writer) {
+    /// No fields of its own: tag 1, then `b₁`, `log₂ n` and the depth bound.
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(1);
         w.put_f64(self.b1);
         w.put_f64(self.log2_n);
         w.put_u64(self.depth_bound as u64);
     }
 
-    fn decode_scheme(r: &mut Reader<'_>, (): ()) -> Result<Self, PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        expect_u32(r, 1, WRONG_TAG)?;
         let b1 = r.get_f64()?;
         let log2_n = r.get_f64()?;
         let depth_bound = r.get_u64()? as usize;
@@ -325,23 +321,25 @@ impl PersistScheme for AdversarialScheme {
 }
 
 impl PersistScheme for CorrelatedScheme {
-    const SCHEME_TAG: u32 = 2;
     const KIND: u32 = kind::CORRELATED;
 
-    /// `α` and the model diagnostics.
-    type Fields = (f64, ModelDiagnostics);
-
-    /// `α`, then the model diagnostics (`C` + warnings).
-    fn encode_fields(&self, w: &mut Writer) {
+    /// `α` and the model diagnostics (`C` + warnings), tag 2, then `1 + δ`,
+    /// `log₂ n`, the depth bound and the `p̂·Σp` table.
+    fn encode(&self, w: &mut Writer) {
         w.put_f64(self.alpha);
         w.put_f64(self.diagnostics.c);
         w.put_u64(self.diagnostics.warnings.len() as u64);
         for warning in &self.diagnostics.warnings {
             w.put_str(warning);
         }
+        w.put_u32(2);
+        w.put_f64(self.one_plus_delta);
+        w.put_f64(self.log2_n);
+        w.put_u64(self.depth_bound as u64);
+        w.put_f64_slice(&self.phat_w);
     }
 
-    fn decode_fields(r: &mut Reader<'_>) -> Result<Self::Fields, PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let alpha = r.get_f64()?;
         if !(alpha > 0.0 && alpha <= 1.0) {
             return Err(PersistError::Malformed("correlated alpha out of (0,1]"));
@@ -352,20 +350,7 @@ impl PersistScheme for CorrelatedScheme {
         for _ in 0..warning_count {
             warnings.push(r.get_string()?);
         }
-        Ok((alpha, ModelDiagnostics { c, warnings }))
-    }
-
-    fn encode_scheme(&self, w: &mut Writer) {
-        w.put_f64(self.one_plus_delta);
-        w.put_f64(self.log2_n);
-        w.put_u64(self.depth_bound as u64);
-        w.put_f64_slice(&self.phat_w);
-    }
-
-    fn decode_scheme(
-        r: &mut Reader<'_>,
-        (alpha, diagnostics): Self::Fields,
-    ) -> Result<Self, PersistError> {
+        expect_u32(r, 2, WRONG_TAG)?;
         let one_plus_delta = r.get_f64()?;
         let log2_n = r.get_f64()?;
         let depth_bound = r.get_u64()? as usize;
@@ -390,7 +375,7 @@ impl PersistScheme for CorrelatedScheme {
             log2_n,
             depth_bound,
             alpha,
-            diagnostics,
+            diagnostics: ModelDiagnostics { c, warnings },
         })
     }
 
@@ -401,34 +386,28 @@ impl PersistScheme for CorrelatedScheme {
 }
 
 impl PersistScheme for ChosenPathScheme {
-    const SCHEME_TAG: u32 = 3;
     const KIND: u32 = kind::CHOSEN_PATH;
 
-    /// The background threshold `b₂`, which only the predicted `ρ` reads.
-    type Fields = f64;
-
-    fn encode_fields(&self, w: &mut Writer) {
+    /// `b₂`, which only the predicted `ρ` reads, tag 3, then `b₁` and the
+    /// fixed depth `k`.
+    fn encode(&self, w: &mut Writer) {
         w.put_f64(self.b2);
-    }
-
-    fn decode_fields(r: &mut Reader<'_>) -> Result<f64, PersistError> {
-        let b2 = r.get_f64()?;
-        if !(b2 > 0.0 && b2 < 1.0) {
-            return Err(PersistError::Malformed("b2 must lie in (0, 1)"));
-        }
-        Ok(b2)
-    }
-
-    fn encode_scheme(&self, w: &mut Writer) {
+        w.put_u32(3);
         w.put_f64(self.b1);
         w.put_u64(self.k as u64);
     }
 
-    fn decode_scheme(r: &mut Reader<'_>, b2: f64) -> Result<Self, PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let b2 = r.get_f64()?;
+        expect_u32(r, 3, WRONG_TAG)?;
         let b1 = r.get_f64()?;
         let k = r.get_u64()? as usize;
-        if !(b1 > 0.0 && b1 <= 1.0) {
-            return Err(PersistError::Malformed("chosen-path b1 out of (0,1]"));
+        // `ChosenPathScheme::new`'s condition: ρ = log b₁ / log b₂ is
+        // defined only under it.
+        if !(0.0 < b2 && b2 < b1 && b1 <= 1.0) {
+            return Err(PersistError::Malformed(
+                "chosen-path thresholds not 0 < b2 < b1 <= 1",
+            ));
         }
         // Chosen Path's fixed depth is not subject to MAX_DEPTH_CAP (that cap
         // applies to product-rule schemes); just rule out absurd values that

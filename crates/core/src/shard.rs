@@ -55,7 +55,7 @@
 use crate::batch::{batch_map, batch_map_chunked};
 use crate::index::LsfIndex;
 use crate::persist::{
-    kind, load_container, write_container, Persist, PersistError, PersistScheme, ShardManifest,
+    kind, load_container, write_container, PersistError, PersistScheme, ShardManifest,
     ShardManifestEntry,
 };
 use crate::plan::{QueryPlan, QueryPlanner};

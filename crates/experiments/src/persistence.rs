@@ -2,21 +2,23 @@
 //!
 //! `save` builds a deterministic suite of indexes — a [`CorrelatedIndex`]
 //! and a sharded correlated deployment — writes them under a directory via
-//! the [`Persist`] trait and [`ShardedIndex::save`], then prints every
-//! answer surface as TSV.
+//! [`LsfIndex::save`] and [`ShardedIndex::save`], then prints every answer
+//! surface as TSV.
 //! `load`, run in a **fresh process**, reopens the same files, regenerates
 //! the identical query stream from the seed (the builds and the queries use
 //! independent seeded RNG streams, so skipping the builds does not perturb
 //! the queries), and prints the same TSV. CI diffs the two outputs
 //! byte-for-byte — any drift between a built and a reloaded index fails the
 //! pipeline.
+//!
+//! [`LsfIndex::save`]: skewsearch_core::LsfIndex::save
 
 use crate::table::{fmt, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use skewsearch_core::{
-    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, Match, Persist,
-    PersistError, Repetitions, SetSimilaritySearch, ShardedIndex,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, Match, PersistError,
+    Repetitions, SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch_datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch_sets::SparseVec;

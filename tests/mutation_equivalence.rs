@@ -25,7 +25,6 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{BruteForce, MinHashLsh, MinHashParams, PrefixFilterIndex};
-use skewsearch::core::persist::Writer;
 use skewsearch::core::{
     CorrelatedScheme, LsfIndex, MutationError, SetSimilaritySearch, ShardedIndex,
 };
@@ -254,10 +253,15 @@ fn planned_inserts_answer_and_save_like_inserts() {
     let (ops, survivors) = resolve(&fixed_script(), n_build, ds.n());
     let queries = queries_for(&ds, &profile, 0xFACE, 14);
     let (oracle, compact_of) = oracle_for(&survivors, &ds, &profile);
-    let payload = |index: &LsfIndex<CorrelatedScheme>| {
-        let mut w = Writer::new();
-        index.write_payload(&mut w);
-        w.into_payload()
+    let saved_file = |index: &LsfIndex<CorrelatedScheme>, label: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "skewsearch_planned_inserts_{}_{label}.skx",
+            std::process::id()
+        ));
+        index.save(&path).expect("save the index");
+        let bytes = std::fs::read(&path).expect("read the saved file");
+        std::fs::remove_file(&path).expect("remove the saved file");
+        bytes
     };
 
     let mut inserted = build_fixed(ds.vectors()[..n_build].to_vec(), &profile, 5);
@@ -269,7 +273,10 @@ fn planned_inserts_answer_and_save_like_inserts() {
         "the history crossed compactions"
     );
     assert!(planned.pending_mutations() > 0, "and ends with a delta");
-    assert_eq!(payload(&planned), payload(&inserted));
+    assert_eq!(
+        saved_file(&planned, "planned"),
+        saved_file(&inserted, "inserted")
+    );
     assert_eq!(planned.memory_stats(), inserted.memory_stats());
     assert_answers_like_rebuild(&planned, &oracle, &compact_of, &queries, "planned");
 

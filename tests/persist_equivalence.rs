@@ -11,8 +11,9 @@
 //! A second block pins the failure contract: truncated files, wrong magic,
 //! unsupported versions, mismatched container kinds (the retired kinds 1
 //! and 5 included), flipped payload bytes, and checksummed files whose contents
-//! disagree (a scheme table shorter than the profile, a node budget other
-//! than the fixed one, an LSF payload with zero repetitions, a shard
+//! disagree (a scheme tag naming another scheme, a Chosen Path `b₂` not
+//! below its `b₁`, a scheme table shorter than the profile, a node budget
+//! other than the fixed one, an LSF payload with zero repetitions, a shard
 //! manifest that does not match its shards or that holds a retired
 //! pass-slice layout, shards from two builds) must all surface as typed
 //! [`PersistError`]s — never panics, never a silently wrong index. A
@@ -25,9 +26,9 @@ use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::persist::{fnv1a64, kind, write_bucket_map, write_container, Reader, Writer};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
-    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, ModelDiagnostics,
-    Persist, PersistError, PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest,
-    ShardManifestEntry, ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
+    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, PersistError,
+    PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest, ShardManifestEntry,
+    ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::hashing::FxHashMap;
@@ -108,17 +109,17 @@ fn assert_same_answers<I: SetSimilaritySearch>(
 
 /// Round-trips `index` through a scratch file and checks every surface,
 /// and that re-saving the reloaded index writes the same bytes.
-fn assert_round_trip<I: Persist + SetSimilaritySearch>(
-    index: &I,
+fn assert_round_trip<S: ThresholdScheme + PersistScheme + 'static>(
+    index: &LsfIndex<S>,
     queries: &[SparseVec],
     label: &str,
-) -> I {
+) -> LsfIndex<S> {
     let path = scratch(label);
     index
         .save(&path)
         .unwrap_or_else(|e| panic!("{label} save: {e}"));
     let saved = std::fs::read(&path).unwrap();
-    let reloaded = I::load(&path).unwrap_or_else(|e| panic!("{label} load: {e}"));
+    let reloaded = LsfIndex::<S>::load(&path).unwrap_or_else(|e| panic!("{label} load: {e}"));
     reloaded
         .save(&path)
         .unwrap_or_else(|e| panic!("{label} re-save: {e}"));
@@ -426,12 +427,7 @@ fn transcode_to_v1(payload: &[u8]) -> Vec<u8> {
     let mut r = Reader::new(payload);
     let mut w = Writer::new();
     // The scheme's fields, its tag and calibration, then the profile.
-    let fields = CorrelatedScheme::decode_fields(&mut r).unwrap();
-    let tag = r.get_u32().unwrap();
-    let scheme = CorrelatedScheme::decode_scheme(&mut r, fields).unwrap();
-    scheme.encode_fields(&mut w);
-    w.put_u32(tag);
-    scheme.encode_scheme(&mut w);
+    CorrelatedScheme::decode(&mut r).unwrap().encode(&mut w);
     w.put_f64_slice(&r.get_f64_vec().unwrap());
     // verify_threshold, six counters, six build stats: 13 words.
     for _ in 0..13 {
@@ -556,7 +552,7 @@ fn saved_bytes_of_fixed_adversarial_and_chosen_path_files_are_pinned() {
 }
 
 /// The bytes `index` saves.
-fn saved_file<I: Persist>(index: &I, label: &str) -> Vec<u8> {
+fn saved_file<S: ThresholdScheme + PersistScheme>(index: &LsfIndex<S>, label: &str) -> Vec<u8> {
     let path = scratch(label);
     index.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -566,16 +562,19 @@ fn saved_file<I: Persist>(index: &I, label: &str) -> Vec<u8> {
 
 /// Saves `index` and splits the file into its container kind (header bytes
 /// 12..16) and its payload (everything after the 32-byte header).
-fn saved_kind_and_payload<I: Persist>(index: &I, label: &str) -> (u32, Vec<u8>) {
+fn saved_kind_and_payload<S: ThresholdScheme + PersistScheme>(
+    index: &LsfIndex<S>,
+    label: &str,
+) -> (u32, Vec<u8>) {
     let bytes = saved_file(index, label);
     let kind = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
     (kind, bytes[32..].to_vec())
 }
 
-/// An index's file is its scheme's container kind, and its payload is the
-/// scheme's own fields followed by the LSF payload of a twin built over
-/// `ds` by `LsfIndex::with_scheme` from the index's build seed, scheme, and
-/// threshold.
+/// An index's file is its scheme's container kind, its payload begins with
+/// the scheme's own fields, and it is byte for byte the file of a twin
+/// built over `ds` by `LsfIndex::with_scheme` from the index's build seed,
+/// scheme, and threshold.
 fn assert_container_layout<S>(
     index: &LsfIndex<S>,
     (ds, profile, build_seed): (&Dataset, &BernoulliProfile, u64),
@@ -596,26 +595,28 @@ fn assert_container_layout<S>(
     );
     let (index_kind, index_payload) = saved_kind_and_payload(index, label);
     assert_eq!(index_kind, expected_kind, "{label} container kind");
-    let mut lsf_payload = Writer::new();
-    twin.write_payload(&mut lsf_payload);
-    let expected = [own_fields.into_payload(), lsf_payload.into_payload()].concat();
     assert!(
-        index_payload == expected,
-        "{label} payload is not its own fields + the twin's LSF payload"
+        index_payload.starts_with(&own_fields.into_payload()),
+        "{label} payload does not begin with its own fields"
+    );
+    assert!(
+        saved_file(index, label) == saved_file(&twin, label),
+        "{label} file is not its twin's"
     );
 }
 
 #[test]
 fn wrapper_containers_frame_the_lsf_payload() {
-    // docs/PERSISTENCE.md §5, byte for byte: each alias's `build` is
-    // repeated as a twin `LsfIndex::with_scheme` from the same build seed,
-    // scheme, and threshold.
+    // docs/PERSISTENCE.md §5, byte for byte: each alias's payload begins
+    // with its scheme's own fields, and its `build` is repeated as a twin
+    // `LsfIndex::with_scheme` from the same build seed, scheme, and
+    // threshold.
     let (ds, profile, _) = fixture(150, SEED ^ 30);
     let build_seed = SEED ^ 31;
     let n = ds.n();
     let source = (&ds, &profile, build_seed);
 
-    // Kind 2: α, C, and the warnings, then the LSF payload.
+    // Kind 2: α, C, and the warnings, then the tag and calibration.
     let correlated = CorrelatedIndex::build(
         &ds,
         &profile,
@@ -657,7 +658,7 @@ fn wrapper_containers_frame_the_lsf_payload() {
         "Adversarial",
     );
 
-    // Kind 4: b₂, then the LSF payload.
+    // Kind 4: b₂, then the tag and calibration.
     let b2 = 0.1;
     let chosen_path = ChosenPathIndex::build(
         &ds,
@@ -1020,10 +1021,26 @@ fn deployment_mixed_from_two_builds_is_malformed() {
     assert_malformed(mixed, "shard-0001.skx from another build");
 }
 
-/// Saves a kind-2 Correlated `LsfIndex`, replaces the LSF payload after the
-/// scheme's fields with `corrupt(payload)`, re-frames the fields and that
-/// as a valid container and requires the load to fail with `Malformed`.
-fn assert_lsf_payload_rejected(corrupt: impl FnOnce(&[u8]) -> Vec<u8>, what: &str) {
+/// Saves `index`, rewrites its payload with `corrupt`, reseals it as a valid
+/// container of the scheme's kind and loads it back.
+fn reload_corrupted<S: ThresholdScheme + PersistScheme>(
+    index: &LsfIndex<S>,
+    corrupt: impl FnOnce(&mut Vec<u8>),
+) -> Result<LsfIndex<S>, PersistError> {
+    let path = scratch("corrupted");
+    index.save(&path).unwrap();
+    let mut payload = std::fs::read(&path).unwrap()[32..].to_vec();
+    corrupt(&mut payload);
+    write_container(&path, S::KIND, &payload).unwrap();
+    let result = LsfIndex::<S>::load(&path);
+    let _ = std::fs::remove_file(&path);
+    result
+}
+
+/// Saves a kind-2 Correlated `LsfIndex`, rewrites its whole payload with
+/// `corrupt`, reseals it as a valid container and requires the load to fail
+/// with `Malformed`.
+fn assert_lsf_payload_rejected(corrupt: impl FnOnce(&mut Vec<u8>), what: &str) {
     let profile = BernoulliProfile::two_block(400, 0.2, 0.02).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED ^ 26);
     let ds = Dataset::generate(&profile, 120, &mut rng);
@@ -1036,25 +1053,92 @@ fn assert_lsf_payload_rejected(corrupt: impl FnOnce(&[u8]) -> Vec<u8>, what: &st
         opts(2),
         &mut rng,
     );
-    let path = scratch("lsf_payload");
-    index.save(&path).unwrap();
-    let saved = std::fs::read(&path).unwrap()[32..].to_vec();
-    let mut r = Reader::new(&saved);
-    CorrelatedScheme::decode_fields(&mut r).unwrap();
-    let (fields, lsf_payload) = saved.split_at(saved.len() - r.remaining());
-    let payload = [fields.to_vec(), corrupt(lsf_payload)].concat();
-    write_container(&path, kind::CORRELATED, &payload).unwrap();
-    let result = LsfIndex::<CorrelatedScheme>::load(&path);
-    let _ = std::fs::remove_file(&path);
-    assert_malformed(result, what);
+    assert_malformed(reload_corrupted(&index, corrupt), what);
 }
 
-/// Reads a Correlated scheme tag and calibration (§3) off an LSF payload.
-/// The scheme's fields ride ahead of the payload (§5), and decoding the
-/// calibration does not read them, so any stand in.
-fn read_correlated_calibration(r: &mut Reader<'_>) {
-    assert_eq!(r.get_u32().unwrap(), CorrelatedScheme::SCHEME_TAG);
-    CorrelatedScheme::decode_scheme(r, (ALPHA, ModelDiagnostics::default())).unwrap();
+/// Rewrites the scheme tag word (§3) at payload offset `at` of `index`'s
+/// file, its own tag `own`, to each other scheme's, and requires each load
+/// to fail with the tag mismatch.
+fn assert_foreign_tags_rejected<S: ThresholdScheme + PersistScheme>(
+    index: &LsfIndex<S>,
+    at: usize,
+    own: u32,
+) {
+    for tag in (1..=3).filter(|&tag| tag != own) {
+        let result = reload_corrupted(index, |payload| {
+            assert_eq!(payload[at..at + 4], own.to_le_bytes(), "the tag word");
+            put_word(payload, at, tag);
+        });
+        assert!(
+            matches!(
+                result,
+                Err(PersistError::Malformed(
+                    "scheme tag does not match the requested scheme type"
+                ))
+            ),
+            "kind {} with tag {tag}: {:?}",
+            S::KIND,
+            result.err()
+        );
+    }
+}
+
+#[test]
+fn scheme_tag_naming_another_scheme_is_malformed() {
+    let (ds, profile, _) = fixture(100, SEED ^ 40);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 41);
+    let correlated = CorrelatedIndex::build(
+        &ds,
+        &profile,
+        CorrelatedParams::new(ALPHA).unwrap().with_options(opts(2)),
+        &mut rng,
+    );
+    // Kind 2: the tag follows α, C and the warnings (§5.1).
+    let (_, payload) = saved_kind_and_payload(&correlated, "tag_offset");
+    let mut r = Reader::new(&payload);
+    r.get_f64().unwrap();
+    r.get_f64().unwrap();
+    for _ in 0..r.get_u64().unwrap() {
+        r.get_string().unwrap();
+    }
+    assert_foreign_tags_rejected(&correlated, payload.len() - r.remaining(), 2);
+    // Kind 3: the tag opens the payload (§5.2).
+    let adversarial = AdversarialIndex::build(
+        &ds,
+        &profile,
+        AdversarialParams::new(0.5).unwrap().with_options(opts(2)),
+        &mut rng,
+    );
+    assert_foreign_tags_rejected(&adversarial, 0, 1);
+    // Kind 4: the tag follows b₂ (§5.3).
+    let chosen_path = ChosenPathIndex::build(
+        &ds,
+        &profile,
+        ChosenPathParams::new(0.5, 0.1)
+            .unwrap()
+            .with_options(opts(2)),
+        &mut rng,
+    );
+    assert_foreign_tags_rejected(&chosen_path, 8, 3);
+}
+
+#[test]
+fn chosen_path_file_with_b2_not_below_b1_is_malformed() {
+    // ρ = log b₁ / log b₂ is defined only for 0 < b₂ < b₁ ≤ 1, so a file
+    // whose b₂ (payload bytes 0..8) is not below its b₁ = 0.5 must not
+    // load: `predicted_rho` would panic on it.
+    let (ds, profile, _) = fixture(100, SEED ^ 42);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 43);
+    let params = ChosenPathParams::new(0.5, 0.1)
+        .unwrap()
+        .with_options(opts(2));
+    let index = ChosenPathIndex::build(&ds, &profile, params, &mut rng);
+    for b2 in [0.5f64, 0.9] {
+        let result = reload_corrupted(&index, |payload| {
+            payload[0..8].copy_from_slice(&b2.to_le_bytes());
+        });
+        assert_malformed(result, &format!("b2 = {b2} over b1 = 0.5"));
+    }
 }
 
 #[test]
@@ -1064,18 +1148,17 @@ fn correlated_table_shorter_than_the_profile_is_malformed() {
     // so the load must fail instead.
     assert_lsf_payload_rejected(
         |payload| {
-            // §3: scheme tag 2, then 1+δ, log2_n, depth_bound and the p̂·Σp table.
+            // §5.1 fields, then §3: scheme tag 2, 1+δ, log2_n, depth_bound
+            // and last the p̂·Σp table, its count word and 400 entries.
             let mut r = Reader::new(payload);
-            let mut w = Writer::new();
-            w.put_u32(r.get_u32().unwrap());
-            w.put_f64(r.get_f64().unwrap());
-            w.put_f64(r.get_f64().unwrap());
-            w.put_u64(r.get_u64().unwrap());
-            let table = r.get_f64_vec().unwrap();
+            CorrelatedScheme::decode(&mut r).unwrap();
+            let end = payload.len() - r.remaining();
+            let at = end - 8 * 401;
+            let table = Reader::new(&payload[at..end]).get_f64_vec().unwrap();
             assert_eq!(table.len(), 400);
+            let mut w = Writer::new();
             w.put_f64_slice(&table[..10]);
-            let rest = &payload[payload.len() - r.remaining()..];
-            [w.into_payload(), rest.to_vec()].concat()
+            payload.splice(at..end, w.into_payload());
         },
         "10-entry p̂ table over d = 400",
     );
@@ -1087,17 +1170,15 @@ fn node_budget_other_than_the_fixed_one_is_malformed() {
     // budget every index uses, so a payload naming another must not load.
     assert_lsf_payload_rejected(
         |payload| {
-            // §4: scheme tag and calibration, profile, verify threshold,
-            // then the node-budget word.
+            // §5.1 fields and §3 calibration, then §4: profile, verify
+            // threshold, then the node-budget word.
             let mut r = Reader::new(payload);
-            read_correlated_calibration(&mut r);
+            CorrelatedScheme::decode(&mut r).unwrap();
             r.get_f64_vec().unwrap();
             r.get_f64().unwrap();
             let at = payload.len() - r.remaining();
             assert_eq!(r.get_u64().unwrap(), DEFAULT_NODE_BUDGET as u64);
-            let mut corrupt = payload.to_vec();
-            corrupt[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
-            corrupt
+            payload[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
         },
         "node budget 100",
     );
@@ -1110,11 +1191,11 @@ fn lsf_payload_with_zero_repetitions_is_malformed() {
     // would still enumerate under the saved depth bound.
     assert_lsf_payload_rejected(
         |payload| {
-            // §4, walked as `transcode_to_v1` does: scheme tag and
-            // calibration, profile, 13 words, the sets and the liveness
+            // Walked as `transcode_to_v1` does: the scheme's fields, tag
+            // and calibration, profile, 13 words, the sets and the liveness
             // bitmap, then the repetition count.
             let mut r = Reader::new(payload);
-            read_correlated_calibration(&mut r);
+            CorrelatedScheme::decode(&mut r).unwrap();
             r.get_f64_vec().unwrap();
             for _ in 0..13 {
                 r.get_u64().unwrap();
@@ -1125,9 +1206,8 @@ fn lsf_payload_with_zero_repetitions_is_malformed() {
             r.get_bitmap().unwrap();
             let at = payload.len() - r.remaining();
             assert_eq!(r.get_u64().unwrap(), 2, "the fixture has 2 repetitions");
-            let mut cut = payload[..at].to_vec();
-            cut.extend_from_slice(&0u64.to_le_bytes());
-            cut
+            payload.truncate(at);
+            payload.extend_from_slice(&0u64.to_le_bytes());
         },
         "zero repetitions",
     );

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::core::persist::{fnv1a64, read_postings, write_postings, Reader, Writer};
 use skewsearch::core::{
-    CompressedPostings, CorrelatedIndex, CorrelatedParams, IndexOptions, Persist, PostingsEncoder,
+    CompressedPostings, CorrelatedIndex, CorrelatedParams, IndexOptions, PostingsEncoder,
     PostingsError, Repetitions,
 };
 use skewsearch::datagen::{BernoulliProfile, Dataset};
