@@ -1,13 +1,9 @@
 //! # skewsearch-baselines
 //!
-//! Every comparator discussed by "Set Similarity Search for Skewed Data":
+//! The comparators discussed by "Set Similarity Search for Skewed Data"
+//! apart from Christiani & Pagh's Chosen Path \[18\], which runs on the
+//! paper's own engine as [`skewsearch_core::ChosenPathIndex`]:
 //!
-//! * [`ChosenPathIndex`] — Christiani & Pagh's Chosen Path \[18\], the
-//!   non-adaptive ancestor of the paper's structure (constant thresholds,
-//!   fixed depth, with-replacement). It is `LsfIndex<ChosenPathScheme>`, the
-//!   same engine as the core indexes, so comparisons are apples-to-apples
-//!   (Figure 1's blue line); its type and parameters live in
-//!   `skewsearch-core` beside the scheme and are re-exported here.
 //! * [`MinHashLsh`] — classic MinHash banding \[13, 14\], the baseline Chosen
 //!   Path itself improves on (§1.2).
 //! * [`PrefixFilterIndex`] — exact prefix filtering \[11\], the canonical
@@ -22,11 +18,9 @@
 #![warn(missing_docs)]
 
 pub mod brute;
-pub mod chosen_path;
 pub mod minhash;
 pub mod prefix;
 
 pub use brute::BruteForce;
-pub use chosen_path::{ChosenPathIndex, ChosenPathParams};
 pub use minhash::{MinHashLsh, MinHashParams};
 pub use prefix::PrefixFilterIndex;

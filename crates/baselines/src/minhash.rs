@@ -20,9 +20,7 @@
 //! enumeration they exist to share, and so do the `.skx` containers.
 
 use rand::{Rng, SeedableRng};
-use skewsearch_core::{
-    DeadlineExceeded, Match, PassSource, ProbeControl, SetSimilaritySearch, TaggedMatch,
-};
+use skewsearch_core::{DeadlineExceeded, Match, ProbeControl, SetSimilaritySearch, TaggedMatch};
 use skewsearch_datagen::Dataset;
 use skewsearch_hashing::{FxHashMap, FxHashSet, PairwiseU64};
 use skewsearch_sets::{similarity, SparseVec};
@@ -183,14 +181,14 @@ impl SetSimilaritySearch for MinHashLsh {
 
     /// [`MinHashLsh::walk`] with the shared verify site as its visitor:
     /// genuine `(band, bucket)` tags (one bucket per band, so `step` is 0).
-    /// A plan from the trait's default `plan_query` carries only the query,
-    /// so both sources hash the signatures band by band.
+    /// It ignores `planned`: a plan from the trait's default `plan_query`
+    /// carries none, so every probe hashes the signatures band by band.
     fn probe_passes(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
+        _planned: Option<&[Vec<u64>]>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        let q = source.query();
         let mut out = Vec::new();
         self.walk(q, ctl, |pass, id| match self.verified(q, id) {
             Some(hit) => {

@@ -102,7 +102,7 @@ pub struct EnumStats {
 /// scheme — **not** on the repetition's hash stack — so a query builds this
 /// context once and reuses it across all `R = Θ(log n)` repetitions instead
 /// of re-deriving `F(q)`'s inputs per repetition (the hot-path hoist the
-/// ROADMAP called for). [`LsfIndex::walk`](crate::LsfIndex::walk) does
+/// ROADMAP called for). An LSF index's probe walk and its planner do
 /// exactly that; [`enumerate_filters`] builds a throwaway context for
 /// single-shot callers.
 ///

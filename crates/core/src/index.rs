@@ -34,8 +34,7 @@ use crate::plan::{QueryPlan, QueryPlanner};
 use crate::postings::{CompressedPostings, PostingsEncoder};
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
-    DeadlineExceeded, Match, MemoryStats, PassSource, ProbeControl, SetSimilaritySearch,
-    TaggedMatch,
+    DeadlineExceeded, Match, MemoryStats, ProbeControl, SetSimilaritySearch, TaggedMatch,
 };
 use rand::{Rng, SeedableRng};
 use skewsearch_datagen::BernoulliProfile;
@@ -78,6 +77,12 @@ impl Default for Repetitions {
     }
 }
 
+/// The most workers [`IndexOptions::query_threads`] may name. The count is
+/// saved with the index, and a batch spawns up to that many threads: a file
+/// must not be able to ask the OS for millions. No caller needs more than
+/// a core count.
+const MAX_QUERY_THREADS: usize = 1024;
+
 /// Tuning knobs shared by all LSF indexes.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexOptions {
@@ -85,7 +90,7 @@ pub struct IndexOptions {
     pub repetitions: Repetitions,
     /// Worker threads [`SetSimilaritySearch::search_batch`] answers a batch
     /// on — and with it every join over this index. `0` = one worker per
-    /// available core. Saved with the index. Batch results are
+    /// available core; at most 1024. Saved with the index. Batch results are
     /// **identical** for any worker count — see [`crate::batch::batch_map`].
     /// It governs queries only: [`LsfIndex::with_scheme`] always runs on one
     /// worker per core.
@@ -232,15 +237,17 @@ impl<S: ThresholdScheme> LsfPlanner<S> {
             })
             .collect()
     }
+
+    /// Resident heap bytes of the planning state: every repetition's hash
+    /// coefficients and interner tables.
+    fn heap_bytes(&self) -> usize {
+        self.stacks.iter().map(HashStack::heap_bytes).sum()
+    }
 }
 
 impl<S: ThresholdScheme> QueryPlanner for LsfPlanner<S> {
     fn plan(&self, q: &SparseVec) -> QueryPlan {
         QueryPlan::from_passes(q.clone(), self.passes(q))
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.stacks.iter().map(HashStack::heap_bytes).sum()
     }
 }
 
@@ -619,6 +626,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
             (0.0..=1.0).contains(&verify_threshold),
             "verification threshold must lie in [0,1]"
         );
+        assert!(
+            options.query_threads <= MAX_QUERY_THREADS,
+            "query_threads must be at most {MAX_QUERY_THREADS}"
+        );
         let n = vectors.len();
         // Each repetition gets an independent stack seeded from the caller's
         // RNG, drawn in order, and depends on nothing else: the workers may
@@ -671,16 +682,17 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         &self.planner.profile
     }
 
-    /// The probe walk every query surface runs: per repetition, the
-    /// query's bucket keys — from `source`'s plan, or enumerated lazily just
-    /// before the pass — then the bucket walk, feeding each *distinct*
-    /// candidate to `visit` in first-discovery order with its discovery
-    /// coordinate `(pass, step, id)`: `pass` is the repetition, `step` the
-    /// position of the discovering filter in the enumeration order.
+    /// The probe walk every query surface runs: per repetition, the bucket
+    /// keys of `q` — `planned[r]`, or when `planned` is `None` enumerated
+    /// lazily just before the pass — then the bucket walk, feeding each
+    /// *distinct* candidate to `visit` in first-discovery order with its
+    /// discovery coordinate `(pass, step, id)`: `pass` is the repetition,
+    /// `step` the position of the discovering filter in the enumeration
+    /// order.
     ///
     /// `visit` returns whether the candidate is a match; under
     /// [`ProbeControl::first_only`] the walk stops after the first one, so
-    /// a query source never enumerates the repetitions it skips. The
+    /// a lazy walk never enumerates the repetitions it skips. The
     /// deadline in `ctl` is polled before the first repetition and between
     /// repetitions. Returns the query statistics.
     ///
@@ -692,16 +704,17 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// [`EnumContext`] shared by every repetition.
     ///
     /// # Panics
-    /// Panics if a planned plan's pass count differs from this index's
+    /// Panics if `planned` holds a key list count other than this index's
     /// repetition count (a plan from a foreign index — probing it silently
     /// would corrupt answers).
-    pub fn walk(
+    fn walk(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
         ctl: ProbeControl<'_>,
         mut visit: impl FnMut(u32, u32, u32) -> bool,
     ) -> Result<QueryStats, DeadlineExceeded> {
-        let pass_keys = match source.planned_passes() {
+        let pass_keys = match planned {
             Some(passes) => {
                 assert_eq!(
                     passes.len(),
@@ -710,7 +723,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
                 );
                 PassKeys::Planned(passes)
             }
-            None => PassKeys::Lazy(self.planner.enum_context(source.query())),
+            None => PassKeys::Lazy(self.planner.enum_context(q)),
         };
         // Go on unless `visit` reported the match a first-only probe wants.
         let mut visit = |pass, step, id| !(visit(pass, step, id) && ctl.first_only);
@@ -764,22 +777,11 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         })
     }
 
-    /// [`SetSimilaritySearch::search`] with statistics.
-    pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
-        let q_sig = SetSignature::of(q);
-        let mut hit = None;
-        let stats = self.walk(PassSource::Query(q), ProbeControl::FIRST, |_, _, id| {
-            hit = self.verified(q, &q_sig, id);
-            hit.is_some()
-        });
-        (hit, stats.unwrap_or_default())
-    }
-
     /// Distinct candidate ids the index would verify for `q` (no similarity
     /// filtering) — the quantity the paper's `n^ρ` bounds govern.
     pub fn distinct_candidates(&self, q: &SparseVec) -> (Vec<u32>, QueryStats) {
         let mut ids = Vec::new();
-        let stats = self.walk(PassSource::Query(q), ProbeControl::ALL, |_, _, id| {
+        let stats = self.walk(q, None, ProbeControl::ALL, |_, _, id| {
             ids.push(id);
             true
         });
@@ -809,8 +811,22 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// (under the monotone slot-id renumbering; pinned by
     /// `tests/mutation_equivalence.rs`).
     pub fn insert_set(&mut self, set: SparseVec) -> usize {
-        let passes = self.planner.passes(&set);
+        let passes = self.plan_passes(&set);
         self.insert_passes(set, passes)
+    }
+
+    /// The bucket keys of `F(q)` under every repetition's hash stack, one
+    /// list per repetition, in enumeration order: the passes of
+    /// [`SetSimilaritySearch::plan_query`], for callers that need only them.
+    pub(crate) fn plan_passes(&self, q: &SparseVec) -> Vec<Vec<u64>> {
+        self.planner.passes(q)
+    }
+
+    /// Resident heap bytes of the planning state (hash coefficients and
+    /// interner tables): part of the index's `aux_bytes`, and shared with
+    /// every [`LsfIndex::shard_of_ids`] shard.
+    pub(crate) fn planner_bytes(&self) -> usize {
+        self.planner.heap_bytes()
     }
 
     /// The one insert path: appends `set` as slot `slot_count()` to the
@@ -1077,7 +1093,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 }
 
 impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
-    /// Implements the trait's dedup-then-verify contract: [`LsfIndex::walk`]
+    /// Implements the trait's dedup-then-verify contract: the probe walk
     /// deduplicates candidate ids across repetitions *before* the similarity
     /// computation, and matches are pushed in first-discovery probe order.
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
@@ -1095,18 +1111,23 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
         Some(self.planner.clone())
     }
 
-    /// [`LsfIndex::walk`] with the shared verify site as its visitor: genuine
-    /// `(repetition, filter)` tags, the deadline polled once per repetition,
-    /// and every source answering byte-identically by construction.
+    /// The index's probe walk with the shared verify site as its visitor:
+    /// genuine `(repetition, filter)` tags, the deadline polled once per
+    /// repetition, and planned and lazily enumerated keys answering
+    /// byte-identically by construction.
+    ///
+    /// # Panics
+    /// Panics if `planned` holds a key list count other than the repetition
+    /// count (a plan from a foreign index).
     fn probe_passes(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        let q = source.query();
         let q_sig = SetSignature::of(q);
         let mut out = Vec::new();
-        self.walk(source, ctl, |pass, step, id| {
+        self.walk(q, planned, ctl, |pass, step, id| {
             match self.verified(q, &q_sig, id) {
                 Some(hit) => {
                     out.push(TaggedMatch { pass, step, hit });
@@ -1161,7 +1182,7 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for LsfIndex<S> {
     /// that are not inline singletons) and a load-factor-aware estimate
     /// for the uncompressed delta maps;
     /// `aux_bytes` covers the planner's hash coefficients and interner
-    /// tables ([`QueryPlanner::heap_bytes`]), the
+    /// tables, the
     /// tombstone bitmap, the set signatures (32 bytes per slot) and the
     /// live delta slots' bucket-key records (8 bytes per key, none for an
     /// index without inserts since its last compaction).
@@ -1365,7 +1386,10 @@ impl<S: ThresholdScheme + PersistScheme> LsfIndex<S> {
                 "node budget differs from the one every index enumerates under",
             ));
         }
-        let query_threads = r.get_u64()? as usize;
+        let query_threads = match r.get_u64()? {
+            t if t <= MAX_QUERY_THREADS as u64 => t as usize,
+            _ => return Err(PersistError::Malformed("query worker count above 1024")),
+        };
         let mutation_buffer = r.get_u64()? as usize;
         let compactions = r.get_u64()?;
         let base_len = r.get_u64()? as usize;
@@ -1602,11 +1626,22 @@ mod tests {
         let alpha = 0.8;
         let index = build_correlated(&ds, &profile, alpha, 6, &mut rng);
         let q = correlated_query(ds.vector(3), &profile, alpha, &mut rng);
-        let (hit, stats) = index.search_with_stats(&q);
+        // A first-only walk with the verify site as its visitor: what
+        // `search` runs.
+        let q_sig = SetSignature::of(&q);
+        let mut hit = None;
+        let stats = index
+            .walk(&q, None, ProbeControl::FIRST, |_, _, id| {
+                hit = index.verified(&q, &q_sig, id);
+                hit.is_some()
+            })
+            .expect("no deadline");
+        assert_eq!(hit, index.search(&q));
         assert!(stats.repetitions_probed >= 1);
         assert!(stats.filters > 0);
         if hit.is_some() {
             assert!(stats.verified >= 1);
+            assert!(stats.candidates >= stats.verified);
             // Early exit: should not have probed every repetition unless the
             // hit came late.
             assert!(stats.repetitions_probed <= 6);
@@ -1649,7 +1684,8 @@ mod tests {
         for t in 0..15 {
             let q = correlated_query(ds.vector(t * 13 % ds.n()), &profile, alpha, &mut rng);
             let plan = index.plan_query(&q);
-            assert_eq!(plan.pass_count(), index.repetition_count());
+            let passes = plan.passes().expect("an LSF index plans");
+            assert_eq!(passes.len(), index.repetition_count());
             assert_eq!(
                 SetSimilaritySearch::probe_plan_tagged(&index, &plan),
                 index.search_all_tagged(&q),
@@ -1662,15 +1698,16 @@ mod tests {
                 .collect();
             assert_eq!(hits, index.search_all(&q));
             assert_eq!(
-                index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
-                index.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
+                index.probe_passes(&q, Some(passes), ProbeControl::FIRST),
+                index.probe_passes(&q, None, ProbeControl::FIRST)
             );
         }
         // Degenerate: the empty query plans to empty key lists and finds
         // nothing, exactly like the fused path.
         let plan = index.plan_query(&SparseVec::empty());
-        assert_eq!(plan.pass_count(), index.repetition_count());
-        assert_eq!(plan.key_count(), 0);
+        let passes = plan.passes().expect("an LSF index plans");
+        assert_eq!(passes.len(), index.repetition_count());
+        assert!(passes.iter().all(Vec::is_empty));
         assert!(index.probe_plan_tagged(&plan).is_empty());
     }
 
@@ -2057,7 +2094,7 @@ mod tests {
         let (mut candidates, mut rejected, mut matches) = (0, 0, 0);
         for q in queries {
             let q_sig = SetSignature::of(q);
-            let walked = index.walk(PassSource::Query(q), ProbeControl::ALL, |_, _, id| {
+            let walked = index.walk(q, None, ProbeControl::ALL, |_, _, id| {
                 let (x, x_sig) = index.sets.get(id as usize);
                 let below =
                     similarity::braun_blanquet_bound(x, x_sig, q, &q_sig) < index.threshold();

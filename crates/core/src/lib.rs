@@ -29,8 +29,7 @@
 //!   arbitrary queries at threshold `b₁`; thresholds `1/(b₁|x| − j)`,
 //!   per-query cost exponent `ρ(q)`.
 //! * [`ChosenPathIndex`] = `LsfIndex<ChosenPathScheme>` — the Chosen Path
-//!   baseline the paper generalizes (constant thresholds, fixed depth),
-//!   also re-exported by `skewsearch-baselines`.
+//!   baseline the paper generalizes (constant thresholds, fixed depth).
 //!
 //! All structures implement [`SetSimilaritySearch`], including its batch
 //! interface: [`SetSimilaritySearch::search_batch`] answers a query slice on
@@ -41,7 +40,8 @@
 //! bucket lookups only — byte-identical to the fused search — and
 //! [`SetSimilaritySearch::planner`] hands out the planning state itself, a
 //! [`QueryPlanner`] that plans without touching the index. Every query method is
-//! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`].
+//! provided over one probe primitive, [`SetSimilaritySearch::probe_passes`],
+//! which takes the query and, when it was planned, the plan's per-pass keys.
 //! Planning and sharding belong to the LSF family: an `LsfIndex<S>` can be
 //! partitioned across shards by a [`ShardedIndex<S>`] ([`shard`])
 //! — a hash partition of the dataset, where one plan per query broadcasts
@@ -103,6 +103,6 @@ pub use postings::{CompressedPostings, PostingsCursor, PostingsEncoder, Postings
 pub use scheme::{AdversarialScheme, ChosenPathScheme, CorrelatedScheme, ThresholdScheme};
 pub use shard::{set_partition_key, ShardedIndex};
 pub use traits::{
-    DeadlineExceeded, Match, MemoryStats, MutationError, PassSource, ProbeControl, SetId,
-    SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, MemoryStats, MutationError, ProbeControl, SetId, SetSimilaritySearch,
+    TaggedMatch,
 };

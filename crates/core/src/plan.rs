@@ -18,7 +18,11 @@
 //! [`SetSimilaritySearch::plan_query`](crate::SetSimilaritySearch::plan_query)
 //! and consumed any number of times by
 //! [`SetSimilaritySearch::probe_plan_tagged`](crate::SetSimilaritySearch::probe_plan_tagged)
-//! — by the index that planned it, or by any dataset shard of that index.
+//! — by the index that planned it, or by any dataset shard of that index —
+//! which hands its two halves, `plan.query()` and `plan.passes()`, to the
+//! one probe primitive,
+//! [`SetSimilaritySearch::probe_passes`](crate::SetSimilaritySearch::probe_passes);
+//! a fused search passes its query and `None`.
 //! Because it is nothing but a `SparseVec` and a `Vec<Vec<u64>>`, a future
 //! network fan-out can serialize it verbatim and ship `(plan, shard)` pairs
 //! instead of re-enumerating remotely.
@@ -45,11 +49,6 @@ use skewsearch_sets::SparseVec;
 pub trait QueryPlanner: Send + Sync {
     /// The plan of `q`: one key list per repetition, in enumeration order.
     fn plan(&self, q: &SparseVec) -> QueryPlan;
-
-    /// Resident heap bytes of the planning state (hash coefficients and
-    /// interner tables), part of its index's
-    /// [`MemoryStats::aux_bytes`](crate::MemoryStats::aux_bytes).
-    fn heap_bytes(&self) -> usize;
 }
 
 /// A precomputed probe plan for one query: the owned query vector plus the
@@ -99,7 +98,7 @@ pub trait QueryPlanner: Send + Sync {
 /// let q = correlated_query(data.vector(3), &profile, 0.8, &mut rng);
 /// // Stage 1 once …
 /// let plan = index.plan_query(&q);
-/// assert!(plan.is_planned());
+/// assert_eq!(plan.passes().map(<[_]>::len), Some(index.repetition_count()));
 /// // … stages 2+3 as often as needed, byte-identical to the fused path.
 /// assert_eq!(index.probe_plan_tagged(&plan), index.search_all_tagged(&q));
 /// assert_eq!(index.probe_plan_tagged(&plan), index.probe_plan_tagged(&plan));
@@ -149,25 +148,6 @@ impl QueryPlan {
     pub fn into_parts(self) -> (SparseVec, Option<Vec<Vec<u64>>>) {
         (self.query, self.passes)
     }
-
-    /// True iff this plan carries precomputed keys (stage 2 can skip
-    /// enumeration entirely).
-    pub fn is_planned(&self) -> bool {
-        self.passes.is_some()
-    }
-
-    /// Number of planned passes (0 for unplanned plans).
-    pub fn pass_count(&self) -> usize {
-        self.passes.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Total planned keys across passes (0 for unplanned plans) — the
-    /// enumeration work this plan saves each additional consumer.
-    pub fn key_count(&self) -> usize {
-        self.passes
-            .as_ref()
-            .map_or(0, |p| p.iter().map(Vec::len).sum())
-    }
 }
 
 #[cfg(test)]
@@ -178,20 +158,17 @@ mod tests {
     fn unplanned_plans_carry_only_the_query() {
         let q = SparseVec::from_unsorted(vec![3, 1, 4]);
         let plan = QueryPlan::unplanned(q.clone());
-        assert!(!plan.is_planned());
         assert_eq!(plan.query(), &q);
         assert_eq!(plan.passes(), None);
-        assert_eq!(plan.pass_count(), 0);
-        assert_eq!(plan.key_count(), 0);
     }
 
     #[test]
     fn planned_plans_expose_passes_and_counts() {
         let q = SparseVec::from_unsorted(vec![7]);
         let plan = QueryPlan::from_passes(q, vec![vec![1, 2], vec![], vec![3]]);
-        assert!(plan.is_planned());
-        assert_eq!(plan.pass_count(), 3);
-        assert_eq!(plan.key_count(), 3);
-        assert_eq!(plan.passes().unwrap()[0], vec![1, 2]);
+        let passes = plan.passes().expect("a planned plan carries passes");
+        assert_eq!(passes.len(), 3);
+        assert_eq!(passes.iter().map(Vec::len).sum::<usize>(), 3);
+        assert_eq!(passes[0], vec![1, 2]);
     }
 }

@@ -61,8 +61,8 @@ use crate::persist::{
 use crate::plan::{QueryPlan, QueryPlanner};
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
-    DeadlineExceeded, Match, MemoryStats, MutationError, PassSource, ProbeControl, SetId,
-    SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, MemoryStats, MutationError, ProbeControl, SetId, SetSimilaritySearch,
+    TaggedMatch,
 };
 use skewsearch_hashing::mix;
 use skewsearch_sets::SparseVec;
@@ -355,12 +355,12 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for ShardedIndex<S> {
     }
 
     /// The one fan-out behind every query surface (see [`ShardedIndex`]'s
-    /// merge protocol). A planned plan goes to every shard as it is — by
-    /// the plan-invariance contract it is every shard's own plan — and any
-    /// other source is planned once, on the first shard, which derives the
-    /// parent's plan even when it owns no vector: at most one `F(q)`
+    /// merge protocol). `planned` keys go to every shard as they are — by
+    /// the plan-invariance contract they are every shard's own — and a
+    /// `None` probe is planned once, on the first shard, which derives the
+    /// parent's keys even when it owns no vector: at most one `F(q)`
     /// enumeration per query, no matter the shard count. The shards probe
-    /// that plan in order on the calling thread; their ids are remapped to
+    /// those keys in order on the calling thread; their ids are remapped to
     /// global and the matches sorted by `(pass, step, id)`, so the merged
     /// tags are the *unsharded* index's coordinates. A first-only probe
     /// runs no shard past its own first verified hit and keeps the
@@ -372,21 +372,22 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for ShardedIndex<S> {
     /// drop matches.
     fn probe_passes(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         ctl.poll()?;
-        let planned;
-        let plan = match source {
-            PassSource::Plan(plan) if plan.is_planned() => plan,
-            _ => {
-                planned = self.shards[0].index.plan_query(source.query());
-                &planned
+        let planned_here;
+        let passes = match planned {
+            Some(passes) => passes,
+            None => {
+                planned_here = self.shards[0].index.plan_passes(q);
+                &planned_here
             }
         };
         let mut all: Vec<TaggedMatch> = Vec::new();
         for shard in &self.shards {
-            let tagged = shard.index.probe_passes(PassSource::Plan(plan), ctl)?;
+            let tagged = shard.index.probe_passes(q, Some(passes), ctl)?;
             all.extend(tagged.into_iter().map(|mut t| {
                 t.hit.id = shard.id_map[t.hit.id] as usize;
                 t
@@ -458,29 +459,20 @@ impl<S: ThresholdScheme + 'static> SetSimilaritySearch for ShardedIndex<S> {
     }
 
     /// Sum of the shards' accounting plus the wrapper's own tables: the
-    /// owner table and each shard's id map, both in `aux_bytes`. A planner
-    /// that shards share — every shard of one [`ShardedIndex::build`] or
-    /// [`ShardedIndex::load`] — counts once.
+    /// owner table and each shard's id map, both in `aux_bytes`. The
+    /// planner counts once: every shard plans with the first shard's, since
+    /// [`ShardedIndex::build`] shares the source's and
+    /// [`ShardedIndex::load`] has the others adopt the first's or fails.
     fn memory_stats(&self) -> MemoryStats {
         let mut total = MemoryStats::default();
-        let mut planners: Vec<Arc<dyn QueryPlanner>> = Vec::new();
         for shard in &self.shards {
             let s = shard.index.memory_stats();
             total.posting_bytes += s.posting_bytes;
             total.vector_bytes += s.vector_bytes;
             total.aux_bytes += s.aux_bytes + shard.id_map.capacity() * std::mem::size_of::<u32>();
-            if let Some(planner) = shard.index.planner() {
-                if planners
-                    .iter()
-                    .any(|p| std::ptr::addr_eq(Arc::as_ptr(p), Arc::as_ptr(&planner)))
-                {
-                    total.aux_bytes -= planner.heap_bytes();
-                } else {
-                    planners.push(planner);
-                }
-            }
         }
         total.aux_bytes += self.owner.capacity() * std::mem::size_of::<(u32, u32)>();
+        total.aux_bytes -= (self.shards.len() - 1) * self.shards[0].index.planner_bytes();
         total
     }
 
@@ -599,7 +591,7 @@ mod tests {
         let (index, _) = fixture(3);
         let check = |sharded: &ShardedIndex<CorrelatedScheme>, shared: &Arc<dyn QueryPlanner>| {
             let shards = sharded.shard_count();
-            let planner = shared.heap_bytes();
+            let planner = index.planner_bytes();
             assert!(planner > 0);
             for shard in &sharded.shards {
                 let own = shard.index.planner().expect("a shard plans");

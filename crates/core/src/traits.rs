@@ -136,35 +136,6 @@ pub struct TaggedMatch {
     pub hit: Match,
 }
 
-/// Where a probe's passes come from (see [`SetSimilaritySearch::probe_passes`]).
-#[derive(Clone, Copy, Debug)]
-pub enum PassSource<'a> {
-    /// The query itself: its filters are enumerated pass by pass, so a probe
-    /// that stops early never enumerates the passes it skips.
-    Query(&'a SparseVec),
-    /// A precomputed [`QueryPlan`]: a planned plan's keys are probed without
-    /// any enumeration; an unplanned plan is probed like its query.
-    Plan(&'a QueryPlan),
-}
-
-impl<'a> PassSource<'a> {
-    /// The query being answered (verification always needs it).
-    pub fn query(&self) -> &'a SparseVec {
-        match self {
-            PassSource::Query(q) => q,
-            PassSource::Plan(plan) => plan.query(),
-        }
-    }
-
-    /// The precomputed per-pass keys, if the source is a planned plan.
-    pub fn planned_passes(&self) -> Option<&'a [Vec<u64>]> {
-        match self {
-            PassSource::Query(_) => None,
-            PassSource::Plan(plan) => plan.passes(),
-        }
-    }
-}
-
 /// How a probe runs (see [`SetSimilaritySearch::probe_passes`]): whether it
 /// stops at the first verified match, and the caller's deadline.
 #[derive(Clone, Copy)]
@@ -257,7 +228,7 @@ pub trait SetSimilaritySearch {
     /// [`SetSimilaritySearch::search_all`], found by a probe that stops
     /// there.
     fn search(&self, q: &SparseVec) -> Option<Match> {
-        let first = self.probe_passes(PassSource::Query(q), ProbeControl::FIRST);
+        let first = self.probe_passes(q, None, ProbeControl::FIRST);
         first.unwrap_or_default().first().map(|t| t.hit)
     }
 
@@ -285,7 +256,7 @@ pub trait SetSimilaritySearch {
     /// coordinates — and the sharding layer's exact-merge guarantee
     /// ([`crate::shard::ShardedIndex`]) only holds for such genuine tags.
     fn search_all_tagged(&self, q: &SparseVec) -> Vec<TaggedMatch> {
-        let all = self.probe_passes(PassSource::Query(q), ProbeControl::ALL);
+        let all = self.probe_passes(q, None, ProbeControl::ALL);
         all.unwrap_or_default()
     }
 
@@ -354,7 +325,7 @@ pub trait SetSimilaritySearch {
     /// plan, index structures touch only the inverted index (bucket lookups
     /// + verification) — never the enumeration engine.
     fn probe_plan_tagged(&self, plan: &QueryPlan) -> Vec<TaggedMatch> {
-        let all = self.probe_passes(PassSource::Plan(plan), ProbeControl::ALL);
+        let all = self.probe_passes(plan.query(), plan.passes(), ProbeControl::ALL);
         all.unwrap_or_default()
     }
 
@@ -374,33 +345,37 @@ pub trait SetSimilaritySearch {
         plan: &QueryPlan,
         expired: &(dyn Fn() -> bool + Sync),
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        self.probe_passes(PassSource::Plan(plan), ProbeControl::deadline(expired))
+        self.probe_passes(plan.query(), plan.passes(), ProbeControl::deadline(expired))
     }
 
     /// The one probe primitive behind every query method: probes the passes
-    /// `source` yields, verifies the surfaced candidates, and returns the
+    /// of `q` — `planned[p]` holding pass `p`'s bucket keys when the caller
+    /// has them from a [`QueryPlan`], else enumerated lazily, pass by pass —
+    /// verifies the surfaced candidates against `q`, and returns the
     /// matches in first-discovery order with their `(pass, step)` tags — all
     /// of them, or under [`ProbeControl::first_only`] just the first. The
     /// deadline in `ctl` is polled before the first pass and between
     /// passes; once it fires the probe returns [`DeadlineExceeded`] and no
     /// partial list.
     ///
-    /// Both sources answer byte-identically: a planned plan only skips the
-    /// enumeration a query source does lazily, pass by pass (which is what
-    /// lets `search` stop enumerating at its first hit).
+    /// `planned` and `None` answer byte-identically: planned keys only skip
+    /// the enumeration a `None` probe does lazily (which is what lets
+    /// `search` stop enumerating at its first hit).
     ///
-    /// The default polls the deadline once and tags
+    /// The default ignores `planned`, polls the deadline once and tags
     /// [`SetSimilaritySearch::search_all`] as a single pass with one match
     /// per step — correct for every structure, coarse for long probes.
     /// [`crate::LsfIndex`] (and so the paper's indexes), MinHash, and
     /// [`crate::shard::ShardedIndex`] override it with their own walk.
     fn probe_passes(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        let _ = planned;
         ctl.poll()?;
-        let mut all = self.search_all(source.query());
+        let mut all = self.search_all(q);
         if ctl.first_only {
             all.truncate(1);
         }
@@ -619,12 +594,12 @@ mod tests {
         };
         for q in [SparseVec::from_unsorted(vec![1, 2, 3]), SparseVec::empty()] {
             let plan = s.plan_query(&q);
-            assert!(!plan.is_planned(), "default plan is unplanned");
+            assert_eq!(plan.passes(), None, "default plan is unplanned");
             assert_eq!(plan.query(), &q);
             assert_eq!(s.probe_plan_tagged(&plan), s.search_all_tagged(&q));
             assert_eq!(
-                s.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
-                s.probe_passes(PassSource::Query(&q), ProbeControl::FIRST)
+                s.probe_passes(plan.query(), plan.passes(), ProbeControl::FIRST),
+                s.probe_passes(&q, None, ProbeControl::FIRST)
             );
         }
     }

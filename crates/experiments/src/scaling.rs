@@ -14,11 +14,10 @@
 
 use crate::table::{fmt, Table};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use skewsearch_baselines::{
-    ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
-};
+use skewsearch_baselines::{MinHashLsh, MinHashParams, PrefixFilterIndex};
 use skewsearch_core::{
-    batch_map, CorrelatedIndex, CorrelatedParams, IndexOptions, ProbeControl, Repetitions,
+    batch_map, ChosenPathIndex, ChosenPathParams, CorrelatedIndex, CorrelatedParams, IndexOptions,
+    ProbeControl, Repetitions,
 };
 use skewsearch_datagen::{correlated_query, skew::least_squares_slope, BernoulliProfile, Dataset};
 

@@ -10,8 +10,9 @@
 //!
 //! * [`core`] — the paper's contribution: skew-adaptive locality-sensitive
 //!   filtering ([`core::CorrelatedIndex`] for Theorem 1,
-//!   [`core::AdversarialIndex`] for Theorem 2).
-//! * [`baselines`] — Chosen Path, MinHash LSH, prefix filtering, brute force.
+//!   [`core::AdversarialIndex`] for Theorem 2), and the Chosen Path
+//!   baseline it generalizes ([`core::ChosenPathIndex`]), on the same engine.
+//! * [`baselines`] — MinHash LSH, prefix filtering, brute force.
 //! * [`datagen`] — the skewed Bernoulli data model of §2 and Kirsch et al.,
 //!   correlated query generation (Definition 3), skew analysis (§8).
 //! * [`rho`] — solvers for the exponent equations of Theorems 1 and 2.

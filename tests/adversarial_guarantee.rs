@@ -104,18 +104,3 @@ fn per_query_cost_adapts_to_skew() {
         c_freq.len()
     );
 }
-
-#[test]
-fn search_with_stats_reports_work() {
-    let profile = BernoulliProfile::two_block(800, 0.2, 0.02).unwrap();
-    let mut rng = StdRng::seed_from_u64(14);
-    let ds = Dataset::generate(&profile, 200, &mut rng);
-    let index = build(&ds, &profile, 0.8, 6, &mut rng);
-    let q = ds.vector(0).clone();
-    let (hit, stats) = index.search_with_stats(&q);
-    assert!(stats.filters > 0);
-    if hit.is_some() {
-        assert!(stats.verified >= 1);
-        assert!(stats.candidates >= stats.verified);
-    }
-}

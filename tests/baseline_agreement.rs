@@ -3,11 +3,10 @@
 //! exact structures must agree with the oracle perfectly.
 
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{
-    BruteForce, ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
-};
+use skewsearch::baselines::{BruteForce, MinHashLsh, MinHashParams, PrefixFilterIndex};
 use skewsearch::core::{
-    CorrelatedIndex, CorrelatedParams, IndexOptions, Repetitions, SetSimilaritySearch,
+    ChosenPathIndex, ChosenPathParams, CorrelatedIndex, CorrelatedParams, IndexOptions,
+    Repetitions, SetSimilaritySearch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;

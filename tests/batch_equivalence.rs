@@ -5,10 +5,10 @@
 //! and 8 workers is compared byte-for-byte against the sequential one.
 
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::baselines::{MinHashLsh, MinHashParams};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch,
+    AdversarialIndex, AdversarialParams, ChosenPathIndex, ChosenPathParams, CorrelatedIndex,
+    CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;

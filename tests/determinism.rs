@@ -2,10 +2,10 @@
 //! every randomized index, independently of when or how often it is built.
 
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::baselines::{MinHashLsh, MinHashParams};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, IndexOptions,
-    Repetitions, SetSimilaritySearch,
+    AdversarialIndex, AdversarialParams, ChosenPathIndex, ChosenPathParams, CorrelatedIndex,
+    CorrelatedParams, IndexOptions, Repetitions, SetSimilaritySearch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;

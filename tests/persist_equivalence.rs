@@ -13,22 +13,22 @@
 //! and 5 included), flipped payload bytes, and checksummed files whose contents
 //! disagree (a scheme tag naming another scheme, a Chosen Path `b₂` not
 //! below its `b₁`, a scheme table shorter than the profile, a node budget
-//! other than the fixed one, an LSF payload with zero repetitions, a shard
-//! manifest that does not match its shards or that holds a retired
-//! pass-slice layout, shards from two builds) must all surface as typed
+//! other than the fixed one, a query worker count above 1024, an LSF
+//! payload with zero repetitions, a shard manifest that does not match its
+//! shards or that holds a retired pass-slice layout, shards from two
+//! builds) must all surface as typed
 //! [`PersistError`]s — never panics, never a silently wrong index. A
 //! proptest block randomizes the dataset and query stream over the
 //! correlated index round trip.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::persist::{fnv1a64, kind, write_bucket_map, write_container, Reader, Writer};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathScheme, CompressedPostings,
-    CorrelatedIndex, CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, PersistError,
-    PersistScheme, Repetitions, SetSimilaritySearch, ShardManifest, ShardManifestEntry,
-    ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
+    AdversarialIndex, AdversarialParams, AdversarialScheme, ChosenPathIndex, ChosenPathParams,
+    ChosenPathScheme, CompressedPostings, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
+    IndexOptions, LsfIndex, PersistError, PersistScheme, Repetitions, SetSimilaritySearch,
+    ShardManifest, ShardManifestEntry, ShardedIndex, ThresholdScheme, DEFAULT_NODE_BUDGET,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::hashing::FxHashMap;
@@ -1181,6 +1181,27 @@ fn node_budget_other_than_the_fixed_one_is_malformed() {
             payload[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
         },
         "node budget 100",
+    );
+}
+
+#[test]
+fn query_worker_count_above_the_bound_is_malformed() {
+    // A batch spawns up to the saved worker count, so a payload asking for
+    // 2⁴⁰ must not load: its first large join would ask the OS for
+    // thousands of threads.
+    assert_lsf_payload_rejected(
+        |payload| {
+            // As for the node budget, then the word after it.
+            let mut r = Reader::new(payload);
+            CorrelatedScheme::decode(&mut r).unwrap();
+            r.get_f64_vec().unwrap();
+            r.get_f64().unwrap();
+            assert_eq!(r.get_u64().unwrap(), DEFAULT_NODE_BUDGET as u64);
+            let at = payload.len() - r.remaining();
+            assert_eq!(r.get_u64().unwrap(), 0, "the fixture saves 0 workers");
+            payload[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        },
+        "2^40 query workers",
     );
 }
 

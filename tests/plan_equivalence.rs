@@ -31,13 +31,11 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{
-    BruteForce, ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
-};
+use skewsearch::baselines::{BruteForce, MinHashLsh, MinHashParams, PrefixFilterIndex};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    DeadlineExceeded, IndexOptions, LsfIndex, Match, PassSource, ProbeControl, QueryPlan,
-    Repetitions, SetSimilaritySearch, ShardedIndex,
+    AdversarialIndex, AdversarialParams, ChosenPathIndex, ChosenPathParams, CorrelatedIndex,
+    CorrelatedParams, CorrelatedScheme, DeadlineExceeded, IndexOptions, LsfIndex, Match,
+    ProbeControl, QueryPlan, Repetitions, SetSimilaritySearch, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -135,7 +133,7 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
         assert_eq!(plan.query(), q, "{ctx}");
         match index.planner() {
             Some(planner) => assert_eq!(planner.plan(q), plan, "{ctx} planner"),
-            None => assert!(!plan.is_planned(), "{ctx} no planner, no plan"),
+            None => assert_eq!(plan.passes(), None, "{ctx} no planner, no plan"),
         }
         assert_deadline_granularity(index, &plan, min_polls, &ctx);
         let hits: Vec<Match> = index
@@ -150,8 +148,8 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
             "{ctx}"
         );
         assert_eq!(
-            index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
-            index.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
+            index.probe_passes(plan.query(), plan.passes(), ProbeControl::FIRST),
+            index.probe_passes(q, None, ProbeControl::FIRST),
             "{ctx}"
         );
         // A plan is not consumed by probing: the second probe must agree.
@@ -162,7 +160,7 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
         );
         // Unplanned plans degrade to the fused path, never to a wrong answer.
         let unplanned = QueryPlan::unplanned(q.clone());
-        assert!(!unplanned.is_planned(), "{ctx}");
+        assert_eq!(unplanned.passes(), None, "{ctx}");
         assert_eq!(
             index.probe_plan_tagged(&unplanned),
             index.search_all_tagged(q),
@@ -172,9 +170,12 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(
     // The empty query rides last in every fixture: its plan carries passes
     // but zero keys, and probing it finds nothing.
     let empty_plan = index.plan_query(queries.last().expect("fixture has queries"));
-    assert_eq!(
-        empty_plan.key_count(),
-        0,
+    assert!(
+        empty_plan
+            .passes()
+            .unwrap_or_default()
+            .iter()
+            .all(Vec::is_empty),
         "{label} empty query plans 0 keys"
     );
     assert!(index.probe_plan_tagged(&empty_plan).is_empty(), "{label}");
@@ -331,10 +332,13 @@ fn empty_index_plans_and_probes_to_nothing() {
     );
     let q = SparseVec::from_unsorted(vec![1, 2, 3]);
     let plan = index.plan_query(&q);
-    assert_eq!(plan.pass_count(), index.repetition_count());
+    assert_eq!(
+        plan.passes().map(<[_]>::len),
+        Some(index.repetition_count())
+    );
     assert!(index.probe_plan_tagged(&plan).is_empty());
     assert_eq!(
-        index.probe_passes(PassSource::Plan(&plan), ProbeControl::FIRST),
+        index.probe_passes(plan.query(), plan.passes(), ProbeControl::FIRST),
         Ok(vec![])
     );
 }
@@ -385,7 +389,7 @@ fn assert_planner_plans_like_plan_query<I: SetSimilaritySearch>(
     let planner = index.planner().expect("the LSF family has a planner");
     for (i, q) in queries.iter().enumerate() {
         let plan = planner.plan(q);
-        assert!(plan.is_planned(), "{label} q={i}");
+        assert!(plan.passes().is_some(), "{label} q={i}");
         assert_eq!(plan, index.plan_query(q), "{label} q={i}");
     }
 }

@@ -24,12 +24,11 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{
-    ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams, PrefixFilterIndex,
-};
+use skewsearch::baselines::{MinHashLsh, MinHashParams, PrefixFilterIndex};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch, TaggedMatch,
+    AdversarialIndex, AdversarialParams, ChosenPathIndex, ChosenPathParams, CorrelatedIndex,
+    CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, Repetitions, SetSimilaritySearch,
+    TaggedMatch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::server::{QueryService, Server, ServerConfig, ServerHooks, ServiceClient};

@@ -19,8 +19,8 @@
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::core::{
     enumeration_count, CorrelatedIndex, CorrelatedParams, DeadlineExceeded, IndexOptions, Match,
-    MutationError, PassSource, ProbeControl, QueryPlan, QueryPlanner, Repetitions, SetId,
-    SetSimilaritySearch, TaggedMatch,
+    MutationError, ProbeControl, QueryPlan, QueryPlanner, Repetitions, SetId, SetSimilaritySearch,
+    TaggedMatch,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::server::{share, QueryService, Server, ServerConfig, ServerHooks, ServiceClient};
@@ -66,10 +66,6 @@ impl QueryPlanner for Reporting {
         self.planned.send(()).unwrap();
         plan
     }
-
-    fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
 }
 
 /// The served index: a `CorrelatedIndex` whose probe and planned insert
@@ -89,12 +85,13 @@ impl SetSimilaritySearch for Parked {
     }
     fn probe_passes(
         &self,
-        source: PassSource<'_>,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
         ctl: ProbeControl<'_>,
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         self.probing.send(()).unwrap();
         self.probe_gate.wait();
-        self.inner.probe_passes(source, ctl)
+        self.inner.probe_passes(q, planned, ctl)
     }
     fn planner(&self) -> Option<Arc<dyn QueryPlanner>> {
         Some(Arc::new(Reporting {

@@ -15,11 +15,10 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams};
 use skewsearch::core::{
-    AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, PassSource, ProbeControl, Repetitions, SetSimilaritySearch,
-    ShardedIndex, ThresholdScheme,
+    AdversarialIndex, AdversarialParams, ChosenPathIndex, ChosenPathParams, CorrelatedIndex,
+    CorrelatedParams, CorrelatedScheme, IndexOptions, LsfIndex, ProbeControl, Repetitions,
+    SetSimilaritySearch, ShardedIndex, ThresholdScheme,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
@@ -58,7 +57,7 @@ fn assert_sharded_identical<S: ThresholdScheme + 'static>(
     let first: Vec<_> = queries.iter().map(|q| index.search(q)).collect();
     let first_tagged: Vec<_> = queries
         .iter()
-        .map(|q| index.probe_passes(PassSource::Query(q), ProbeControl::FIRST))
+        .map(|q| index.probe_passes(q, None, ProbeControl::FIRST))
         .collect();
     for &shards in shard_counts {
         let sharded = ShardedIndex::build(index, shards);
@@ -70,7 +69,7 @@ fn assert_sharded_identical<S: ThresholdScheme + 'static>(
             assert_eq!(sharded.search_all_tagged(q), tagged[i], "{ctx} q={i}");
             assert_eq!(sharded.search(q), first[i], "{ctx} q={i}");
             assert_eq!(
-                sharded.probe_passes(PassSource::Query(q), ProbeControl::FIRST),
+                sharded.probe_passes(q, None, ProbeControl::FIRST),
                 first_tagged[i],
                 "{ctx} q={i}"
             );
